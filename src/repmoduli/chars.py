@@ -2,9 +2,10 @@
 dimensions for PSL2(q), SL2(q), Sz(q), dihedral and cyclic groups.
 
 All values are elements of cyclotomic fields, all inner products exact
-rationals.  Inner products run over a packed integer representation of the
-character values (one common denominator per pair), so whole-table
-orthogonality checks stay fast without ever leaving exact arithmetic.
+rationals.  Every inner product, orthogonality check and centralizer
+dimension is an entry of one exact Gram kernel, `gram`, over a packed
+integer representation of the character values, so whole tables are
+handled at once without ever leaving exact arithmetic.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm, prod
 
-from .cyclo import Cyclotomic, compress_terms, sqrt_eps_q
+import numpy as np
+
+from .cyclo import Cyclotomic, compress_terms, factorize, sqrt_eps_q
 from .groups import (
     IDENTITY, ClassLabel, GroupModel, SubgroupSpec, class_data_model,
     fusion_table, symbolic_subgroup, twisted_torus_reps,
@@ -37,14 +40,14 @@ def _rat(c):
 
 
 def _pack(value):
+    """A value as (order, exponents, integer numerators, denominator, l1
+    norm of the numerators), the form `gram` reads; None for zero."""
     if value.is_zero():
         return None
     short = compress_terms(value.order, value.coeffs)
-    den = 1
-    for c in short.values():
-        den = lcm(den, c.denominator)
-    terms = tuple(sorted((k, int(c * den)) for k, c in short.items()))
-    return (value.order, terms, den)
+    den = lcm(*(c.denominator for c in short.values()))
+    exps, nums = zip(*sorted((k, int(c * den)) for k, c in short.items()))
+    return (value.order, exps, nums, den, sum(map(abs, nums)))
 
 
 class Character:
@@ -110,57 +113,151 @@ class CharacterTable:
         return "\n".join(lines)
 
 
-# -- exact dot kernel ----------------------------------------------------------
+# -- exact Gram kernel --------------------------------------------------------
 
-def _dot(weights, row1, row2):
-    """sum_i weights[i] * row1[i] * conj(row2[i]) over packed rows, exact."""
-    pairs = []
-    den = 1
-    for w, a, b in zip(weights, row1, row2):
-        if w and a is not None and b is not None:
-            pairs.append((w, a, b))
-            d = a[2] * b[2]
-            if den % d:
-                den = lcm(den, d)
-    if not pairs:
-        return ZERO
-    lcm_cache = {}
-    buckets = {}
-    for w, (o1, t1, d1), (o2, t2, d2) in pairs:
-        lf = lcm_cache.get((o1, o2))
-        if lf is None:
-            l = o1 * o2 // gcd(o1, o2)
-            lf = lcm_cache[(o1, o2)] = (l, l // o1, l // o2)
-        l, f1, f2 = lf
-        scale = w * (den // (d1 * d2))
-        bucket = buckets.get(l)
-        if bucket is None:
-            bucket = buckets[l] = {}
-        if len(t1) == 1 and len(t2) == 1:
-            k1, n1 = t1[0]
-            k2, n2 = t2[0]
-            kk = (k1 * f1 - k2 * f2) % l
-            bucket[kk] = bucket.get(kk, 0) + scale * n1 * n2
+_CHUNK = 1 << 14        # entries per temporary array in `gram`
+
+
+def _flatten(rows, cols):
+    """The terms of packed rows on the given columns, over one common
+    denominator: (den, conductor per column, largest l1 norm of a value per
+    column, (row, column, order, exponent, numerator) arrays)."""
+    den = lcm(*{row[x][3] for row in rows for x in cols
+                if row[x] is not None})
+    cond = [1] * len(cols)
+    norm = [0] * len(cols)
+    terms = ([], [], [], [], [])
+    rs, cs, os_, ks, ns = terms
+    for i, row in enumerate(rows):
+        for c, x in enumerate(cols):
+            p = row[x]
+            if p is None:
+                continue
+            order, exps, nums, d, l1 = p
+            if d != den:
+                nums = [n * (den // d) for n in nums]
+                l1 *= den // d
+            t = len(exps)
+            rs += [i] * t
+            cs += [c] * t
+            os_ += [order] * t
+            ks += exps
+            ns += nums
+            norm[c] = max(norm[c], l1)
+            if cond[c] % order:
+                cond[c] = lcm(cond[c], order)
+    ints = [np.array(t, dtype=np.int64) for t in terms[:4]]
+    return den, cond, norm, (*ints, np.array(ns, dtype=object))
+
+
+def _fan_reduce(acc, shape, fs):
+    """Reduce every row of `acc` (exponents laid out on the CRT grid of
+    Z/m) modulo the fan relations sum_c zeta_p^(t + c p^(e-1)) = 0, in
+    place; a row then represents a rational number iff only entry 0 is
+    nonzero."""
+    arr = acc.reshape((len(acc),) + shape)
+    for axis, (p, e) in enumerate(fs):
+        step = p ** (e - 1)
+        pre = len(acc) * prod(shape[:axis])
+        view = arr.reshape(pre, p, step, prod(shape[axis + 1:]))
+        view[:, :p - 1] -= view[:, p - 1:p]
+        view[:, p - 1] = 0
+
+
+def gram(rows_a, rows_b, weights):
+    """G[i][j] = sum_x w_x a_i(x) conj(b_j(x)) over packed rows, exact.
+
+    `weights` are rationals, one per column.  Columns where the weight or
+    either side is zero are skipped, the rest grouped by the conductor m of
+    their values.  For rows of (virtual) characters and weights constant on
+    Galois orbits of columns, each group is Galois-stable and its partial
+    sum rational, so it is accumulated in Z[Z/m] with integer numpy,
+    reduced on the CRT grid of Z/m and read off at exponent 0.  A partial
+    that is not rational raises TableMismatch naming the entry.  A group is
+    computed in int64 when sum_x |w_x| |a(x)|_1 |b(x)|_1, doubled per fold
+    axis, stays below 2^62, and in Python ints otherwise.  Returns a list
+    of rows of Fractions.
+    """
+    wden = lcm(*(w.denominator for w in weights))
+    ws = [w.numerator * (wden // w.denominator) for w in weights]
+    cols = [x for x, w in enumerate(ws) if w]
+    flat_a = _flatten(rows_a, cols)
+    flat_b = flat_a if rows_b is rows_a else _flatten(rows_b, cols)
+    bounds = [abs(ws[x]) * p * q
+              for x, p, q in zip(cols, flat_a[2], flat_b[2])]
+    cond = np.array([lcm(p, q) if b else 0 for p, q, b in
+                     zip(flat_a[1], flat_b[1], bounds)], dtype=np.int64)
+    weight = np.array([ws[x] for x in cols], dtype=object)
+    total = np.zeros((len(rows_a), len(rows_b)), dtype=object)
+    for m in sorted(set(cond.tolist()) - {0}):
+        in_group = cond == m
+        bound = sum(b for b, g in zip(bounds, in_group) if g)
+        dtype = np.int64 if bound << len(factorize(m)) < 1 << 62 else object
+        a = _group_terms(flat_a[3], in_group, m, dtype)
+        b = a if flat_b is flat_a else \
+            _group_terms(flat_b[3], in_group, m, dtype)
+        _add_group(total, a, b, np.where(in_group, weight, 0).astype(dtype), m)
+    den = flat_a[0] * flat_b[0] * wden
+    values = {v: Fraction(v, den) for v in set(total.flat)}   # one per value
+    return [[values[v] for v in row] for row in total.tolist()]
+
+
+def _group_terms(terms, in_group, m, dtype):
+    """(row, column, exponent mod m, numerator) of the terms on the columns
+    of one conductor-m group."""
+    sel = in_group[terms[1]]
+    r, c, o, k, n = (t[sel] for t in terms)
+    return r, c, k * (m // o), n.astype(dtype)
+
+
+def _add_group(total, a, b, weight, m):
+    """Add to `total` the partial Gram over one conductor-m group of terms,
+    in chunks of rows of `total` that keep temporaries near _CHUNK."""
+    ra, ca, ea, na = a
+    rb, cb, eb, nb = b
+    n_a, n_b = total.shape
+    shape, fs, perm = _dense_data(m)
+    by_col = np.argsort(cb, kind="stable")
+    count_b = np.bincount(cb, minlength=len(weight))
+    start_b = np.cumsum(count_b) - count_b
+    partners = count_b[ca]
+    per_row = np.zeros(n_a, dtype=np.int64)
+    np.add.at(per_row, ra, partners)
+    step = max(1, _CHUNK // max(n_b * m, int(per_row.max())))
+    for i0 in range(0, n_a, step):
+        lo, hi = np.searchsorted(ra, (i0, i0 + step))
+        reps = partners[lo:hi]
+        ia = np.repeat(np.arange(lo, hi), reps)
+        if not len(ia):
             continue
-        for k1, n1 in t1:
-            base = k1 * f1
-            s1 = scale * n1
-            for k2, n2 in t2:
-                kk = (base - k2 * f2) % l
-                bucket[kk] = bucket.get(kk, 0) + s1 * n2
-    m = 1
-    for l in buckets:
-        m = lcm(m, l)
-    terms = {}
-    for l, bucket in buckets.items():
-        f = m // l
-        if f == 1 and len(buckets) == 1:
-            terms = bucket
-            break
-        for k, v in bucket.items():
-            kk = k * f
-            terms[kk] = terms.get(kk, 0) + v
-    return Cyclotomic.from_terms(m, terms) * Fraction(1, den)
+        first = np.repeat(np.cumsum(reps) - reps, reps)
+        ib = by_col[start_b[ca[ia]] + np.arange(len(ia)) - first]
+        n_rows = min(step, n_a - i0)
+        acc = np.zeros(n_rows * n_b * m, dtype=weight.dtype)
+        slot = (ra[ia] - i0) * n_b + rb[ib]
+        np.add.at(acc, slot * m + perm[(ea[ia] - eb[ib]) % m],
+                  na[ia] * nb[ib] * weight[ca[ia]])
+        acc = acc.reshape(n_rows * n_b, m)
+        _fan_reduce(acc, shape, fs)
+        bad = np.flatnonzero((acc[:, 1:] != 0).any(axis=1))
+        if len(bad):
+            i, j = divmod(int(bad[0]), n_b)
+            raise TableMismatch(
+                f"Gram entry ({i0 + i},{j}) is not rational: its part over "
+                f"the columns of conductor {m} is irrational")
+        total[i0:i0 + n_rows] += \
+            acc[:, 0].astype(object).reshape(n_rows, n_b)
+
+
+@lru_cache(maxsize=64)
+def _dense_data(order):
+    """CRT layout of Z/order for vectorized canonical reduction: the grid
+    shape over prime-power axes and the exponent -> grid position map."""
+    fs = factorize(order)
+    ks = np.arange(order, dtype=np.int64)
+    coords = [ks * pow(order // p ** e, -1, p ** e) % p ** e for p, e in fs]
+    shape = tuple(p ** e for p, e in fs) or (1,)
+    return shape, fs, np.ravel_multi_index(tuple(coords) or (ks,), shape)
 
 
 def inner_product(chi: Character, psi: Character) -> Fraction:
@@ -168,8 +265,7 @@ def inner_product(chi: Character, psi: Character) -> Fraction:
     t = chi.table
     if psi.table is not t:
         raise TableMismatch("characters live in different tables")
-    val = _dot(t.sizes, chi.packed, psi.packed)
-    return (val * Fraction(1, t.order)).to_rational()
+    return gram([chi.packed], [psi.packed], t.sizes)[0][0] / t.order
 
 
 def restricted_inner_product(chi, psi, fusion) -> Fraction:
@@ -178,9 +274,7 @@ def restricted_inner_product(chi, psi, fusion) -> Fraction:
     if psi.table is not t:
         raise TableMismatch("characters live in different tables")
     weights = [fusion.get(lab, 0) for lab in t.labels]
-    size = sum(weights)
-    val = _dot(weights, chi.packed, psi.packed)
-    return (val * Fraction(1, size)).to_rational()
+    return gram([chi.packed], [psi.packed], weights)[0][0] / sum(weights)
 
 
 def centralizer_dim(chi, fusion=None) -> int:
@@ -200,139 +294,29 @@ def fusion_for(table: CharacterTable, sub: SubgroupSpec):
 
 # -- orthogonality --------------------------------------------------------------
 
-_FAST_ORDER_BOUND = 1024
-_FAST_TERMS = 16
-
-
-def _fast_block(rows):
-    """Vectorizable form of packed rows: integer coefficients, a small common
-    order, a modest number of terms per value.  Returns (order, [(exps, nums)])
-    as int64 arrays, or None when the generic path must be used."""
-    import numpy as np
-    common = 1
-    width = 1
-    for row in rows:
-        for p in row:
-            if p is None:
-                continue
-            if p[2] != 1 or len(p[1]) > _FAST_TERMS:
-                return None
-            width = max(width, len(p[1]))
-            common = lcm(common, p[0])
-            if common > _FAST_ORDER_BOUND:
-                return None
-    ncols = len(rows[0])
-    out = []
-    for row in rows:
-        exps = np.zeros((ncols, width), dtype=np.int64)
-        nums = np.zeros((ncols, width), dtype=np.int64)
-        for i, p in enumerate(row):
-            if p is None:
-                continue
-            f = common // p[0]
-            for t, (k, num) in enumerate(p[1]):
-                exps[i, t] = (k * f) % common
-                nums[i, t] = num
-        out.append((exps, nums))
-    return common, out
-
-
-@lru_cache(maxsize=64)
-def _dense_data(order):
-    """CRT layout of Z/order for vectorized canonical reduction: the grid
-    shape over prime-power axes and the exponent -> grid position map."""
-    import numpy as np
-    from .cyclo import factorize
-    fs = factorize(order) if order > 1 else ()
-    shape = tuple(p ** e for p, e in fs) or (1,)
-    ks = np.arange(order, dtype=np.int64)
-    coords = []
-    for p, e in fs:
-        pv = p ** e
-        u = pow(order // pv, -1, pv)
-        coords.append((ks * u) % pv)
-    if not coords:
-        coords = [np.zeros(order, dtype=np.int64)]
-    perm = np.ravel_multi_index(tuple(coords), shape)
-    return shape, fs, perm
-
-
-def _fast_pair_rational(order, a, b, weights):
-    """sum_i w_i a_i conj(b_i) for packed integer rows, returned as an int
-    when the value is rational, else None.  Pure int64 numpy: accumulate on
-    the CRT grid and fold the fan relation along every prime axis."""
-    import numpy as np
-    shape, fs, perm = _dense_data(order)
-    ea, na = a
-    eb, nb = b
-    e = (ea[:, :, None] - eb[:, None, :]) % order
-    n = (na[:, :, None] * nb[:, None, :]) * weights[:, None, None]
-    acc = np.zeros(order, dtype=np.int64)
-    np.add.at(acc, perm[e.reshape(-1)], n.reshape(-1))
-    arr = acc.reshape(shape)
-    for axis, (p, ex) in enumerate(fs):
-        pv = p ** ex
-        step = pv // p
-        pre = int(np.prod(shape[:axis], dtype=np.int64))
-        post = int(np.prod(shape[axis + 1:], dtype=np.int64))
-        view = arr.reshape(pre, p, step, post)
-        view[:, :p - 1] -= view[:, p - 1:p]
-        view[:, p - 1] = 0
-        arr = view.reshape(shape)
-    flat = arr.reshape(-1)
-    head = int(flat[0])
-    if np.count_nonzero(flat) > (1 if head else 0):
-        return None
-    return head
-
-
 def check_row_orthogonality(table):
     """<chi_i, chi_j> = delta_ij for all pairs; raises on the first failure."""
-    import numpy as np
-    fast = _fast_block([c.packed for c in table.chars])
-    weights = np.array(table.sizes, dtype=np.int64) if fast else None
+    rows = [c.packed for c in table.chars]
+    g = gram(rows, rows, table.sizes)
     for i, chi in enumerate(table.chars):
-        for j in range(i, len(table.chars)):
-            psi = table.chars[j]
-            expect = Fraction(1 if psi is chi else 0)
-            if fast:
-                order, blocks = fast
-                num = _fast_pair_rational(order, blocks[i], blocks[j],
-                                          weights)
-                got = None if num is None else Fraction(num, table.order)
-            else:
-                got = inner_product(chi, psi)
-            if got != expect:
+        for j, psi in enumerate(table.chars):
+            if g[i][j] != (table.order if i == j else 0):
                 raise TableMismatch(
-                    f"<{chi.name},{psi.name}> = {got}, expected {expect}")
+                    f"<{chi.name},{psi.name}> = {g[i][j] / table.order}, "
+                    f"expected {int(i == j)}")
     return True
 
 
 def check_column_orthogonality(table):
     """sum_chi chi(x) conj(chi(y)) = delta_xy |C(x)| for all class pairs."""
-    import numpy as np
-    ncls = len(table.labels)
-    columns = [[c.packed[j] for c in table.chars] for j in range(ncls)]
-    fast = _fast_block(columns)
-    ones_np = np.ones(len(table.chars), dtype=np.int64) if fast else None
-    ones = [1] * len(table.chars)
-    for i in range(ncls):
-        for j in range(i, ncls):
-            if fast:
-                order, blocks = fast
-                num = _fast_pair_rational(order, blocks[i], blocks[j],
-                                          ones_np)
-                got = None if num is None else Fraction(num)
-            else:
-                got = _dot(ones, columns[i], columns[j]).to_rational()
-            if i == j:
-                expect = Fraction(table.order, table.sizes[i])
-            else:
-                expect = Fraction(0)
-            if got != expect:
+    cols = list(zip(*(c.packed for c in table.chars)))
+    g = gram(cols, cols, [1] * len(table.chars))
+    for i, x in enumerate(table.labels):
+        for j, y in enumerate(table.labels):
+            expect = Fraction(table.order, table.sizes[i]) if i == j else 0
+            if g[i][j] != expect:
                 raise TableMismatch(
-                    f"column pair ({table.labels[i]},{table.labels[j]}): "
-                    f"{got} != {expect}")
+                    f"column pair ({x},{y}): {g[i][j]} != {expect}")
     return True
 
 
@@ -480,16 +464,16 @@ def table_suzuki(q) -> CharacterTable:
 
     # class sizes are not tabulated for Sz: derive them from column
     # orthogonality |C(x)| = sum_chi |chi(x)|^2 and cross-check against |G|
-    packed = [[_pack(v) for v in values] for _, values in chars]
-    ones = [1] * len(chars)
+    cols = list(zip(*([_pack(v) for v in values] for _, values in chars)))
+    g = gram(cols, cols, [1] * len(chars))
     sizes = {}
     for j, lab in enumerate(model.class_labels):
-        col = [row[j] for row in packed]
-        cent = _dot(ones, col, col).to_rational()
+        cent = g[j][j]
         if cent.denominator != 1 or model.order % int(cent) != 0:
             raise TableMismatch(f"bad centralizer order {cent} at {lab}")
         sizes[lab] = model.order // int(cent)
-    assert sum(sizes.values()) == model.order
+    if sum(sizes.values()) != model.order:
+        raise TableMismatch(f"Sz({q}) class sizes do not add up to |G|")
     model.class_sizes = sizes
     return CharacterTable("sz", q, model, chars)
 
@@ -582,8 +566,8 @@ class Restriction:
             raise TableMismatch("character/table mismatch in restriction")
         amb = self.ambient.index
         row = [chi.packed[amb[lab]] for lab in self.images]
-        val = _dot(self.table.sizes, row, lam.packed)
-        return (val * Fraction(1, self.table.order)).to_rational()
+        return gram([row], [lam.packed], self.table.sizes)[0][0] / \
+            self.table.order
 
 
 def multiplicity_check(chi, restriction: Restriction, lam) -> int:
@@ -607,7 +591,7 @@ class ThetaSet:
         # accumulate raw terms so canonicalization runs once per class
         chars = self.characters()
         degs = [lam.degree for lam in chars]
-        self._packed = []
+        packed = []
         for j in range(len(self.restriction.table.labels)):
             orders = [lam.values[j].order for lam in chars
                       if not lam.values[j].is_zero()]
@@ -621,7 +605,16 @@ class ThetaSet:
                 for k, c in v.coeffs:
                     kk = k * f
                     terms[kk] = terms.get(kk, 0) + c * deg
-            self._packed.append(_pack(Cyclotomic.from_terms(big, terms)))
+            packed.append(_pack(Cyclotomic.from_terms(big, terms)))
+        # <Res chi, that sum>_H for every irreducible chi of the ambient
+        # group at once, as one Gram column; d_theta reads it
+        r = self.restriction
+        amb = r.ambient.index
+        rows = [[chi.packed[amb[lab]] for lab in r.images]
+                for chi in r.ambient.chars]
+        column = gram(rows, [packed], r.table.sizes)
+        self._dims = {chi.name: total / r.table.order
+                      for chi, (total,) in zip(r.ambient.chars, column)}
 
     def characters(self):
         return [self.restriction.table.by_name[n] for n in self.names]
@@ -629,11 +622,9 @@ class ThetaSet:
 
 def d_theta(chi, theta: ThetaSet) -> int:
     """Total dimension of the restriction factors with characters in Theta."""
-    r = theta.restriction
-    amb = r.ambient.index
-    row = [chi.packed[amb[lab]] for lab in r.images]
-    val = _dot(r.table.sizes, row, theta._packed)
-    total = (val * Fraction(1, r.table.order)).to_rational()
+    if chi.table is not theta.restriction.ambient:
+        raise TableMismatch("character/table mismatch in restriction")
+    total = theta._dims[chi.name]
     if total.denominator != 1 or total < 0:
         raise NonIntegralDimension(f"d(rho, Theta) = {total}")
     return int(total)
@@ -780,8 +771,9 @@ def centralizer_checks(table: CharacterTable):
         add("klein-dim", ((q + 5) // 8) ** 2 + 3 * ((q - 3) // 8) ** 2,
             dim("klein4"))
         if q % 3 == 0:
-            r = isqrt(q // 3) if isqrt(q // 3) ** 2 * 3 == q else None
-            assert r is not None
+            r = isqrt(q // 3)
+            if 3 * r * r != q:
+                raise ValueError(f"q={q} = 0 mod 3 must be 3^(2k+1)")
             expected = ((q - 3) // 6) ** 2 + ((q + 3 * r) // 6) ** 2 + \
                 ((q - 3 * r) // 6) ** 2
         elif q % 3 == 1:

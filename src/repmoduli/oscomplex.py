@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .chars import (
-    CharacterTable, centralizer_dim, fusion_for, inner_product,
-    restricted_inner_product, rho0_character,
+    CharacterTable, centralizer_dim, fusion_for, gram, rho0_character,
 )
 from .groups import (
     IDENTITY, GroupModel, NotFound, SubgroupSpec, build_subgroup,
@@ -312,18 +311,26 @@ def moduli_dimension_report(graph: OrbitGraph, table: CharacterTable,
         dim_m, dim_h, dim_m - dim_h, target, dim_m - dim_h == target)
 
 
-def euler_identity(graph: OrbitGraph, table: CharacterTable, phi, psi,
-                      free_two_cells=1):
+def euler_identity(graph: OrbitGraph, table: CharacterTable,
+                   free_two_cells=1):
     """Character-level Euler relation for an acyclic complex built on the
-    graph plus free 2-cell orbits; returns (lhs, rhs, equal)."""
-    lhs = inner_product(phi, psi)
-    for e in graph.edges:
-        lhs += restricted_inner_product(phi, psi, fusion_for(table, e.sub))
-    rhs = Fraction(0)
-    for v in graph.vertices:
-        rhs += restricted_inner_product(phi, psi, fusion_for(table, v.sub))
-    rhs += free_two_cells * Fraction(phi.degree * psi.degree)
-    return lhs, rhs, lhs == rhs
+    graph plus free 2-cell orbits, for every pair of irreducibles at once:
+    (lhs, rhs, equal) as n x n matrices indexed like table.chars.  Each side
+    is one Gram with the summed class weights of its cells, the free 2-cells
+    weighing the identity class (column 0) to give free * d d^T."""
+    lhs_w = [Fraction(s, table.order) for s in table.sizes]
+    rhs_w = [Fraction(free_two_cells)] + [Fraction(0)] * (len(lhs_w) - 1)
+    for cells, weights in ((graph.edges, lhs_w), (graph.vertices, rhs_w)):
+        for cell in cells:
+            fusion = fusion_for(table, cell.sub)
+            counts = [fusion.get(lab, 0) for lab in table.labels]
+            size = sum(counts)
+            weights[:] = [w + Fraction(c, size)
+                          for w, c in zip(weights, counts)]
+    rows = [c.packed for c in table.chars]
+    lhs, rhs = gram(rows, rows, lhs_w), gram(rows, rows, rhs_w)
+    return lhs, rhs, [[a == b for a, b in zip(ra, rb)]
+                      for ra, rb in zip(lhs, rhs)]
 
 
 # -- Brown presentation -----------------------------------------------------------

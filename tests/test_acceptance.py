@@ -147,10 +147,11 @@ def test_criterion_5_euler_identity():
     pairs = 0
     for fam, q, table in cases:
         graph = build_orbit_graph(fam, q)
-        for phi in table.chars:
-            for psi in table.chars:
-                lhs, rhs, eq = euler_identity(graph, table, phi, psi)
-                assert eq, (fam, q, phi.name, psi.name, lhs, rhs)
+        lhs, rhs, eq = euler_identity(graph, table)
+        for i, phi in enumerate(table.chars):
+            for j, psi in enumerate(table.chars):
+                assert eq[i][j], (fam, q, phi.name, psi.name,
+                                  lhs[i][j], rhs[i][j])
                 pairs += 1
     elapsed = time.monotonic() - t0
     _report(5, elapsed < 60,

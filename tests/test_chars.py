@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from repmoduli.chars import (
-    NonIntegralDimension, Restriction, TableMismatch, ThetaSet,
-    c2_restriction, c4_in_sz_restriction, centralizer_dim,
+    CharacterTable, NonIntegralDimension, Restriction, TableMismatch,
+    ThetaSet, c2_restriction, c4_in_sz_restriction, centralizer_dim,
     check_column_orthogonality, check_row_orthogonality, d_theta,
-    dihedral_theta_restrictions, fusion_for, inner_product,
+    dihedral_theta_restrictions, fusion_for, gram, inner_product,
     multiplicity_check, restricted_inner_product,
     restriction_from_enumeration, rho0_character, split_dihedral_restriction,
     split_torus_restriction, table_cyclic, table_dihedral_odd,
@@ -70,6 +70,67 @@ def test_orthogonality_small_tables():
               table_cyclic(12)):
         assert check_row_orthogonality(t)
         assert check_column_orthogonality(t)
+
+
+def _reference_gram(rows_a, rows_b, weights):
+    """sum_x w_x a(x) conj(b(x)) in Cyclotomic arithmetic, pair by pair."""
+    out = []
+    for a in rows_a:
+        out.append([])
+        for b in rows_b:
+            acc = Cyclotomic.zero()
+            for w, x, y in zip(weights, a, b):
+                acc = acc + x * y.conj() * w
+            out[-1].append(acc.to_rational())
+    return out
+
+
+def test_gram_matches_cyclotomic_reference():
+    t11 = table_psl2_odd(11)
+    a4 = fusion_for(t11, symbolic_subgroup("psl2_odd", 11, "a4"))
+    psi = t11.by_name["psi"]
+    cases = [(t.chars, t.chars, t.sizes) for t in (
+        table_psl2_even(8), t11, table_sl2_odd(11), table_suzuki(8),
+        table_dihedral_odd(18), table_cyclic(12))]
+    cases += [
+        (t11.chars, t11.chars, [a4.get(lab, 0) for lab in t11.labels]),
+        # weights past the int64 bound: the Python-int path
+        (t11.chars, t11.chars, [(s << 64) + 1 for s in t11.sizes]),
+        # such weights only where psi vanishes: the int64 path again
+        (t11.chars, [psi], [1 << 70 if psi.value_at(lab).is_zero() else s
+                            for lab, s in zip(t11.labels, t11.sizes)]),
+    ]
+    for a, b, weights in cases:
+        assert gram([c.packed for c in a], [c.packed for c in b],
+                    weights) == \
+            _reference_gram([c.values for c in a], [c.values for c in b],
+                            weights), weights
+    ts = table_suzuki(8)
+    cols = list(zip(*(c.values for c in ts.chars)))
+    packed_cols = list(zip(*(c.packed for c in ts.chars)))
+    ones = [1] * len(ts.chars)
+    assert gram(packed_cols, packed_cols, ones) == \
+        _reference_gram(cols, cols, ones)
+
+
+def _copy_with_value(table, name, label, value):
+    chars = [(c.name, list(c.values)) for c in table.chars]
+    chars[table.chars.index(table.by_name[name])][1][table.index[label]] = \
+        value
+    return CharacterTable(table.family, table.q, table.model, chars)
+
+
+def test_row_orthogonality_catches_one_flipped_value():
+    t = table_psl2_even(4)
+    # theta_1 is -1 at the involution class; flip it to +1
+    bad = _copy_with_value(t, "theta_1", ClassLabel("c"), Cyclotomic.one())
+    with pytest.raises(TableMismatch, match=r"<1,theta_1>"):
+        check_row_orthogonality(bad)
+    # an irrational value leaves a partial sum that is not rational
+    bad = _copy_with_value(t, "theta_1", ClassLabel("c"), Cyclotomic.root(5))
+    with pytest.raises(TableMismatch, match="not rational"):
+        check_row_orthogonality(bad)
+    assert check_row_orthogonality(t)
 
 
 def test_restricted_inner_product_examples():

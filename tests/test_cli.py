@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+import repmoduli.oscomplex as osc
 from repmoduli.cli import (
     UsageError, VerificationConfig, classify_q, main, parse_config, run,
 )
+from repmoduli.groups import ClassLabel
 
 
 def test_classify_q():
@@ -110,3 +112,44 @@ def test_jobs_parallel_matches_serial():
     key = lambda rep: [(r.name, r.expected, r.computed, r.passed)
                        for r in rep.records]
     assert key(serial) == key(parallel)
+
+
+def _records(path):
+    return {r["name"]: r for r in json.loads(path.read_text())["records"]}
+
+
+def test_altered_fusion_count_fails_euler(monkeypatch, tmp_path):
+    real = osc.fusion_for
+
+    def one_more_involution(table, sub):
+        fusion = real(table, sub)
+        if sub.tag == "dihedral_split":
+            fusion = dict(fusion)
+            fusion[ClassLabel("c")] += 1
+        return fusion
+
+    monkeypatch.setattr(osc, "fusion_for", one_more_involution)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "euler",
+               "--out", str(out)])
+    assert rc == 1
+    rec = _records(out)["euler/psl2_even-q4"]
+    assert rec["pass"] is False and rec["computed"].startswith("fails at (")
+
+
+def test_brown_record_fails_when_verify_fails(monkeypatch, tmp_path):
+    calls = []
+
+    def verify_only_at_construction(self):
+        calls.append(self)
+        return len(calls) == 1
+
+    monkeypatch.setattr(osc.BrownPresentation, "verify",
+                        verify_only_at_construction)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "brown",
+               "--out", str(out)])
+    assert rc == 1
+    rec = _records(out)["brown/psl2_even-q4"]
+    assert rec["pass"] is False and rec["computed"] == "failed"
+    assert rec["expected"].endswith(" relations verified")

@@ -6,7 +6,7 @@ from repmoduli.chars import (
     rho0_character, table_psl2_even, table_psl2_odd, table_suzuki,
 )
 from repmoduli.groups import (
-    IDENTITY, SubgroupSpec, cyclic_group_model, psl2_model,
+    IDENTITY, ClassLabel, SubgroupSpec, cyclic_group_model, psl2_model,
 )
 from repmoduli.oscomplex import (
     GroupRingElement, IntChainComplex, brown_presentation, build_orbit_graph,
@@ -71,28 +71,47 @@ def test_moduli_dimension_k_independent():
 def test_euler_identity_specializes_to_euler_characteristic():
     t = table_psl2_even(4)
     g = build_orbit_graph("psl2_even", 4)
-    one = t.by_name["1"]
-    lhs, rhs, eq = euler_identity(g, t, one, one)
-    assert eq and lhs == 1 + len(g.edges) and rhs == len(g.vertices) + 1
+    i = t.chars.index(t.by_name["1"])
+    lhs, rhs, eq = euler_identity(g, t)
+    assert eq[i][i] and lhs[i][i] == 1 + len(g.edges) and \
+        rhs[i][i] == len(g.vertices) + 1
 
 
 def test_euler_identity_distinguished_character():
     t = table_psl2_even(4)
     g = build_orbit_graph("psl2_even", 4)
-    th = t.by_name["theta_1"]
-    lhs, rhs, eq = euler_identity(g, t, th, th)
-    assert eq and lhs == 14 and rhs == 14
-    one = t.by_name["1"]
-    lhs, rhs, eq = euler_identity(g, t, one, th)
-    assert eq
+    th = t.chars.index(t.by_name["theta_1"])
+    lhs, rhs, eq = euler_identity(g, t)
+    assert eq[th][th] and lhs[th][th] == 14 and rhs[th][th] == 14
+    one = t.chars.index(t.by_name["1"])
+    assert eq[one][th]
 
 
 def test_euler_identity_all_pairs_psl2_11():
     t = table_psl2_odd(11)
     g = build_orbit_graph("psl2_odd", 11)
-    for phi in t.chars:
-        for psi in t.chars:
-            assert euler_identity(g, t, phi, psi)[2]
+    eq = euler_identity(g, t)[2]
+    for i in range(len(t.chars)):
+        for j in range(len(t.chars)):
+            assert eq[i][j]
+
+
+def test_euler_identity_fails_on_one_altered_fusion_count(monkeypatch):
+    import repmoduli.oscomplex as osc
+    real = osc.fusion_for
+
+    def one_more_involution(table, sub):
+        fusion = real(table, sub)
+        if sub.tag == "dihedral_split":
+            fusion = dict(fusion)
+            fusion[ClassLabel("c")] += 1
+        return fusion
+
+    monkeypatch.setattr(osc, "fusion_for", one_more_involution)
+    t = table_psl2_even(4)
+    th = t.chars.index(t.by_name["theta_1"])
+    lhs, rhs, eq = euler_identity(build_orbit_graph("psl2_even", 4), t)
+    assert eq[th][th] is False and lhs[th][th] != rhs[th][th]
 
 
 def test_concrete_graph_validates():
@@ -256,10 +275,11 @@ def test_euler_identity_wider_spot():
                           ("sz", 32, table_suzuki(32))]:
         g = build_orbit_graph(fam, q)
         chars = table.chars
-        picks = [chars[0], chars[1], chars[len(chars) // 2], chars[-1]]
-        for phi in picks:
-            for psi in picks:
-                assert euler_identity(g, table, phi, psi)[2], (fam, phi.name)
+        picks = [0, 1, len(chars) // 2, len(chars) - 1]
+        eq = euler_identity(g, table)[2]
+        for i in picks:
+            for j in picks:
+                assert eq[i][j], (fam, chars[i].name)
 
 
 def _det_int(mat):
