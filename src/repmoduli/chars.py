@@ -3,28 +3,28 @@ dimensions for PSL2(q), SL2(q), Sz(q), dihedral and cyclic groups.
 
 All values are elements of cyclotomic fields, all inner products exact
 rationals.  Every inner product, orthogonality check and centralizer
-dimension is an entry of one exact Gram kernel, `gram`, over a packed
-integer representation of the character values, so whole tables are
-handled at once without ever leaving exact arithmetic.
+dimension is an entry of one exact Gram kernel, `gram`, over the packed
+integer form in which tables store their values, so whole tables are
+handled at once without ever leaving exact arithmetic.  Canonical
+`Cyclotomic` values are built from the packed form only on demand.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
-from .cyclo import Cyclotomic, compress_terms, factorize, sqrt_eps_q
+from .cyclo import Cyclotomic, factorize, legendre
 from .groups import (
     IDENTITY, ClassLabel, GroupModel, SubgroupSpec, class_data_model,
-    fusion_table, symbolic_subgroup, twisted_torus_reps,
+    fusion_table, suzuki_class_labels, suzuki_model, symbolic_subgroup,
+    twisted_torus_reps,
 )
-
-ONE = Cyclotomic.one()
-ZERO = Cyclotomic.zero()
 
 
 class NonIntegralDimension(ArithmeticError):
@@ -35,38 +35,66 @@ class TableMismatch(ValueError):
     pass
 
 
-def _rat(c):
-    return Cyclotomic.rational(c)
-
-
-def _pack(value):
-    """A value as (order, exponents, integer numerators, denominator, l1
-    norm of the numerators), the form `gram` reads; None for zero."""
-    if value.is_zero():
+def pack_terms(order, terms):
+    """The sum of c * zeta_order^k over (k, c) terms in the stored form
+    (order, exponents, integer numerators, denominator, l1 norm of the
+    numerators), with the order deflated by the gcd of the support; None is
+    the stored zero.  Equal terms are merged but nothing is canonicalized:
+    `gram` reduces any representation itself."""
+    acc = {}
+    for k, c in terms:
+        k %= order
+        acc[k] = acc.get(k, 0) + c
+    exps = sorted(k for k, c in acc.items() if c)
+    if not exps:
         return None
-    short = compress_terms(value.order, value.coeffs)
-    den = lcm(*(c.denominator for c in short.values()))
-    exps, nums = zip(*sorted((k, int(c * den)) for k, c in short.items()))
-    return (value.order, exps, nums, den, sum(map(abs, nums)))
+    g = gcd(order, *exps)
+    den = lcm(*(acc[k].denominator for k in exps))
+    nums = tuple(int(acc[k] * den) for k in exps)
+    return (order // g, tuple(k // g for k in exps), nums, den,
+            sum(map(abs, nums)))
+
+
+def _cyclotomic(value):
+    """A stored value as a canonical Cyclotomic."""
+    if value is None:
+        return Cyclotomic.zero()
+    order, exps, nums, den, _ = value
+    return Cyclotomic(order, tuple(
+        (k, Fraction(n, den)) for k, n in zip(exps, nums)))
+
+
+def _rat(c):
+    return pack_terms(1, ((0, c),))
+
+
+def _pair(n, a, c=1):
+    """c (zeta_n^a + zeta_n^-a), stored."""
+    return pack_terms(n, ((a, c), (-a, c)))
 
 
 class Character:
-    """A class function with exact cyclotomic values, one per class."""
+    """A class function with exact cyclotomic values, one per class, stored
+    only in the packed form `gram` reads; the canonical Cyclotomic of a value
+    is built on demand, for display, comparison and numerics."""
 
-    __slots__ = ("name", "table", "values", "packed")
+    __slots__ = ("name", "table", "packed")
 
-    def __init__(self, name, table, values):
+    def __init__(self, name, table, packed):
         self.name = name
         self.table = table
-        self.values = tuple(values)
-        self.packed = [_pack(v) for v in self.values]
+        self.packed = tuple(packed)
+
+    @property
+    def values(self):
+        return tuple(map(_cyclotomic, self.packed))
 
     @property
     def degree(self):
-        return int(self.values[0].to_rational())
+        return int(_cyclotomic(self.packed[0]).to_rational())
 
     def value_at(self, label):
-        return self.values[self.table.index[label]]
+        return _cyclotomic(self.packed[self.table.index[label]])
 
     def __repr__(self):
         return f"<character {self.name} of degree {self.degree}>"
@@ -81,7 +109,7 @@ class CharacterTable:
         self.labels = list(model.class_labels)
         self.sizes = [model.class_sizes[lab] for lab in self.labels]
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.chars = [Character(name, self, values) for name, values in chars]
+        self.chars = [Character(name, self, row) for name, row in chars]
         self.by_name = {c.name: c for c in self.chars}
         if len(self.chars) != len(self.labels):
             raise TableMismatch(
@@ -178,6 +206,13 @@ def gram(rows_a, rows_b, weights):
     axis, stays below 2^62, and in Python ints otherwise.  Returns a list
     of rows of Fractions.
     """
+    total, den = _gram(rows_a, rows_b, weights)
+    values = {v: Fraction(v, den) for v in set(total.flat)}   # one per value
+    return [[values[v] for v in row] for row in total.tolist()]
+
+
+def _gram(rows_a, rows_b, weights):
+    """`gram` as an integer object array over one common denominator."""
     wden = lcm(*(w.denominator for w in weights))
     ws = [w.numerator * (wden // w.denominator) for w in weights]
     cols = [x for x, w in enumerate(ws) if w]
@@ -197,9 +232,7 @@ def gram(rows_a, rows_b, weights):
         b = a if flat_b is flat_a else \
             _group_terms(flat_b[3], in_group, m, dtype)
         _add_group(total, a, b, np.where(in_group, weight, 0).astype(dtype), m)
-    den = flat_a[0] * flat_b[0] * wden
-    values = {v: Fraction(v, den) for v in set(total.flat)}   # one per value
-    return [[values[v] for v in row] for row in total.tolist()]
+    return total, flat_a[0] * flat_b[0] * wden
 
 
 def _group_terms(terms, in_group, m, dtype):
@@ -332,22 +365,21 @@ def table_psl2_even(q) -> CharacterTable:
     n = q.bit_length() - 1
     _require(q == 1 << n and n >= 2, f"q={q} must be 2^n with n >= 2")
     model = class_data_model("psl2_even", q)
-    rho = lambda k: Cyclotomic.root(q - 1, k)
-    sig = lambda k: Cyclotomic.root(q + 1, k)
+    one = _rat(1)
     ls = range(1, (q - 2) // 2 + 1)
     ms = range(1, q // 2 + 1)
-    chars = [("1", [ONE] * len(model.class_labels))]
-    chars.append(("psi", [_rat(q), ZERO] + [ONE] * len(ls) +
+    chars = [("1", [one] * len(model.class_labels))]
+    chars.append(("psi", [_rat(q), None] + [one] * len(ls) +
                   [_rat(-1)] * len(ms)))
     for i in ls:
         chars.append((f"chi_{i}",
-                      [_rat(q + 1), ONE] +
-                      [rho(i * l) + rho(-i * l) for l in ls] +
-                      [ZERO] * len(ms)))
+                      [_rat(q + 1), one] +
+                      [_pair(q - 1, i * l) for l in ls] +
+                      [None] * len(ms)))
     for j in ms:
         chars.append((f"theta_{j}",
-                      [_rat(q - 1), _rat(-1)] + [ZERO] * len(ls) +
-                      [-(sig(j * m) + sig(-j * m)) for m in ms]))
+                      [_rat(q - 1), _rat(-1)] + [None] * len(ls) +
+                      [_pair(q + 1, j * m, -1) for m in ms]))
     return CharacterTable("psl2_even", q, model, chars)
 
 
@@ -356,47 +388,52 @@ def table_sl2_odd(q) -> CharacterTable:
     from .groups import _prime_power
     p, n = _prime_power(q)
     _require(p % 2 == 1, "q must be odd")
+    _require(n % 2 == 1, f"q={q} must be an odd power of {p}")
     model = class_data_model("sl2_odd", q)
     eps = 1 if (q - 1) // 2 % 2 == 0 else -1
-    s = sqrt_eps_q(p, n)
-    rho = lambda k: Cyclotomic.root(q - 1, k)
-    sig = lambda k: Cyclotomic.root(q + 1, k)
+    # sqrt(eps q) = p^((n-1)/2) times the quadratic Gauss sum over Z/p
+    gauss = [(k, p ** ((n - 1) // 2) * legendre(k, p)) for k in range(1, p)]
     ls = range(1, (q - 3) // 2 + 1)
     ms = range(1, (q - 1) // 2 + 1)
-    half = Fraction(1, 2)
+    one, minus = _rat(1), _rat(-1)
+
+    def half(c0, pm, f=1):
+        """f (c0 + pm sqrt(eps q)) / 2, stored."""
+        return pack_terms(p, [(0, Fraction(f * c0, 2))] +
+                          [(k, Fraction(f * pm * c, 2)) for k, c in gauss])
 
     def row(deg, at_z, at_c, at_d, at_a, at_b):
-        # column order: 1, z, c, d, zc, zd, a^l..., b^m...
-        ratio_num = at_z.to_rational() / Fraction(deg)
-        zc = at_c * ratio_num
-        zd = at_d * ratio_num
-        return ([_rat(deg), at_z, at_c, at_d, zc, zd] +
+        # column order: 1, z, c, d, zc, zd, a^l..., b^m...; at_c and at_d
+        # take the scalar f by which the central z acts, at_z / deg, and
+        # give f chi(c) and f chi(d)
+        f = Fraction(at_z) / deg
+        return ([_rat(deg), _rat(at_z), at_c(1), at_d(1), at_c(f), at_d(f)] +
                 [at_a(l) for l in ls] + [at_b(m) for m in ms])
 
-    chars = [("1", row(1, ONE, ONE, ONE, lambda l: ONE, lambda m: ONE))]
-    chars.append(("psi", row(q, _rat(q), ZERO, ZERO,
-                             lambda l: ONE, lambda m: _rat(-1))))
+    chars = [("1", row(1, 1, _rat, _rat, lambda l: one, lambda m: one))]
+    chars.append(("psi", row(q, q, lambda f: None, lambda f: None,
+                             lambda l: one, lambda m: minus)))
     for i in ls:
         sign = 1 if i % 2 == 0 else -1
         chars.append((f"chi_{i}", row(
-            q + 1, _rat(sign * (q + 1)), ONE, ONE,
-            lambda l, i=i: rho(i * l) + rho(-i * l), lambda m: ZERO)))
+            q + 1, sign * (q + 1), _rat, _rat,
+            lambda l, i=i: _pair(q - 1, i * l), lambda m: None)))
     for j in ms:
         sign = 1 if j % 2 == 0 else -1
         chars.append((f"theta_{j}", row(
-            q - 1, _rat(sign * (q - 1)), _rat(-1), _rat(-1),
-            lambda l: ZERO,
-            lambda m, j=j: -(sig(j * m) + sig(-j * m)))))
+            q - 1, sign * (q - 1), lambda f: _rat(-f), lambda f: _rat(-f),
+            lambda l: None, lambda m, j=j: _pair(q + 1, j * m, -1))))
     for name, pm in (("xi_1", 1), ("xi_2", -1)):
         chars.append((name, row(
-            (q + 1) // 2, _rat(Fraction(eps * (q + 1), 2)),
-            (1 + pm * s) * half, (1 - pm * s) * half,
-            lambda l: _rat((-1) ** l), lambda m: ZERO)))
+            (q + 1) // 2, Fraction(eps * (q + 1), 2),
+            lambda f, pm=pm: half(1, pm, f), lambda f, pm=pm: half(1, -pm, f),
+            lambda l: _rat((-1) ** l), lambda m: None)))
     for name, pm in (("eta_1", 1), ("eta_2", -1)):
         chars.append((name, row(
-            (q - 1) // 2, _rat(Fraction(-eps * (q - 1), 2)),
-            (-1 + pm * s) * half, (-1 - pm * s) * half,
-            lambda l: ZERO, lambda m: _rat((-1) ** (m + 1)))))
+            (q - 1) // 2, Fraction(-eps * (q - 1), 2),
+            lambda f, pm=pm: half(-1, pm, f),
+            lambda f, pm=pm: half(-1, -pm, f),
+            lambda l: None, lambda m: _rat((-1) ** (m + 1)))))
     return CharacterTable("sl2_odd", q, model, chars)
 
 
@@ -414,19 +451,15 @@ def table_psl2_odd(q) -> CharacterTable:
             [src[ClassLabel("b", (q + 1) // 4)]])
     chars = []
     for c in sl2.chars:
-        if c.values[src[ClassLabel("z")]] == c.values[0]:
-            chars.append((c.name, [c.values[j] for j in cols]))
+        if c.value_at(ClassLabel("z")) == c.value_at(ClassLabel("id")):
+            chars.append((c.name, [c.packed[j] for j in cols]))
     return CharacterTable("psl2_odd", q, model, chars)
 
 
 @lru_cache(maxsize=None)
 def table_suzuki(q) -> CharacterTable:
-    model = class_data_model("sz", q)
+    suzuki_class_labels(q)          # rejects q outside Sz's range first
     r = isqrt(2 * q)
-    e0 = lambda k: Cyclotomic.root(q - 1, k)
-    e1 = lambda k: Cyclotomic.root(q + r + 1, k)
-    e2 = lambda k: Cyclotomic.root(q - r + 1, k)
-    i4 = Cyclotomic.root(4)
     As = range(1, (q - 2) // 2 + 1)
     Bs = twisted_torus_reps(q + r + 1, q)
     Cs = twisted_torus_reps(q - r + 1, q)
@@ -436,45 +469,41 @@ def table_suzuki(q) -> CharacterTable:
                 [at_pi0(a) for a in As] + [at_pi1(b) for b in Bs] +
                 [at_pi2(c) for c in Cs])
 
-    z0 = lambda a: ZERO
-    chars = [("1", row(1, ONE, ONE, ONE, lambda a: ONE, lambda b: ONE,
-                       lambda c: ONE))]
-    chars.append(("X", row(q * q, ZERO, ZERO, ZERO, lambda a: ONE,
-                           lambda b: _rat(-1), lambda c: _rat(-1))))
+    def orbit(n, x):
+        """-(zeta_n^x + zeta_n^xq + zeta_n^-x + zeta_n^-xq), stored."""
+        return pack_terms(n, [(x * u, -1) for u in (1, q, -1, -q)])
+
+    one, minus = _rat(1), _rat(-1)
+    z0 = lambda a: None
+    chars = [("1", row(1, one, one, one, lambda a: one, lambda b: one,
+                       lambda c: one))]
+    chars.append(("X", row(q * q, None, None, None, lambda a: one,
+                           lambda b: minus, lambda c: minus)))
     for i in As:
         chars.append((f"X_{i}", row(
-            q * q + 1, ONE, ONE, ONE,
-            lambda a, i=i: e0(i * a) + e0(-i * a), z0, z0)))
+            q * q + 1, one, one, one,
+            lambda a, i=i: _pair(q - 1, i * a), z0, z0)))
     for j in Bs:
         chars.append((f"Y_{j}", row(
-            (q - 1) * (q - r + 1), _rat(r - 1), _rat(-1), _rat(-1), z0,
-            lambda b, j=j: -(e1(j * b) + e1(j * b * q) + e1(-j * b) +
-                             e1(-j * b * q)),
-            z0)))
+            (q - 1) * (q - r + 1), _rat(r - 1), minus, minus, z0,
+            lambda b, j=j: orbit(q + r + 1, j * b), z0)))
     for k in Cs:
         chars.append((f"Z_{k}", row(
-            (q - 1) * (q + r + 1), _rat(-r - 1), _rat(-1), _rat(-1), z0, z0,
-            lambda c, k=k: -(e2(k * c) + e2(k * c * q) + e2(-k * c) +
-                             e2(-k * c * q)))))
+            (q - 1) * (q + r + 1), _rat(-r - 1), minus, minus, z0, z0,
+            lambda c, k=k: orbit(q - r + 1, k * c))))
     half_r = Fraction(r, 2)
     for name, pm in (("W_1", 1), ("W_2", -1)):
         chars.append((name, row(
-            r * (q - 1) // 2, _rat(-half_r), i4 * (pm * half_r),
-            i4 * (-pm * half_r), z0, lambda b: ONE, lambda c: _rat(-1))))
+            r * (q - 1) // 2, _rat(-half_r),
+            pack_terms(4, ((1, pm * half_r),)),
+            pack_terms(4, ((1, -pm * half_r),)), z0, lambda b: one,
+            lambda c: minus)))
 
-    # class sizes are not tabulated for Sz: derive them from column
-    # orthogonality |C(x)| = sum_chi |chi(x)|^2 and cross-check against |G|
-    cols = list(zip(*([_pack(v) for v in values] for _, values in chars)))
+    # class sizes are not tabulated for Sz: the centralizer orders come from
+    # column orthogonality |C(x)| = sum_chi |chi(x)|^2
+    cols = list(zip(*(values for _, values in chars)))
     g = gram(cols, cols, [1] * len(chars))
-    sizes = {}
-    for j, lab in enumerate(model.class_labels):
-        cent = g[j][j]
-        if cent.denominator != 1 or model.order % int(cent) != 0:
-            raise TableMismatch(f"bad centralizer order {cent} at {lab}")
-        sizes[lab] = model.order // int(cent)
-    if sum(sizes.values()) != model.order:
-        raise TableMismatch(f"Sz({q}) class sizes do not add up to |G|")
-    model.class_sizes = sizes
+    model = suzuki_model(q, [g[j][j] for j in range(len(cols))])
     return CharacterTable("sz", q, model, chars)
 
 
@@ -493,14 +522,13 @@ def table_dihedral_odd(two_n) -> CharacterTable:
     model.class_labels = labels
     model.class_sizes = sizes
     model.order = two_n
-    mu = lambda k: Cyclotomic.root(n, k)
+    one = _rat(1)
     ks = range(1, (n - 1) // 2 + 1)
-    chars = [("psi_1", [ONE] * len(labels)),
-             ("psi_2", [ONE] + [ONE] * len(ks) + [_rat(-1)])]
+    chars = [("psi_1", [one] * len(labels)),
+             ("psi_2", [one] + [one] * len(ks) + [_rat(-1)])]
     for i in ks:
         chars.append((f"chi_{i}",
-                      [_rat(2)] + [mu(i * k) + mu(-i * k) for k in ks] +
-                      [ZERO]))
+                      [_rat(2)] + [_pair(n, i * k) for k in ks] + [None]))
     return CharacterTable("dihedral", two_n, model, chars)
 
 
@@ -512,7 +540,8 @@ def table_cyclic(n) -> CharacterTable:
     model.class_labels = labels
     model.class_sizes = {lab: 1 for lab in labels}
     model.order = n
-    chars = [(f"mu_{k}", [Cyclotomic.root(n, k * j) for j in range(n)])
+    roots = [pack_terms(n, ((k, 1),)) for k in range(n)]
+    chars = [(f"mu_{k}", [roots[k * j % n] for j in range(n)])
              for k in range(n)]
     return CharacterTable("cyclic", n, model, chars)
 
@@ -564,10 +593,12 @@ class Restriction:
         """<Res chi, lam>_H for an irreducible lam of H."""
         if chi.table is not self.ambient or lam.table is not self.table:
             raise TableMismatch("character/table mismatch in restriction")
-        amb = self.ambient.index
-        row = [chi.packed[amb[lab]] for lab in self.images]
-        return gram([row], [lam.packed], self.table.sizes)[0][0] / \
-            self.table.order
+        return gram([self.restrict(chi)], [lam.packed],
+                    self.table.sizes)[0][0] / self.table.order
+
+    def restrict(self, chi: Character):
+        """The stored values of chi on the H-classes."""
+        return [chi.packed[self.ambient.index[lab]] for lab in self.images]
 
 
 def multiplicity_check(chi, restriction: Restriction, lam) -> int:
@@ -587,34 +618,16 @@ class ThetaSet:
         for name in self.names:
             if name not in self.restriction.table.by_name:
                 raise TableMismatch(f"{name} is not a character of the subgroup")
-        # sum of theta(1)*theta over the set, packed once per H-class;
-        # accumulate raw terms so canonicalization runs once per class
-        chars = self.characters()
-        degs = [lam.degree for lam in chars]
-        packed = []
-        for j in range(len(self.restriction.table.labels)):
-            orders = [lam.values[j].order for lam in chars
-                      if not lam.values[j].is_zero()]
-            big = 1
-            for o in orders:
-                big = lcm(big, o)
-            terms = {}
-            for lam, deg in zip(chars, degs):
-                v = lam.values[j]
-                f = big // v.order
-                for k, c in v.coeffs:
-                    kk = k * f
-                    terms[kk] = terms.get(kk, 0) + c * deg
-            packed.append(_pack(Cyclotomic.from_terms(big, terms)))
-        # <Res chi, that sum>_H for every irreducible chi of the ambient
-        # group at once, as one Gram column; d_theta reads it
+        # <Res chi, lam>_H for every irreducible chi of the ambient group and
+        # every lam in the set, as one Gram; d_theta reads its row sums
+        # weighted by the degrees lam(1)
         r = self.restriction
-        amb = r.ambient.index
-        rows = [[chi.packed[amb[lab]] for lab in r.images]
-                for chi in r.ambient.chars]
-        column = gram(rows, [packed], r.table.sizes)
-        self._dims = {chi.name: total / r.table.order
-                      for chi, (total,) in zip(r.ambient.chars, column)}
+        lams = self.characters()
+        g, den = _gram([r.restrict(chi) for chi in r.ambient.chars],
+                       [lam.packed for lam in lams], r.table.sizes)
+        dims = g.dot(np.array([lam.degree for lam in lams], dtype=object))
+        self._dims = {chi.name: Fraction(int(d), den * r.table.order)
+                      for chi, d in zip(r.ambient.chars, dims)}
 
     def characters(self):
         return [self.restriction.table.by_name[n] for n in self.names]
@@ -717,7 +730,8 @@ def theta_balance(n):
 
 def centralizer_checks(table: CharacterTable):
     """Every numbered restriction/centralizer claim for the distinguished
-    irreducible of this family, as (part, expected, computed) triples.
+    irreducible of this family, as (part, expected, computed, millis), with
+    the time each part took to compute.
 
     Covers the centralizer dimensions of all orbit-graph stabilizers
     (including the congruence branches), Borel-restriction irreducibility,
@@ -726,48 +740,49 @@ def centralizer_checks(table: CharacterTable):
     """
     fam, q = table.family, table.q
     chi = rho0_character(table)
-    out = []
+    parts = []
+
+    def add(part, expected, compute):
+        parts.append((part, expected, compute))
 
     def dim(tag, param=0):
-        return centralizer_dim(
+        return lambda: centralizer_dim(
             chi, fusion_for(table, symbolic_subgroup(fam, q, tag, param)))
 
-    def add(part, expected, computed):
-        out.append((part, expected, computed))
+    def mults(restriction, names):
+        r = restriction(table)
+        return [multiplicity_check(chi, r, r.table.by_name[n]) for n in names]
 
-    torus = split_torus_restriction(table)
-    c2 = c2_restriction(table)
-    dsplit = split_dihedral_restriction(table)
-    borel_f = fusion_for(table, symbolic_subgroup(fam, q, "borel"))
-    m_plus = multiplicity_check(chi, c2, c2.table.by_name["mu_0"])
-    m_minus = multiplicity_check(chi, c2, c2.table.by_name["mu_1"])
+    def spectrum(n0):
+        return lambda: mults(split_torus_restriction,
+                             [f"mu_{j}" for j in range(n0)])
+
+    def dihedral(name):
+        return lambda: mults(split_dihedral_restriction, [name])[0]
+
+    involution = lambda: tuple(mults(c2_restriction, ("mu_0", "mu_1")))
+    borel = lambda: restricted_inner_product(
+        chi, chi, fusion_for(table, symbolic_subgroup(fam, q, "borel")))
 
     if fam == "psl2_even":
         n0 = q - 1
         add("split-torus-dim", q - 1, dim("cyclic", q - 1))
-        add("split-torus-spectrum", [1] * n0,
-            [multiplicity_check(chi, torus, torus.table.by_name[f"mu_{j}"])
-             for j in range(n0)])
+        add("split-torus-spectrum", [1] * n0, spectrum(n0))
         add("involution-dim", (q // 2 - 1) ** 2 + (q // 2) ** 2, dim("cyclic", 2))
-        add("involution-spectrum", (q // 2 - 1, q // 2), (m_plus, m_minus))
+        add("involution-spectrum", (q // 2 - 1, q // 2), involution)
         add("second-involution-dim", (q // 2 - 1) ** 2 + (q // 2) ** 2,
             dim("cyclic", 2))
-        add("borel-irreducible", 1,
-            restricted_inner_product(chi, chi, borel_f))
+        add("borel-irreducible", 1, borel)
         add("split-dihedral-dim", q // 2, dim("dihedral_split"))
         add("nonsplit-dihedral-dim", q // 2, dim("dihedral_nonsplit"))
-        add("trivial-multiplicity", 0,
-            multiplicity_check(chi, dsplit, dsplit.table.by_name["psi_1"]))
+        add("trivial-multiplicity", 0, dihedral("psi_1"))
     elif fam == "psl2_odd":
         n0 = (q - 1) // 2
         add("split-torus-dim", n0, dim("cyclic", n0))
-        add("split-torus-spectrum", [1] * n0,
-            [multiplicity_check(chi, torus, torus.table.by_name[f"mu_{j}"])
-             for j in range(n0)])
+        add("split-torus-spectrum", [1] * n0, spectrum(n0))
         add("involution-dim", ((q + 1) // 4) ** 2 + ((q - 3) // 4) ** 2,
             dim("cyclic", 2))
-        add("involution-spectrum", ((q + 1) // 4, (q - 3) // 4),
-            (m_plus, m_minus))
+        add("involution-spectrum", ((q + 1) // 4, (q - 3) // 4), involution)
         add("klein-dim", ((q + 5) // 8) ** 2 + 3 * ((q - 3) // 8) ** 2,
             dim("klein4"))
         if q % 3 == 0:
@@ -781,8 +796,7 @@ def centralizer_checks(table: CharacterTable):
         else:
             expected = ((q - 5) // 6) ** 2 + 2 * ((q + 1) // 6) ** 2
         add("order3-dim", expected, dim("cyclic", 3))
-        add("borel-irreducible", 1,
-            restricted_inner_product(chi, chi, borel_f))
+        add("borel-irreducible", 1, borel)
         add("split-dihedral-dim", (q + 1) // 4, dim("dihedral_split"))
         add("nonsplit-dihedral-dim", (q + 1) // 4, dim("dihedral_nonsplit"))
         if q % 3 == 0:
@@ -792,30 +806,30 @@ def centralizer_checks(table: CharacterTable):
         else:
             expected = (q * q - 2 * q + 45) // 48
         add("a4-dim", expected, dim("a4"))
-        add("sign-multiplicity", 0,
-            multiplicity_check(chi, dsplit, dsplit.table.by_name["psi_2"]))
+        add("sign-multiplicity", 0, dihedral("psi_2"))
     elif fam == "sz":
         r = isqrt(2 * q)
         n0 = q - 1
         add("split-torus-dim", q * (q - 1) // 2, dim("cyclic", q - 1))
-        add("split-torus-spectrum", [r // 2] * n0,
-            [multiplicity_check(chi, torus, torus.table.by_name[f"mu_{j}"])
-             for j in range(n0)])
+        add("split-torus-spectrum", [r // 2] * n0, spectrum(n0))
         add("involution-dim", q * (q * q - 2 * q + 2) // 4, dim("cyclic", 2))
-        add("involution-spectrum", (r * (q - 2) // 4, r * q // 4),
-            (m_plus, m_minus))
+        add("involution-spectrum", (r * (q - 2) // 4, r * q // 4), involution)
         add("order4-dim", q * (q * q - 2 * q + 4) // 8, dim("c4"))
-        add("borel-irreducible", 1,
-            restricted_inner_product(chi, chi, borel_f))
+        add("borel-irreducible", 1, borel)
         add("split-dihedral-dim", q * q // 4, dim("dihedral_split"))
         add("plus-normalizer-dim", (q * q - q * r + 2 * q + 2 * r) // 8,
             dim("torus_normalizer", 1))
         add("minus-normalizer-dim", (q * q + q * r + 2 * q - 2 * r) // 8,
             dim("torus_normalizer", -1))
-        add("trivial-multiplicity", 0,
-            multiplicity_check(chi, dsplit, dsplit.table.by_name["psi_1"]))
+        add("trivial-multiplicity", 0, dihedral("psi_1"))
     else:
         raise ValueError(f"no proposition checks for family {fam!r}")
+    out = []
+    for part, expected, compute in parts:
+        t0 = time.perf_counter()
+        computed = compute()
+        ms = int((time.perf_counter() - t0) * 1000)
+        out.append((part, expected, computed, ms))
     return out
 
 

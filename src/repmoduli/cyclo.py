@@ -276,56 +276,6 @@ class Cyclotomic:
                    for k, c in self.coeffs)
 
 
-def compress_terms(order, terms):
-    """Shorten a term list by subtracting multiples of the fan relations.
-
-    The canonical basis rewrites zeta_{p^v}^j (j past the basis bound) into a
-    fan of p-1 terms, so sums like zeta^a + zeta^-a canonicalize into long
-    forms.  For each orbit {t + c*p^(v-1) : 0 <= c <= p-1} the relation
-    sum_c zeta^(...) = 0 lets us shift all p coefficients by a constant;
-    shifting by their mode strictly reduces the term count whenever any
-    shortening is possible.  Exact and exponent-level only; canonical forms
-    themselves are untouched.
-    """
-    terms = {k: c for k, c in terms if c} if not isinstance(terms, dict) \
-        else {k: c for k, c in terms.items() if c}
-    changed = True
-    while changed:
-        changed = False
-        for p, pv, u, idem, phi, step in _reduction_data(order):
-            if p == 2:
-                continue
-            cof = order // pv
-            stride = step * cof      # exponent shift moving one fan position
-            groups = {}
-            for k, c in terms.items():
-                a = (k * u) % pv
-                c_digit, t = divmod(a, step)
-                groups.setdefault((k % cof, t), {})[c_digit] = (k, c)
-            for fan in groups.values():
-                zeros = p - len(fan)
-                counts = {}
-                best, best_count = None, zeros
-                for _, c_val in fan.values():
-                    n = counts.get(c_val, 0) + 1
-                    counts[c_val] = n
-                    if n > best_count:
-                        best, best_count = c_val, n
-                if best is None:
-                    continue
-                k_any, _ = next(iter(fan.values()))
-                c_any = next(iter(fan))
-                for c_digit in range(p):
-                    k = (k_any + (c_digit - c_any) * stride) % order
-                    v = fan.get(c_digit, (k, 0))[1] - best
-                    if v:
-                        terms[k] = v
-                    elif k in terms:
-                        del terms[k]
-                changed = True
-    return terms
-
-
 ZERO = Cyclotomic.zero()
 ONE = Cyclotomic.one()
 

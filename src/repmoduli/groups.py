@@ -29,6 +29,21 @@ class NotFound(RuntimeError):
     """A structurally guaranteed subgroup search failed (a bug)."""
 
 
+class ClassDataError(ValueError):
+    """Class labels or sizes contradict the group they describe."""
+
+
+def _check_class_sizes(model, expected=None):
+    """Raise ClassDataError unless the class sizes add up to |G| and match
+    the expected size per label kind, where given."""
+    for lab, size in model.class_sizes.items():
+        if expected is not None and size != expected[lab.kind]:
+            raise ClassDataError(f"class {lab} has size {size}")
+    if sum(model.class_sizes.values()) != model.order:
+        raise ClassDataError(f"class sizes do not add up to |G| = "
+                             f"{model.order}")
+
+
 ENUMERATION_BOUND = 83
 
 
@@ -64,11 +79,6 @@ def mat_inv(f, x):
 
 def mat_neg(f, x):
     return (f.neg(x[0]), f.neg(x[1]), f.neg(x[2]), f.neg(x[3]))
-
-
-def mat_det(f, x):
-    a, b, c, d = x
-    return f.sub(f.mul(a, d), f.mul(b, c))
 
 
 IDENTITY = (1, 0, 0, 1)
@@ -331,9 +341,7 @@ def _label_classes(model):
     model.class_labels = list(reps)
     model.class_reps = reps
     model.class_sizes = {lab: sizes[cls[rep]] for lab, rep in reps.items()}
-    for lab, size in model.class_sizes.items():
-        assert size == expected_sizes[lab.kind], (lab, size)
-    assert sum(model.class_sizes.values()) == model.order
+    _check_class_sizes(model, expected_sizes)
 
 
 def _first_of_order_raw(model, orders, k):
@@ -351,7 +359,9 @@ def enumerate_sl2(spec: FieldSpec) -> GroupModel:
     model = GroupModel(family, q, spec)
     model.elements = _sl2_elements(spec)
     model.order = q * (q * q - 1)
-    assert len(model.elements) == model.order
+    if len(model.elements) != model.order:
+        raise ClassDataError(f"{len(model.elements)} elements enumerated, "
+                             f"expected |G| = {model.order}")
     _label_classes(model)
     return model
 
@@ -372,7 +382,9 @@ def enumerate_psl2(spec: FieldSpec) -> GroupModel:
             seen[cx] = None
     model.elements = list(seen)
     model.order = q * (q * q - 1) // 2
-    assert len(model.elements) == model.order
+    if len(model.elements) != model.order:
+        raise ClassDataError(f"{len(model.elements)} elements enumerated, "
+                             f"expected |G| = {model.order}")
     _label_classes(model)
     return model
 
@@ -631,7 +643,8 @@ def twisted_torus_reps(n, q):
     representatives index both the torus classes and their characters.
     """
     mults = (1, q % n, (-1) % n, (-q) % n)
-    assert (q * q + 1) % n == 0
+    if (q * q + 1) % n:
+        raise ClassDataError(f"q^2 = -1 fails mod {n}")
     seen = set()
     reps = []
     for x in range(1, n):
@@ -639,7 +652,9 @@ def twisted_torus_reps(n, q):
             continue
         reps.append(x)
         seen.update((x * m) % n for m in mults)
-    assert len(reps) == (n - 1) // 4
+    if len(reps) != (n - 1) // 4:
+        raise ClassDataError(f"{len(reps)} orbits of <q> on (Z/{n})*, "
+                             f"expected {(n - 1) // 4}")
     return reps
 
 
@@ -649,27 +664,36 @@ def suzuki_class_labels(q):
     if q != 1 << n or n % 2 == 0 or n < 3:
         raise ValueError("Sz(q) needs q = 2^n with odd n >= 3")
     r = isqrt(2 * q)
-    assert r * r == 2 * q
+    if r * r != 2 * q:
+        raise ClassDataError(f"2q = {2 * q} is not a square")
     labels = [ClassLabel("id"), ClassLabel("sigma"), ClassLabel("rho"),
               ClassLabel("rho_inv")]
     labels += [ClassLabel("pi0", a) for a in range(1, (q - 2) // 2 + 1)]
     labels += [ClassLabel("pi1", b) for b in twisted_torus_reps(q + r + 1, q)]
     labels += [ClassLabel("pi2", c) for c in twisted_torus_reps(q - r + 1, q)]
-    assert len(labels) == q + 3
+    if len(labels) != q + 3:
+        raise ClassDataError(f"Sz({q}) has {len(labels)} class labels, "
+                             f"expected {q + 3}")
     return labels
 
 
-def suzuki_model(q) -> GroupModel:
+def suzuki_model(q, centralizer_orders=None) -> GroupModel:
+    """Class data of Sz(q); with the centralizer order of every class (in
+    label order) it also carries the class sizes |G| / |C(x)|."""
     model = GroupModel("sz", q)
     model.class_labels = suzuki_class_labels(q)
     model.order = q * q * (q * q + 1) * (q - 1)
+    if centralizer_orders is not None:
+        for lab, cent in zip(model.class_labels, centralizer_orders):
+            if cent.denominator != 1 or cent < 1 or model.order % int(cent):
+                raise ClassDataError(f"bad centralizer order {cent} at {lab}")
+            model.class_sizes[lab] = model.order // int(cent)
+        _check_class_sizes(model)
     return model
 
 
 def class_data_model(family, q) -> GroupModel:
     """Abstract class-data model: labels and sizes without elements."""
-    if family == "sz":
-        return suzuki_model(q)
     model = GroupModel(family, q)
     labels = [ClassLabel("id")]
     sizes = {ClassLabel("id"): 1}
@@ -715,5 +739,5 @@ def class_data_model(family, q) -> GroupModel:
         raise ValueError(family)
     model.class_labels = labels
     model.class_sizes = sizes
-    assert sum(sizes.values()) == model.order
+    _check_class_sizes(model)
     return model

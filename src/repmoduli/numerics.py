@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .chars import (
     Character, CharacterTable, attach_model, restriction_from_enumeration,
@@ -23,6 +22,13 @@ from .oscomplex import BrownPresentation, OrbitGraph, path_to_word
 
 class ToleranceExceeded(RuntimeError):
     pass
+
+
+def expm(a):
+    """The matrix exponential.  scipy is imported on first use, so that
+    runs without numerical checks never load it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(a)
 
 
 class ProjectionRankMismatch(RuntimeError):

@@ -552,13 +552,6 @@ def _snf_full(mat):
         for r in range(n):
             vinv[r][j] += k * vinv[r][i]
 
-    def col_neg(j):
-        for r in range(m):
-            s[r][j] = -s[r][j]
-        v[j] = [-x for x in v[j]]
-        for r in range(n):
-            vinv[r][j] = -vinv[r][j]
-
     t = 0
     while t < min(m, n):
         # pivot: smallest nonzero absolute value in the remaining block
@@ -786,7 +779,8 @@ def solve_group_ring(model, targets, rhs=None):
     check = GroupRingElement(model)
     for (s_e, sub), xe in zip(targets, out):
         check = check + s_e * GroupRingElement.norm(model, sub) * xe
-    assert check == rhs, "solver produced a non-solution"
+    if check != rhs:
+        raise ArithmeticError("solver produced a non-solution")
     return out
 
 

@@ -8,7 +8,7 @@ from repmoduli.chars import (
     ThetaSet, c2_restriction, c4_in_sz_restriction, centralizer_dim,
     check_column_orthogonality, check_row_orthogonality, d_theta,
     dihedral_theta_restrictions, fusion_for, gram, inner_product,
-    multiplicity_check, restricted_inner_product,
+    multiplicity_check, pack_terms, restricted_inner_product,
     restriction_from_enumeration, rho0_character, split_dihedral_restriction,
     split_torus_restriction, table_cyclic, table_dihedral_odd,
     table_psl2_even, table_psl2_odd, table_sl2_odd, table_suzuki,
@@ -114,9 +114,9 @@ def test_gram_matches_cyclotomic_reference():
 
 
 def _copy_with_value(table, name, label, value):
-    chars = [(c.name, list(c.values)) for c in table.chars]
+    chars = [(c.name, list(c.packed)) for c in table.chars]
     chars[table.chars.index(table.by_name[name])][1][table.index[label]] = \
-        value
+        pack_terms(value.order, value.coeffs)
     return CharacterTable(table.family, table.q, table.model, chars)
 
 
@@ -329,3 +329,49 @@ def test_permutation_character_reciprocity():
                 lhs = (acc * Fraction(1, t.order)).to_rational()
                 rhs = restricted_inner_product(chi, one, fus)
                 assert lhs == rhs, (q, tag, chi.name)
+
+
+# sha256 of json.dumps(table.to_json()), pinned from the tables as built by
+# Cyclotomic arithmetic: the stored form must export the same canonical values
+_EXPORT_SHA256 = {
+    ("psl2_even", 4): "f7f0d48bea98cc0627983be2939f15a320db7766a141e5480a7f173128426224",
+    ("psl2_even", 8): "c09d06bf4e37adcdc6a0a77aa2c4f960a62267099a60ee35f18480156dc240f4",
+    ("psl2_even", 16): "a7d5dabddeeca447eca4f7286c4a3715edb7394ff1eb7828c4fd8940b1da21a1",
+    ("sl2_odd", 11): "0e86e3bca70cb14f20b8ceba787e9c873fa55092ea206330e7d57f6f43d3d840",
+    ("sl2_odd", 27): "0597e06dc07bc70669a71a2cadbe5592ac9a94ed22f0688e05772a95e0c2359b",
+    ("psl2_odd", 11): "89f93a5b0821c032d11fcd45af16d7efbbd7c62e7cbba432edfb2f7d3950846b",
+    ("psl2_odd", 19): "8f5fddf69303506df2f6cbf2b31fc9009c7c7b39d22edcc507f85ec7894b1921",
+    ("psl2_odd", 27): "f85e8ff20b840d24a7247a431da15cc35fb52d19791c4239b1f38e94745416e3",
+    ("sz", 8): "5f5f10608dc647b784fe3a0a3bb496224606261a0cac2cf8ed261e6527e16fab",
+    ("sz", 32): "2e1b9fa5aeb484d839700834147ace2820a939284800dfcb4e0b46f587f570e2",
+    ("dihedral", 6): "b419f788533b3a4d8eb98f1ff399f31fb585aeb671895fa68c57702b8a4dad40",
+    ("dihedral", 10): "8ee11de9293c62679b8d5b336bda9e08b93057f724ad3c565db4ad5aaed3893a",
+    ("dihedral", 14): "cdf078524b36870b3c9cfbad2b902747ee0203396b403197a0981bf727b47aa6",
+    ("dihedral", 18): "b55832aea3cfa474eaa8442c5f0cd414547f4d97887e870001dc58bd4c972675",
+    ("dihedral", 22): "fd2ee2356b783fad92905f190dab22ca85c880520c5e55fb518ba6db5b3c3170",
+    ("dihedral", 26): "d67892641b4919e38516b9543105630d9c9c4b6504b6574af745fdbadb2f587d",
+    ("dihedral", 30): "469c5d3141d49b1bff52127b2df7b66680cc2e7841d7d814c4d81ee145e46eff",
+    ("dihedral", 34): "7cba3dc4b41dfaddef9e8c040cc7a0ef0d4332021d6cac6b55334d3fcc8ec02d",
+    ("dihedral", 38): "3a3624105e9c24744caff468dcdca60e9c47c6a5be369a02a8d12566dedcd57e",
+    ("dihedral", 42): "50194b46ba8c4e888150533d2c3325a883818b8611e36cfdbf2d1f357b917460",
+    ("cyclic", 1): "3f7fb9a0aea49855efd070b20fde9b06d7fa8149a2610aa489a5c5d994bb9766",
+    ("cyclic", 2): "adb3b8b055a29773349a2a8a8b332a480d6f377d9a9b1021e3badec241e343cb",
+    ("cyclic", 3): "e7aada8fd49f6c31cfebed0861ee4fb8b2811c8410dcbe446e3a7e0fdb4ddbfa",
+    ("cyclic", 4): "e02ff59791295e2bb78ca2fabd50d0daa624879a484767c9c27922c9114fe51d",
+    ("cyclic", 5): "215dbf232b7f8a073cf768a4bcd37cee315a50087e0f8bb8d7836f2565bd50b1",
+    ("cyclic", 6): "dd09a8063c5690ab45c9de5907961cd9c3ddea3e3cdcb4c5361c85b0f98e4832",
+    ("cyclic", 7): "185865958a51a831a0d72866aa6ad7a0afb0c7673142c94a57dfd5898f058e25",
+    ("cyclic", 8): "1b5a0b21f5b28f8b0fa289ea27a1bed426bacf86dfa0473bc7e2e0ffb58e6be0",
+    ("cyclic", 9): "be23446fb72c20c8b6f56d07d8f2b82206fb82bb4615c339a10e33c69560a036",
+    ("cyclic", 10): "ae62a75203045c46013d4b5b269ddaf00a4bdd122aaaf5d20443db0a8400b4bb",
+    ("cyclic", 11): "ea99d529c7a0544db0c83fc4de1815d1f415eb9c1ec77d268ea57f00a6d68ec3",
+    ("cyclic", 12): "8383b2b2c61b7c054469f722a6df379e9d52ffd4a7aa3c287f59babececb1d1d",
+}
+
+
+def test_table_export_is_pinned():
+    import hashlib
+    from repmoduli.chars import table_for
+    for (family, q), digest in _EXPORT_SHA256.items():
+        blob = json.dumps(table_for(family, q).to_json()).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest, (family, q)

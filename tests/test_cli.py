@@ -3,6 +3,7 @@ import json
 import pytest
 
 import repmoduli.oscomplex as osc
+from repmoduli.chars import pack_terms, table_psl2_even
 from repmoduli.cli import (
     UsageError, VerificationConfig, classify_q, main, parse_config, run,
 )
@@ -153,3 +154,19 @@ def test_brown_record_fails_when_verify_fails(monkeypatch, tmp_path):
     rec = _records(out)["brown/psl2_even-q4"]
     assert rec["pass"] is False and rec["computed"] == "failed"
     assert rec["expected"].endswith(" relations verified")
+
+
+def test_flipped_stored_value_fails_tables(monkeypatch, tmp_path):
+    # theta_1 of the cached PSL2(4) table is -1 at the involution class;
+    # flip its stored entry to +1
+    table = table_psl2_even(4)
+    theta = table.by_name["theta_1"]
+    packed = list(theta.packed)
+    packed[table.index[ClassLabel("c")]] = pack_terms(1, ((0, 1),))
+    monkeypatch.setattr(theta, "packed", tuple(packed))
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "tables",
+               "--out", str(out)])
+    assert rc == 1
+    rec = _records(out)["tables/rows/psl2_even-q4"]
+    assert rec["pass"] is False and rec["computed"].startswith("mismatch: ")

@@ -181,3 +181,18 @@ def test_fusion_psl2_27_zero_mod_three_branch():
         sub = build_subgroup(m, tag, param)
         assert fusion_table(m, sub) == stored_fusion(
             "psl2_odd", 27, tag, param, m.class_labels), tag
+
+
+def test_corrupted_class_size_raises():
+    from repmoduli.chars import table_suzuki
+    from repmoduli.groups import ClassDataError, _label_classes
+    t = table_suzuki(8)
+    cents = [t.order // s for s in t.sizes]
+    assert suzuki_model(8, cents).class_sizes == dict(zip(t.labels, t.sizes))
+    cents[t.index[ClassLabel("sigma")]] //= 2     # one class twice as big
+    with pytest.raises(ClassDataError, match="add up"):
+        suzuki_model(8, cents)
+    m = enumerate_psl2(gf_make(2, 2))
+    m.order += 1
+    with pytest.raises(ClassDataError, match="add up"):
+        _label_classes(m)
