@@ -21,7 +21,7 @@ import numpy as np
 
 from .cyclo import Cyclotomic, factorize, legendre
 from .groups import (
-    IDENTITY, ClassLabel, GroupModel, SubgroupSpec, class_data_model,
+    ClassLabel, GroupModel, SubgroupSpec, class_data_model, closure,
     fusion_table, suzuki_class_labels, suzuki_model, symbolic_subgroup,
     twisted_torus_reps,
 )
@@ -833,44 +833,36 @@ def centralizer_checks(table: CharacterTable):
     return out
 
 
-def attach_model(table: CharacterTable, model: GroupModel) -> CharacterTable:
-    """Swap in an enumerated model after checking it matches the class data."""
+def attach_model(table: CharacterTable, model: GroupModel):
+    """Check that an enumerated model matches the class data of the table.
+    The table keeps its own class-data model; callers pass the enumerated
+    one alongside it."""
     if model.family != table.family or model.q != table.q:
         raise TableMismatch("model family/q does not match the table")
     if model.class_labels != table.labels:
         raise TableMismatch("enumerated class labels disagree with the table")
     if [model.class_sizes[lab] for lab in table.labels] != table.sizes:
         raise TableMismatch("enumerated class sizes disagree with the table")
-    table.model = model
-    return table
 
 
-def restriction_from_enumeration(table: CharacterTable, sub: SubgroupSpec) -> Restriction:
-    """Restriction data computed element-by-element on an enumerated model."""
-    model = table.model
+def restriction_from_enumeration(table: CharacterTable, model: GroupModel,
+                                 sub: SubgroupSpec) -> Restriction:
+    """Restriction data computed element-by-element on the enumerated
+    `model` of the table's group."""
     if not model.enumerated or sub.elements is None:
         raise ValueError("needs an enumerated ambient model")
     orders = model.element_orders
     k = sub.order
     gens_of_order = [g for g in sub.elements if orders[g] == k]
     if gens_of_order:                                   # cyclic subgroup
-        g = gens_of_order[0]
-        images = []
-        acc = IDENTITY
-        for _ in range(k):
-            images.append(model.class_of[acc])
-            acc = model.mul(acc, g)
+        images = [model.class_of[x]
+                  for x in closure(model, [gens_of_order[0]])]
         return Restriction(table, sub, table_cyclic(k), tuple(images))
     n = k // 2                                          # dihedral, odd n
     rot = [g for g in sub.elements if orders[g] == n]
     if n % 2 == 1 and rot:
-        r = rot[0]
-        acc = IDENTITY
-        powers = []
-        for _ in range(n):
-            powers.append(acc)
-            acc = model.mul(acc, r)
-        refl = [g for g in sub.elements if g not in set(powers)]
+        powers = closure(model, [rot[0]])
+        refl = [g for g in sub.elements if g not in powers]
         refl_classes = {model.class_of[g] for g in refl}
         if len(refl_classes) != 1:
             raise TableMismatch("reflections fuse into several classes")

@@ -276,36 +276,6 @@ class Cyclotomic:
                    for k, c in self.coeffs)
 
 
-ZERO = Cyclotomic.zero()
-ONE = Cyclotomic.one()
-
-
-# Operation aliases matching the module contract.
-
-def cyc_root(n, k=1):
-    return Cyclotomic.root(n, k)
-
-
-def cyc_add(a, b):
-    return a + b
-
-
-def cyc_mul(a, b):
-    return a * b
-
-
-def cyc_neg(a):
-    return -a
-
-
-def cyc_conj(a):
-    return a.conj()
-
-
-def cyc_to_rational(a):
-    return a.to_rational()
-
-
 def legendre(a, p):
     """Legendre symbol (a|p) for an odd prime p."""
     a %= p

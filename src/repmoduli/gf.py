@@ -254,72 +254,11 @@ class FieldSpec:
         from math import gcd
         return m // gcd(m, d)
 
-    # -- element objects -------------------------------------------------------
-
-    def element(self, v):
-        return FieldElement(self, v % self.q if isinstance(v, int) else v)
-
-    def elements(self):
-        return [FieldElement(self, v) for v in range(self.q)]
-
-    def one(self):
-        return FieldElement(self, 1)
-
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def gen(self):
-        return FieldElement(self, self.generator)
-
     def __repr__(self):
         return f"FieldSpec(GF({self.p}^{self.n}), modulus={self.modulus})"
-
-
-class FieldElement:
-    __slots__ = ("spec", "val")
-
-    def __init__(self, spec, val):
-        self.spec = spec
-        self.val = val
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.val, _val(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.val, _val(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.val, _val(other)))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.val))
-
-    def __pow__(self, e):
-        return FieldElement(self.spec, self.spec.pow(self.val, e))
-
-    def inv(self):
-        return FieldElement(self.spec, self.spec.inv(self.val))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.val == other % self.spec.p  # prime-field constants
-        return self.spec is other.spec and self.val == other.val
-
-    def __hash__(self):
-        return hash((id(self.spec), self.val))
-
-    def __repr__(self):
-        return f"<{self.val} in GF({self.spec.p}^{self.spec.n})>"
-
-
-def _val(x):
-    return x.val if isinstance(x, FieldElement) else x
 
 
 @lru_cache(maxsize=None)
 def gf_make(p, n=1):
     return FieldSpec(p, n)
 
-
-def gf_theta(x):
-    return FieldElement(x.spec, x.spec.theta(x.val))

@@ -15,6 +15,7 @@ tables rather than element enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple, Optional
 
@@ -206,10 +207,6 @@ class GroupModel:
         return acc
 
 
-def classify(g, model):
-    return model.classify(g)
-
-
 # -- enumeration -------------------------------------------------------------
 
 def _sl2_elements(f):
@@ -284,7 +281,7 @@ def _label_classes(model):
     reps = {}
 
     if model.family == "psl2_even":
-        b = _first_of_order_raw(model, orders, q + 1)
+        b = _first_of_order(model, q + 1)
         reps[ClassLabel("id")] = IDENTITY
         reps[ClassLabel("c")] = c
         for l in range(1, (q - 2) // 2 + 1):
@@ -296,7 +293,7 @@ def _label_classes(model):
     elif model.family == "sl2_odd":
         z = model.canonical((f.neg(1), 0, 0, f.neg(1)))
         d = model.canonical((1, 0, nu, 1))
-        b = _first_of_order_raw(model, orders, q + 1)
+        b = _first_of_order(model, q + 1)
         reps[ClassLabel("id")] = IDENTITY
         reps[ClassLabel("z")] = z
         reps[ClassLabel("c")] = c
@@ -312,7 +309,7 @@ def _label_classes(model):
                           "zd": half, "a": q * (q + 1), "b": q * (q - 1)}
     elif model.family == "psl2_odd":
         d = model.canonical((1, 0, nu, 1))
-        b = _first_of_order_raw(model, orders, (q + 1) // 2)
+        b = _first_of_order(model, (q + 1) // 2)
         reps[ClassLabel("id")] = IDENTITY
         reps[ClassLabel("c")] = c
         reps[ClassLabel("d")] = d
@@ -342,13 +339,6 @@ def _label_classes(model):
     model.class_reps = reps
     model.class_sizes = {lab: sizes[cls[rep]] for lab, rep in reps.items()}
     _check_class_sizes(model, expected_sizes)
-
-
-def _first_of_order_raw(model, orders, k):
-    for g in model.elements:
-        if orders[g] == k:
-            return g
-    raise NotFound(f"no element of order {k}")
 
 
 def enumerate_sl2(spec: FieldSpec) -> GroupModel:
@@ -389,8 +379,10 @@ def enumerate_psl2(spec: FieldSpec) -> GroupModel:
     return model
 
 
+@lru_cache(maxsize=None)
 def psl2_model(q):
-    """Enumerated PSL2(q) (== SL2(q) in characteristic 2), cached."""
+    """Enumerated PSL2(q) (== SL2(q) in characteristic 2): one shared model
+    per q, with its subgroup memo.  Callers must not modify it."""
     spec = gf_make(*_prime_power(q))
     return enumerate_psl2(spec)
 
@@ -411,7 +403,9 @@ def _prime_power(q):
 
 # -- subgroups ---------------------------------------------------------------
 
-def _closure(model, gens):
+def closure(model, gens):
+    """The subgroup generated by `gens`, in the order a search from the
+    identity reaches its elements; for one generator g that is 1, g, g^2, ..."""
     out = {IDENTITY: None}
     queue = [IDENTITY]
     while queue:
@@ -428,7 +422,7 @@ def _torus(model):
     f = model.spec
     nu = f.generator
     t = model.canonical((nu, 0, 0, f.inv(nu)))
-    return _closure(model, [t]), t
+    return closure(model, [t]), t
 
 
 def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
@@ -445,7 +439,7 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
         els = tuple(g for g in model.elements if g[2] == 0)
     elif tag == "cyclic":
         g = _first_of_order(model, param)
-        els = _closure(model, [g])
+        els = closure(model, [g])
     elif tag == "dihedral_split":
         torus, t = _torus(model)
         tset = set(torus)
@@ -454,7 +448,7 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
     elif tag == "dihedral_nonsplit":
         n = (q + 1) if model.family == "psl2_even" else (q + 1) // 2
         y = _first_of_order(model, n)
-        ys = set(_closure(model, [y]))
+        ys = set(closure(model, [y]))
         els = tuple(g for g in model.elements if model.conjugate(y, g) in ys)
     elif tag == "klein4":
         els = _find_klein(model)
@@ -468,11 +462,11 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
                 break
         if t is None:
             raise NotFound("no order-3 element normalizing the Klein subgroup")
-        els = _closure(model, list(v4) + [t])
+        els = closure(model, list(v4) + [t])
     else:
         raise ValueError(f"unsupported subgroup tag {tag!r}")
 
-    expected = _subgroup_order(model.family, q, tag, param)
+    expected = subgroup_order(model.family, q, tag, param)
     if expected and len(els) != expected:
         raise NotFound(f"{tag} subgroup has order {len(els)}, "
                        f"expected {expected}")
@@ -486,7 +480,7 @@ def _find_klein(model):
     for i, u in enumerate(involutions):
         for v in involutions[i + 1:]:
             if model.mul(u, v) == model.mul(v, u):
-                return _closure(model, [u, v])
+                return closure(model, [u, v])
     raise NotFound("no Klein four subgroup")
 
 
@@ -510,9 +504,6 @@ def subgroup_order(family, q, tag, param=0):
                "c4": 4},
     }
     return table.get(family, {}).get(tag, 0)
-
-
-_subgroup_order = subgroup_order
 
 
 def symbolic_subgroup(family, q, tag, param=0) -> SubgroupSpec:

@@ -16,7 +16,7 @@ import numpy as np
 from .chars import (
     Character, CharacterTable, attach_model, restriction_from_enumeration,
 )
-from .groups import IDENTITY, GroupModel, SubgroupSpec
+from .groups import IDENTITY, GroupModel, SubgroupSpec, closure
 from .oscomplex import BrownPresentation, OrbitGraph, path_to_word
 
 
@@ -134,8 +134,8 @@ def _pick_induction_subgroup(table, model, target):
     candidates.sort(key=lambda t: (t[0], t[1]))
     best = None
     for index, n, rep in candidates:
-        sub = _cyclic_subgroup(model, rep, n)
-        restriction = restriction_from_enumeration(table, sub)
+        sub = SubgroupSpec("cyclic", n, n, closure(model, [rep]))
+        restriction = restriction_from_enumeration(table, model, sub)
         for j in range(n):
             lam = restriction.table.by_name[f"mu_{j}"]
             mult = restriction.multiplicity(target, lam)
@@ -147,15 +147,6 @@ def _pick_induction_subgroup(table, model, target):
         return best
     raise ProjectionRankMismatch(
         f"no cyclic subgroup induces {target.name} within the module bound")
-
-
-def _cyclic_subgroup(model, rep, n):
-    els = []
-    acc = IDENTITY
-    for _ in range(n):
-        els.append(acc)
-        acc = model.mul(acc, rep)
-    return SubgroupSpec("cyclic", n, n, tuple(els))
 
 
 def realize_irreducible(model: GroupModel, table: CharacterTable,
@@ -173,8 +164,7 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
                          "(class-data groups are exact-only)")
     if model.order > REALIZE_GROUP_BOUND:
         raise ValueError(f"group order {model.order} beyond realization bound")
-    if table.model is not model:
-        attach_model(table, model)
+    attach_model(table, model)
     d = target.degree
     rng = np.random.default_rng(seed)
     if d == 1:
@@ -185,11 +175,7 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
         return UnitaryRep(model, mats, seed)
 
     gen, n, j, mult = _pick_induction_subgroup(table, model, target)
-    exponents = {}
-    acc = IDENTITY
-    for e in range(n):
-        exponents[acc] = e
-        acc = model.mul(acc, gen)
+    exponents = {g: e for e, g in enumerate(closure(model, [gen]))}
     lam = _linear_character_values(exponents, j, n)
 
     # left cosets of C = <gen>; the induced action permutes them monomially
@@ -203,7 +189,10 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
         for c in exponents:
             coset_of[model.mul(g, c)] = ci
     dim = len(reps)
-    assert dim * n == model.order
+    if dim * n != model.order:
+        raise ProjectionRankMismatch(
+            f"{dim} cosets of a subgroup of order {n} in a group of order "
+            f"{model.order}")
 
     def monomial(s):
         perm = np.empty(dim, dtype=np.int64)

@@ -19,9 +19,14 @@ from .chars import (
     CharacterTable, centralizer_dim, fusion_for, gram, rho0_character,
 )
 from .groups import (
-    IDENTITY, GroupModel, NotFound, SubgroupSpec, build_subgroup,
-    symbolic_subgroup,
+    IDENTITY, GroupModel, NotFound, SubgroupSpec, _torus, build_subgroup,
+    closure, symbolic_subgroup,
 )
+
+
+class InvalidGraph(ValueError):
+    """A concrete orbit graph or edge path breaks a stabilizer containment
+    that its construction guarantees."""
 
 
 @dataclass
@@ -146,15 +151,16 @@ def _build_concrete(family, q, k, model, ge_choice):
     # the edge stabilizer must be the diagonal torus shared by the Borel
     # subgroup and its normalizer, not an arbitrary cyclic subgroup
     torus_order = (q - 1) // 2 if family == "psl2_odd" else q - 1
-    f = model.spec
-    a = model.canonical((f.generator, 0, 0, f.inv(f.generator)))
-    torus = SubgroupSpec("cyclic", torus_order, torus_order,
-                         tuple(_cyclic_set(model, a)))
-    assert len(torus.elements) == torus_order
-    assert set(torus.elements) <= set(borel.elements)
-    assert set(torus.elements) <= set(d_split.elements)
+    torus_els, _ = _torus(model)
+    torus = SubgroupSpec("cyclic", torus_order, torus_order, torus_els)
+    torus_set = set(torus_els)
+    if len(torus_set) != torus_order:
+        raise InvalidGraph(f"split torus has order {len(torus_set)}, "
+                           f"expected {torus_order}")
+    if not torus_set <= set(borel.elements) & set(d_split.elements):
+        raise InvalidGraph("split torus not in the Borel and split dihedral "
+                           "vertex groups")
 
-    torus_set = set(torus.elements)
     u = _scan(d_split.elements,
               lambda g: orders[g] == 2 and g not in torus_set)
     nonsplit_order = (q + 1) if family == "psl2_even" else (q + 1) // 2
@@ -162,14 +168,14 @@ def _build_concrete(family, q, k, model, ge_choice):
     def extends_to_nonsplit(y):
         if orders[y] != nonsplit_order:
             return False
-        ys = _cyclic_set(model, y)
-        return model.conjugate(y, u) in ys
+        return model.conjugate(y, u) in closure(model, [y])
 
     y = _scan(model.elements, extends_to_nonsplit)
-    ys = _cyclic_set(model, y)
+    ys = set(closure(model, [y]))
     nels = tuple(g for g in model.elements if model.conjugate(y, g) in ys)
     d_nonsplit = SubgroupSpec("dihedral_nonsplit", 0, len(nels), nels)
-    assert u in set(nels)
+    if u not in nels:
+        raise InvalidGraph("split involution not in the nonsplit dihedral group")
 
     vertices = [VertexOrbit("v0", borel), VertexOrbit("v1", d_split),
                 VertexOrbit("v2", d_nonsplit)]
@@ -188,21 +194,24 @@ def _build_concrete(family, q, k, model, ge_choice):
             2, 0, False, g=g2))
     elif family == "psl2_odd":
         y0 = model.power_label(y, (q + 1) // 4)
-        assert orders[y0] == 2
+        if orders[y0] != 2:
+            raise InvalidGraph(f"y^((q+1)/4) has order {orders[y0]}, not 2")
         uprime = _scan(nels, lambda g: orders[g] == 2 and g not in ys)
         v4 = (IDENTITY, y0, uprime, model.mul(y0, uprime))
-        assert len(set(v4)) == 4
+        if len(set(v4)) != 4:
+            raise InvalidGraph("Klein four generators coincide")
         klein = SubgroupSpec("klein4", 0, 4, v4)
         v4set = set(v4)
         t = _scan(model.elements,
                   lambda g: orders[g] == 3 and
                   all(model.conjugate(x, g) in v4set for x in v4))
-        a4els = _closure_set(model, list(v4) + [t])
-        assert len(a4els) == 12
-        a4 = SubgroupSpec("a4", 0, 12, tuple(a4els))
+        a4els = closure(model, list(v4) + [t])
+        if len(a4els) != 12:
+            raise InvalidGraph(f"A4 vertex group has order {len(a4els)}")
+        a4 = SubgroupSpec("a4", 0, 12, a4els)
         vertices.append(VertexOrbit("v3", a4))
         edges.append(EdgeOrbit("eta2", klein, 2, 3, True, g=IDENTITY))
-        c3 = SubgroupSpec("cyclic", 3, 3, tuple(_cyclic_set(model, t)))
+        c3 = SubgroupSpec("cyclic", 3, 3, closure(model, [t]))
         if q % 24 == 11:
             target_set, wv = set(nels), 2
         else:
@@ -224,33 +233,15 @@ def _build_concrete(family, q, k, model, ge_choice):
     return graph
 
 
-def _cyclic_set(model, y):
-    out = {IDENTITY}
-    acc = y
-    while acc not in out:
-        out.add(acc)
-        acc = model.mul(acc, y)
-    return out
-
-
-def _closure_set(model, gens):
-    out = {IDENTITY: None}
-    queue = [IDENTITY]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            z = model.mul(x, g)
-            if z not in out:
-                out[z] = None
-                queue.append(z)
-    return list(out)
-
-
 def validate_graph(graph: OrbitGraph):
-    """Edge-stabilizer containments and tree shape, on concrete graphs."""
+    """Edge-stabilizer containments and tree shape, on concrete graphs.
+    Returns True or raises InvalidGraph (NotFound if the tree does not
+    span)."""
     model = graph.model
     n_tree = sum(1 for e in graph.edges if e.in_tree)
-    assert n_tree == len(graph.vertices) - 1, "tree edge count"
+    if n_tree != len(graph.vertices) - 1:
+        raise InvalidGraph(f"{n_tree} tree edges for "
+                           f"{len(graph.vertices)} vertices")
     for v in range(len(graph.vertices)):
         graph.tree_path(v)      # raises if the tree does not span
     if not graph.concrete:
@@ -258,13 +249,14 @@ def validate_graph(graph: OrbitGraph):
     for e in graph.edges:
         sv = set(graph.vertices[e.s].sub.elements)
         wv = set(graph.vertices[e.w].sub.elements)
-        assert set(e.sub.elements) <= sv, f"{e.name}: G_e not in source"
-        if e.in_tree:
-            assert e.g == IDENTITY, f"{e.name}: tree edge with g != 1"
+        if not sv.issuperset(e.sub.elements):
+            raise InvalidGraph(f"{e.name}: G_e not in source")
+        if e.in_tree and e.g != IDENTITY:
+            raise InvalidGraph(f"{e.name}: tree edge with g != 1")
         gi = model.inv(e.g)
-        for x in e.sub.elements:
-            assert model.mul(model.mul(gi, x), e.g) in wv, \
-                f"{e.name}: conjugated stabilizer leaves target"
+        if any(model.mul(model.mul(gi, x), e.g) not in wv
+               for x in e.sub.elements):
+            raise InvalidGraph(f"{e.name}: conjugated stabilizer leaves target")
     return True
 
 
@@ -382,14 +374,10 @@ class BrownPresentation:
         return rels
 
     def verify(self):
-        """phi kills every relation; membership checks run exhaustively."""
-        for e in self.graph.edges:
-            src = set(self.graph.vertices[e.s].sub.elements)
-            tgt = set(self.graph.vertices[e.w].sub.elements)
-            gi = self.model.inv(e.g)
-            for g in e.sub.elements:
-                assert g in src
-                assert self.model.mul(self.model.mul(gi, g), e.g) in tgt
+        """phi kills every relation; the stabilizer memberships behind the
+        relations are checked exhaustively by validate_graph, which raises
+        InvalidGraph when one fails."""
+        validate_graph(self.graph)
         for lhs, rhs in self.relations():
             if self.phi(lhs) != self.phi(rhs):
                 return False
@@ -448,14 +436,16 @@ def path_to_word(pres: BrownPresentation, legs):
             h = model.mul(model.mul(model.inv(prefix), a), e.g)
             vidx = e.w
             step = model.mul(h, model.inv(e.g))
-        assert h in set(graph.vertices[vidx].sub.elements), \
-            "path legs do not line up"
+        if h not in graph.vertices[vidx].sub.elements:
+            raise InvalidGraph("path legs do not line up")
         word.append(pres.v(vidx, h))
         word.append(pres.x(ei, eps))
         prefix = model.mul(prefix, step)
-    assert prefix in set(graph.vertices[graph.root].sub.elements)
+    if prefix not in graph.vertices[graph.root].sub.elements:
+        raise InvalidGraph("closed path does not return to the root group")
     word.append(pres.v(graph.root, prefix, -1))
-    assert pres.phi(tuple(word)) == IDENTITY
+    if pres.phi(tuple(word)) != IDENTITY:
+        raise InvalidGraph("path word does not map to 1")
     return tuple(word)
 
 
@@ -647,10 +637,6 @@ def _mat_mul_int(a, b):
                 for j in range(cols):
                     oi[j] += x * bk[j]
     return out
-
-
-def homology(complex_: IntChainComplex):
-    return complex_.homology()
 
 
 # -- group ring --------------------------------------------------------------------

@@ -244,9 +244,8 @@ def test_frobenius_reciprocity_spot():
 def test_restriction_from_enumeration_matches_analytic():
     t = table_psl2_odd(11)
     m = psl2_model(11)
-    t.model = m  # attach the enumerated model
     sub = build_subgroup(m, "dihedral_split")
-    enum_r = restriction_from_enumeration(t, sub)
+    enum_r = restriction_from_enumeration(t, m, sub)
     e1 = t.by_name["eta_1"]
     analytic = split_dihedral_restriction(table_psl2_odd(11))
     for name in ("psi_1", "psi_2", "chi_1", "chi_2"):

@@ -1,13 +1,18 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repmoduli
+import repmoduli.cli as cli
 import repmoduli.oscomplex as osc
 from repmoduli.chars import pack_terms, table_psl2_even
 from repmoduli.cli import (
     UsageError, VerificationConfig, classify_q, main, parse_config, run,
 )
-from repmoduli.groups import ClassLabel
+from repmoduli.groups import ClassLabel, psl2_model
 
 
 def test_classify_q():
@@ -170,3 +175,60 @@ def test_flipped_stored_value_fails_tables(monkeypatch, tmp_path):
     assert rc == 1
     rec = _records(out)["tables/rows/psl2_even-q4"]
     assert rec["pass"] is False and rec["computed"].startswith("mismatch: ")
+
+
+def misdirect_closing_edge(graph):
+    """Set the closing edge's g_e to the first element that conjugates G_e
+    out of G_w (a wrong connecting element)."""
+    model, e = graph.model, graph.edges[-1]
+    target = set(graph.vertices[e.w].sub.elements)
+    e.g = next(g for g in model.elements
+               if any(model.conjugate(x, model.inv(g)) not in target
+                      for x in e.sub.elements))
+    return graph
+
+
+def test_wrong_connecting_element_fails_brown(monkeypatch, tmp_path):
+    real = cli.build_orbit_graph
+    monkeypatch.setattr(cli, "build_orbit_graph",
+                        lambda *a, **kw: misdirect_closing_edge(real(*a, **kw)))
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "brown",
+               "--out", str(out)])
+    assert rc == 1
+    rec = _records(out)["brown/psl2_even-q4"]
+    assert rec["pass"] is False and "InvalidGraph" in rec["computed"]
+
+
+def test_wrong_connecting_element_raises_without_asserts():
+    # the same misdirected edge, checked by a `python -O` interpreter
+    code = """
+import sys
+from repmoduli.groups import psl2_model
+from repmoduli.oscomplex import InvalidGraph, build_orbit_graph, validate_graph
+model = psl2_model(4)
+graph = build_orbit_graph("psl2_even", 4, model=model)
+e = graph.edges[-1]
+target = set(graph.vertices[e.w].sub.elements)
+e.g = next(g for g in model.elements
+           if any(model.conjugate(x, model.inv(g)) not in target
+                  for x in e.sub.elements))
+try:
+    validate_graph(graph)
+except InvalidGraph:
+    sys.exit(3)
+"""
+    src = os.path.dirname(os.path.dirname(repmoduli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+
+
+def test_numerics_leave_cached_state_unchanged(tmp_path):
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
+               "--out", str(tmp_path / "r.json")])
+    assert rc == 0
+    assert table_psl2_even(4).model.enumerated is False
+    assert psl2_model(4) is psl2_model(4)

@@ -5,57 +5,57 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repmoduli.cyclo import (
-    Cyclotomic, NotRational, cyc_add, cyc_conj, cyc_mul, cyc_neg, cyc_root,
-    cyc_to_rational, legendre, quadratic_gauss_sum, sqrt_eps_q,
+    Cyclotomic, NotRational, legendre, quadratic_gauss_sum, sqrt_eps_q,
 )
 
 
 def test_sum_of_primitive_fifth_roots():
-    z = cyc_root(5)
+    z = Cyclotomic.root(5)
     total = z + z ** 2 + z ** 3 + z ** 4
     assert total.to_rational() == -1
 
 
 def test_conjugation_on_unit_circle():
-    assert cyc_conj(cyc_root(7, 3)) == cyc_root(7, 4)
+    assert Cyclotomic.root(7, 3).conj() == Cyclotomic.root(7, 4)
 
 
 def test_gauss_sum_square_q3():
     # Expanding directly: (z - z^2)^2 = z^2 - 2z^3 + z^4 = z^2 + z - 2 = -3.
-    z = cyc_root(3)
+    z = Cyclotomic.root(3)
     assert ((z - z ** 2) ** 2).to_rational() == -3
 
 
 def test_rescaling_stability():
     for n in (3, 4, 5, 6, 9, 12):
         for k in range(n):
-            assert cyc_root(2 * n, 2 * k) == cyc_root(n, k)
-            assert cyc_root(3 * n, 3 * k) == cyc_root(n, k)
+            assert Cyclotomic.root(2 * n, 2 * k) == Cyclotomic.root(n, k)
+            assert Cyclotomic.root(3 * n, 3 * k) == Cyclotomic.root(n, k)
 
 
 def test_minus_one_has_order_one():
-    v = cyc_root(2)
+    v = Cyclotomic.root(2)
     assert v.is_rational() and v.to_rational() == -1
-    assert cyc_root(4, 2).to_rational() == -1
+    assert Cyclotomic.root(4, 2).to_rational() == -1
 
 
 def test_to_rational_rejects_irrational():
     with pytest.raises(NotRational):
-        cyc_to_rational(cyc_root(5))
+        Cyclotomic.root(5).to_rational()
 
 
 def test_mixed_order_arithmetic_embeds():
-    a = cyc_root(4)          # i
-    b = cyc_root(3)
-    v = cyc_add(a, b)
+    a = Cyclotomic.root(4)   # i
+    b = Cyclotomic.root(3)
+    v = a + b
     assert v - b == a
-    assert cyc_mul(a, a).to_rational() == -1
+    assert (a * a).to_rational() == -1
 
 
 def test_root_times_inverse_root():
     for n in (2, 3, 7, 8, 12, 30):
         for k in range(n):
-            assert cyc_root(n, k) * cyc_root(n, n - k) == Cyclotomic.one()
+            assert (Cyclotomic.root(n, k) * Cyclotomic.root(n, n - k)
+                    == Cyclotomic.one())
 
 
 def test_serialization_format():

@@ -4,7 +4,7 @@ import pytest
 
 from repmoduli.gf import gf_make
 from repmoduli.groups import (
-    ClassLabel, IDENTITY, SizeBoundExceeded, build_subgroup, classify,
+    ClassLabel, IDENTITY, SizeBoundExceeded, build_subgroup,
     enumerate_psl2, enumerate_sl2, fusion_table, psl2_model, stored_fusion,
     suzuki_class_labels, suzuki_model, symbolic_subgroup,
 )
@@ -29,16 +29,16 @@ def test_psl2_11_transvection_class_size():
 
 def test_classify_identity_and_transvection():
     m = psl2_model(4)
-    assert classify(IDENTITY, m) == ClassLabel("id")
-    assert m.class_sizes[classify((1, 0, 1, 1), m)] == 4 * 4 - 1 == 15
-    assert classify((1, 0, 1, 1), m) == ClassLabel("c")
+    assert m.classify(IDENTITY) == ClassLabel("id")
+    assert m.class_sizes[m.classify((1, 0, 1, 1))] == 4 * 4 - 1 == 15
+    assert m.classify((1, 0, 1, 1)) == ClassLabel("c")
 
 
 def test_psl2_11_involutions_are_bq():
     m = psl2_model(11)
     invs = [g for g in m.elements if m.element_orders[g] == 2]
     assert invs
-    assert {classify(g, m) for g in invs} == {ClassLabel("bq")}
+    assert {m.classify(g) for g in invs} == {ClassLabel("bq")}
 
 
 def test_classify_constant_on_conjugacy_orbits():
@@ -48,7 +48,7 @@ def test_classify_constant_on_conjugacy_orbits():
         for _ in range(200):
             g = rng.choice(m.elements)
             h = rng.choice(m.elements)
-            assert classify(g, m) == classify(m.conjugate(g, h), m)
+            assert m.classify(g) == m.classify(m.conjugate(g, h))
 
 
 def test_subgroup_orders():
