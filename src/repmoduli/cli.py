@@ -27,7 +27,7 @@ from .chars import (
 from .groups import (
     build_subgroup, psl2_model, stored_fusion, fusion_table,
 )
-from .numerics import Tolerances
+from .numerics import REALIZE_GROUP_BOUND, Tolerances
 from .oscomplex import (
     brown_presentation, build_orbit_graph, moduli_dimension_report,
     euler_identity,
@@ -36,7 +36,6 @@ from .oscomplex import (
 ENV_PREFIX = "REPMODULI_"
 ALL_CHECKS = ("tables", "fusion", "centralizers", "moduli-dim", "euler",
               "brown", "numerics")
-NUMERICS_GROUP_BOUND = 4000
 FUSION_ENUM_BOUND = 19
 
 
@@ -302,7 +301,7 @@ def check_numerics(fam, q, cfg):
         return [_skip(base, base, f"q={q}",
                       "skipped: no distinguished character")]
     order = q * (q * q - 1) // (1 if fam == "psl2_even" else 2)
-    if order > NUMERICS_GROUP_BOUND:
+    if order > REALIZE_GROUP_BOUND:
         return [_skip(base, base, f"q={q}",
                       "skipped: beyond realization bound")]
 
@@ -374,9 +373,9 @@ def check_numerics(fam, q, cfg):
     def gauge_invariance():
         worst = 0.0
         for _ in range(20):
-            tau = random_moduli_point(graph, rep, nrng)
+            tau = random_moduli_point(graph, rep, nrng, tol=tol)
             alpha = random_h_point(graph, rep, nrng)
-            moved = h_action(graph, rep, tau, alpha)
+            moved = h_action(graph, rep, tau, alpha, tol)
             for _ in range(50):
                 w = random_word(pres, rng, 6)
                 d = np.max(np.abs(rho_tau_eval(pres, rep, tau, w) -

@@ -10,13 +10,16 @@ computed in the character layer before any floating point happens.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .chars import (
     Character, CharacterTable, attach_model, restriction_from_enumeration,
 )
-from .groups import IDENTITY, GroupModel, SubgroupSpec, closure
+from .groups import (
+    IDENTITY, GroupModel, SubgroupSpec, _transvection_generators, closure,
+)
 from .oscomplex import BrownPresentation, OrbitGraph, path_to_word
 
 
@@ -58,7 +61,7 @@ class Tolerances:
     commutant_svd: float = 1e-6
     moduli_word: float = 1e-7
     universal: float = 1e-8
-    action: float = 1e-8
+    action: float = 1e-7
     jacobian_rel: float = 1e-6
 
 
@@ -111,10 +114,66 @@ class UnitaryRep:
         return worst
 
 
-def _linear_character_values(subgroup_exponents, k, n):
-    """lambda_k on a cyclic group of order n given element -> exponent."""
-    root = np.exp(2j * np.pi * k / n)
-    return {g: root ** e for g, e in subgroup_exponents.items()}
+def _left_cosets(model, gen):
+    """The left cosets t_j C of C = <gen>, as (exponents, reps, coset_of):
+    gen^e -> e, the representatives t_j, and element -> j."""
+    exponents = {g: e for e, g in enumerate(closure(model, [gen]))}
+    coset_of = {}
+    reps = []
+    for g in model.elements:
+        if g in coset_of:
+            continue
+        ci = len(reps)
+        reps.append(g)
+        for c in exponents:
+            coset_of[model.mul(g, c)] = ci
+    if len(reps) * len(exponents) != model.order:
+        raise ProjectionRankMismatch(
+            f"{len(reps)} cosets of a subgroup of order {len(exponents)} "
+            f"in a group of order {model.order}")
+    return exponents, reps, coset_of
+
+
+def _monomial(model, cosets, s):
+    """(perm, exps) with s t_j = t_perm[j] gen^exps[j], by scalar products."""
+    exponents, reps, coset_of = cosets
+    perm = np.empty(len(reps), dtype=np.int16)
+    exps = np.empty(len(reps), dtype=np.int16)
+    for j, t in enumerate(reps):
+        st = model.mul(s, t)
+        i = coset_of[st]
+        perm[j] = i
+        exps[j] = exponents[model.mul(model.inv(reps[i]), st)]
+    return perm, exps
+
+
+def _induced_action(model, cosets):
+    """(perm, exps) of every element, exactly: the monomials of the
+    transvection generators composed along the Cayley graph from 1.
+
+    If s has (perm_s, exps_s) and g has (perm_g, exps_g), then
+    s g t_j = s t_{perm_g[j]} gen^{exps_g[j]}, so s g has
+    perm_s[perm_g] and exps_s[perm_g] + exps_g (mod the order of gen).
+    """
+    exponents, reps, _ = cosets
+    n, dim = len(exponents), len(reps)
+    gens = [(g, _monomial(model, cosets, g))
+            for g in _transvection_generators(model.spec)]
+    action = {IDENTITY: (np.arange(dim, dtype=np.int16),
+                         np.zeros(dim, dtype=np.int16))}
+    queue = [IDENTITY]
+    while queue:
+        x = queue.pop()
+        perm_x, exps_x = action[x]
+        for g, (perm_g, exps_g) in gens:
+            y = model.mul(x, g)
+            if y not in action:
+                action[y] = (perm_x[perm_g], (exps_x[perm_g] + exps_g) % n)
+                queue.append(y)
+    if len(action) < model.order:
+        raise ProjectionRankMismatch(
+            f"generators reach {len(action)} of {model.order} elements")
+    return action
 
 
 def _pick_induction_subgroup(table, model, target):
@@ -175,45 +234,20 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
         return UnitaryRep(model, mats, seed)
 
     gen, n, j, mult = _pick_induction_subgroup(table, model, target)
-    exponents = {g: e for e, g in enumerate(closure(model, [gen]))}
-    lam = _linear_character_values(exponents, j, n)
-
-    # left cosets of C = <gen>; the induced action permutes them monomially
-    coset_of = {}
-    reps = []
-    for g in model.elements:
-        if g in coset_of:
-            continue
-        ci = len(reps)
-        reps.append(g)
-        for c in exponents:
-            coset_of[model.mul(g, c)] = ci
-    dim = len(reps)
-    if dim * n != model.order:
-        raise ProjectionRankMismatch(
-            f"{dim} cosets of a subgroup of order {n} in a group of order "
-            f"{model.order}")
-
-    def monomial(s):
-        perm = np.empty(dim, dtype=np.int64)
-        vals = np.empty(dim, dtype=np.complex128)
-        for jj, t in enumerate(reps):
-            st = model.mul(s, t)
-            i = coset_of[st]
-            c = model.mul(model.inv(reps[i]), st)
-            perm[jj] = i
-            vals[jj] = lam[c]
-        return perm, vals
+    # the induced action permutes the left cosets of <gen> monomially
+    cosets = _left_cosets(model, gen)
+    dim = model.order // n
+    action = _induced_action(model, cosets)
+    root = np.exp(2j * np.pi * j / n)
+    lam_of = np.array([root ** e for e in range(n)])   # lambda_j(gen^e)
 
     exact_vals = {lab: complex(target.value_at(lab).to_complex())
                   for lab in model.class_labels}
     proj = np.zeros((dim, dim), dtype=np.complex128)
-    monomials = {}
     for s in model.elements:
-        perm, vals = monomial(s)
-        monomials[s] = (perm, vals)
+        perm, exps = action[s]
         coeff = np.conj(exact_vals[model.class_of[s]]) * d / model.order
-        proj[perm, np.arange(dim)] += coeff * vals
+        proj[perm, np.arange(dim)] += coeff * lam_of[exps]
 
     evals, evecs = np.linalg.eigh(proj)
     rank = int(np.sum(evals > 0.5))
@@ -226,9 +260,9 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
         mats = {}
         bh = b.conj().T
         for s in model.elements:
-            perm, vals = monomials[s]
+            perm, exps = action[s]
             indb = np.zeros_like(b)
-            indb[perm, :] = vals[:, None] * b
+            indb[perm, :] = lam_of[exps][:, None] * b
             mats[s] = bh @ indb
         return mats
 
@@ -387,13 +421,18 @@ class ModuliPoint:
             out = self.mats[e] @ out
         return out
 
+    @cached_property
+    def tau_v(self):
+        """tau_vertex(v) for every vertex, in vertex order."""
+        return [self.tau_vertex(v) for v in range(len(self.graph.vertices))]
+
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
         eye = np.eye(next(iter(self.mats.values())).shape[0])
         for ei, t in self.mats.items():
-            if _mnorm(t @ t.conj().T - eye) > 1e-7:
+            if _mnorm(t @ t.conj().T - eye) > tol.action:
                 raise ToleranceExceeded(f"tau_{ei} not unitary")
             for g in self.graph.edges[ei].sub.elements:
-                if _mnorm(t @ rho0.mat(g) - rho0.mat(g) @ t) > 1e-7:
+                if _mnorm(t @ rho0.mat(g) - rho0.mat(g) @ t) > tol.action:
                     raise ToleranceExceeded(
                         f"tau_{ei} leaves the stabilizer commutant")
         return True
@@ -404,17 +443,17 @@ class HPoint:
     graph: OrbitGraph
     mats: dict                  # vertex index -> unitary, root -> identity
 
-    def check(self, rho0: UnitaryRep, tol=1e-7):
+    def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
         root = self.graph.root
         eye = np.eye(rho0.degree)
-        if _mnorm(self.mats[root] - eye) > tol:
+        if _mnorm(self.mats[root] - eye) > tol.action:
             raise ToleranceExceeded("alpha at the root vertex must be 1")
         for vi, v in enumerate(self.graph.vertices):
             a = self.mats[vi]
-            if _mnorm(a @ a.conj().T - eye) > tol:
+            if _mnorm(a @ a.conj().T - eye) > tol.action:
                 raise ToleranceExceeded(f"alpha_{vi} not unitary")
             for g in v.sub.elements:
-                if _mnorm(a @ rho0.mat(g) - rho0.mat(g) @ a) > tol:
+                if _mnorm(a @ rho0.mat(g) - rho0.mat(g) @ a) > tol.action:
                     raise ToleranceExceeded(
                         f"alpha_{vi} leaves the vertex commutant")
         return True
@@ -425,13 +464,14 @@ def identity_moduli_point(graph, degree):
     return ModuliPoint(graph, {i: eye.copy() for i in range(len(graph.edges))})
 
 
-def random_moduli_point(graph, rho0: UnitaryRep, rng, scale=1.0):
+def random_moduli_point(graph, rho0: UnitaryRep, rng, scale=1.0,
+                        tol: Tolerances = TOL):
     mats = {}
     for i, e in enumerate(graph.edges):
         skew = random_commutant_skew(rho0, e.sub.elements, rng, scale)
         mats[i] = expm(skew)
     point = ModuliPoint(graph, mats)
-    point.check(rho0)
+    point.check(rho0, tol)
     return point
 
 
@@ -448,7 +488,7 @@ def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
                  tau: ModuliPoint, word):
     """Evaluate the induced representation at the moduli point on a word."""
     graph = pres.graph
-    tau_v = [tau.tau_vertex(v) for v in range(len(graph.vertices))]
+    tau_v = tau.tau_v
     acc = np.eye(rho0.degree, dtype=np.complex128)
     for sym in word:
         if sym[0] == "x":
@@ -466,9 +506,9 @@ def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
 
 
 def h_action(graph, rho0: UnitaryRep, tau: ModuliPoint,
-             alpha: HPoint) -> ModuliPoint:
+             alpha: HPoint, tol: Tolerances = TOL) -> ModuliPoint:
     """(tau . alpha)_e = rho0(g_e) alpha_w^-1 rho0(g_e)^-1 tau_e alpha_s."""
-    alpha.check(rho0)
+    alpha.check(rho0, tol)
     mats = {}
     for i, e in enumerate(graph.edges):
         ge = rho0.mat(e.g)

@@ -232,3 +232,13 @@ def test_numerics_leave_cached_state_unchanged(tmp_path):
     assert rc == 0
     assert table_psl2_even(4).model.enumerated is False
     assert psl2_model(4) is psl2_model(4)
+
+
+def test_action_tolerance_is_enforced(tmp_path):
+    # random moduli points are unitary only to rounding, far above 1e-30
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
+               "--tol", "action=1e-30", "--out", str(out)])
+    assert rc == 1
+    failed = [r for r in _records(out).values() if not r["pass"]]
+    assert failed and all(r["name"].startswith("numerics/") for r in failed)

@@ -325,6 +325,23 @@ def test_h_action_rejects_bad_alpha(setting4):
         h_action(g, rep, tau, bad)
 
 
+def test_moduli_and_gauge_checks_read_action_tolerance(setting4):
+    from dataclasses import replace
+    from repmoduli.numerics import TOL, ToleranceExceeded
+    m, t, rep, g, pres = setting4
+    nrng = np.random.default_rng(8)
+    tau = random_moduli_point(g, rep, nrng)
+    alpha = random_h_point(g, rep, nrng)
+    h_action(g, rep, tau, alpha, TOL)
+    tight = replace(TOL, action=1e-30)
+    with pytest.raises(ToleranceExceeded):
+        random_moduli_point(g, rep, nrng, tol=tight)
+    with pytest.raises(ToleranceExceeded):
+        tau.check(rep, tight)
+    with pytest.raises(ToleranceExceeded):
+        h_action(g, rep, tau, alpha, tight)
+
+
 def test_realize_through_multiplicity_split(monkeypatch):
     # force induction from C3 in PSL2(8), where the target occurs with
     # multiplicity 3, so the random-invariant-operator splitter must run
@@ -354,3 +371,36 @@ def test_intertwiner_between_independent_realizations():
     worst = max(np.max(np.abs(u @ r1.mat(g) @ u.conj().T - r2.mat(g)))
                 for g in m.elements)
     assert worst < 1e-7
+
+
+@pytest.mark.parametrize("q", [4, 8, 11])
+def test_induced_action_equals_scalar_monomials(q):
+    # the (perm, exps) composed over the Cayley graph are the integers the
+    # scalar coset computation gives, for every element and every cyclic
+    # subgroup the nonlinear characters are induced from
+    import repmoduli.numerics as num
+    m = psl2_model(q)
+    t = table_psl2_even(q) if q % 2 == 0 else table_psl2_odd(q)
+    gens = {num._pick_induction_subgroup(t, m, ch)[0]
+            for ch in t.chars if ch.degree > 1}
+    for gen in sorted(gens):
+        cosets = num._left_cosets(m, gen)
+        action = num._induced_action(m, cosets)
+        assert len(action) == m.order
+        for s in m.elements:
+            perm, exps = action[s]
+            ref_perm, ref_exps = num._monomial(m, cosets, s)
+            assert perm.dtype == exps.dtype == np.int16
+            assert np.array_equal(perm, ref_perm)
+            assert np.array_equal(exps, ref_exps)
+
+
+def test_realize_raises_when_generators_do_not_generate(monkeypatch):
+    import repmoduli.numerics as num
+    real = num._transvection_generators
+    monkeypatch.setattr(num, "_transvection_generators",
+                        lambda f: real(f)[:1])
+    m = psl2_model(4)
+    t = table_psl2_even(4)
+    with pytest.raises(ProjectionRankMismatch):
+        num.realize_irreducible(m, t, rho0_character(t), seed=0)
