@@ -134,10 +134,54 @@ def classify_q(family, q):
     raise UsageError(f"unknown family {family!r}")
 
 
+class PrerequisiteFailed(RuntimeError):
+    """An input that a record needs could not be built."""
+
+
+def _millis_since(t0):
+    return int((time.perf_counter() - t0) * 1000)
+
+
 def _timed(fn):
     t0 = time.perf_counter()
     out = fn()
-    return out, int((time.perf_counter() - t0) * 1000)
+    return out, _millis_since(t0)
+
+
+def _error(e):
+    return f"error: {type(e).__name__}: {e}"
+
+
+def _guarded(name, anchor, inputs, expected, compute):
+    """The record of compute(), timed alone.  An exception that compute
+    raises fails this record and no other."""
+    t0 = time.perf_counter()
+    try:
+        computed = compute()
+    except Exception as e:
+        return Record(name, anchor, inputs, str(expected), _error(e), False,
+                      _millis_since(t0))
+    return _record(name, anchor, inputs, expected, computed,
+                   _millis_since(t0))
+
+
+def _prerequisite(what, build):
+    """A getter for build(), which runs on first use.  If build raised,
+    every use raises PrerequisiteFailed naming `what` and that error."""
+    memo = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((build(), None))
+            except Exception as e:
+                memo.append((None, f"{what} failed: "
+                                   f"{type(e).__name__}: {e}"))
+        value, failure = memo[0]
+        if failure is not None:
+            raise PrerequisiteFailed(failure)
+        return value
+    return get
 
 
 def _record(name, anchor, inputs, expected, computed, millis):
@@ -322,19 +366,30 @@ def check_numerics(fam, q, cfg):
     model = psl2_model(q)
     tol = cfg.tol
 
-    rep, ms = _timed(lambda: realize_irreducible(model, table, target,
-                                                 seed=seed, tol=tol))
-    defect = max(rep.character_defect(target), rep.unitarity_defect())
-    records.append(_record(
-        f"{base}/realization", f"{base}/realization", inputs,
-        f"degree {target.degree}, defects within tolerance",
-        f"degree {rep.degree}, defects within tolerance"
-        if defect <= tol.character else f"defect {defect:.2e}", ms))
+    def record(part, anchor, expected, compute):
+        records.append(_guarded(f"{base}/{part}", f"{base}/{anchor}", inputs,
+                                expected, compute))
 
-    graph = build_orbit_graph(fam, q, k=cfg.k, model=model)
-    pres = brown_presentation(graph, model)
+    realized = _prerequisite("realization", lambda: realize_irreducible(
+        model, table, target, seed=seed, tol=tol))
+
+    def presentation():
+        graph = build_orbit_graph(fam, q, k=cfg.k, model=model)
+        return graph, brown_presentation(graph, model)
+
+    setting = _prerequisite("orbit graph", presentation)
+
+    def realization():
+        rep = realized()
+        defect = max(rep.character_defect(target), rep.unitarity_defect())
+        return f"degree {rep.degree}, defects within tolerance" \
+            if defect <= tol.character else f"defect {defect:.2e}"
+
+    record("realization", "realization",
+           f"degree {target.degree}, defects within tolerance", realization)
 
     def spectral():
+        rep, (graph, _) = realized(), setting()
         ghat0 = next(g for g in graph.edges[0].sub.elements
                      if model.element_orders[g] == graph.edges[0].sub.order)
         ghat1 = next(g for g in graph.edges[1].sub.elements
@@ -343,34 +398,38 @@ def check_numerics(fam, q, cfg):
         _, m1 = spectral_split(rep, ghat1, tol=tol)
         return sorted(m0.values()), (m1.get(0, 0), m1.get(1, 0))
 
-    (m0, m1), ms = _timed(spectral)
     if fam == "psl2_even":
         expect = ([1] * (q - 1), (q // 2 - 1, q // 2))
     else:
         expect = ([1] * ((q - 1) // 2), ((q + 1) // 4, (q - 3) // 4))
-    records.append(_record(
-        f"{base}/spectral", f"{base}/spectral-multiplicities", inputs,
-        expect, (m0, m1), ms))
+    record("spectral", "spectral-multiplicities", expect, spectral)
+
+    def stabilizers():
+        graph, _ = setting()
+        return [node.sub for node in list(graph.vertices) +
+                [e for e in graph.edges if not e.free]]
+
+    exact_ranks = _prerequisite("centralizer dimensions", lambda: [
+        centralizer_dim(target, fusion_for(table, sub))
+        for sub in stabilizers()])
 
     def ranks():
-        pairs = []
-        for node in list(graph.vertices) + \
-                [e for e in graph.edges if not e.free]:
-            exact = centralizer_dim(target, fusion_for(table, node.sub))
-            got = commutant_rank(rep, node.sub.elements, exact + 8,
-                                 seed=seed + exact, tol=tol)
-            pairs.append((exact, got))
-        return pairs
+        rep = realized()
+        return [commutant_rank(rep, sub.elements, exact + 8,
+                               seed=seed + exact, tol=tol)
+                for sub, exact in zip(stabilizers(), exact_ranks())]
 
-    pairs, ms = _timed(ranks)
-    records.append(_record(
-        f"{base}/commutant-ranks", f"{base}/commutant-ranks", inputs,
-        [e for e, _ in pairs], [g for _, g in pairs], ms))
+    try:
+        expected_ranks = exact_ranks()
+    except PrerequisiteFailed as e:
+        expected_ranks = str(e)
+    record("commutant-ranks", "commutant-ranks", expected_ranks, ranks)
 
     rng = random.Random(seed)
     nrng = np.random.default_rng(seed)
 
     def gauge_invariance():
+        rep, (graph, pres) = realized(), setting()
         worst = 0.0
         for _ in range(20):
             tau = random_moduli_point(graph, rep, nrng, tol=tol)
@@ -381,10 +440,12 @@ def check_numerics(fam, q, cfg):
                 d = np.max(np.abs(rho_tau_eval(pres, rep, tau, w) -
                                   rho_tau_eval(pres, rep, moved, w)))
                 worst = max(worst, float(d))
-        return worst
+        return "within tolerance" if worst <= tol.moduli_word \
+            else f"defect {worst:.2e}"
 
     def universal_point():
         # draws from `rng` after gauge_invariance, as one sequence
+        rep, (graph, pres) = realized(), setting()
         one = identity_moduli_point(graph, rep.degree)
         universal = 0.0
         eye = np.eye(rep.degree)
@@ -392,22 +453,11 @@ def check_numerics(fam, q, cfg):
             w = random_kernel_word(pres, rng)
             d = np.max(np.abs(rho_tau_eval(pres, rep, one, w) - eye))
             universal = max(universal, float(d))
-        return universal
-
-    worst, ms = _timed(gauge_invariance)
-    records.append(_record(
-        f"{base}/gauge-invariance", f"{base}/gauge-invariance", inputs,
-        "within tolerance",
-        "within tolerance" if worst <= tol.moduli_word
-        else f"defect {worst:.2e}", ms))
-    universal, ms = _timed(universal_point)
-    records.append(_record(
-        f"{base}/universal-point", f"{base}/universal-point", inputs,
-        "within tolerance",
-        "within tolerance" if universal <= tol.universal
-        else f"defect {universal:.2e}", ms))
+        return "within tolerance" if universal <= tol.universal \
+            else f"defect {universal:.2e}"
 
     def differential():
+        rep, (graph, pres) = realized(), setting()
         rng = random.Random(seed + 1)
         worst_rel = 0.0
         for i in range(10):
@@ -416,14 +466,15 @@ def check_numerics(fam, q, cfg):
                                                  seed=seed + i, tol=tol)
             rel = err / (1 + float(np.max(np.abs(f))))
             worst_rel = max(worst_rel, rel)
-        return worst_rel
+        return "within tolerance" if worst_rel <= tol.jacobian_rel \
+            else f"relative error {worst_rel:.2e}"
 
-    worst_rel, ms = _timed(differential)
-    records.append(_record(
-        f"{base}/word-differential", f"{base}/word-differential", inputs,
-        "within tolerance",
-        "within tolerance" if worst_rel <= tol.jacobian_rel
-        else f"relative error {worst_rel:.2e}", ms))
+    record("gauge-invariance", "gauge-invariance", "within tolerance",
+           gauge_invariance)
+    record("universal-point", "universal-point", "within tolerance",
+           universal_point)
+    record("word-differential", "word-differential", "within tolerance",
+           differential)
     return records
 
 
@@ -451,8 +502,7 @@ def run(cfg: VerificationConfig) -> VerificationReport:
             return CHECK_RUNNERS[check](fam, q, cfg)
         except Exception as e:          # a crashed check is a failing record
             return [Record(f"{check}/{fam}-q{q}", f"{check}/{fam}-q{q}",
-                           f"q={q}", "completes",
-                           f"error: {type(e).__name__}: {e}", False, 0)]
+                           f"q={q}", "completes", _error(e), False, 0)]
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:

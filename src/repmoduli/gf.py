@@ -104,7 +104,7 @@ def _is_prime(p):
     return p >= 2 and factorize(p) == ((p, 1),)
 
 
-_TABLE_LIMIT = 256        # dense add tables only for small fields
+_TABLE_LIMIT = 256        # dense add/mul/neg tables only for small fields
 _LOG_LIMIT = 1 << 14      # log/exp multiplication tables
 
 
@@ -126,12 +126,14 @@ class FieldSpec:
             if self.q <= _TABLE_LIMIT else None
         self.generator = self._find_generator()
         self._build_log_tables()
-        self._add_table = None
+        # element arithmetic by lookup: add_table[a][b], mul_table[a][b] and
+        # neg_table[a]; None above _TABLE_LIMIT
+        self.add_table = self.mul_table = self.neg_table = None
         if self.q <= _TABLE_LIMIT:
-            self._add_table = [
-                [self._add_slow(a, b) for b in range(self.q)]
-                for a in range(self.q)
-            ]
+            els = range(self.q)
+            self.add_table = [[self._add_slow(a, b) for b in els] for a in els]
+            self.mul_table = [[self._mul_log(a, b) for b in els] for a in els]
+            self.neg_table = [self._neg_slow(a) for a in els]
 
     # -- encoding ------------------------------------------------------------
 
@@ -161,6 +163,22 @@ class FieldSpec:
             b //= self.p
             mult *= self.p
         return out
+
+    def _neg_slow(self, a):
+        if self.p == 2:
+            return a
+        out = 0
+        mult = 1
+        while a:
+            out += (-a % self.p) % self.p * mult
+            a //= self.p
+            mult *= self.p
+        return out
+
+    def _mul_log(self, a, b):
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def _mul_slow(self, a, b):
         prod = _pol_mul(self._int_to_pol(a), self._int_to_pol(b), self.p)
@@ -201,30 +219,22 @@ class FieldSpec:
     # -- public int-level ops (hot path for group enumeration) ----------------
 
     def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
+        if self.add_table is not None:
+            return self.add_table[a][b]
         return self._add_slow(a, b)
 
     def neg(self, a):
-        if self.p == 2:
-            return a
-        out = 0
-        mult = 1
-        while a:
-            out += (-a % self.p) % self.p * mult
-            a //= self.p
-            mult *= self.p
-        return out
+        if self.neg_table is not None:
+            return self.neg_table[a]
+        return self._neg_slow(a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
+        if self.mul_table is not None:
+            return self.mul_table[a][b]
+        return self._mul_log(a, b)
 
     def inv(self, a):
         if a == 0:

@@ -62,6 +62,8 @@ ID = ClassLabel("id")
 # -- matrix helpers ----------------------------------------------------------
 
 def mat_mul(f, x, y):
+    """The 2x2 product over any field object with `add` and `mul`; the
+    reference that GroupModel.mul's table lookups are tested against."""
     a, b, c, d = x
     e, g, h, i = y
     return (
@@ -70,16 +72,6 @@ def mat_mul(f, x, y):
         f.add(f.mul(c, e), f.mul(d, h)),
         f.add(f.mul(c, g), f.mul(d, i)),
     )
-
-
-def mat_inv(f, x):
-    # determinant is 1 throughout
-    a, b, c, d = x
-    return (d, f.neg(b), f.neg(c), a)
-
-
-def mat_neg(f, x):
-    return (f.neg(x[0]), f.neg(x[1]), f.neg(x[2]), f.neg(x[3]))
 
 
 IDENTITY = (1, 0, 0, 1)
@@ -129,6 +121,12 @@ class GroupModel:
         self.family = family          # psl2_even | sl2_odd | psl2_odd | sz
         self.q = q
         self.spec = spec
+        # the field's lookup tables, read by the element operations below;
+        # every enumerable q is within the field's table bound
+        if spec is not None:
+            self._add, self._mul, self._neg = \
+                spec.add_table, spec.mul_table, spec.neg_table
+        self._fold = family == "psl2_odd"     # PSL2 = SL2 / {+-1}
         self.elements = None
         self.class_of = None
         self.class_labels = []        # in display order
@@ -144,15 +142,26 @@ class GroupModel:
 
     # matrix ops bound to the field of an enumerated model
     def mul(self, x, y):
-        out = mat_mul(self.spec, x, y)
+        add, mul = self._add, self._mul
+        a, b, c, d = x
+        e, g, h, i = y
+        ra, rb, rc, rd = mul[a], mul[b], mul[c], mul[d]
+        out = (add[ra[e]][rb[h]], add[ra[g]][rb[i]],
+               add[rc[e]][rd[h]], add[rc[g]][rd[i]])
         return self.canonical(out)
 
     def inv(self, x):
-        return self.canonical(mat_inv(self.spec, x))
+        # determinant is 1 throughout
+        neg = self._neg
+        a, b, c, d = x
+        return self.canonical((d, neg[b], neg[c], a))
 
     def canonical(self, x):
-        if self.family == "psl2_odd":
-            nx = mat_neg(self.spec, x)
+        """The representative of x in PSL2 = SL2 / {+-1}: the smaller of
+        x and -x; x itself in the other families."""
+        if self._fold:
+            neg = self._neg
+            nx = (neg[x[0]], neg[x[1]], neg[x[2]], neg[x[3]])
             return x if x <= nx else nx
         return x
 
@@ -367,7 +376,7 @@ def enumerate_psl2(spec: FieldSpec) -> GroupModel:
     model = GroupModel("psl2_odd", q, spec)
     seen = {}
     for x in _sl2_elements(spec):
-        cx = x if x <= mat_neg(spec, x) else mat_neg(spec, x)
+        cx = model.canonical(x)
         if cx not in seen:
             seen[cx] = None
     model.elements = list(seen)

@@ -9,7 +9,7 @@ computed in the character layer before any floating point happens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,13 +25,6 @@ from .oscomplex import BrownPresentation, OrbitGraph, path_to_word
 
 class ToleranceExceeded(RuntimeError):
     pass
-
-
-def expm(a):
-    """The matrix exponential.  scipy is imported on first use, so that
-    runs without numerical checks never load it."""
-    from scipy.linalg import expm as scipy_expm
-    return scipy_expm(a)
 
 
 class ProjectionRankMismatch(RuntimeError):
@@ -73,6 +66,16 @@ REALIZE_MODULE_BOUND = 1500
 
 def _mnorm(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
+
+
+def expm(a, tol: Tolerances = TOL):
+    """exp(a) for a skew-Hermitian a, as V diag(e^{iw}) V^H from the
+    eigenpairs (w, V) of the Hermitian -1j a.  Raises ValueError when a is
+    not skew-Hermitian within tol.unitary."""
+    if _mnorm(a + a.conj().T) > tol.unitary:
+        raise ValueError("expm needs a skew-Hermitian matrix")
+    w, v = np.linalg.eigh(-1j * a)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 class UnitaryRep:
@@ -412,6 +415,9 @@ def random_commutant_skew(rep: UnitaryRep, elements, rng, scale=1.0):
 class ModuliPoint:
     graph: OrbitGraph
     mats: dict                  # edge index -> unitary matrix
+    # (rho0, word symbol) -> the symbol's image, filled by symbol_image
+    images: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def tau_vertex(self, v):
         path = self.graph.tree_path(v)
@@ -425,6 +431,28 @@ class ModuliPoint:
     def tau_v(self):
         """tau_vertex(v) for every vertex, in vertex order."""
         return [self.tau_vertex(v) for v in range(len(self.graph.vertices))]
+
+    def symbol_image(self, rho0: UnitaryRep, sym):
+        """The matrix a word symbol evaluates to at this point under rho0,
+        computed on first use: tau_s^H tau_e^H rho0(g_e) tau_w for x_e,
+        tau_v^H rho0(g) tau_v for i_v(g), conjugate-transposed for
+        exponent -1."""
+        key = (rho0, sym)
+        out = self.images.get(key)
+        if out is None:
+            tau_v = self.tau_v
+            if sym[0] == "x":
+                _, ei, exp = sym
+                e = self.graph.edges[ei]
+                m = tau_v[e.s].conj().T @ self.mats[ei].conj().T @ \
+                    rho0.mat(e.g) @ tau_v[e.w]
+            elif sym[0] == "v":
+                _, vi, g, exp = sym
+                m = tau_v[vi].conj().T @ rho0.mat(g) @ tau_v[vi]
+            else:
+                raise ValueError(f"unknown word symbol {sym!r}")
+            out = self.images[key] = m if exp == 1 else m.conj().T
+        return out
 
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
         eye = np.eye(next(iter(self.mats.values())).shape[0])
@@ -469,7 +497,7 @@ def random_moduli_point(graph, rho0: UnitaryRep, rng, scale=1.0,
     mats = {}
     for i, e in enumerate(graph.edges):
         skew = random_commutant_skew(rho0, e.sub.elements, rng, scale)
-        mats[i] = expm(skew)
+        mats[i] = expm(skew, tol)
     point = ModuliPoint(graph, mats)
     point.check(rho0, tol)
     return point
@@ -486,22 +514,11 @@ def random_h_point(graph, rho0: UnitaryRep, rng, scale=1.0):
 
 def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
                  tau: ModuliPoint, word):
-    """Evaluate the induced representation at the moduli point on a word."""
-    graph = pres.graph
-    tau_v = tau.tau_v
+    """Evaluate the induced representation at the moduli point on a word:
+    one product per symbol, with the symbol images cached on the point."""
     acc = np.eye(rho0.degree, dtype=np.complex128)
     for sym in word:
-        if sym[0] == "x":
-            _, ei, exp = sym
-            e = graph.edges[ei]
-            m = tau_v[e.s].conj().T @ tau.mats[ei].conj().T @ \
-                rho0.mat(e.g) @ tau_v[e.w]
-        elif sym[0] == "v":
-            _, vi, g, exp = sym
-            m = tau_v[vi].conj().T @ rho0.mat(g) @ tau_v[vi]
-        else:
-            raise ValueError(f"unknown word symbol {sym!r}")
-        acc = acc @ (m if exp == 1 else m.conj().T)
+        acc = acc @ tau.symbol_image(rho0, sym)
     return acc
 
 
@@ -538,7 +555,7 @@ def word_differential_check(pres: BrownPresentation, rho0: UnitaryRep,
         formula -= eps * (ra @ tangent[ei] @ ra.conj().T)
 
     def at(t):
-        point = ModuliPoint(graph, {i: expm(t * x)
+        point = ModuliPoint(graph, {i: expm(t * x, tol)
                                     for i, x in tangent.items()})
         return rho_tau_eval(pres, rho0, point, word)
 

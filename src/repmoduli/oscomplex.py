@@ -397,17 +397,17 @@ def random_closed_path(graph: OrbitGraph, rng, min_len=4, max_len=14):
     """A closed edge path (a_i, e_i, eps_i) based at the root vertex."""
     model = graph.model
     root_set = set(graph.vertices[graph.root].sub.elements)
+    # the edges leaving each vertex, then the edges entering it
+    options = [[(i, +1) for i, e in enumerate(graph.edges) if e.s == v] +
+               [(i, -1) for i, e in enumerate(graph.edges) if e.w == v]
+               for v in range(len(graph.vertices))]
     while True:
         c, vidx = IDENTITY, graph.root
         legs = []
         for _ in range(max_len):
             twist = rng.choice(graph.vertices[vidx].sub.elements)
             c = model.mul(c, twist)
-            options = [(i, +1) for i, e in enumerate(graph.edges)
-                       if e.s == vidx]
-            options += [(i, -1) for i, e in enumerate(graph.edges)
-                        if e.w == vidx]
-            ei, eps = rng.choice(options)
+            ei, eps = rng.choice(options[vidx])
             e = graph.edges[ei]
             if eps == 1:
                 legs.append((c, ei, 1))

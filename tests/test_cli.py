@@ -242,3 +242,51 @@ def test_action_tolerance_is_enforced(tmp_path):
     assert rc == 1
     failed = [r for r in _records(out).values() if not r["pass"]]
     assert failed and all(r["name"].startswith("numerics/") for r in failed)
+
+
+def test_one_failing_numerics_record_leaves_the_others(tmp_path):
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
+               "--tol", "action=1e-30", "--out", str(out)])
+    assert rc == 1
+    recs = _records(out)
+    for part in ("realization", "spectral", "commutant-ranks"):
+        assert recs[f"numerics/psl2_even-q4/{part}"]["pass"] is True
+    gauge = recs["numerics/psl2_even-q4/gauge-invariance"]
+    assert gauge["pass"] is False
+    assert "ToleranceExceeded" in gauge["computed"]
+
+
+def test_failed_realization_fails_each_dependent_record(monkeypatch,
+                                                        tmp_path):
+    import repmoduli.numerics as num
+
+    def broken(*args, **kwargs):
+        raise num.ToleranceExceeded("unitarity 1.00e+00")
+
+    monkeypatch.setattr(num, "realize_irreducible", broken)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
+               "--out", str(out)])
+    assert rc == 1
+    recs = _records(out)
+    assert len(recs) == 6
+    for name, rec in recs.items():
+        assert rec["pass"] is False, name
+        assert "realization failed: ToleranceExceeded" in rec["computed"]
+
+
+def test_numerics_run_without_scipy():
+    code = """
+import os, sys
+from repmoduli.cli import main
+rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
+           "--out", os.devnull])
+sys.exit(3 if "scipy" in sys.modules else rc)
+"""
+    src = os.path.dirname(os.path.dirname(repmoduli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

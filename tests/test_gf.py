@@ -77,3 +77,15 @@ def test_bad_field_arguments():
         gf_make(6, 1)
     with pytest.raises(FieldError):
         gf_make(2, 15)  # 2^15 above the supported bound
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3),
+                                 (83, 1)])
+def test_tables_match_slow_arithmetic(p, n):
+    f = gf_make(p, n)
+    for a in range(f.q):
+        assert f.neg_table[a] == f._neg_slow(a)
+        assert f.add(a, f.neg(a)) == 0
+        for b in range(f.q):
+            assert f.mul_table[a][b] == f._mul_slow(a, b)
+            assert f.add_table[a][b] == f._add_slow(a, b)

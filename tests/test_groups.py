@@ -1,12 +1,13 @@
 import random
+from functools import cache
 
 import pytest
 
 from repmoduli.gf import gf_make
 from repmoduli.groups import (
     ClassLabel, IDENTITY, SizeBoundExceeded, build_subgroup,
-    enumerate_psl2, enumerate_sl2, fusion_table, psl2_model, stored_fusion,
-    suzuki_class_labels, suzuki_model, symbolic_subgroup,
+    enumerate_psl2, enumerate_sl2, fusion_table, mat_mul, psl2_model,
+    stored_fusion, suzuki_class_labels, suzuki_model, symbolic_subgroup,
 )
 
 
@@ -196,3 +197,56 @@ def test_corrupted_class_size_raises():
     m.order += 1
     with pytest.raises(ClassDataError, match="add up"):
         _label_classes(m)
+
+
+class _SlowField:
+    """A field's operations from its slow reference code, memoized."""
+
+    def __init__(self, spec):
+        self.add = cache(spec._add_slow)
+        self.mul = cache(spec._mul_slow)
+        self.neg = cache(spec._neg_slow)
+
+
+def _reference_ops(model):
+    """mul, inv and canonical of an enumerated model, rebuilt from the
+    field's slow arithmetic and the mat_mul reference."""
+    f = _SlowField(model.spec)
+
+    def canonical(x):
+        if model.family != "psl2_odd":
+            return x
+        return min(x, tuple(f.neg(v) for v in x))
+
+    def mul(x, y):
+        return canonical(mat_mul(f, x, y))
+
+    def inv(x):
+        a, b, c, d = x
+        return canonical((d, f.neg(b), f.neg(c), a))
+
+    return mul, inv, canonical, f
+
+
+@pytest.mark.parametrize("q", [4, 8])
+def test_table_group_ops_match_reference_all_pairs(q):
+    m = psl2_model(q)
+    mul, inv, _, _ = _reference_ops(m)
+    for x in m.elements:
+        assert m.inv(x) == inv(x)
+        for y in m.elements:
+            assert m.mul(x, y) == mul(x, y)
+
+
+@pytest.mark.parametrize("q", [11, 27])
+def test_table_group_ops_match_reference_random_pairs(q):
+    # PSL2(27) is an extension field with the sign fold of PSL2 = SL2/{+-1}
+    m = psl2_model(q)
+    mul, inv, canonical, f = _reference_ops(m)
+    rng = random.Random(q)
+    for _ in range(10000):
+        x, y = rng.choice(m.elements), rng.choice(m.elements)
+        assert m.mul(x, y) == mul(x, y)
+        assert m.inv(x) == inv(x)
+        neg_x = tuple(f.neg(v) for v in x)
+        assert m.canonical(x) == m.canonical(neg_x) == canonical(neg_x) == x

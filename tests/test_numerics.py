@@ -10,7 +10,7 @@ from repmoduli.chars import (
 from repmoduli.groups import IDENTITY, psl2_model
 from repmoduli.numerics import (
     HPoint, ModuliPoint, NotIsomorphic, ProjectionRankMismatch, UnitaryRep,
-    commutant_rank, h_action, identity_moduli_point, intertwiner,
+    commutant_rank, expm, h_action, identity_moduli_point, intertwiner,
     random_h_point, random_moduli_point, realize_irreducible, rho_tau_eval,
     spectral_split, word_differential_check,
 )
@@ -404,3 +404,79 @@ def test_realize_raises_when_generators_do_not_generate(monkeypatch):
     t = table_psl2_even(4)
     with pytest.raises(ProjectionRankMismatch):
         num.realize_irreducible(m, t, rho0_character(t), seed=0)
+
+
+def _reference_eval(rep, tau, word):
+    """The word's value at tau with every symbol image built afresh."""
+    graph = tau.graph
+    tau_v = [tau.tau_vertex(v) for v in range(len(graph.vertices))]
+    acc = np.eye(rep.degree, dtype=np.complex128)
+    for sym in word:
+        if sym[0] == "x":
+            _, ei, exp = sym
+            e = graph.edges[ei]
+            m = tau_v[e.s].conj().T @ tau.mats[ei].conj().T @ \
+                rep.mat(e.g) @ tau_v[e.w]
+        else:
+            _, vi, g, exp = sym
+            m = tau_v[vi].conj().T @ rep.mat(g) @ tau_v[vi]
+        acc = acc @ (m if exp == 1 else m.conj().T)
+    return acc
+
+
+@pytest.fixture(scope="module")
+def setting11(rho11):
+    m, t, rep = rho11
+    g = build_orbit_graph("psl2_odd", 11, k=1, model=m)
+    return m, t, rep, g, brown_presentation(g, m)
+
+
+def test_cached_word_values_are_bit_identical(setting11):
+    m, t, rep, g, pres = setting11
+    nrng = np.random.default_rng(11)
+    rng = random.Random(11)
+    tau = random_moduli_point(g, rep, nrng)
+    moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
+    for point in (tau, moved):
+        for _ in range(40):
+            w = random_word(pres, rng, 8)
+            ref = _reference_eval(rep, point, w)
+            assert np.array_equal(rho_tau_eval(pres, rep, point, w), ref)
+            # a second evaluation reads every image from the cache
+            assert np.array_equal(rho_tau_eval(pres, rep, point, w), ref)
+
+
+def test_symbol_images_are_kept_per_rep(setting11):
+    # PSL2(11) induces rho0 with multiplicity 1, so seeds 0 and 1 give the
+    # same matrices; conjugating the second makes the two reps differ
+    m, t, rep, g, pres = setting11
+    r0 = realize_irreducible(m, t, rho0_character(t), seed=0)
+    r1 = realize_irreducible(m, t, rho0_character(t), seed=1)
+    u = np.linalg.qr(np.random.default_rng(5).standard_normal(
+        (r1.degree, r1.degree)))[0]
+    r1 = UnitaryRep(m, {x: u @ a @ u.T for x, a in r1.mats.items()}, seed=1)
+    tau = random_moduli_point(g, r0, np.random.default_rng(12))
+    rng = random.Random(12)
+    for _ in range(10):
+        w = random_word(pres, rng, 6)
+        v0 = rho_tau_eval(pres, r0, tau, w)
+        v1 = rho_tau_eval(pres, r1, tau, w)
+        assert np.array_equal(v0, _reference_eval(r0, tau, w))
+        assert np.array_equal(v1, _reference_eval(r1, tau, w))
+    assert not np.allclose(v0, v1)
+
+
+def test_expm_rotation_inverse_and_rejection():
+    theta = 0.7
+    rot = expm(np.array([[0, -theta], [theta, 0]], dtype=complex))
+    assert np.allclose(rot, [[np.cos(theta), -np.sin(theta)],
+                             [np.sin(theta), np.cos(theta)]], atol=1e-14)
+    rng = np.random.default_rng(3)
+    for d in (3, 9, 41):
+        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        a = (x - x.conj().T) / 2
+        assert np.max(np.abs(expm(a) @ expm(-a) - np.eye(d))) < 1e-12
+        with pytest.raises(ValueError):
+            expm(x)
+    with pytest.raises(ValueError):
+        expm(np.eye(2, dtype=complex))

@@ -176,6 +176,42 @@ def test_closed_paths_produce_kernel_words():
     assert pres.phi(w + word_inverse(w)) == IDENTITY
 
 
+def _closed_path_reference(graph, rng, min_len=4, max_len=14):
+    """random_closed_path with the edge options listed afresh at each step."""
+    model = graph.model
+    root_set = set(graph.vertices[graph.root].sub.elements)
+    while True:
+        c, vidx = IDENTITY, graph.root
+        legs = []
+        for _ in range(max_len):
+            c = model.mul(c, rng.choice(graph.vertices[vidx].sub.elements))
+            options = [(i, +1) for i, e in enumerate(graph.edges)
+                       if e.s == vidx]
+            options += [(i, -1) for i, e in enumerate(graph.edges)
+                        if e.w == vidx]
+            ei, eps = rng.choice(options)
+            e = graph.edges[ei]
+            if eps == 1:
+                legs.append((c, ei, 1))
+                c, vidx = model.mul(c, e.g), e.w
+            else:
+                a = model.mul(c, model.inv(e.g))
+                legs.append((a, ei, -1))
+                c, vidx = a, e.s
+            if vidx == graph.root and len(legs) >= min_len and c in root_set:
+                return legs
+
+
+@pytest.mark.parametrize("fam,q,k", [("psl2_even", 4, 1), ("psl2_odd", 11, 0)])
+def test_closed_paths_match_reference(fam, q, k):
+    g = build_orbit_graph(fam, q, k=k, model=psl2_model(q))
+    for seed in range(5):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(4):
+            assert random_closed_path(g, rng) == \
+                _closed_path_reference(g, ref_rng)
+
+
 def test_smith_normal_form_reconstruction():
     rng = random.Random(23)
     for _ in range(25):
