@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 
 from . import __version__
@@ -25,7 +26,7 @@ from .chars import (
     table_sl2_odd, theta_balance,
 )
 from .groups import (
-    build_subgroup, psl2_model, stored_fusion, fusion_table,
+    _prime_power, build_subgroup, psl2_model, stored_fusion, fusion_table,
 )
 from .numerics import REALIZE_GROUP_BOUND, Tolerances
 from .oscomplex import (
@@ -98,29 +99,22 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _is_power_of(base, q):
-    n = 0
-    while q % base == 0 and q > 1:
-        q //= base
-        n += 1
-    return n if q == 1 else 0
-
-
 def classify_q(family, q):
     """Map (family, q) to the internal table family; UsageError if invalid."""
+    if family in ("psl2", "sz"):
+        try:
+            p, n = _prime_power(q)
+        except ValueError:
+            p, n = 0, 0
     if family == "psl2":
-        n = _is_power_of(2, q)
-        if n >= 2:
+        if p == 2 and n >= 2:
             return "psl2_even"
-        if q % 8 == 3 and q > 3 and any(_is_power_of(p, q)
-                                        for p in range(3, q + 1, 2)
-                                        if all(p % d for d in range(2, p))):
+        if p > 2 and q % 8 == 3 and q > 3:
             return "psl2_odd"
         raise UsageError(f"q={q} is not in scope for PSL2 "
                          "(need 2^n, n>=2, or a prime power = 3 mod 8)")
     if family == "sz":
-        n = _is_power_of(2, q)
-        if n >= 3 and n % 2 == 1:
+        if p == 2 and n >= 3 and n % 2 == 1:
             return "sz"
         raise UsageError(f"q={q} is not in scope for Sz (need 2^n, odd n>=3)")
     if family == "dihedral":
@@ -379,14 +373,10 @@ def check_numerics(fam, q, cfg):
 
     setting = _prerequisite("orbit graph", presentation)
 
-    def realization():
-        rep = realized()
-        defect = max(rep.character_defect(target), rep.unitarity_defect())
-        return f"degree {rep.degree}, defects within tolerance" \
-            if defect <= tol.character else f"defect {defect:.2e}"
-
+    # realize_irreducible raises ToleranceExceeded on any defect above tol
     record("realization", "realization",
-           f"degree {target.degree}, defects within tolerance", realization)
+           f"degree {target.degree}, defects within tolerance",
+           lambda: f"degree {realized().degree}, defects within tolerance")
 
     def spectral():
         rep, (graph, _) = realized(), setting()
@@ -538,11 +528,11 @@ def build_parser():
     p.add_argument("--q", default=_env_default("Q"), required=_env_default("Q") is None,
                    help="comma-separated list of q values (or n for "
                         "dihedral/cyclic)")
-    p.add_argument("--k", type=int, default=int(_env_default("K", "0")),
+    p.add_argument("--k", type=int, default=_env_default("K", "0"),
                    help="free edge orbits attached at the root")
     p.add_argument("--checks", default=_env_default("CHECKS", ",".join(ALL_CHECKS)),
                    help="comma-separated subset of: " + ", ".join(ALL_CHECKS))
-    p.add_argument("--seed", type=int, default=int(_env_default("SEED", "0")))
+    p.add_argument("--seed", type=int, default=_env_default("SEED", "0"))
     p.add_argument("--tol", action="append", default=None,
                    metavar="NAME=VALUE",
                    help="tolerance override, repeatable "
@@ -552,7 +542,7 @@ def build_parser():
                    choices=["json", "text"])
     p.add_argument("--out", default=_env_default("OUT", ""),
                    help="output path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=int(_env_default("JOBS", "1")))
+    p.add_argument("--jobs", type=int, default=_env_default("JOBS", "1"))
     return p
 
 
@@ -560,7 +550,11 @@ def parse_config(argv=None) -> VerificationConfig:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        qs = [int(x) for x in str(args.q).split(",") if x != ""]
+        try:
+            qs = [int(x) for x in str(args.q).split(",") if x != ""]
+        except ValueError:
+            raise UsageError(f"q must be comma-separated integers, "
+                             f"got {args.q!r}")
         if not qs:
             raise UsageError("no q values given")
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
@@ -572,11 +566,15 @@ def parse_config(argv=None) -> VerificationConfig:
         tol_args = list(args.tol or ([env_tol] if env_tol else []))
         for spec in tol_args:
             name, _, value = spec.partition("=")
-            if not hasattr(tol, name):
+            if name not in {f.name for f in fields(Tolerances)}:
                 raise UsageError(f"unknown tolerance {name!r}")
-            v = float(value)
-            if v <= 0:
-                raise UsageError("tolerances must be positive")
+            try:
+                v = float(value)
+            except ValueError:
+                raise UsageError(f"tolerance {name} needs a number, "
+                                 f"got {value!r}")
+            if not (math.isfinite(v) and v > 0):
+                raise UsageError("tolerances must be finite and positive")
             tol = replace(tol, **{name: v})
         if args.k < 0:
             raise UsageError("k must be >= 0")

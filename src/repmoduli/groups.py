@@ -96,22 +96,6 @@ class SubgroupSpec:
                 "klein4": "V4", "c4": "C4", "trivial": "1"}[self.tag]
 
 
-class SmallGroup:
-    """Minimal ambient-group interface (elements, mul, inv, identity) for
-    generic machinery such as the group-ring engine."""
-
-    def __init__(self, elements, mul, inv, identity):
-        self.elements = list(elements)
-        self.mul = mul
-        self.inv = inv
-        self.identity = identity
-
-
-def cyclic_group_model(n) -> SmallGroup:
-    return SmallGroup(range(n), lambda a, b: (a + b) % n,
-                      lambda a: (-a) % n, 0)
-
-
 class GroupModel:
     """Either an enumerated matrix group or an abstract class-data model."""
 

@@ -303,8 +303,9 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
     mats = {g: s_half @ m @ s_inv for g, m in mats.items()}
 
     rep = UnitaryRep(model, mats, seed)
-    if rep.unitarity_defect() > tol.unitary:
-        raise ToleranceExceeded(f"unitarity {rep.unitarity_defect():.2e}")
+    ud = rep.unitarity_defect()
+    if ud > tol.unitary:
+        raise ToleranceExceeded(f"unitarity {ud:.2e}")
     if rep.homomorphism_defect(rng) > tol.homomorphism:
         raise ToleranceExceeded("homomorphism defect above tolerance")
     cd = rep.character_defect(target)

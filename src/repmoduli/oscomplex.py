@@ -1,6 +1,5 @@
 """Orbit graphs of the fixed-point-free acyclic complexes, the induced
-group presentations, dimension identities, and the supporting exact
-integer-homology / group-ring machinery.
+group presentations and dimension identities.
 
 Graphs come in two flavours sharing one data type: symbolic graphs carry
 only stabilizer specs (enough for the dimension and restriction identities
@@ -482,293 +481,3 @@ def random_kernel_word(pres: BrownPresentation, rng):
         return u + base + word_inverse(u)
     other = path_to_word(pres, random_closed_path(pres.graph, rng))
     return base + other + word_inverse(base) + word_inverse(other)
-
-
-# -- Smith normal form and integer homology -----------------------------------------
-
-def smith_normal_form(mat):
-    """(S, U, V) with M = U S V, U and V unimodular, S in Smith form."""
-    s, u, _, v, _ = _snf_full(mat)
-    return s, u, v
-
-
-def _snf_full(mat):
-    """Returns (S, U, Uinv, V, Vinv) with M = U S V."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    s = [list(row) for row in mat]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    uinv = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-    vinv = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        for r in range(m):
-            u[r][i], u[r][j] = u[r][j], u[r][i]
-        uinv[i], uinv[j] = uinv[j], uinv[i]
-
-    def row_add(i, j, k):
-        # row_i += k * row_j
-        si, sj = s[i], s[j]
-        for c in range(n):
-            si[c] += k * sj[c]
-        for r in range(m):
-            u[r][j] -= k * u[r][i]
-        ui, uj = uinv[i], uinv[j]
-        for c in range(m):
-            ui[c] += k * uj[c]
-
-    def row_neg(i):
-        s[i] = [-x for x in s[i]]
-        for r in range(m):
-            u[r][i] = -u[r][i]
-        uinv[i] = [-x for x in uinv[i]]
-
-    def col_swap(i, j):
-        for r in range(m):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        v[i], v[j] = v[j], v[i]
-        for r in range(n):
-            vinv[r][i], vinv[r][j] = vinv[r][j], vinv[r][i]
-
-    def col_add(i, j, k):
-        # col_j += k * col_i
-        for r in range(m):
-            s[r][j] += k * s[r][i]
-        vi, vj = v[i], v[j]
-        for c in range(n):
-            vi[c] -= k * vj[c]
-        for r in range(n):
-            vinv[r][j] += k * vinv[r][i]
-
-    t = 0
-    while t < min(m, n):
-        # pivot: smallest nonzero absolute value in the remaining block
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] and (pivot is None or
-                                abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-        dirty = False
-        for i in range(t + 1, m):
-            if s[i][t]:
-                k = s[i][t] // s[t][t]
-                row_add(i, t, -k)
-                dirty = dirty or s[i][t] != 0
-        for j in range(t + 1, n):
-            if s[t][j]:
-                k = s[t][j] // s[t][t]
-                col_add(t, j, -k)
-                dirty = dirty or s[t][j] != 0
-        if dirty:
-            continue
-        # enforce the divisibility chain
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if s[i][j] % s[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_add(t, bad, 1)
-            continue
-        if s[t][t] < 0:
-            row_neg(t)
-        t += 1
-    return s, u, uinv, v, vinv
-
-
-def snf_diagonal(mat):
-    s, _, _ = smith_normal_form(mat)
-    return [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))
-            if s[i][i]]
-
-
-class IntChainComplex:
-    """Two integer boundary matrices d2: C2 -> C1 and d1: C1 -> C0."""
-
-    def __init__(self, d2, d1):
-        self.d2 = [list(r) for r in d2]
-        self.d1 = [list(r) for r in d1]
-        self.dim0 = len(self.d1)
-        self.dim1 = len(self.d1[0]) if self.d1 else len(self.d2)
-        self.dim2 = len(self.d2[0]) if self.d2 else 0
-        if self.d2 and len(self.d2) != self.dim1:
-            raise ValueError("d2 row count must equal dim C1")
-        comp = _mat_mul_int(self.d1, self.d2)
-        if any(any(row) for row in comp):
-            raise ValueError("d1 . d2 != 0: not a chain complex")
-
-    def homology(self):
-        """{degree: (betti, [torsion invariant factors > 1])}."""
-        inv1 = snf_diagonal(self.d1) if self.dim0 and self.dim1 else []
-        inv2 = snf_diagonal(self.d2) if self.dim1 and self.dim2 else []
-        r1, r2 = len(inv1), len(inv2)
-        return {
-            0: (self.dim0 - r1, [d for d in inv1 if d > 1]),
-            1: (self.dim1 - r1 - r2, [d for d in inv2 if d > 1]),
-            2: (self.dim2 - r2, []),
-        }
-
-
-def _mat_mul_int(a, b):
-    if not a or not b:
-        return []
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += x * bk[j]
-    return out
-
-
-# -- group ring --------------------------------------------------------------------
-
-class GroupRingElement:
-    """Integer group-ring element over an enumerated model."""
-
-    __slots__ = ("model", "coeffs")
-
-    def __init__(self, model, coeffs=None):
-        self.model = model
-        self.coeffs = {g: c for g, c in (coeffs or {}).items() if c}
-
-    @staticmethod
-    def unit(model, g=None, c=1):
-        return GroupRingElement(model, {model.identity if g is None else g: c})
-
-    @staticmethod
-    def norm(model, sub: SubgroupSpec):
-        """N(H) = sum of the elements of H."""
-        return GroupRingElement(model, {g: 1 for g in sub.elements})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for g, c in other.coeffs.items():
-            out[g] = out.get(g, 0) + c
-        return GroupRingElement(self.model, out)
-
-    def __neg__(self):
-        return GroupRingElement(self.model,
-                                {g: -c for g, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(
-                self.model, {g: c * other for g, c in self.coeffs.items()})
-        out = {}
-        mul = self.model.mul
-        for g, c in self.coeffs.items():
-            for h, d in other.coeffs.items():
-                k = mul(g, h)
-                out[k] = out.get(k, 0) + c * d
-        return GroupRingElement(self.model, out)
-
-    __rmul__ = __mul__
-
-    def bar(self):
-        """The involution sum c_g g -> sum c_g g^(-1) (an anti-automorphism)."""
-        inv = self.model.inv
-        return GroupRingElement(self.model,
-                                {inv(g): c for g, c in self.coeffs.items()})
-
-    def augmentation(self):
-        return sum(self.coeffs.values())
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and \
-            self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"GroupRingElement({len(self.coeffs)} terms)"
-
-
-SOLVE_ENTRY_BOUND = 200_000
-
-
-def solve_group_ring(model, targets, rhs=None):
-    """Solve sum_e s_e N(G_e) x_e = rhs (default 1) for x_e in Z[G].
-
-    `targets` is a list of (s_e, sub_e) pairs. Returns the list of x_e, or
-    None when the integer system is infeasible.  The unknown for each edge
-    ranges over right-coset representatives of G_e, since N(G_e) x only
-    depends on cosets.
-    """
-    if rhs is None:
-        rhs = GroupRingElement.unit(model)
-    elements = model.elements
-    index = {g: i for i, g in enumerate(elements)}
-    ng = len(elements)
-    columns = []
-    col_meta = []
-    total_entries = 0
-    for ti, (s_e, sub) in enumerate(targets):
-        f = s_e * GroupRingElement.norm(model, sub)
-        seen = set()
-        subset = sub.elements
-        for h in elements:
-            coset = min(index[model.mul(g, h)] for g in subset)
-            if coset in seen:
-                continue
-            seen.add(coset)
-            fh = f * GroupRingElement.unit(model, h)
-            vec = [0] * ng
-            for g, c in fh.coeffs.items():
-                vec[index[g]] = c
-            columns.append(vec)
-            col_meta.append((ti, h))
-        total_entries += ng * len(seen)
-        if total_entries > SOLVE_ENTRY_BOUND:
-            raise SizeBound(f"group-ring system beyond {SOLVE_ENTRY_BOUND} "
-                            "entries")
-    mat = [[columns[c][r] for c in range(len(columns))] for r in range(ng)]
-    b = [0] * ng
-    for g, c in rhs.coeffs.items():
-        b[index[g]] = c
-    s, _, uinv, _, vinv = _snf_full(mat)
-    tb = [sum(uinv[i][j] * b[j] for j in range(ng)) for i in range(ng)]
-    ncols = len(columns)
-    y = [0] * ncols
-    for i in range(ng):
-        d = s[i][i] if i < min(ng, ncols) else 0
-        if d:
-            if tb[i] % d:
-                return None
-            y[i] = tb[i] // d
-        elif tb[i]:
-            return None
-    x = [sum(vinv[r][i] * y[i] for i in range(ncols)) for r in range(ncols)]
-    out = [GroupRingElement(model) for _ in targets]
-    for c, (ti, h) in enumerate(col_meta):
-        if x[c]:
-            out[ti] = out[ti] + GroupRingElement.unit(model, h, x[c])
-    check = GroupRingElement(model)
-    for (s_e, sub), xe in zip(targets, out):
-        check = check + s_e * GroupRingElement.norm(model, sub) * xe
-    if check != rhs:
-        raise ArithmeticError("solver produced a non-solution")
-    return out
-
-
-class SizeBound(ValueError):
-    pass

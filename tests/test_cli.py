@@ -20,23 +20,32 @@ def test_classify_q():
     assert classify_q("psl2", 32) == "psl2_even"
     assert classify_q("psl2", 11) == "psl2_odd"
     assert classify_q("psl2", 27) == "psl2_odd"
+    assert classify_q("psl2", 243) == "psl2_odd"
     assert classify_q("sz", 8) == "sz"
+    assert classify_q("sz", 2048) == "sz"
     assert classify_q("dihedral", 9) == "dihedral"
-    for fam, q in [("psl2", 6), ("psl2", 7), ("psl2", 2), ("sz", 16),
-                   ("sz", 4), ("dihedral", 8), ("cyclic", 0)]:
+    for fam, q in [("psl2", 6), ("psl2", 7), ("psl2", 2), ("psl2", 1),
+                   ("psl2", 9), ("psl2", 121), ("psl2", -5), ("sz", 16),
+                   ("sz", 4), ("sz", 64), ("dihedral", 8), ("cyclic", 0)]:
         with pytest.raises(UsageError):
             classify_q(fam, q)
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(monkeypatch):
+    for extra in (["--q", "6"], ["--q", "abc"],
+                  ["--q", "4", "--checks", "bogus"],
+                  ["--q", "4", "--tol", "unitary=-1"],
+                  ["--q", "4", "--tol", "unitary=nan"],
+                  ["--q", "4", "--tol", "unitary=inf"],
+                  ["--q", "4", "--tol", "character=abc"],
+                  ["--q", "4", "--tol", "character"],
+                  ["--q", "4", "--tol", "__init__=1"]):
+        with pytest.raises(SystemExit) as e:
+            parse_config(["--family", "psl2"] + extra)
+        assert e.value.code == 2, extra
+    monkeypatch.setenv("REPMODULI_K", "x")
     with pytest.raises(SystemExit) as e:
-        parse_config(["--family", "psl2", "--q", "6"])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        parse_config(["--family", "psl2", "--q", "4", "--checks", "bogus"])
-    assert e.value.code == 2
-    with pytest.raises(SystemExit) as e:
-        parse_config(["--family", "psl2", "--q", "4", "--tol", "unitary=-1"])
+        parse_config(["--family", "psl2", "--q", "4"])
     assert e.value.code == 2
 
 
@@ -84,11 +93,13 @@ def test_report_schema_and_determinism(tmp_path):
 
 
 def test_failing_tolerance_gives_exit_1(capsys):
-    rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
-               "--tol", "character=1e-30", "--format", "text"])
-    assert rc == 1
-    out = capsys.readouterr().out
-    assert "FAIL" in out
+    for tol in ("character=1e-30", "unitary=1e-30"):
+        rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
+                   "--tol", tol, "--format", "text"])
+        assert rc == 1
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if " numerics/psl2_even-q4/realization " in ln]
+        assert line.startswith("FAIL ") and "ToleranceExceeded" in line, tol
 
 
 def test_text_format_one_line_per_record(capsys):

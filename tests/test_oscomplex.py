@@ -6,13 +6,12 @@ from repmoduli.chars import (
     rho0_character, table_psl2_even, table_psl2_odd, table_suzuki,
 )
 from repmoduli.groups import (
-    IDENTITY, ClassLabel, SubgroupSpec, cyclic_group_model, psl2_model,
+    IDENTITY, ClassLabel, psl2_model,
 )
 from repmoduli.oscomplex import (
-    GroupRingElement, IntChainComplex, brown_presentation, build_orbit_graph,
-    moduli_dimension_report, path_to_word, euler_identity,
-    random_closed_path, random_kernel_word, random_word, smith_normal_form,
-    snf_diagonal, solve_group_ring, validate_graph, word_inverse,
+    brown_presentation, build_orbit_graph, moduli_dimension_report,
+    path_to_word, euler_identity, random_closed_path, random_kernel_word,
+    random_word, validate_graph, word_inverse,
 )
 
 
@@ -212,99 +211,6 @@ def test_closed_paths_match_reference(fam, q, k):
                 _closed_path_reference(g, ref_rng)
 
 
-def test_smith_normal_form_reconstruction():
-    rng = random.Random(23)
-    for _ in range(25):
-        rows = rng.randrange(1, 6)
-        cols = rng.randrange(1, 8)
-        mat = [[rng.randrange(-9, 10) for _ in range(cols)]
-               for _ in range(rows)]
-        s, u, v = smith_normal_form(mat)
-        prod = [[sum(u[i][k] * s[k][j] for k in range(rows))
-                 for j in range(cols)] for i in range(rows)]
-        prod = [[sum(prod[i][k] * v[k][j] for k in range(cols))
-                 for j in range(cols)] for i in range(rows)]
-        assert prod == mat
-        diag = [s[i][i] for i in range(min(rows, cols))]
-        for a, b in zip(diag, diag[1:]):
-            if b:
-                assert a != 0 and b % a == 0
-        for i in range(rows):
-            for j in range(cols):
-                if i != j:
-                    assert s[i][j] == 0
-
-
-def test_snf_zero_matrix():
-    s, u, v = smith_normal_form([[0, 0], [0, 0]])
-    assert s == [[0, 0], [0, 0]]
-    assert snf_diagonal([[0, 0], [0, 0]]) == []
-
-
-def test_rp2_homology():
-    c = IntChainComplex([[2]], [[0]])
-    assert c.homology() == {0: (1, []), 1: (0, [2]), 2: (0, [])}
-
-
-def test_chain_complex_rejects_nonzero_composition():
-    with pytest.raises(ValueError):
-        IntChainComplex([[1]], [[1]])
-
-
-def test_group_ring_bar_and_norm():
-    m = psl2_model(4)
-    rng = random.Random(2)
-    for _ in range(20):
-        x = GroupRingElement(m, {rng.choice(m.elements): rng.randrange(-3, 4)
-                                 for _ in range(3)})
-        y = GroupRingElement(m, {rng.choice(m.elements): rng.randrange(-3, 4)
-                                 for _ in range(3)})
-        assert (x * y).bar() == y.bar() * x.bar()
-        assert (x + y).bar() == x.bar() + y.bar()
-        assert x.bar().bar() == x
-    from repmoduli.groups import build_subgroup
-    h = build_subgroup(m, "cyclic", 2)
-    n = GroupRingElement.norm(m, h)
-    assert n.bar() == n and n.augmentation() == 2
-
-
-def test_solve_group_ring_examples():
-    c2 = cyclic_group_model(2)
-    triv = SubgroupSpec("trivial", 0, 1, (0,))
-    full = SubgroupSpec("cyclic", 2, 2, (0, 1))
-    one = GroupRingElement.unit(c2)
-
-    sol = solve_group_ring(c2, [(one, triv)])
-    assert sol[0].coeffs == {0: 1}
-
-    assert solve_group_ring(c2, [(one, full)]) is None  # parity obstruction
-
-    sol = solve_group_ring(c2, [(one, triv), (one, full)])
-    assert sol is not None
-    total = sol[0] * GroupRingElement.norm(c2, triv) + \
-        sol[1] * GroupRingElement.norm(c2, full)
-    # solver already asserts correctness; re-check the defining identity
-    lhs = (one * GroupRingElement.norm(c2, triv) * sol[0]) + \
-        (one * GroupRingElement.norm(c2, full) * sol[1])
-    assert lhs == one
-
-
-def test_solve_group_ring_random_solvable():
-    rng = random.Random(7)
-    c6 = cyclic_group_model(6)
-    triv = SubgroupSpec("trivial", 0, 1, (0,))
-    sub3 = SubgroupSpec("cyclic", 3, 3, (0, 2, 4))
-    s1 = GroupRingElement(c6, {rng.randrange(6): 1, rng.randrange(6): -2})
-    targets = [(s1, triv), (GroupRingElement.unit(c6), sub3)]
-    # build a right-hand side that is a known combination
-    x1 = GroupRingElement(c6, {1: 3, 5: -1})
-    x2 = GroupRingElement(c6, {0: 2})
-    rhs = s1 * GroupRingElement.norm(c6, triv) * x1 + \
-        GroupRingElement.unit(c6) * GroupRingElement.norm(c6, sub3) * x2
-    sol = solve_group_ring(c6, targets, rhs=rhs)
-    assert sol is not None  # internal assertion re-verifies the identity
-
-
 def test_euler_identity_wider_spot():
     from repmoduli.chars import table_psl2_odd, table_suzuki
     for fam, q, table in [("psl2_odd", 43, table_psl2_odd(43)),
@@ -317,36 +223,3 @@ def test_euler_identity_wider_spot():
             for j in picks:
                 assert eq[i][j], (fam, chars[i].name)
 
-
-def _det_int(mat):
-    # fraction-free Bareiss determinant over Z
-    n = len(mat)
-    a = [row[:] for row in mat]
-    prev = 1
-    sign = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
-def test_snf_transformations_unimodular():
-    rng = random.Random(5)
-    for _ in range(15):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        mat = [[rng.randrange(-6, 7) for _ in range(cols)]
-               for _ in range(rows)]
-        s, u, v = smith_normal_form(mat)
-        assert abs(_det_int(u)) == 1
-        assert abs(_det_int(v)) == 1
