@@ -69,7 +69,13 @@ def _rat(c):
 
 
 def _pair(n, a, c=1):
-    """c (zeta_n^a + zeta_n^-a), stored."""
+    """c (zeta_n^a + zeta_n^-a), stored; one shared value per n, a mod n
+    and c, since stored values are immutable."""
+    return _pair_mod(n, a % n, c)
+
+
+@lru_cache(maxsize=None)
+def _pair_mod(n, a, c):
     return pack_terms(n, ((a, c), (-a, c)))
 
 
@@ -149,33 +155,41 @@ _CHUNK = 1 << 14        # entries per temporary array in `gram`
 def _flatten(rows, cols):
     """The terms of packed rows on the given columns, over one common
     denominator: (den, conductor per column, largest l1 norm of a value per
-    column, (row, column, order, exponent, numerator) arrays)."""
-    den = lcm(*{row[x][3] for row in rows for x in cols
-                if row[x] is not None})
+    column, (row, column, order, exponent, numerator) arrays).  Each
+    distinct stored value object is unpacked once and the cells index it,
+    so a value that a table builder shares between cells is unpacked once."""
+    cells = [row[x] for row in rows for x in cols]
+    ids = list(map(id, cells))
+    values = dict(zip(ids, cells))
+    where = {k: i for i, k in enumerate(values)}
+    den = lcm(*{p[3] for p in values.values() if p is not None})
+    orders, counts, norms, exps, nums = [], [], [], [], []
+    for p in values.values():
+        order, ks, ns, d, l1 = p or (1, (), (), den, 0)    # None: no terms
+        f = den // d
+        orders.append(order)
+        counts.append(len(ks))
+        norms.append(l1 * f)
+        exps += ks
+        nums += ns if f == 1 else [n * f for n in ns]
+    v = np.array(list(map(where.__getitem__, ids)), dtype=np.int64)
+    order = np.array(orders, dtype=np.int64)[v]
+    col = np.tile(np.arange(len(cols)), len(rows))
     cond = [1] * len(cols)
-    norm = [0] * len(cols)
-    terms = ([], [], [], [], [])
-    rs, cs, os_, ks, ns = terms
-    for i, row in enumerate(rows):
-        for c, x in enumerate(cols):
-            p = row[x]
-            if p is None:
-                continue
-            order, exps, nums, d, l1 = p
-            if d != den:
-                nums = [n * (den // d) for n in nums]
-                l1 *= den // d
-            t = len(exps)
-            rs += [i] * t
-            cs += [c] * t
-            os_ += [order] * t
-            ks += exps
-            ns += nums
-            norm[c] = max(norm[c], l1)
-            if cond[c] % order:
-                cond[c] = lcm(cond[c], order)
-    ints = [np.array(t, dtype=np.int64) for t in terms[:4]]
-    return den, cond, norm, (*ints, np.array(ns, dtype=object))
+    for c, o in set(zip(col.tolist(), order.tolist())):
+        cond[c] = lcm(cond[c], o)
+    norm = np.array(norms, dtype=object)[v].reshape(
+        len(rows), len(cols)).max(axis=0, initial=0).tolist()
+    counts = np.array(counts, dtype=np.int64)
+    t = counts[v]
+    ends = np.cumsum(t)
+    idx = np.repeat((np.cumsum(counts) - counts)[v] - ends + t, t) + \
+        np.arange(int(ends[-1]) if len(ends) else 0)
+    return den, cond, norm, (
+        np.repeat(np.arange(len(rows)), len(cols)).repeat(t),
+        col.repeat(t), order.repeat(t),
+        np.array(exps, dtype=np.int64)[idx],
+        np.array(nums, dtype=object)[idx])
 
 
 def _fan_reduce(acc, shape, fs):
@@ -245,36 +259,47 @@ def _group_terms(terms, in_group, m, dtype):
 
 def _add_group(total, a, b, weight, m):
     """Add to `total` the partial Gram over one conductor-m group of terms,
-    in chunks of rows of `total` that keep temporaries near _CHUNK."""
+    in chunks of rows of `total` that keep temporaries near _CHUNK.
+
+    The b-side is sorted by column once, so the partners of an a-term are
+    one contiguous run of it.  Every per-term array is prepared once, and a
+    chunk's pairs are np.repeat expansions of its contiguous slice of
+    a-terms plus one gather from the b-side."""
     ra, ca, ea, na = a
     rb, cb, eb, nb = b
     n_a, n_b = total.shape
     shape, fs, perm = _dense_data(m)
+    perm = np.concatenate((perm, perm))     # read at ea - eb + m in [1, 2m)
     by_col = np.argsort(cb, kind="stable")
+    slot_b, eb, nb = rb[by_col] * m, eb[by_col], nb[by_col]
     count_b = np.bincount(cb, minlength=len(weight))
-    start_b = np.cumsum(count_b) - count_b
     partners = count_b[ca]
-    per_row = np.zeros(n_a, dtype=np.int64)
-    np.add.at(per_row, ra, partners)
+    ends = np.cumsum(partners)
+    first = np.concatenate(([0], ends))     # first pair of each a-term
+    # b-side index of a pair = offset[a-term] + pair number
+    offset = (np.cumsum(count_b) - count_b)[ca] - first[:-1]
+    wa = na * weight[ca]
+    per_row = np.bincount(ra, weights=partners, minlength=n_a)
     step = max(1, _CHUNK // max(n_b * m, int(per_row.max())))
-    for i0 in range(0, n_a, step):
-        lo, hi = np.searchsorted(ra, (i0, i0 + step))
-        reps = partners[lo:hi]
-        ia = np.repeat(np.arange(lo, hi), reps)
-        if not len(ia):
+    slot_a = ra % step * (n_b * m)
+    ea = ea + m
+    bounds = np.searchsorted(ra, range(0, n_a + step, step)).tolist()
+    for i0, lo, hi in zip(range(0, n_a, step), bounds, bounds[1:]):
+        p0, p1 = first[lo], first[hi]
+        if p0 == p1:
             continue
-        first = np.repeat(np.cumsum(reps) - reps, reps)
-        ib = by_col[start_b[ca[ia]] + np.arange(len(ia)) - first]
+        reps = partners[lo:hi]
+        ib = np.repeat(offset[lo:hi], reps) + np.arange(p0, p1)
         n_rows = min(step, n_a - i0)
         acc = np.zeros(n_rows * n_b * m, dtype=weight.dtype)
-        slot = (ra[ia] - i0) * n_b + rb[ib]
-        np.add.at(acc, slot * m + perm[(ea[ia] - eb[ib]) % m],
-                  na[ia] * nb[ib] * weight[ca[ia]])
+        slot = np.repeat(slot_a[lo:hi], reps) + slot_b[ib]
+        slot += perm[np.repeat(ea[lo:hi], reps) - eb[ib]]
+        np.add.at(acc, slot, np.repeat(wa[lo:hi], reps) * nb[ib])
         acc = acc.reshape(n_rows * n_b, m)
         _fan_reduce(acc, shape, fs)
-        bad = np.flatnonzero((acc[:, 1:] != 0).any(axis=1))
-        if len(bad):
-            i, j = divmod(int(bad[0]), n_b)
+        if acc[:, 1:].any():
+            i, j = divmod(int(np.flatnonzero(acc[:, 1:].any(axis=1))[0]),
+                          n_b)
             raise TableMismatch(
                 f"Gram entry ({i0 + i},{j}) is not rational: its part over "
                 f"the columns of conductor {m} is irrational")
@@ -330,26 +355,33 @@ def fusion_for(table: CharacterTable, sub: SubgroupSpec):
 def check_row_orthogonality(table):
     """<chi_i, chi_j> = delta_ij for all pairs; raises on the first failure."""
     rows = [c.packed for c in table.chars]
-    g = gram(rows, rows, table.sizes)
-    for i, chi in enumerate(table.chars):
-        for j, psi in enumerate(table.chars):
-            if g[i][j] != (table.order if i == j else 0):
-                raise TableMismatch(
-                    f"<{chi.name},{psi.name}> = {g[i][j] / table.order}, "
-                    f"expected {int(i == j)}")
+    g, den = _gram(rows, rows, table.sizes)
+    expect = np.zeros(g.shape, dtype=object)
+    np.fill_diagonal(expect, table.order * den)
+    bad = np.argwhere(g != expect)
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise TableMismatch(
+            f"<{table.chars[i].name},{table.chars[j].name}> = "
+            f"{Fraction(g[i, j], den * table.order)}, expected {int(i == j)}")
     return True
 
 
 def check_column_orthogonality(table):
     """sum_chi chi(x) conj(chi(y)) = delta_xy |C(x)| for all class pairs."""
     cols = list(zip(*(c.packed for c in table.chars)))
-    g = gram(cols, cols, [1] * len(table.chars))
-    for i, x in enumerate(table.labels):
-        for j, y in enumerate(table.labels):
-            expect = Fraction(table.order, table.sizes[i]) if i == j else 0
-            if g[i][j] != expect:
-                raise TableMismatch(
-                    f"column pair ({x},{y}): {g[i][j]} != {expect}")
+    g, den = _gram(cols, cols, [1] * len(table.chars))
+    # |x| G[x][y] against delta_xy |G| den, all in integers
+    sized = g * np.array(table.sizes, dtype=object)[:, None]
+    expect = np.zeros(g.shape, dtype=object)
+    np.fill_diagonal(expect, table.order * den)
+    bad = np.argwhere(sized != expect)
+    if len(bad):
+        i, j = bad[0].tolist()
+        x, y = table.labels[i], table.labels[j]
+        expected = Fraction(table.order, table.sizes[i]) if i == j else 0
+        raise TableMismatch(
+            f"column pair ({x},{y}): {Fraction(g[i, j], den)} != {expected}")
     return True
 
 
@@ -610,7 +642,8 @@ def multiplicity_check(chi, restriction: Restriction, lam) -> int:
 
 @dataclass
 class ThetaSet:
-    """A subset of the irreducibles of a subgroup table."""
+    """A subset of the irreducibles of a subgroup table, with one Gram from
+    which d(chi, Theta') is read for every subset Theta' of it."""
     restriction: Restriction
     names: tuple
 
@@ -618,26 +651,33 @@ class ThetaSet:
         for name in self.names:
             if name not in self.restriction.table.by_name:
                 raise TableMismatch(f"{name} is not a character of the subgroup")
-        # <Res chi, lam>_H for every irreducible chi of the ambient group and
-        # every lam in the set, as one Gram; d_theta reads its row sums
-        # weighted by the degrees lam(1)
+        # <Res chi, lam>_H |H| den, weighted by the degree lam(1), for every
+        # irreducible chi of the ambient group and every lam in the set
         r = self.restriction
         lams = self.characters()
         g, den = _gram([r.restrict(chi) for chi in r.ambient.chars],
                        [lam.packed for lam in lams], r.table.sizes)
-        dims = g.dot(np.array([lam.degree for lam in lams], dtype=object))
-        self._dims = {chi.name: Fraction(int(d), den * r.table.order)
-                      for chi, d in zip(r.ambient.chars, dims)}
+        degrees = [lam.degree for lam in lams]
+        self._rows = {chi.name: {name: x * d for name, x, d in
+                                 zip(self.names, row, degrees)}
+                      for chi, row in zip(r.ambient.chars, g.tolist())}
+        self._den = den * r.table.order
 
     def characters(self):
         return [self.restriction.table.by_name[n] for n in self.names]
 
 
-def d_theta(chi, theta: ThetaSet) -> int:
-    """Total dimension of the restriction factors with characters in Theta."""
+def d_theta(chi, theta: ThetaSet, names=None) -> int:
+    """Total dimension of the restriction factors with characters in Theta,
+    or in its subset `names`."""
     if chi.table is not theta.restriction.ambient:
         raise TableMismatch("character/table mismatch in restriction")
-    total = theta._dims[chi.name]
+    row = theta._rows[chi.name]
+    try:
+        total = Fraction(sum(row[n] for n in (
+            theta.names if names is None else names)), theta._den)
+    except KeyError as e:
+        raise TableMismatch(f"{e.args[0]} is not in {theta.names}") from None
     if total.denominator != 1 or total < 0:
         raise NonIntegralDimension(f"d(rho, Theta) = {total}")
     return int(total)
@@ -718,10 +758,10 @@ def theta_balance(n):
     """
     table = table_dihedral_odd(2 * n)
     h1, h2 = dihedral_theta_restrictions(table)
-    theta1 = ThetaSet(h1, tuple(f"mu_{k}" for k in range(1, (n - 1) // 2 + 1)))
-    theta1_full = ThetaSet(h1, ("mu_0",) + theta1.names)
+    theta1 = tuple(f"mu_{k}" for k in range(1, (n - 1) // 2 + 1))
+    theta1_full = ThetaSet(h1, ("mu_0",) + theta1)
     theta2 = ThetaSet(h2, ("mu_0",))
-    part1 = all(d_theta(c, theta1) == d_theta(c, theta2)
+    part1 = all(d_theta(c, theta1_full, theta1) == d_theta(c, theta2)
                 for c in table.chars if c.name != "psi_1")
     part2 = all(d_theta(c, theta1_full) == d_theta(c, theta2)
                 for c in table.chars if c.name != "psi_2")

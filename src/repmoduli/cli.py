@@ -429,7 +429,7 @@ def check_numerics(fam, q, cfg):
                 w = random_word(pres, rng, 6)
                 d = np.max(np.abs(rho_tau_eval(pres, rep, tau, w) -
                                   rho_tau_eval(pres, rep, moved, w)))
-                worst = max(worst, float(d))
+                worst = np.maximum(worst, d)
         return "within tolerance" if worst <= tol.moduli_word \
             else f"defect {worst:.2e}"
 
@@ -442,7 +442,7 @@ def check_numerics(fam, q, cfg):
         for _ in range(100):
             w = random_kernel_word(pres, rng)
             d = np.max(np.abs(rho_tau_eval(pres, rep, one, w) - eye))
-            universal = max(universal, float(d))
+            universal = np.maximum(universal, d)
         return "within tolerance" if universal <= tol.universal \
             else f"defect {universal:.2e}"
 
@@ -455,7 +455,7 @@ def check_numerics(fam, q, cfg):
             f, fd, err = word_differential_check(pres, rep, legs,
                                                  seed=seed + i, tol=tol)
             rel = err / (1 + float(np.max(np.abs(f))))
-            worst_rel = max(worst_rel, rel)
+            worst_rel = np.maximum(worst_rel, rel)
         return "within tolerance" if worst_rel <= tol.jacobian_rel \
             else f"relative error {worst_rel:.2e}"
 

@@ -68,11 +68,16 @@ def _mnorm(a):
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def _above(x, tol):
+    """x > tol, and also true for a NaN x, so that a NaN fails its check."""
+    return not x <= tol
+
+
 def expm(a, tol: Tolerances = TOL):
     """exp(a) for a skew-Hermitian a, as V diag(e^{iw}) V^H from the
     eigenpairs (w, V) of the Hermitian -1j a.  Raises ValueError when a is
     not skew-Hermitian within tol.unitary."""
-    if _mnorm(a + a.conj().T) > tol.unitary:
+    if _above(_mnorm(a + a.conj().T), tol.unitary):
         raise ValueError("expm needs a skew-Hermitian matrix")
     w, v = np.linalg.eigh(-1j * a)
     return (v * np.exp(1j * w)) @ v.conj().T
@@ -94,27 +99,25 @@ class UnitaryRep:
         els = self.model.elements
         if rng is None:
             rng = np.random.default_rng(0)
-        worst = 0.0
+        worst = []
         for _ in range(samples):
             g = els[rng.integers(len(els))]
             h = els[rng.integers(len(els))]
-            d = _mnorm(self.mat(g) @ self.mat(h) - self.mat(self.model.mul(g, h)))
-            worst = max(worst, d)
-        return worst
+            worst.append(_mnorm(self.mat(g) @ self.mat(h) -
+                                self.mat(self.model.mul(g, h))))
+        return float(np.max(worst))
 
     def unitarity_defect(self):
         eye = np.eye(self.degree)
-        return max(_mnorm(m @ m.conj().T - eye) for m in self.mats.values())
+        return float(np.max([_mnorm(m @ m.conj().T - eye)
+                             for m in self.mats.values()]))
 
     def character_defect(self, target: Character):
         """Worst trace deviation from the exact character, over all elements."""
         exact = {lab: complex(target.value_at(lab).to_complex())
                  for lab in self.model.class_labels}
-        worst = 0.0
-        for g, m in self.mats.items():
-            worst = max(worst,
-                        abs(np.trace(m) - exact[self.model.class_of[g]]))
-        return worst
+        return float(np.max([abs(np.trace(m) - exact[self.model.class_of[g]])
+                             for g, m in self.mats.items()]))
 
 
 def _left_cosets(model, gen):
@@ -304,12 +307,12 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
 
     rep = UnitaryRep(model, mats, seed)
     ud = rep.unitarity_defect()
-    if ud > tol.unitary:
+    if _above(ud, tol.unitary):
         raise ToleranceExceeded(f"unitarity {ud:.2e}")
-    if rep.homomorphism_defect(rng) > tol.homomorphism:
+    if _above(rep.homomorphism_defect(rng), tol.homomorphism):
         raise ToleranceExceeded("homomorphism defect above tolerance")
     cd = rep.character_defect(target)
-    if cd > tol.character:
+    if _above(cd, tol.character):
         raise ToleranceExceeded(f"character defect {cd:.2e}")
     return rep
 
@@ -320,7 +323,7 @@ def intertwiner(r1: UnitaryRep, r2: UnitaryRep, seed=0,
     if r1.model is not r2.model or r1.degree != r2.degree:
         raise NotIsomorphic("shape mismatch")
     for g in r1.model.class_reps.values():
-        if abs(np.trace(r1.mat(g)) - np.trace(r2.mat(g))) > 1e-6:
+        if _above(abs(np.trace(r1.mat(g)) - np.trace(r2.mat(g))), 1e-6):
             raise NotIsomorphic("characters differ")
     rng = np.random.default_rng(seed)
     d = r1.degree
@@ -334,11 +337,11 @@ def intertwiner(r1: UnitaryRep, r2: UnitaryRep, seed=0,
         if s_svd[-1] < 1e-6 * max(s_svd[0], 1e-300):
             continue
         u = u_svd @ vh_svd
-        worst = max(_mnorm(u @ r1.mat(g) @ u.conj().T - r2.mat(g))
-                    for g in r1.model.elements)
-        if worst > tol.intertwine:
+        worst = float(np.max([_mnorm(u @ r1.mat(g) @ u.conj().T - r2.mat(g))
+                              for g in r1.model.elements]))
+        if _above(worst, tol.intertwine):
             raise ToleranceExceeded(f"intertwining defect {worst:.2e}")
-        if _mnorm(u @ u.conj().T - np.eye(d)) > tol.intertwine_unitary:
+        if _above(_mnorm(u @ u.conj().T - np.eye(d)), tol.intertwine_unitary):
             raise ToleranceExceeded("intertwiner not unitary enough")
         return u
     raise SingularAveraging("averaging stayed singular after 8 attempts")
@@ -375,8 +378,8 @@ def spectral_split(rep: UnitaryRep, g, tol: Tolerances = TOL):
     off = diag - np.diag(np.diag(diag))
     target = np.concatenate([np.full(r, np.exp(2j * np.pi * j / n))
                              for j, r in mults.items()])
-    if _mnorm(off) > tol.spectral or \
-            float(np.max(np.abs(np.diag(diag) - target))) > tol.spectral:
+    if _above(_mnorm(off), tol.spectral) or \
+            _above(_mnorm(np.diag(diag) - target), tol.spectral):
         raise ToleranceExceeded("eigenvalues not within spectral tolerance")
     return u, mults
 
@@ -458,10 +461,11 @@ class ModuliPoint:
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
         eye = np.eye(next(iter(self.mats.values())).shape[0])
         for ei, t in self.mats.items():
-            if _mnorm(t @ t.conj().T - eye) > tol.action:
+            if _above(_mnorm(t @ t.conj().T - eye), tol.action):
                 raise ToleranceExceeded(f"tau_{ei} not unitary")
             for g in self.graph.edges[ei].sub.elements:
-                if _mnorm(t @ rho0.mat(g) - rho0.mat(g) @ t) > tol.action:
+                r = rho0.mat(g)
+                if _above(_mnorm(t @ r - r @ t), tol.action):
                     raise ToleranceExceeded(
                         f"tau_{ei} leaves the stabilizer commutant")
         return True
@@ -475,14 +479,15 @@ class HPoint:
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
         root = self.graph.root
         eye = np.eye(rho0.degree)
-        if _mnorm(self.mats[root] - eye) > tol.action:
+        if _above(_mnorm(self.mats[root] - eye), tol.action):
             raise ToleranceExceeded("alpha at the root vertex must be 1")
         for vi, v in enumerate(self.graph.vertices):
             a = self.mats[vi]
-            if _mnorm(a @ a.conj().T - eye) > tol.action:
+            if _above(_mnorm(a @ a.conj().T - eye), tol.action):
                 raise ToleranceExceeded(f"alpha_{vi} not unitary")
             for g in v.sub.elements:
-                if _mnorm(a @ rho0.mat(g) - rho0.mat(g) @ a) > tol.action:
+                r = rho0.mat(g)
+                if _above(_mnorm(a @ r - r @ a), tol.action):
                     raise ToleranceExceeded(
                         f"alpha_{vi} leaves the vertex commutant")
         return True

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import repmoduli.chars as chars
 from repmoduli.chars import (
     CharacterTable, NonIntegralDimension, Restriction, TableMismatch,
     ThetaSet, c2_restriction, c4_in_sz_restriction, centralizer_dim,
@@ -85,7 +86,9 @@ def _reference_gram(rows_a, rows_b, weights):
     return out
 
 
-def test_gram_matches_cyclotomic_reference():
+def _gram_cases():
+    """(rows_a, rows_b, weights) as canonical values, for gram's
+    reference, and as the packed rows gram reads."""
     t11 = table_psl2_odd(11)
     a4 = fusion_for(t11, symbolic_subgroup("psl2_odd", 11, "a4"))
     psi = t11.by_name["psi"]
@@ -100,17 +103,33 @@ def test_gram_matches_cyclotomic_reference():
         (t11.chars, [psi], [1 << 70 if psi.value_at(lab).is_zero() else s
                             for lab, s in zip(t11.labels, t11.sizes)]),
     ]
-    for a, b, weights in cases:
-        assert gram([c.packed for c in a], [c.packed for c in b],
-                    weights) == \
-            _reference_gram([c.values for c in a], [c.values for c in b],
-                            weights), weights
+    out = [([c.values for c in a], [c.values for c in b], weights,
+            [c.packed for c in a], [c.packed for c in b])
+           for a, b, weights in cases]
     ts = table_suzuki(8)
     cols = list(zip(*(c.values for c in ts.chars)))
     packed_cols = list(zip(*(c.packed for c in ts.chars)))
-    ones = [1] * len(ts.chars)
-    assert gram(packed_cols, packed_cols, ones) == \
-        _reference_gram(cols, cols, ones)
+    out.append((cols, cols, [1] * len(ts.chars), packed_cols, packed_cols))
+    return out
+
+
+def test_gram_matches_cyclotomic_reference():
+    for a, b, weights, packed_a, packed_b in _gram_cases():
+        assert gram(packed_a, packed_b, weights) == \
+            _reference_gram(a, b, weights), weights
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 9])
+def test_gram_across_chunk_boundaries(monkeypatch, chunk):
+    # a small chunk splits every Gram into many chunks of rows
+    monkeypatch.setattr(chars, "_CHUNK", chunk)
+    for a, b, weights, packed_a, packed_b in _gram_cases():
+        assert gram(packed_a, packed_b, weights) == \
+            _reference_gram(a, b, weights), weights
+    t = table_psl2_even(4)
+    bad = _copy_with_value(t, "theta_1", ClassLabel("c"), Cyclotomic.root(5))
+    with pytest.raises(TableMismatch, match="not rational"):
+        check_row_orthogonality(bad)
 
 
 def _copy_with_value(table, name, label, value):
@@ -188,6 +207,28 @@ def test_d_theta_dihedral_examples():
     assert d_theta(chi1, theta1) == 1
     assert d_theta(chi1, theta2) == 1
     assert d_theta(table.by_name["psi_1"], theta2) == 1
+
+
+def test_theta_subsets_read_from_one_gram():
+    # d(chi, Theta') read from the Gram of a larger set equals the value
+    # from a Gram of Theta' alone and the sum of the multiplicities
+    for n in range(3, 22, 2):
+        table = table_dihedral_odd(2 * n)
+        h1, h2 = dihedral_theta_restrictions(table)
+        theta1 = tuple(f"mu_{k}" for k in range(1, (n - 1) // 2 + 1))
+        full = ThetaSet(h1, ("mu_0",) + theta1)
+        alone, mu0 = ThetaSet(h1, theta1), ThetaSet(h1, ("mu_0",))
+        for chi in table.chars:
+            d1 = d_theta(chi, full, theta1)
+            assert d1 == d_theta(chi, alone) == sum(
+                multiplicity_check(chi, h1, h1.table.by_name[name])
+                for name in theta1)
+            assert d_theta(chi, full, ("mu_0",)) == d_theta(chi, mu0)
+            assert d_theta(chi, full) == d1 + d_theta(chi, mu0)
+    with pytest.raises(TableMismatch):
+        d_theta(table.chars[0], alone, ("mu_0",))
+    with pytest.raises(TableMismatch):
+        ThetaSet(h2, ("mu_2",))
 
 
 def test_theta_balance_small():

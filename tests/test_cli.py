@@ -8,7 +8,9 @@ import pytest
 import repmoduli
 import repmoduli.cli as cli
 import repmoduli.oscomplex as osc
-from repmoduli.chars import pack_terms, table_psl2_even
+from repmoduli.chars import (
+    pack_terms, table_dihedral_odd, table_psl2_even,
+)
 from repmoduli.cli import (
     UsageError, VerificationConfig, classify_q, main, parse_config, run,
 )
@@ -186,6 +188,31 @@ def test_flipped_stored_value_fails_tables(monkeypatch, tmp_path):
     assert rc == 1
     rec = _records(out)["tables/rows/psl2_even-q4"]
     assert rec["pass"] is False and rec["computed"].startswith("mismatch: ")
+
+
+@pytest.mark.parametrize("name, label, value, failure, computed", [
+    # psi_2 is -1 at the reflections; +1 keeps every d integral but breaks
+    # d(psi_2, Theta1) = d(psi_2, Theta2)
+    ("psi_2", ClassLabel("s"), pack_terms(1, ((0, 1),)),
+     "centralizers/theta-balance-n7", "(False, True)"),
+    # chi_1 at r_1 alone: the restricted row is no longer Galois-stable, so
+    # the check raises and its error is the record
+    ("chi_1", ClassLabel("r", 1), pack_terms(7, ((2, 1), (-2, 1))),
+     "centralizers/dihedral-q7", "not rational"),
+])
+def test_altered_dihedral_value_fails_theta_balance(
+        monkeypatch, tmp_path, name, label, value, failure, computed):
+    table = table_dihedral_odd(14)
+    chi = table.by_name[name]
+    packed = list(chi.packed)
+    packed[table.index[label]] = value
+    monkeypatch.setattr(chi, "packed", tuple(packed))
+    out = tmp_path / "r.json"
+    rc = main(["--family", "dihedral", "--q", "7", "--checks",
+               "centralizers", "--out", str(out)])
+    assert rc == 1
+    rec = _records(out)[failure]
+    assert rec["pass"] is False and computed in rec["computed"]
 
 
 def misdirect_closing_edge(graph):

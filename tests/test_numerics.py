@@ -480,3 +480,33 @@ def test_expm_rotation_inverse_and_rejection():
             expm(x)
     with pytest.raises(ValueError):
         expm(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError):
+        expm(np.full((2, 2), np.nan, dtype=complex))
+
+
+def test_defects_propagate_nan(rho4):
+    m, t, rep = rho4
+    g = m.elements[-1]
+    mats = dict(rep.mats)
+    mats[g] = np.full_like(mats[g], np.nan)
+    bad = UnitaryRep(m, mats)
+    assert np.isnan(bad.unitarity_defect())
+    assert np.isnan(bad.character_defect(rho0_character(t)))
+    assert np.isnan(bad.homomorphism_defect())
+
+
+def test_nan_matrix_fails_realization(monkeypatch):
+    import repmoduli.numerics as num
+    real = num.UnitaryRep
+
+    def with_nan(model, mats, seed=None):
+        mats = dict(mats)
+        g = model.elements[-1]
+        mats[g] = np.full_like(mats[g], np.nan)
+        return real(model, mats, seed)
+
+    monkeypatch.setattr(num, "UnitaryRep", with_nan)
+    m = psl2_model(4)
+    t = table_psl2_even(4)
+    with pytest.raises(num.ToleranceExceeded):
+        num.realize_irreducible(m, t, rho0_character(t), seed=1)
