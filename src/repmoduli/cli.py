@@ -26,7 +26,8 @@ from .chars import (
     table_sl2_odd, theta_balance,
 )
 from .groups import (
-    _prime_power, build_subgroup, psl2_model, stored_fusion, fusion_table,
+    ENUMERATION_BOUND, _prime_power, build_subgroup, psl2_model,
+    stored_fusion, fusion_table,
 )
 from .numerics import REALIZE_GROUP_BOUND, Tolerances
 from .oscomplex import (
@@ -37,7 +38,6 @@ from .oscomplex import (
 ENV_PREFIX = "REPMODULI_"
 ALL_CHECKS = ("tables", "fusion", "centralizers", "moduli-dim", "euler",
               "brown", "numerics")
-FUSION_ENUM_BOUND = 19
 
 
 class UsageError(ValueError):
@@ -219,7 +219,7 @@ def check_fusion(fam, q, cfg):
     name = f"fusion/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(name, name, f"q={q}", "skipped: class-data model")]
-    if q > FUSION_ENUM_BOUND:
+    if q > ENUMERATION_BOUND:
         return [_skip(name, name, f"q={q}",
                       "skipped: beyond enumeration scope")]
 
@@ -250,24 +250,18 @@ def check_fusion(fam, q, cfg):
 
 
 def check_centralizers(fam, q, cfg):
-    records = []
     if fam == "dihedral":
-        (p1, p2), ms = _timed(lambda: theta_balance(q))
-        records.append(_record(
-            f"centralizers/theta-balance-n{q}",
-            f"theta-balance/dihedral-n{q}", f"n={q}",
-            (True, True), (p1, p2), ms))
-        return records
+        return [_guarded(f"centralizers/theta-balance-n{q}",
+                         f"theta-balance/dihedral-n{q}", f"n={q}",
+                         (True, True), lambda: theta_balance(q))]
     if fam == "cyclic":
         return [_skip(f"centralizers/cyclic-n{q}", "centralizers/cyclic",
                       f"n={q}", "skipped: no distinguished character")]
-    table = table_for(fam, q)
-    for part, expected, computed, ms in centralizer_checks(table):
-        records.append(_record(
-            f"centralizers/{fam}-q{q}/{part}",
-            f"centralizers/{fam}/part-{part}", f"q={q}",
-            expected, computed, ms))
-    return records
+    return [_record(f"centralizers/{fam}-q{q}/{part}",
+                    f"centralizers/{fam}/part-{part}", f"q={q}",
+                    expected, computed, ms)
+            for part, expected, computed, ms in
+            centralizer_checks(table_for(fam, q))]
 
 
 def check_moduli_dim(fam, q, cfg):
@@ -316,7 +310,7 @@ def check_brown(fam, q, cfg):
     name = f"brown/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(name, name, f"q={q}", "skipped: class-data model")]
-    if q > FUSION_ENUM_BOUND:
+    if q > ENUMERATION_BOUND:
         return [_skip(name, name, f"q={q}",
                       "skipped: beyond enumeration scope")]
 

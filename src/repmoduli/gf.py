@@ -104,12 +104,12 @@ def _is_prime(p):
     return p >= 2 and factorize(p) == ((p, 1),)
 
 
-_TABLE_LIMIT = 256        # dense add/mul/neg tables only for small fields
-_LOG_LIMIT = 1 << 14      # log/exp multiplication tables
+_TABLE_LIMIT = 256        # largest field; its dense q x q tables stay small
 
 
 class FieldSpec:
-    """GF(p^n) with modulus, generator, and fast arithmetic tables."""
+    """GF(p^n) with modulus, generator, and dense arithmetic tables; q is
+    at most _TABLE_LIMIT."""
 
     def __init__(self, p, n):
         if not _is_prime(p):
@@ -119,21 +119,17 @@ class FieldSpec:
         self.p = p
         self.n = n
         self.q = p ** n
-        if self.q > _LOG_LIMIT:
+        if self.q > _TABLE_LIMIT:
             raise FieldError(f"field size {self.q} above supported bound")
         self.modulus = _find_modulus(p, n)
-        self._digits = [self._int_to_pol(v) for v in range(self.q)] \
-            if self.q <= _TABLE_LIMIT else None
         self.generator = self._find_generator()
         self._build_log_tables()
         # element arithmetic by lookup: add_table[a][b], mul_table[a][b] and
-        # neg_table[a]; None above _TABLE_LIMIT
-        self.add_table = self.mul_table = self.neg_table = None
-        if self.q <= _TABLE_LIMIT:
-            els = range(self.q)
-            self.add_table = [[self._add_slow(a, b) for b in els] for a in els]
-            self.mul_table = [[self._mul_log(a, b) for b in els] for a in els]
-            self.neg_table = [self._neg_slow(a) for a in els]
+        # neg_table[a]
+        els = range(self.q)
+        self.add_table = [[self._add_slow(a, b) for b in els] for a in els]
+        self.mul_table = [[self._mul_log(a, b) for b in els] for a in els]
+        self.neg_table = [self._neg_slow(a) for a in els]
 
     # -- encoding ------------------------------------------------------------
 
@@ -219,22 +215,13 @@ class FieldSpec:
     # -- public int-level ops (hot path for group enumeration) ----------------
 
     def add(self, a, b):
-        if self.add_table is not None:
-            return self.add_table[a][b]
-        return self._add_slow(a, b)
+        return self.add_table[a][b]
 
     def neg(self, a):
-        if self.neg_table is not None:
-            return self.neg_table[a]
-        return self._neg_slow(a)
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.neg_table[a]
 
     def mul(self, a, b):
-        if self.mul_table is not None:
-            return self.mul_table[a][b]
-        return self._mul_log(a, b)
+        return self.mul_table[a][b]
 
     def inv(self, a):
         if a == 0:
@@ -249,20 +236,6 @@ class FieldSpec:
                 raise ZeroDivisionError("inverse of zero field element")
             return 0
         return self._exp[(self._log[a] * e) % (self.q - 1)]
-
-    def theta(self, a):
-        """The twisting endomorphism x -> x^(2^((n+1)/2)); theta^2 = squaring."""
-        if self.p != 2 or self.n % 2 == 0:
-            raise FieldError("theta requires p = 2 and odd n")
-        return self.pow(a, 1 << ((self.n + 1) // 2))
-
-    def element_order(self, a):
-        if a == 0:
-            raise FieldError("zero has no multiplicative order")
-        d = self._log[a]
-        m = self.q - 1
-        from math import gcd
-        return m // gcd(m, d)
 
     def __repr__(self):
         return f"FieldSpec(GF({self.p}^{self.n}), modulus={self.modulus})"

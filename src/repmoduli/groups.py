@@ -2,10 +2,10 @@
 subgroup construction and class fusion; a class-data model for Sz(q).
 
 Enumerated models hold every group element as a 4-tuple of int-encoded field
-entries (row major, determinant 1).  Conjugacy classes are computed by
-breadth-first search under conjugation by transvection generators, then
-labelled against canonical representatives; all searches scan in enumeration
-order so that every derived choice is reproducible.
+entries (row major, determinant 1).  Every element is labelled with its
+conjugacy class from its trace, and its order is the order of that class;
+the orbit-graph stabilizers are built from generators.  Every search scans
+in enumeration order, so that every derived choice is reproducible.
 
 Sz(q) is deliberately modelled at class-data level only: every Suzuki
 computation downstream is a class function, and fusion comes from stored
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import NamedTuple, Optional
 
 from .gf import FieldSpec, gf_make
@@ -80,11 +80,13 @@ IDENTITY = (1, 0, 0, 1)
 @dataclass(frozen=True)
 class SubgroupSpec:
     """A subgroup selection: tag, optional parameter, and (when the ambient
-    group is enumerated) the explicit element tuple."""
+    group is enumerated) the explicit element tuple and the generators it
+    was built from."""
     tag: str
     param: int = 0
     order: int = 0
     elements: Optional[tuple] = None
+    gens: Optional[tuple] = None
 
     def name(self):
         if self.tag == "cyclic":
@@ -153,6 +155,8 @@ class GroupModel:
         return self.mul(self.mul(by, g), self.inv(by))
 
     def order_of(self, g):
+        """The order of g by walking its powers; element_orders holds every
+        element's order without the walk."""
         n = 1
         acc = g
         while acc != IDENTITY:
@@ -165,10 +169,7 @@ class GroupModel:
         return self.class_of[g]
 
     def label_order(self, lab: ClassLabel):
-        """Order of a representative of the class."""
-        if self.enumerated:
-            return self.element_orders[self.class_reps[lab]]
-        from math import gcd, isqrt
+        """Order of the elements of the class."""
         q = self.q
         if self.family == "sz":
             cyclic = {"pi0": q - 1, "pi1": q + isqrt(2 * q) + 1,
@@ -230,51 +231,36 @@ def _transvection_generators(f):
     return gens
 
 
-def _conjugacy_partition(model, gens):
-    mul, inv = model.mul, model.inv
-    inv_gens = [(g, inv(g)) for g in gens]
-    class_of = {}
-    sizes = []
-    for x in model.elements:
-        if x in class_of:
-            continue
-        cid = len(sizes)
-        class_of[x] = cid
-        queue = [x]
-        count = 1
-        while queue:
-            y = queue.pop()
-            for g, gi in inv_gens:
-                z = mul(mul(g, y), gi)
-                if z not in class_of:
-                    class_of[z] = cid
-                    count += 1
-                    queue.append(z)
-        sizes.append(count)
-    return class_of, sizes
-
-
-def _first_of_order(model, k):
-    for g in model.elements:
-        if model.element_orders[g] == k:
-            return g
-    raise NotFound(f"no element of order {k}")
+def _torus_generator(model):
+    """diag(nu, 1/nu): it generates the split torus of the field generator."""
+    f = model.spec
+    nu = f.generator
+    return model.canonical((nu, 0, 0, f.inv(nu)))
 
 
 def _label_classes(model):
+    """Label every element with its conjugacy class, read off its trace
+    (Fulton-Harris, Representation Theory, section 5.2).
+
+    A class of trace other than +-2 is the class of its trace, and in
+    PSL2 = SL2 / {+-1} of its trace up to sign.  An element x != 1 of trace 2
+    is unipotent: x - 1 has rank 1, and conjugation multiplies its lower-left
+    entry by a square, or, when that entry is 0, minus its upper-right entry.
+    The square class of that entry splits c from d.  Trace -2 is z times
+    trace 2; in PSL2 the sign is dropped.  The representatives fix the labels
+    and their display order; the class sizes are counted and checked, and
+    every element's order is the order of its class."""
     f = model.spec
     q = model.q
-    cls, sizes = _conjugacy_partition(model, _transvection_generators(f))
-    orders = {g: model.order_of(g) for g in model.elements}
-    model.element_orders = orders
     nu = f.generator
-
-    a = model.canonical((nu, 0, 0, f.inv(nu)))
+    a = _torus_generator(model)
     c = model.canonical((1, 0, 1, 1))
     reps = {}
+    # the nonsplit torus generator: the first element of its order
+    n_nonsplit = (q + 1) // 2 if model.family == "psl2_odd" else q + 1
+    b = next(g for g in model.elements if model.order_of(g) == n_nonsplit)
 
     if model.family == "psl2_even":
-        b = _first_of_order(model, q + 1)
         reps[ClassLabel("id")] = IDENTITY
         reps[ClassLabel("c")] = c
         for l in range(1, (q - 2) // 2 + 1):
@@ -286,7 +272,6 @@ def _label_classes(model):
     elif model.family == "sl2_odd":
         z = model.canonical((f.neg(1), 0, 0, f.neg(1)))
         d = model.canonical((1, 0, nu, 1))
-        b = _first_of_order(model, q + 1)
         reps[ClassLabel("id")] = IDENTITY
         reps[ClassLabel("z")] = z
         reps[ClassLabel("c")] = c
@@ -302,7 +287,6 @@ def _label_classes(model):
                           "zd": half, "a": q * (q + 1), "b": q * (q - 1)}
     elif model.family == "psl2_odd":
         d = model.canonical((1, 0, nu, 1))
-        b = _first_of_order(model, (q + 1) // 2)
         reps[ClassLabel("id")] = IDENTITY
         reps[ClassLabel("c")] = c
         reps[ClassLabel("d")] = d
@@ -317,21 +301,53 @@ def _label_classes(model):
     else:
         raise ValueError(model.family)
 
-    cid_to_label = {}
-    for label, rep in reps.items():
-        cid = cls[rep]
-        if cid in cid_to_label:
-            raise NotFound(f"representatives of {cid_to_label[cid]} and "
-                           f"{label} are conjugate")
-        cid_to_label[cid] = label
-    if len(cid_to_label) != len(sizes):
-        raise NotFound("class count does not match the expected labelling")
+    add, neg = f.add_table, f.neg_table
+    fold = model.family == "psl2_odd"
+    by_trace = {}
+    for lab, rep in reps.items():
+        if lab.kind in ("a", "b", "bq"):
+            tr = add[rep[0]][rep[3]]
+            for t in (tr, neg[tr]) if fold else (tr,):
+                other = by_trace.setdefault(t, lab)
+                if other != lab:
+                    raise NotFound(f"representatives of {other} and {lab} "
+                                   f"are conjugate")
+    named = {str(lab): lab for lab in reps}
+    squares = {f.mul(x, x) for x in range(1, q)}
+    two = add[1][1]
 
-    model.class_of = {g: cid_to_label[cid] for g, cid in cls.items()}
+    def unipotent_class(x, t):
+        if t == two:
+            u, central = x, ""
+        elif t == neg[two]:
+            u, central = tuple(neg[v] for v in x), "" if fold else "z"
+        else:
+            raise NotFound(f"no class has trace {t}")
+        if u == IDENTITY:
+            return named[central or "id"]
+        entry = u[2] if u[2] else neg[u[1]]
+        return named[central + ("c" if entry in squares else "d")]
+
+    class_of = {}
+    sizes = dict.fromkeys(reps, 0)
+    semisimple = by_trace.get
+    for x in model.elements:
+        t = add[x[0]][x[3]]
+        lab = semisimple(t) or unipotent_class(x, t)
+        class_of[x] = lab
+        sizes[lab] += 1
+    for lab, rep in reps.items():
+        if class_of[rep] != lab:
+            raise NotFound(f"the representative of {lab} is labelled "
+                           f"{class_of[rep]}")
+
+    model.class_of = class_of
     model.class_labels = list(reps)
     model.class_reps = reps
-    model.class_sizes = {lab: sizes[cls[rep]] for lab, rep in reps.items()}
+    model.class_sizes = sizes
     _check_class_sizes(model, expected_sizes)
+    orders = {lab: model.label_order(lab) for lab in reps}
+    model.element_orders = {x: orders[lab] for x, lab in class_of.items()}
 
 
 def enumerate_sl2(spec: FieldSpec) -> GroupModel:
@@ -411,70 +427,73 @@ def closure(model, gens):
     return tuple(out)
 
 
-def _torus(model):
-    f = model.spec
-    nu = f.generator
-    t = model.canonical((nu, 0, 0, f.inv(nu)))
-    return closure(model, [t]), t
+def _first(model, order, pred):
+    """The first element of the given order, in enumeration order, that
+    satisfies pred."""
+    for g in model.elements:
+        if model.element_orders[g] == order and pred(g):
+            return g
+    raise NotFound(f"no element of order {order} with the required property")
 
 
 def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
-    """Concrete subgroup of an enumerated model; deterministic element search."""
+    """A stabilizer of the orbit graphs in an enumerated model, built once
+    from generators and shared by the graph, the fusion check and numerics.
+
+    With the split torus generator t and w = [[0, 1], [-1, 0]]:
+    dihedral_split = <t, w>; dihedral_nonsplit = <y, w> for the first y of
+    nonsplit-torus order that w inverts; klein4 = <y^((q+1)/4), w>; a4 adds
+    the first order-3 element that normalizes klein4.  The cyclic groups are
+    the split torus <t>, <w> of order 2 and the order-3 group of a4.
+    """
     if not model.enumerated:
         raise ValueError("explicit subgroups need an enumerated model")
     key = (tag, param)
     if key in model._subgroups:
         return model._subgroups[key]
     q = model.q
-    if tag == "trivial":
-        els = (IDENTITY,)
-    elif tag == "borel":
+    fam = model.family
+    t = _torus_generator(model)
+    w = model.canonical((0, 1, model.spec.neg(1), 0))
+    if tag == "borel":
+        gens = None
         els = tuple(g for g in model.elements if g[2] == 0)
-    elif tag == "cyclic":
-        g = _first_of_order(model, param)
-        els = closure(model, [g])
+    elif tag == "trivial":
+        gens = ()
     elif tag == "dihedral_split":
-        torus, t = _torus(model)
-        tset = set(torus)
-        els = tuple(g for g in model.elements
-                    if model.conjugate(t, g) in tset)
+        gens = (t, w)
     elif tag == "dihedral_nonsplit":
-        n = (q + 1) if model.family == "psl2_even" else (q + 1) // 2
-        y = _first_of_order(model, n)
-        ys = set(closure(model, [y]))
-        els = tuple(g for g in model.elements if model.conjugate(y, g) in ys)
+        n = (q + 1) // 2 if fam == "psl2_odd" else q + 1
+        gens = (_first(model, n,
+                       lambda y: model.conjugate(y, w) == model.inv(y)), w)
     elif tag == "klein4":
-        els = _find_klein(model)
+        y = build_subgroup(model, "dihedral_nonsplit").gens[0]
+        gens = (model.power_label(y, (q + 1) // 4), w)
     elif tag == "a4":
-        v4 = set(_find_klein(model))
-        t = None
-        for g in model.elements:
-            if model.element_orders[g] == 3 and \
-                    all(model.conjugate(x, g) in v4 for x in v4):
-                t = g
-                break
-        if t is None:
-            raise NotFound("no order-3 element normalizing the Klein subgroup")
-        els = closure(model, list(v4) + [t])
+        v4 = build_subgroup(model, "klein4")
+        v4set = set(v4.elements)
+        gens = v4.gens + (_first(model, 3, lambda g: all(
+            model.conjugate(x, g) in v4set for x in v4.gens)),)
+    elif tag == "cyclic" and param == ((q - 1) // 2 if fam == "psl2_odd"
+                                       else q - 1):
+        gens = (t,)
+    elif tag == "cyclic" and param == 2:
+        gens = (w,)
+    elif tag == "cyclic" and param == 3 and fam == "psl2_odd":
+        gens = build_subgroup(model, "a4").gens[-1:]
     else:
-        raise ValueError(f"unsupported subgroup tag {tag!r}")
+        raise ValueError(f"unsupported subgroup {tag!r} with parameter "
+                         f"{param}")
+    if gens is not None:
+        els = closure(model, gens)
 
-    expected = subgroup_order(model.family, q, tag, param)
+    expected = subgroup_order(fam, q, tag, param)
     if expected and len(els) != expected:
         raise NotFound(f"{tag} subgroup has order {len(els)}, "
                        f"expected {expected}")
-    sub = SubgroupSpec(tag, param, len(els), els)
+    sub = SubgroupSpec(tag, param, len(els), els, gens)
     model._subgroups[key] = sub
     return sub
-
-
-def _find_klein(model):
-    involutions = [g for g in model.elements if model.element_orders[g] == 2]
-    for i, u in enumerate(involutions):
-        for v in involutions[i + 1:]:
-            if model.mul(u, v) == model.mul(v, u):
-                return closure(model, [u, v])
-    raise NotFound("no Klein four subgroup")
 
 
 def subgroup_order(family, q, tag, param=0):

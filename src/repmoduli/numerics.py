@@ -354,7 +354,7 @@ def spectral_split(rep: UnitaryRep, g, tol: Tolerances = TOL):
     are snapped to the exact roots of unity of the element order.
     """
     model = rep.model
-    n = model.order_of(g)
+    n = model.element_orders[g]
     a = rep.mat(g)
     d = rep.degree
     powers = [np.eye(d, dtype=np.complex128)]

@@ -18,8 +18,8 @@ from .chars import (
     CharacterTable, centralizer_dim, fusion_for, gram, rho0_character,
 )
 from .groups import (
-    IDENTITY, GroupModel, NotFound, SubgroupSpec, _torus, build_subgroup,
-    closure, symbolic_subgroup,
+    IDENTITY, GroupModel, NotFound, SubgroupSpec, build_subgroup,
+    symbolic_subgroup,
 )
 
 
@@ -142,91 +142,31 @@ def _scan(candidates, pred, skip=0):
 
 
 def _build_concrete(family, q, k, model, ge_choice):
+    """The graph of _stabilizer_plan with the stabilizers of build_subgroup;
+    the connecting element of a closing edge is the first (after `ge_choice`
+    valid ones) that conjugates the edge group's generators into the target
+    vertex group."""
     if model.family != family or model.q != q:
         raise ValueError("model does not match the requested family/q")
-    orders = model.element_orders
-    borel = build_subgroup(model, "borel")
-    d_split = build_subgroup(model, "dihedral_split")
-    # the edge stabilizer must be the diagonal torus shared by the Borel
-    # subgroup and its normalizer, not an arbitrary cyclic subgroup
-    torus_order = (q - 1) // 2 if family == "psl2_odd" else q - 1
-    torus_els, _ = _torus(model)
-    torus = SubgroupSpec("cyclic", torus_order, torus_order, torus_els)
-    torus_set = set(torus_els)
-    if len(torus_set) != torus_order:
-        raise InvalidGraph(f"split torus has order {len(torus_set)}, "
-                           f"expected {torus_order}")
-    if not torus_set <= set(borel.elements) & set(d_split.elements):
-        raise InvalidGraph("split torus not in the Borel and split dihedral "
-                           "vertex groups")
-
-    u = _scan(d_split.elements,
-              lambda g: orders[g] == 2 and g not in torus_set)
-    nonsplit_order = (q + 1) if family == "psl2_even" else (q + 1) // 2
-
-    def extends_to_nonsplit(y):
-        if orders[y] != nonsplit_order:
-            return False
-        return model.conjugate(y, u) in closure(model, [y])
-
-    y = _scan(model.elements, extends_to_nonsplit)
-    ys = set(closure(model, [y]))
-    nels = tuple(g for g in model.elements if model.conjugate(y, g) in ys)
-    d_nonsplit = SubgroupSpec("dihedral_nonsplit", 0, len(nels), nels)
-    if u not in nels:
-        raise InvalidGraph("split involution not in the nonsplit dihedral group")
-
-    vertices = [VertexOrbit("v0", borel), VertexOrbit("v1", d_split),
-                VertexOrbit("v2", d_nonsplit)]
-    edges = [EdgeOrbit("eta0", torus, 0, 1, True, g=IDENTITY),
-             EdgeOrbit("eta1", SubgroupSpec("cyclic", 2, 2, (IDENTITY, u)),
-                       1, 2, True, g=IDENTITY)]
-    borel_set = set(borel.elements)
-
-    if family == "psl2_even":
-        u2 = _scan(nels, lambda g: orders[g] == 2)
-        g2 = _scan(model.elements,
-                   lambda g: model.conjugate(u2, model.inv(g)) in borel_set,
-                   skip=ge_choice)
-        edges.append(EdgeOrbit(
-            "eta2", SubgroupSpec("cyclic", 2, 2, (IDENTITY, u2)),
-            2, 0, False, g=g2))
-    elif family == "psl2_odd":
-        y0 = model.power_label(y, (q + 1) // 4)
-        if orders[y0] != 2:
-            raise InvalidGraph(f"y^((q+1)/4) has order {orders[y0]}, not 2")
-        uprime = _scan(nels, lambda g: orders[g] == 2 and g not in ys)
-        v4 = (IDENTITY, y0, uprime, model.mul(y0, uprime))
-        if len(set(v4)) != 4:
-            raise InvalidGraph("Klein four generators coincide")
-        klein = SubgroupSpec("klein4", 0, 4, v4)
-        v4set = set(v4)
-        t = _scan(model.elements,
-                  lambda g: orders[g] == 3 and
-                  all(model.conjugate(x, g) in v4set for x in v4))
-        a4els = closure(model, list(v4) + [t])
-        if len(a4els) != 12:
-            raise InvalidGraph(f"A4 vertex group has order {len(a4els)}")
-        a4 = SubgroupSpec("a4", 0, 12, a4els)
-        vertices.append(VertexOrbit("v3", a4))
-        edges.append(EdgeOrbit("eta2", klein, 2, 3, True, g=IDENTITY))
-        c3 = SubgroupSpec("cyclic", 3, 3, closure(model, [t]))
-        if q % 24 == 11:
-            target_set, wv = set(nels), 2
-        else:
-            target_set, wv = borel_set, 0
-        g3 = _scan(model.elements,
-                   lambda g: model.conjugate(t, model.inv(g)) in target_set,
-                   skip=ge_choice)
-        edges.append(EdgeOrbit("eta3", c3, 3, wv, False, g=g3))
-    else:
-        raise ValueError("concrete graphs exist for the PSL2 families only")
-
-    free_candidates = [g for g in model.elements if g not in borel_set]
+    vtags, especs = _stabilizer_plan(family, q)
+    vertices = [VertexOrbit(f"v{i}", build_subgroup(model, t, p))
+                for i, (t, p) in enumerate(vtags)]
+    edges = []
+    for i, (t, p, s, w, tree) in enumerate(especs):
+        sub = build_subgroup(model, t, p)
+        g = IDENTITY
+        if not tree:
+            target = set(vertices[w].sub.elements)
+            g = _scan(model.elements, lambda h: all(
+                model.conjugate(x, model.inv(h)) in target
+                for x in sub.gens), skip=ge_choice)
+        edges.append(EdgeOrbit(f"eta{i}", sub, s, w, tree, g=g))
+    root = set(vertices[0].sub.elements)
+    free = (g for g in model.elements if g not in root)
+    trivial = build_subgroup(model, "trivial")
     for i in range(k):
-        edges.append(EdgeOrbit(
-            f"eta'{i + 1}", SubgroupSpec("trivial", 0, 1, (IDENTITY,)),
-            0, 0, False, free=True, g=free_candidates[i]))
+        edges.append(EdgeOrbit(f"eta'{i + 1}", trivial, 0, 0, False,
+                               free=True, g=next(free)))
     graph = OrbitGraph(family, q, k, vertices, edges, model)
     validate_graph(graph)
     return graph

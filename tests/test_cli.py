@@ -156,6 +156,26 @@ def test_altered_fusion_count_fails_euler(monkeypatch, tmp_path):
     assert rec["pass"] is False and rec["computed"].startswith("fails at (")
 
 
+def test_altered_stored_fusion_fails_at_q27(monkeypatch, tmp_path):
+    # PSL2(27) is checked by enumeration: one stored count of its A4 row off
+    # by one must fail the fusion record
+    real = cli.stored_fusion
+
+    def one_more_unipotent(family, q, tag, param, labels):
+        counts = real(family, q, tag, param, labels)
+        if tag == "a4":
+            counts[ClassLabel("c")] += 1
+        return counts
+
+    monkeypatch.setattr(cli, "stored_fusion", one_more_unipotent)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "27", "--checks", "fusion",
+               "--out", str(out)])
+    assert rc == 1
+    rec = _records(out)["fusion/psl2_odd-q27"]
+    assert rec["pass"] is False and rec["computed"] == "mismatch at ['a4']"
+
+
 def test_brown_record_fails_when_verify_fails(monkeypatch, tmp_path):
     calls = []
 
@@ -198,7 +218,7 @@ def test_flipped_stored_value_fails_tables(monkeypatch, tmp_path):
     # chi_1 at r_1 alone: the restricted row is no longer Galois-stable, so
     # the check raises and its error is the record
     ("chi_1", ClassLabel("r", 1), pack_terms(7, ((2, 1), (-2, 1))),
-     "centralizers/dihedral-q7", "not rational"),
+     "centralizers/theta-balance-n7", "not rational"),
 ])
 def test_altered_dihedral_value_fails_theta_balance(
         monkeypatch, tmp_path, name, label, value, failure, computed):

@@ -1,5 +1,6 @@
 import pytest
 
+from repmoduli.cyclo import factorize
 from repmoduli.gf import FieldError, gf_make
 
 
@@ -9,13 +10,6 @@ def test_gf4_generator_order_three():
     assert nu != 1
     assert f.pow(nu, 3) == 1
     assert f.pow(nu, 2) != 1
-
-
-def test_gf8_theta_is_fourth_power_and_squares():
-    f = gf_make(2, 3)
-    for x in range(f.q):
-        assert f.theta(x) == f.pow(x, 4)
-        assert f.theta(f.theta(x)) == f.pow(x, 2)
 
 
 def test_gf9_unique_involution():
@@ -59,17 +53,12 @@ def test_frobenius_is_additive_and_multiplicative():
             assert f.pow(f.mul(a, b), 2) == f.mul(f.pow(a, 2), f.pow(b, 2))
 
 
-def test_theta_requires_char_two_odd_degree():
-    with pytest.raises(FieldError):
-        gf_make(3, 2).theta(1)
-    with pytest.raises(FieldError):
-        gf_make(2, 2).theta(1)
-
-
 def test_generator_exact_order():
     for p, n in [(2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (11, 1), (19, 1)]:
         f = gf_make(p, n)
-        assert f.element_order(f.generator) == f.q - 1
+        m = f.q - 1
+        assert f.pow(f.generator, m) == 1
+        assert all(f.pow(f.generator, m // r) != 1 for r, _ in factorize(m))
 
 
 def test_bad_field_arguments():
@@ -77,6 +66,8 @@ def test_bad_field_arguments():
         gf_make(6, 1)
     with pytest.raises(FieldError):
         gf_make(2, 15)  # 2^15 above the supported bound
+    with pytest.raises(FieldError):
+        gf_make(257)    # the first prime above the table bound
 
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3),

@@ -5,9 +5,10 @@ import pytest
 
 from repmoduli.gf import gf_make
 from repmoduli.groups import (
-    ClassLabel, IDENTITY, SizeBoundExceeded, build_subgroup,
-    enumerate_psl2, enumerate_sl2, fusion_table, mat_mul, psl2_model,
-    stored_fusion, suzuki_class_labels, suzuki_model, symbolic_subgroup,
+    ClassLabel, IDENTITY, SizeBoundExceeded, _prime_power,
+    _transvection_generators, build_subgroup, enumerate_psl2, enumerate_sl2,
+    fusion_table, mat_mul, psl2_model, stored_fusion, suzuki_class_labels,
+    suzuki_model, symbolic_subgroup,
 )
 
 
@@ -155,13 +156,48 @@ def test_psl2_even_equals_sl2():
     assert enumerate_sl2(spec).order == 60
 
 
+def _conjugacy_partition(model):
+    """Class ids by breadth-first search under conjugation by the
+    transvection generators, and the class sizes: the reference for the
+    trace labels."""
+    mul, inv = model.mul, model.inv
+    inv_gens = [(g, inv(g)) for g in _transvection_generators(model.spec)]
+    class_of = {}
+    sizes = []
+    for x in model.elements:
+        if x in class_of:
+            continue
+        cid = len(sizes)
+        class_of[x] = cid
+        queue = [x]
+        count = 1
+        while queue:
+            y = queue.pop()
+            for g, gi in inv_gens:
+                z = mul(mul(g, y), gi)
+                if z not in class_of:
+                    class_of[z] = cid
+                    count += 1
+                    queue.append(z)
+        sizes.append(count)
+    return class_of, sizes
+
+
 def test_label_orders_match_enumeration():
-    from repmoduli.groups import class_data_model
-    for q, fam in [(4, "psl2_even"), (11, "psl2_odd")]:
-        m = psl2_model(q)
-        cd = class_data_model(fam, q)
-        for lab in m.class_labels:
-            assert m.label_order(lab) == cd.label_order(lab), lab
+    # trace labels against the labelled conjugacy partition, and orders from
+    # the labels against the power walk, on every element; PSL2(27) and
+    # SL2(9), SL2(25), SL2(27) are extension fields
+    models = [psl2_model(q) for q in (4, 8, 11, 16, 19, 27, 32)] + \
+        [enumerate_sl2(gf_make(*_prime_power(q))) for q in (5, 7, 9, 25, 27)]
+    for m in models:
+        cls, sizes = _conjugacy_partition(m)
+        label_of = {cls[rep]: lab for lab, rep in m.class_reps.items()}
+        assert len(label_of) == len(sizes) == len(m.class_labels), m.q
+        for x in m.elements:
+            assert m.class_of[x] == label_of[cls[x]], (m.family, m.q, x)
+            assert m.element_orders[x] == m.order_of(x), (m.family, m.q, x)
+        assert m.class_sizes == {lab: sizes[cid]
+                                 for cid, lab in label_of.items()}
 
 
 def test_suzuki_label_orders():
