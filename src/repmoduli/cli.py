@@ -419,11 +419,10 @@ def check_numerics(fam, q, cfg):
             tau = random_moduli_point(graph, rep, nrng, tol=tol)
             alpha = random_h_point(graph, rep, nrng)
             moved = h_action(graph, rep, tau, alpha, tol)
-            for _ in range(50):
-                w = random_word(pres, rng, 6)
-                d = np.max(np.abs(rho_tau_eval(pres, rep, tau, w) -
-                                  rho_tau_eval(pres, rep, moved, w)))
-                worst = np.maximum(worst, d)
+            words = [random_word(pres, rng, 6) for _ in range(50)]
+            d = np.max(np.abs(rho_tau_eval(pres, rep, tau, words) -
+                              rho_tau_eval(pres, rep, moved, words)))
+            worst = np.maximum(worst, d)
         return "within tolerance" if worst <= tol.moduli_word \
             else f"defect {worst:.2e}"
 
@@ -431,12 +430,9 @@ def check_numerics(fam, q, cfg):
         # draws from `rng` after gauge_invariance, as one sequence
         rep, (graph, pres) = realized(), setting()
         one = identity_moduli_point(graph, rep.degree)
-        universal = 0.0
-        eye = np.eye(rep.degree)
-        for _ in range(100):
-            w = random_kernel_word(pres, rng)
-            d = np.max(np.abs(rho_tau_eval(pres, rep, one, w) - eye))
-            universal = np.maximum(universal, d)
+        words = [random_kernel_word(pres, rng) for _ in range(100)]
+        universal = np.max(np.abs(rho_tau_eval(pres, rep, one, words) -
+                                  np.eye(rep.degree)))
         return "within tolerance" if universal <= tol.universal \
             else f"defect {universal:.2e}"
 

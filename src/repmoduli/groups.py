@@ -388,10 +388,10 @@ def enumerate_psl2(spec: FieldSpec) -> GroupModel:
     return model
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def psl2_model(q):
-    """Enumerated PSL2(q) (== SL2(q) in characteristic 2): one shared model
-    per q, with its subgroup memo.  Callers must not modify it."""
+    """Enumerated PSL2(q) (== SL2(q) in characteristic 2), kept with its
+    subgroup memo for the most recent q only.  Callers must not modify it."""
     spec = gf_make(*_prime_power(q))
     return enumerate_psl2(spec)
 

@@ -1,10 +1,10 @@
-"""Floating-point realization of the distinguished irreducible as unitary
-matrices, constructive intertwiners and spectral splits, evaluation of the
-induced representation family over the orbit graph, the gauge action, and
-finite-difference checks of the word-differential formula.
-
-Everything random is driven by an explicit seed; exact multiplicity data is
-computed in the character layer before any floating point happens.
+"""Floating-point realization of the distinguished irreducible as one stack
+of unitary matrices, (|G|, d, d) in model.elements order; intertwiners,
+spectral splits, commutants and stabilizer checks as batched expressions
+over slices of it; word evaluation at moduli points, one batched product per
+word position; the gauge action; finite-difference checks of the
+word-differential formula.  Everything random is driven by an explicit seed;
+exact multiplicity data comes from the character layer beforehand.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ TOL = Tolerances()
 
 REALIZE_GROUP_BOUND = 4000
 REALIZE_MODULE_BOUND = 1500
+_CHUNK_BYTES = 1 << 20      # about 1 MB of matrices per batched operation
 
 
 def _mnorm(a):
@@ -84,40 +85,62 @@ def expm(a, tol: Tolerances = TOL):
 
 
 class UnitaryRep:
-    """A unitary matrix image for every element of an enumerated group."""
+    """A unitary matrix image for every element of an enumerated group,
+    stacked as one (|G|, d, d) array in `model.elements` order."""
 
-    def __init__(self, model: GroupModel, mats, seed=None):
+    def __init__(self, model: GroupModel, stack):
         self.model = model
-        self.degree = next(iter(mats.values())).shape[0]
-        self.mats = mats
-        self.seed = seed
+        self.stack = stack
+        self.degree = stack.shape[1]
+        self.row = {g: i for i, g in enumerate(model.elements)}
 
     def mat(self, g):
-        return self.mats[self.model.canonical(g)]
+        return self.stack[self.row[self.model.canonical(g)]]
+
+    def stack_of(self, elements):
+        """The (n, d, d) images of n elements of model.elements, in their
+        order."""
+        return self.stack[[self.row[g] for g in elements]]
 
     def homomorphism_defect(self, rng=None, samples=300):
         els = self.model.elements
-        if rng is None:
-            rng = np.random.default_rng(0)
-        worst = []
-        for _ in range(samples):
-            g = els[rng.integers(len(els))]
-            h = els[rng.integers(len(els))]
-            worst.append(_mnorm(self.mat(g) @ self.mat(h) -
-                                self.mat(self.model.mul(g, h))))
-        return float(np.max(worst))
+        rng = np.random.default_rng(0) if rng is None else rng
+        pairs = rng.integers(len(els), size=(samples, 2))
+        prods = [self.row[self.model.mul(els[i], els[j])] for i, j in pairs]
+        return _mnorm(self.stack[pairs[:, 0]] @ self.stack[pairs[:, 1]] -
+                      self.stack[prods])
 
     def unitarity_defect(self):
-        eye = np.eye(self.degree)
-        return float(np.max([_mnorm(m @ m.conj().T - eye)
-                             for m in self.mats.values()]))
+        return float(np.max([_mnorm(m @ _h(m) - np.eye(self.degree))
+                             for m in _chunked(self.stack)]))
 
     def character_defect(self, target: Character):
         """Worst trace deviation from the exact character, over all elements."""
-        exact = {lab: complex(target.value_at(lab).to_complex())
-                 for lab in self.model.class_labels}
-        return float(np.max([abs(np.trace(m) - exact[self.model.class_of[g]])
-                             for g, m in self.mats.items()]))
+        return _mnorm(np.trace(self.stack, axis1=1, axis2=2) -
+                      _element_values(self.model, target))
+
+
+def _h(a):
+    """The conjugate transpose of a matrix or of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _chunk_slices(n, item_bytes):
+    """Slices covering range(n), each over about _CHUNK_BYTES of items."""
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _chunked(stack):
+    """A stack of matrices as a sequence of views of about _CHUNK_BYTES."""
+    return [stack[sl] for sl in _chunk_slices(len(stack), stack[0].nbytes)]
+
+
+def _element_values(model, ch: Character):
+    """The exact character values as complex numbers, by model.elements."""
+    exact = {lab: complex(ch.value_at(lab).to_complex())
+             for lab in model.class_labels}
+    return np.array([exact[model.class_of[g]] for g in model.elements])
 
 
 def _left_cosets(model, gen):
@@ -154,8 +177,9 @@ def _monomial(model, cosets, s):
 
 
 def _induced_action(model, cosets):
-    """(perm, exps) of every element, exactly: the monomials of the
-    transvection generators composed along the Cayley graph from 1.
+    """(perms, exps), the (perm, exps) of every element by model.elements,
+    exactly: the transvection generators' monomials composed from 1 along
+    the Cayley graph.
 
     If s has (perm_s, exps_s) and g has (perm_g, exps_g), then
     s g t_j = s t_{perm_g[j]} gen^{exps_g[j]}, so s g has
@@ -163,23 +187,28 @@ def _induced_action(model, cosets):
     """
     exponents, reps, _ = cosets
     n, dim = len(exponents), len(reps)
+    row = {g: i for i, g in enumerate(model.elements)}
     gens = [(g, _monomial(model, cosets, g))
             for g in _transvection_generators(model.spec)]
-    action = {IDENTITY: (np.arange(dim, dtype=np.int16),
-                         np.zeros(dim, dtype=np.int16))}
-    queue = [IDENTITY]
+    perms = np.empty((model.order, dim), dtype=np.int16)
+    exps = np.empty((model.order, dim), dtype=np.int16)
+    queue = [row[IDENTITY]]
+    perms[queue[0]], exps[queue[0]] = np.arange(dim), 0
+    reached = set(queue)
     while queue:
         x = queue.pop()
-        perm_x, exps_x = action[x]
+        perm_x, exps_x = perms[x], exps[x]
         for g, (perm_g, exps_g) in gens:
-            y = model.mul(x, g)
-            if y not in action:
-                action[y] = (perm_x[perm_g], (exps_x[perm_g] + exps_g) % n)
+            y = row[model.mul(model.elements[x], g)]
+            if y not in reached:
+                reached.add(y)
+                perms[y] = perm_x[perm_g]
+                exps[y] = (exps_x[perm_g] + exps_g) % n
                 queue.append(y)
-    if len(action) < model.order:
+    if len(reached) < model.order:
         raise ProjectionRankMismatch(
-            f"generators reach {len(action)} of {model.order} elements")
-    return action
+            f"generators reach {len(reached)} of {model.order} elements")
+    return perms, exps
 
 
 def _pick_induction_subgroup(table, model, target):
@@ -232,28 +261,26 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
     attach_model(table, model)
     d = target.degree
     rng = np.random.default_rng(seed)
+    values = _element_values(model, target)
     if d == 1:
-        exact = {lab: complex(target.value_at(lab).to_complex())
-                 for lab in model.class_labels}
-        mats = {g: np.array([[exact[model.class_of[g]]]]) for g in
-                model.elements}
-        return UnitaryRep(model, mats, seed)
+        return UnitaryRep(model, values.reshape(-1, 1, 1))
 
     gen, n, j, mult = _pick_induction_subgroup(table, model, target)
     # the induced action permutes the left cosets of <gen> monomially
     cosets = _left_cosets(model, gen)
     dim = model.order // n
-    action = _induced_action(model, cosets)
+    perms, exps = _induced_action(model, cosets)
     root = np.exp(2j * np.pi * j / n)
     lam_of = np.array([root ** e for e in range(n)])   # lambda_j(gen^e)
 
-    exact_vals = {lab: complex(target.value_at(lab).to_complex())
-                  for lab in model.class_labels}
+    # sum_s conj(chi(s)) d/|G| ind(s), ind(s) having lambda(gen^exps[j])
+    # at (perm[j], j); add.at accumulates each entry in element order
     proj = np.zeros((dim, dim), dtype=np.complex128)
-    for s in model.elements:
-        perm, exps = action[s]
-        coeff = np.conj(exact_vals[model.class_of[s]]) * d / model.order
-        proj[perm, np.arange(dim)] += coeff * lam_of[exps]
+    coeff = np.conj(values) * d / model.order
+    cols = np.arange(dim)
+    for sl in _chunk_slices(model.order, 24 * dim):   # value and index
+        np.add.at(proj.reshape(-1), perms[sl].astype(np.intp) * dim + cols,
+                  coeff[sl, None] * lam_of[exps[sl]])
 
     evals, evecs = np.linalg.eigh(proj)
     rank = int(np.sum(evals > 0.5))
@@ -263,26 +290,20 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
     basis = evecs[:, evals > 0.5]
 
     def compress(b):
-        mats = {}
-        bh = b.conj().T
-        for s in model.elements:
-            perm, exps = action[s]
-            indb = np.zeros_like(b)
-            indb[perm, :] = lam_of[exps][:, None] * b
-            mats[s] = bh @ indb
-        return mats
+        """(slice, b^H ind(s) b for the elements s in it), chunk by chunk:
+        ind(s) b has row j of b, times lambda(gen^exps[j]), at row perm[j]."""
+        cb = b.conj()
+        for sl in _chunk_slices(model.order, b.nbytes):
+            yield sl, (cb[perms[sl]] * lam_of[exps[sl]][..., None]
+                       ).swapaxes(1, 2) @ b
 
     if mult > 1:
         for attempt in range(8):
             x = rng.standard_normal((rank, rank)) + \
                 1j * rng.standard_normal((rank, rank))
             x = x + x.conj().T
-            sub = compress(basis)
-            t = np.zeros((rank, rank), dtype=np.complex128)
-            for s in model.elements:
-                m = sub[s]
-                t += m @ x @ m.conj().T
-            t /= model.order
+            t = sum((m @ x @ _h(m)).sum(axis=0)
+                    for _, m in compress(basis)) / model.order
             w, u = np.linalg.eigh(t)
             # need a clean spectral gap after the first irreducible copy
             if len(w) > d and np.min(np.abs(w[d] - w[:d])) < 1e-8:
@@ -293,19 +314,20 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
         else:
             raise SingularAveraging("could not split the isotypic block")
 
-    mats = compress(basis)
-
-    # average the Hermitian form over the group and renormalize
+    # average the Hermitian form over the group and renormalize, in place
+    stack = np.empty((model.order, d, d), dtype=np.complex128)
     h = np.zeros((d, d), dtype=np.complex128)
-    for s in model.elements:
-        h += mats[s].conj().T @ mats[s]
+    for sl, m in compress(basis):
+        stack[sl] = m
+        h += (_h(m) @ m).sum(axis=0)
     h /= model.order
     w, u = np.linalg.eigh(h)
     s_half = u @ np.diag(np.sqrt(w)) @ u.conj().T
     s_inv = u @ np.diag(1 / np.sqrt(w)) @ u.conj().T
-    mats = {g: s_half @ m @ s_inv for g, m in mats.items()}
+    for m in _chunked(stack):
+        m[...] = s_half @ m @ s_inv
 
-    rep = UnitaryRep(model, mats, seed)
+    rep = UnitaryRep(model, stack)
     ud = rep.unitarity_defect()
     if _above(ud, tol.unitary):
         raise ToleranceExceeded(f"unitarity {ud:.2e}")
@@ -322,23 +344,23 @@ def intertwiner(r1: UnitaryRep, r2: UnitaryRep, seed=0,
     """A unitary U with U r1 U* = r2, by polar-unitarized averaging."""
     if r1.model is not r2.model or r1.degree != r2.degree:
         raise NotIsomorphic("shape mismatch")
-    for g in r1.model.class_reps.values():
-        if _above(abs(np.trace(r1.mat(g)) - np.trace(r2.mat(g))), 1e-6):
-            raise NotIsomorphic("characters differ")
+    reps = list(r1.model.class_reps.values())
+    traces = [np.trace(r.stack_of(reps), axis1=1, axis2=2) for r in (r1, r2)]
+    if _above(_mnorm(traces[0] - traces[1]), 1e-6):
+        raise NotIsomorphic("characters differ")
     rng = np.random.default_rng(seed)
     d = r1.degree
+    pairs = list(zip(_chunked(r1.stack), _chunked(r2.stack)))
     for attempt in range(8):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        t = np.zeros((d, d), dtype=np.complex128)
-        for g in r1.model.elements:
-            t += r2.mat(g) @ x @ r1.mat(g).conj().T
+        t = sum((m2 @ x @ _h(m1)).sum(axis=0) for m1, m2 in pairs)
         t /= r1.model.order
         u_svd, s_svd, vh_svd = np.linalg.svd(t)
         if s_svd[-1] < 1e-6 * max(s_svd[0], 1e-300):
             continue
         u = u_svd @ vh_svd
-        worst = float(np.max([_mnorm(u @ r1.mat(g) @ u.conj().T - r2.mat(g))
-                              for g in r1.model.elements]))
+        worst = float(np.max([_mnorm(u @ m1 @ u.conj().T - m2)
+                              for m1, m2 in pairs]))
         if _above(worst, tol.intertwine):
             raise ToleranceExceeded(f"intertwining defect {worst:.2e}")
         if _above(_mnorm(u @ u.conj().T - np.eye(d)), tol.intertwine_unitary):
@@ -356,24 +378,14 @@ def spectral_split(rep: UnitaryRep, g, tol: Tolerances = TOL):
     model = rep.model
     n = model.element_orders[g]
     a = rep.mat(g)
-    d = rep.degree
-    powers = [np.eye(d, dtype=np.complex128)]
-    for _ in range(n - 1):
-        powers.append(powers[-1] @ a)
-    cols = []
-    mults = {}
-    for j in range(n):
-        proj = np.zeros((d, d), dtype=np.complex128)
-        root = np.exp(2j * np.pi * j / n)
-        for k in range(n):
-            proj += root ** (-k) * powers[k]
-        proj /= n
-        u_svd, s_svd, _ = np.linalg.svd(proj)
-        rank = int(np.sum(s_svd > 0.5))
-        if rank:
-            mults[j] = rank
-            cols.append(u_svd[:, :rank])
-    u = np.hstack(cols)
+    powers = rep.stack_of(closure(model, [g]))      # 1, g, g^2, ...
+    roots = [np.exp(2j * np.pi * j / n) for j in range(n)]
+    coeff = np.array([[root ** (-k) for k in range(n)] for root in roots])
+    projs = np.tensordot(coeff, powers, axes=1) / n
+    u_svd, s_svd, _ = np.linalg.svd(projs)
+    mults = {j: int(r) for j, r in enumerate(np.sum(s_svd > 0.5, axis=1))
+             if r}
+    u = np.hstack([u_svd[j][:, :r] for j, r in mults.items()])
     diag = u.conj().T @ a @ u
     off = diag - np.diag(np.diag(diag))
     target = np.concatenate([np.full(r, np.exp(2j * np.pi * j / n))
@@ -384,12 +396,9 @@ def spectral_split(rep: UnitaryRep, g, tol: Tolerances = TOL):
     return u, mults
 
 
-def averaged_operator(rep: UnitaryRep, elements, x):
-    out = np.zeros_like(x)
-    for h in elements:
-        m = rep.mat(h)
-        out += m @ x @ m.conj().T
-    return out / len(elements)
+def averaged_operator(m, x):
+    """(1/n) sum_i m_i x m_i^H over a stack m of n matrices."""
+    return (m @ x @ _h(m)).sum(axis=0) / len(m)
 
 
 def commutant_rank(rep: UnitaryRep, elements, samples, seed=0,
@@ -398,10 +407,11 @@ def commutant_rank(rep: UnitaryRep, elements, samples, seed=0,
     rank of a stack of averaged random operators."""
     rng = np.random.default_rng(seed)
     d = rep.degree
+    m = rep.stack_of(elements)
     rows = []
     for _ in range(samples):
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rows.append(averaged_operator(rep, elements, x).reshape(-1))
+        rows.append(averaged_operator(m, x).reshape(-1))
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     return int(np.sum(sv > tol.commutant_svd * sv[0]))
 
@@ -410,7 +420,17 @@ def random_commutant_skew(rep: UnitaryRep, elements, rng, scale=1.0):
     d = rep.degree
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     x = (x - x.conj().T) / 2
-    return scale * averaged_operator(rep, elements, x)
+    return scale * averaged_operator(rep.stack_of(elements), x)
+
+
+def _check_gauge(t, rho0: UnitaryRep, sub, tol, name, where):
+    """Raise unless t is unitary and commutes with rho0 on every element of
+    the subgroup, within tol; a NaN fails."""
+    if _above(_mnorm(t @ t.conj().T - np.eye(len(t))), tol):
+        raise ToleranceExceeded(f"{name} not unitary")
+    r = rho0.stack_of(sub.elements)
+    if _above(_mnorm(t @ r - r @ t), tol):
+        raise ToleranceExceeded(f"{name} leaves the {where} commutant")
 
 
 # -- moduli points and the gauge action ------------------------------------------
@@ -419,7 +439,7 @@ def random_commutant_skew(rep: UnitaryRep, elements, rng, scale=1.0):
 class ModuliPoint:
     graph: OrbitGraph
     mats: dict                  # edge index -> unitary matrix
-    # (rho0, word symbol) -> the symbol's image, filled by symbol_image
+    # rho0 -> every word symbol's image, filled by symbol_images
     images: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -436,38 +456,28 @@ class ModuliPoint:
         """tau_vertex(v) for every vertex, in vertex order."""
         return [self.tau_vertex(v) for v in range(len(self.graph.vertices))]
 
-    def symbol_image(self, rho0: UnitaryRep, sym):
-        """The matrix a word symbol evaluates to at this point under rho0,
-        computed on first use: tau_s^H tau_e^H rho0(g_e) tau_w for x_e,
-        tau_v^H rho0(g) tau_v for i_v(g), conjugate-transposed for
-        exponent -1."""
-        key = (rho0, sym)
-        out = self.images.get(key)
+    def symbol_images(self, rho0: UnitaryRep):
+        """Every word symbol's image under rho0, once per rho0, in the rows
+        of BrownPresentation.symbol_rows: 1, tau_s^H tau_e^H rho0(g_e) tau_w
+        per x_e, tau_v^H rho0(G_v) tau_v per vertex, then the inverses."""
+        out = self.images.get(rho0)
         if out is None:
-            tau_v = self.tau_v
-            if sym[0] == "x":
-                _, ei, exp = sym
-                e = self.graph.edges[ei]
-                m = tau_v[e.s].conj().T @ self.mats[ei].conj().T @ \
-                    rho0.mat(e.g) @ tau_v[e.w]
-            elif sym[0] == "v":
-                _, vi, g, exp = sym
-                m = tau_v[vi].conj().T @ rho0.mat(g) @ tau_v[vi]
-            else:
-                raise ValueError(f"unknown word symbol {sym!r}")
-            out = self.images[key] = m if exp == 1 else m.conj().T
+            graph, tau_v = self.graph, self.tau_v
+            edges = [tau_v[e.s].conj().T @ self.mats[ei].conj().T @
+                     rho0.mat(e.g) @ tau_v[e.w]
+                     for ei, e in enumerate(graph.edges)]
+            direct = np.concatenate(
+                [np.eye(rho0.degree)[None], np.array(edges)] +
+                [t.conj().T @ rho0.stack_of(v.sub.elements) @ t
+                 for v, t in zip(graph.vertices, tau_v)])
+            out = self.images[rho0] = np.concatenate([direct,
+                                                      _h(direct[1:])])
         return out
 
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
-        eye = np.eye(next(iter(self.mats.values())).shape[0])
         for ei, t in self.mats.items():
-            if _above(_mnorm(t @ t.conj().T - eye), tol.action):
-                raise ToleranceExceeded(f"tau_{ei} not unitary")
-            for g in self.graph.edges[ei].sub.elements:
-                r = rho0.mat(g)
-                if _above(_mnorm(t @ r - r @ t), tol.action):
-                    raise ToleranceExceeded(
-                        f"tau_{ei} leaves the stabilizer commutant")
+            _check_gauge(t, rho0, self.graph.edges[ei].sub, tol.action,
+                         f"tau_{ei}", "stabilizer")
         return True
 
 
@@ -477,19 +487,12 @@ class HPoint:
     mats: dict                  # vertex index -> unitary, root -> identity
 
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
-        root = self.graph.root
-        eye = np.eye(rho0.degree)
-        if _above(_mnorm(self.mats[root] - eye), tol.action):
+        if _above(_mnorm(self.mats[self.graph.root] - np.eye(rho0.degree)),
+                  tol.action):
             raise ToleranceExceeded("alpha at the root vertex must be 1")
         for vi, v in enumerate(self.graph.vertices):
-            a = self.mats[vi]
-            if _above(_mnorm(a @ a.conj().T - eye), tol.action):
-                raise ToleranceExceeded(f"alpha_{vi} not unitary")
-            for g in v.sub.elements:
-                r = rho0.mat(g)
-                if _above(_mnorm(a @ r - r @ a), tol.action):
-                    raise ToleranceExceeded(
-                        f"alpha_{vi} leaves the vertex commutant")
+            _check_gauge(self.mats[vi], rho0, v.sub, tol.action,
+                         f"alpha_{vi}", "vertex")
         return True
 
 
@@ -500,11 +503,9 @@ def identity_moduli_point(graph, degree):
 
 def random_moduli_point(graph, rho0: UnitaryRep, rng, scale=1.0,
                         tol: Tolerances = TOL):
-    mats = {}
-    for i, e in enumerate(graph.edges):
-        skew = random_commutant_skew(rho0, e.sub.elements, rng, scale)
-        mats[i] = expm(skew, tol)
-    point = ModuliPoint(graph, mats)
+    point = ModuliPoint(graph, {
+        i: expm(random_commutant_skew(rho0, e.sub.elements, rng, scale), tol)
+        for i, e in enumerate(graph.edges)})
     point.check(rho0, tol)
     return point
 
@@ -519,12 +520,21 @@ def random_h_point(graph, rho0: UnitaryRep, rng, scale=1.0):
 
 
 def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
-                 tau: ModuliPoint, word):
-    """Evaluate the induced representation at the moduli point on a word:
-    one product per symbol, with the symbol images cached on the point."""
-    acc = np.eye(rho0.degree, dtype=np.complex128)
-    for sym in word:
-        acc = acc @ tau.symbol_image(rho0, sym)
+                 tau: ModuliPoint, words):
+    """The induced representation at the moduli point on a sequence of
+    words, as an (n, d, d) array: one batched product of symbol images per
+    word position, left to right, shorter words padded by the identity."""
+    index, images = pres.symbol_rows, tau.symbol_images(rho0)
+    try:
+        rows = [[index[sym] for sym in w] for w in words]
+    except KeyError as e:
+        raise ValueError(f"unknown word symbol {e.args[0]!r}") from None
+    length = max(map(len, rows), default=0)
+    steps = np.array([r + [0] * (length - len(r)) for r in rows],
+                     dtype=np.intp).reshape(len(rows), length)
+    acc = np.repeat(images[:1], len(rows), axis=0)
+    for col in steps.T:
+        acc = acc @ images[col]
     return acc
 
 
@@ -555,15 +565,14 @@ def word_differential_check(pres: BrownPresentation, rho0: UnitaryRep,
     tangent = {i: random_commutant_skew(rho0, e.sub.elements, rng)
                for i, e in enumerate(graph.edges)}
 
-    formula = np.zeros((rho0.degree, rho0.degree), dtype=np.complex128)
-    for a, ei, eps in legs:
-        ra = rho0.mat(a)
-        formula -= eps * (ra @ tangent[ei] @ ra.conj().T)
+    ra = rho0.stack_of([a for a, _, _ in legs])
+    steps = np.array([eps * tangent[ei] for _, ei, eps in legs])
+    formula = -(ra @ steps @ _h(ra)).sum(axis=0)
 
     def at(t):
         point = ModuliPoint(graph, {i: expm(t * x, tol)
                                     for i, x in tangent.items()})
-        return rho_tau_eval(pres, rho0, point, word)
+        return rho_tau_eval(pres, rho0, point, [word])[0]
 
     fd = (at(step) - at(-step)) / (2 * step)
     err = _mnorm(formula - fd)

@@ -11,6 +11,7 @@ deterministic scans, and support presentations and word evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -77,6 +78,19 @@ class OrbitGraph:
             path.append(i)
             v = u
         return list(reversed(path))
+
+    @cached_property
+    def walk_steps(self):
+        """For each vertex v and twist t in G_v, the moves (e, eps, t,
+        t g_e^eps, next vertex) of random_closed_path: along the edges
+        leaving v, then against those entering it.  Built on first use."""
+        mul, edges = self.model.mul, list(enumerate(self.edges))
+        options = [[(i, 1, e.g, e.w) for i, e in edges if e.s == v] +
+                   [(i, -1, self.model.inv(e.g), e.s) for i, e in edges
+                    if e.w == v] for v in range(len(self.vertices))]
+        return [[[(i, eps, t, mul(t, f), nxt) for i, eps, f, nxt in moves]
+                 for t in vertex.sub.elements]
+                for vertex, moves in zip(self.vertices, options)]
 
 
 def _stabilizer_plan(family, q):
@@ -284,6 +298,18 @@ class BrownPresentation:
     def v(self, vidx, g, exp=1):
         return ("v", vidx, g, exp)
 
+    @cached_property
+    def symbol_rows(self):
+        """Word symbol -> its row in ModuliPoint.symbol_images: 0 is the
+        identity, then x_e for every edge and i_v(g) for every vertex v and
+        g in G_v, in order, then the same symbols with exponent -1."""
+        syms = [("x", ei) for ei in range(len(self.graph.edges))] + \
+            [("v", vi, g) for vi, v in enumerate(self.graph.vertices)
+             for g in v.sub.elements]
+        return {(*s, exp): 1 + i + half * len(syms)
+                for half, exp in enumerate((1, -1))
+                for i, s in enumerate(syms)}
+
     def phi(self, word):
         """The quotient morphism: x_e -> g_e, i_v(g) -> g."""
         model = self.model
@@ -333,30 +359,23 @@ def brown_presentation(graph: OrbitGraph, model: GroupModel) -> BrownPresentatio
 # -- closed edge paths and kernel words --------------------------------------------
 
 def random_closed_path(graph: OrbitGraph, rng, min_len=4, max_len=14):
-    """A closed edge path (a_i, e_i, eps_i) based at the root vertex."""
-    model = graph.model
+    """A closed edge path (a_i, e_i, eps_i) based at the root vertex.
+
+    Each step draws a twist t in G_v, then an edge; a walk not closed in the
+    root group within max_len steps is drawn again.  A leg along e has
+    a = c t for the prefix c, formed once the walk is accepted."""
+    model, steps = graph.model, graph.walk_steps
     root_set = set(graph.vertices[graph.root].sub.elements)
-    # the edges leaving each vertex, then the edges entering it
-    options = [[(i, +1) for i, e in enumerate(graph.edges) if e.s == v] +
-               [(i, -1) for i, e in enumerate(graph.edges) if e.w == v]
-               for v in range(len(graph.vertices))]
     while True:
         c, vidx = IDENTITY, graph.root
-        legs = []
+        walk = []
         for _ in range(max_len):
-            twist = rng.choice(graph.vertices[vidx].sub.elements)
-            c = model.mul(c, twist)
-            ei, eps = rng.choice(options[vidx])
-            e = graph.edges[ei]
-            if eps == 1:
-                legs.append((c, ei, 1))
-                c, vidx = model.mul(c, e.g), e.w
-            else:
-                a = model.mul(c, model.inv(e.g))
-                legs.append((a, ei, -1))
-                c, vidx = a, e.s
-            if vidx == graph.root and len(legs) >= min_len and c in root_set:
-                return legs
+            ei, eps, t, step, vidx = rng.choice(rng.choice(steps[vidx]))
+            prev, c = c, model.mul(c, step)
+            walk.append((prev, t, ei, 1) if eps == 1 else (c, None, ei, -1))
+            if vidx == graph.root and len(walk) >= min_len and c in root_set:
+                return [(model.mul(a, t) if eps == 1 else a, ei, eps)
+                        for a, t, ei, eps in walk]
 
 
 def path_to_word(pres: BrownPresentation, legs):

@@ -226,14 +226,15 @@ def test_criterion_9_moduli_mechanics(realized):
             for _ in range(50):
                 w = random_word(pres, rng, 6)
                 d = float(np.max(np.abs(
-                    rho_tau_eval(pres, rep, tau, w) -
-                    rho_tau_eval(pres, rep, moved, w))))
+                    rho_tau_eval(pres, rep, tau, [w])[0] -
+                    rho_tau_eval(pres, rep, moved, [w])[0])))
                 worst_gauge = max(worst_gauge, d)
         one = identity_moduli_point(graph, rep.degree)
         eye = np.eye(rep.degree)
         for _ in range(100):
             w = random_kernel_word(pres, rng)
-            d = float(np.max(np.abs(rho_tau_eval(pres, rep, one, w) - eye)))
+            val = rho_tau_eval(pres, rep, one, [w])[0]
+            d = float(np.max(np.abs(val - eye)))
             worst_univ = max(worst_univ, d)
     ok = worst_gauge <= 1e-7 and worst_univ <= 1e-8
     elapsed = time.monotonic() - t0

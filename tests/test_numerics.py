@@ -64,7 +64,7 @@ def test_realize_trivial_character():
     t = table_psl2_even(4)
     rep = realize_irreducible(m, t, t.by_name["1"], seed=0)
     assert rep.degree == 1
-    assert all(abs(v[0, 0] - 1) < 1e-12 for v in rep.mats.values())
+    assert np.all(np.abs(rep.stack[:, 0, 0] - 1) < 1e-12)
 
 
 def test_spectral_split_involutions(rho4, rho11):
@@ -108,7 +108,7 @@ def test_intertwiner_recovers_conjugation(rho4):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     v = np.linalg.qr(x)[0]
-    r2 = UnitaryRep(m, {g: v @ mat @ v.conj().T for g, mat in rep.mats.items()})
+    r2 = UnitaryRep(m, v @ rep.stack @ v.conj().T)
     u = intertwiner(rep, r2, seed=2)
     worst = max(np.max(np.abs(u @ rep.mat(g) @ u.conj().T - r2.mat(g)))
                 for g in m.elements)
@@ -127,15 +127,13 @@ def test_intertwiner_rejects_different_characters(rho4):
     m, t, rep = rho4
     other = realize_irreducible(m, t, t.by_name["psi"], seed=0)
     with pytest.raises(NotIsomorphic):
-        intertwiner(rep, UnitaryRep(m, {g: other.mat(g)[:3, :3]
-                                        for g in m.elements}))
+        intertwiner(rep, UnitaryRep(m, other.stack[:, :3, :3]))
 
 
 def test_direct_sum_commutant_dimension(rho4):
     m, _, rep = rho4
-    double = UnitaryRep(m, {
-        g: np.block([[mat, np.zeros((3, 3))], [np.zeros((3, 3)), mat]])
-        for g, mat in rep.mats.items()})
+    zero = np.zeros_like(rep.stack)
+    double = UnitaryRep(m, np.block([[rep.stack, zero], [zero, rep.stack]]))
     assert commutant_rank(double, m.elements, 12, seed=0) == 4
 
 
@@ -145,12 +143,12 @@ def test_rho_tau_at_identity_point(setting4):
     rng = random.Random(1)
     for _ in range(20):
         w = random_word(pres, rng, 6)
-        lhs = rho_tau_eval(pres, rep, one, w)
+        lhs = rho_tau_eval(pres, rep, one, [w])[0]
         assert np.max(np.abs(lhs - rep.mat(pres.phi(w)))) < 1e-8
     # tree edges evaluate to the identity
     for ei, e in enumerate(g.edges):
         if e.in_tree:
-            val = rho_tau_eval(pres, rep, one, (pres.x(ei),))
+            val = rho_tau_eval(pres, rep, one, [(pres.x(ei),)])[0]
             assert np.max(np.abs(val - np.eye(rep.degree))) < 1e-12
 
 
@@ -162,13 +160,13 @@ def test_rho_tau_multiplicative_and_relations(setting4):
     for _ in range(10):
         w1 = random_word(pres, rng, 5)
         w2 = random_word(pres, rng, 5)
-        lhs = rho_tau_eval(pres, rep, tau, w1 + w2)
-        rhs = rho_tau_eval(pres, rep, tau, w1) @ \
-            rho_tau_eval(pres, rep, tau, w2)
+        lhs = rho_tau_eval(pres, rep, tau, [w1 + w2])[0]
+        rhs = rho_tau_eval(pres, rep, tau, [w1])[0] @ \
+            rho_tau_eval(pres, rep, tau, [w2])[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-7
     for lhs_w, rhs_w in pres.relations():
-        a = rho_tau_eval(pres, rep, tau, lhs_w)
-        b = rho_tau_eval(pres, rep, tau, rhs_w) if rhs_w \
+        a = rho_tau_eval(pres, rep, tau, [lhs_w])[0]
+        b = rho_tau_eval(pres, rep, tau, [rhs_w])[0] if rhs_w \
             else np.eye(rep.degree)
         assert np.max(np.abs(a - b)) < 1e-8
 
@@ -179,7 +177,7 @@ def test_universal_point_kills_kernel(setting4):
     rng = random.Random(3)
     for _ in range(25):
         w = random_kernel_word(pres, rng)
-        val = rho_tau_eval(pres, rep, one, w)
+        val = rho_tau_eval(pres, rep, one, [w])[0]
         assert np.max(np.abs(val - np.eye(rep.degree))) < 1e-8
 
 
@@ -193,8 +191,8 @@ def test_h_action(setting4):
     moved.check(rep)
     for _ in range(25):
         w = random_word(pres, rng, 7)
-        a = rho_tau_eval(pres, rep, tau, w)
-        b = rho_tau_eval(pres, rep, moved, w)
+        a = rho_tau_eval(pres, rep, tau, [w])[0]
+        b = rho_tau_eval(pres, rep, moved, [w])[0]
         assert np.max(np.abs(a - b)) < 1e-7
     # identity alpha acts trivially
     ident = HPoint(g, {v: np.eye(rep.degree, dtype=complex)
@@ -301,7 +299,7 @@ def test_rho_tau_unknown_symbol(setting4):
     m, t, rep, g, pres = setting4
     one = identity_moduli_point(g, rep.degree)
     with pytest.raises(ValueError):
-        rho_tau_eval(pres, rep, one, (("y", 0, 1),))
+        rho_tau_eval(pres, rep, one, [(("y", 0, 1),)])
 
 
 def test_realize_psl2_19_capability():
@@ -385,14 +383,13 @@ def test_induced_action_equals_scalar_monomials(q):
             for ch in t.chars if ch.degree > 1}
     for gen in sorted(gens):
         cosets = num._left_cosets(m, gen)
-        action = num._induced_action(m, cosets)
-        assert len(action) == m.order
-        for s in m.elements:
-            perm, exps = action[s]
+        perms, exps = num._induced_action(m, cosets)
+        assert perms.dtype == exps.dtype == np.int16
+        assert len(perms) == len(exps) == m.order
+        for s, perm, exp in zip(m.elements, perms, exps):
             ref_perm, ref_exps = num._monomial(m, cosets, s)
-            assert perm.dtype == exps.dtype == np.int16
             assert np.array_equal(perm, ref_perm)
-            assert np.array_equal(exps, ref_exps)
+            assert np.array_equal(exp, ref_exps)
 
 
 def test_realize_raises_when_generators_do_not_generate(monkeypatch):
@@ -441,9 +438,9 @@ def test_cached_word_values_are_bit_identical(setting11):
         for _ in range(40):
             w = random_word(pres, rng, 8)
             ref = _reference_eval(rep, point, w)
-            assert np.array_equal(rho_tau_eval(pres, rep, point, w), ref)
+            assert np.array_equal(rho_tau_eval(pres, rep, point, [w])[0], ref)
             # a second evaluation reads every image from the cache
-            assert np.array_equal(rho_tau_eval(pres, rep, point, w), ref)
+            assert np.array_equal(rho_tau_eval(pres, rep, point, [w])[0], ref)
 
 
 def test_symbol_images_are_kept_per_rep(setting11):
@@ -454,13 +451,13 @@ def test_symbol_images_are_kept_per_rep(setting11):
     r1 = realize_irreducible(m, t, rho0_character(t), seed=1)
     u = np.linalg.qr(np.random.default_rng(5).standard_normal(
         (r1.degree, r1.degree)))[0]
-    r1 = UnitaryRep(m, {x: u @ a @ u.T for x, a in r1.mats.items()}, seed=1)
+    r1 = UnitaryRep(m, u @ r1.stack @ u.T)
     tau = random_moduli_point(g, r0, np.random.default_rng(12))
     rng = random.Random(12)
     for _ in range(10):
         w = random_word(pres, rng, 6)
-        v0 = rho_tau_eval(pres, r0, tau, w)
-        v1 = rho_tau_eval(pres, r1, tau, w)
+        v0 = rho_tau_eval(pres, r0, tau, [w])[0]
+        v1 = rho_tau_eval(pres, r1, tau, [w])[0]
         assert np.array_equal(v0, _reference_eval(r0, tau, w))
         assert np.array_equal(v1, _reference_eval(r1, tau, w))
     assert not np.allclose(v0, v1)
@@ -486,10 +483,9 @@ def test_expm_rotation_inverse_and_rejection():
 
 def test_defects_propagate_nan(rho4):
     m, t, rep = rho4
-    g = m.elements[-1]
-    mats = dict(rep.mats)
-    mats[g] = np.full_like(mats[g], np.nan)
-    bad = UnitaryRep(m, mats)
+    stack = rep.stack.copy()
+    stack[-1] = np.nan
+    bad = UnitaryRep(m, stack)
     assert np.isnan(bad.unitarity_defect())
     assert np.isnan(bad.character_defect(rho0_character(t)))
     assert np.isnan(bad.homomorphism_defect())
@@ -499,14 +495,106 @@ def test_nan_matrix_fails_realization(monkeypatch):
     import repmoduli.numerics as num
     real = num.UnitaryRep
 
-    def with_nan(model, mats, seed=None):
-        mats = dict(mats)
-        g = model.elements[-1]
-        mats[g] = np.full_like(mats[g], np.nan)
-        return real(model, mats, seed)
+    def with_nan(model, stack):
+        stack = stack.copy()
+        stack[-1] = np.nan
+        return real(model, stack)
 
     monkeypatch.setattr(num, "UnitaryRep", with_nan)
     m = psl2_model(4)
     t = table_psl2_even(4)
     with pytest.raises(num.ToleranceExceeded):
         num.realize_irreducible(m, t, rho0_character(t), seed=1)
+
+
+def test_batched_words_equal_reference(setting11):
+    # one batch per point, with words of different lengths padded by the
+    # identity: every value equals the word-by-word product bit for bit
+    m, t, rep, g, pres = setting11
+    nrng = np.random.default_rng(13)
+    rng = random.Random(13)
+    tau = random_moduli_point(g, rep, nrng)
+    moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
+    one = identity_moduli_point(g, rep.degree)
+    words = [random_word(pres, rng, 6) for _ in range(30)]
+    kernel = [random_kernel_word(pres, rng) for _ in range(20)]
+    assert len({len(w) for w in kernel}) > 1
+    for point, batch in ((tau, words), (moved, words), (one, words),
+                         (one, kernel), (tau, kernel)):
+        values = rho_tau_eval(pres, rep, point, batch)
+        assert values.shape == (len(batch), rep.degree, rep.degree)
+        for w, value in zip(batch, values):
+            assert np.array_equal(value, _reference_eval(rep, point, w))
+    assert rho_tau_eval(pres, rep, tau, []).shape == \
+        (0, rep.degree, rep.degree)
+
+
+def test_phase_on_one_matrix_fails_realization(monkeypatch):
+    import repmoduli.numerics as num
+    real = num.UnitaryRep
+
+    def with_phase(model, stack):
+        stack = stack.copy()
+        stack[-1] *= np.exp(0.3j)
+        return real(model, stack)
+
+    monkeypatch.setattr(num, "UnitaryRep", with_phase)
+    m = psl2_model(4)
+    t = table_psl2_even(4)
+    with pytest.raises(num.ToleranceExceeded):
+        num.realize_irreducible(m, t, rho0_character(t), seed=1)
+
+
+def _with_one_element(rep, g, value):
+    """rep with the matrix of g replaced by value(old matrix)."""
+    stack = rep.stack.copy()
+    stack[rep.row[g]] = value(stack[rep.row[g]])
+    return UnitaryRep(rep.model, stack)
+
+
+@pytest.mark.parametrize("bad", ["conjugated", "nan"])
+def test_one_bad_stabilizer_element_fails_point_checks(setting11, bad):
+    from repmoduli.numerics import ToleranceExceeded
+    m, t, rep, g, pres = setting11
+    nrng = np.random.default_rng(14)
+    tau = random_moduli_point(g, rep, nrng)
+    alpha = random_h_point(g, rep, nrng)
+    u = np.linalg.qr(nrng.standard_normal((rep.degree, rep.degree)))[0]
+    alter = {"conjugated": lambda a: u @ a @ u.T,
+             "nan": lambda a: np.full_like(a, np.nan)}[bad]
+    edge_sub = g.edges[0].sub
+    vi = next(i for i in range(len(g.vertices)) if i != g.root)
+    for sub, point in ((edge_sub, tau), (g.vertices[vi].sub, alpha)):
+        point.check(rep)
+        x = next(x for x in sub.elements if x != IDENTITY)
+        with pytest.raises(ToleranceExceeded):
+            point.check(_with_one_element(rep, x, alter))
+
+
+@pytest.mark.parametrize("q,ranks", [
+    (4, [1, 2, 2, 3, 5, 5, 9]),
+    (11, [1, 3, 3, 3, 5, 13, 7, 9, 25]),
+])
+def test_commutant_ranks_are_pinned(rho4, rho11, q, ranks):
+    m, t, rep = rho4 if q == 4 else rho11
+    fam = "psl2_even" if q == 4 else "psl2_odd"
+    g = build_orbit_graph(fam, q, k=1, model=m)
+    subs = [node.sub for node in list(g.vertices) + list(g.edges)]
+    assert [commutant_rank(rep, sub.elements, r + 8, seed=r)
+            for sub, r in zip(subs, ranks)] == ranks
+
+
+def test_homomorphism_defect_draws_pairs_in_order(rho4):
+    # the defect over 300 pairs drawn as one array equals the defect over
+    # pairs drawn one scalar at a time, g then h, and leaves the generator
+    # in the same state
+    m, t, rep = rho4
+    rng, ref = np.random.default_rng(15), np.random.default_rng(15)
+    worst = 0.0
+    for _ in range(300):
+        g = m.elements[ref.integers(m.order)]
+        h = m.elements[ref.integers(m.order)]
+        worst = max(worst, np.max(np.abs(rep.mat(g) @ rep.mat(h) -
+                                         rep.mat(m.mul(g, h)))))
+    assert rep.homomorphism_defect(rng) == worst
+    assert rng.bit_generator.state == ref.bit_generator.state

@@ -201,14 +201,20 @@ def _closed_path_reference(graph, rng, min_len=4, max_len=14):
                 return legs
 
 
-@pytest.mark.parametrize("fam,q,k", [("psl2_even", 4, 1), ("psl2_odd", 11, 0)])
+@pytest.mark.parametrize("fam,q,k", [
+    (fam, q, k) for fam, q in [("psl2_even", 4), ("psl2_even", 8),
+                               ("psl2_odd", 11), ("psl2_odd", 19)]
+    for k in (0, 1)])
 def test_closed_paths_match_reference(fam, q, k):
+    # the same paths from the same draws, and the generator left in the
+    # same state
     g = build_orbit_graph(fam, q, k=k, model=psl2_model(q))
-    for seed in range(5):
+    for seed in (0, 3, 7):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         for _ in range(4):
             assert random_closed_path(g, rng) == \
                 _closed_path_reference(g, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_euler_identity_wider_spot():
