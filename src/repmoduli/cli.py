@@ -9,6 +9,7 @@ an environment variable with the REPMODULI_ prefix (e.g. REPMODULI_SEED).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -201,7 +202,7 @@ def _orthogonal(check, table):
         return f"mismatch: {e}"
 
 
-def check_tables(fam, q, cfg):
+def check_tables(fam, q, cfg, load_model):
     records = []
     for table in _table_stack(fam, q):
         inputs = f"{table.family} q={table.q}"
@@ -215,7 +216,7 @@ def check_tables(fam, q, cfg):
     return records
 
 
-def check_fusion(fam, q, cfg):
+def check_fusion(fam, q, cfg, load_model):
     name = f"fusion/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(name, name, f"q={q}", "skipped: class-data model")]
@@ -224,7 +225,7 @@ def check_fusion(fam, q, cfg):
                       "skipped: beyond enumeration scope")]
 
     def run():
-        model = psl2_model(q)
+        model = load_model()
         if fam == "psl2_even":
             rows = [("borel", 0), ("dihedral_split", 0),
                     ("dihedral_nonsplit", 0), ("cyclic", q - 1),
@@ -249,7 +250,7 @@ def check_fusion(fam, q, cfg):
                     f"{rows} subgroup rows equal", computed, ms)]
 
 
-def check_centralizers(fam, q, cfg):
+def check_centralizers(fam, q, cfg, load_model):
     if fam == "dihedral":
         return [_guarded(f"centralizers/theta-balance-n{q}",
                          f"theta-balance/dihedral-n{q}", f"n={q}",
@@ -264,7 +265,7 @@ def check_centralizers(fam, q, cfg):
             centralizer_checks(table_for(fam, q))]
 
 
-def check_moduli_dim(fam, q, cfg):
+def check_moduli_dim(fam, q, cfg, load_model):
     if fam not in ("psl2_even", "psl2_odd", "sz"):
         return [_skip(f"moduli-dim/{fam}-q{q}", "moduli-dim", f"q={q}",
                       "skipped: no orbit graph for this family")]
@@ -283,7 +284,7 @@ def check_moduli_dim(fam, q, cfg):
     return records
 
 
-def check_euler(fam, q, cfg):
+def check_euler(fam, q, cfg, load_model):
     name = f"euler/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd", "sz"):
         return [_skip(name, name, f"q={q}",
@@ -306,7 +307,7 @@ def check_euler(fam, q, cfg):
                     f"{n * n} ordered pairs equal", computed, ms)]
 
 
-def check_brown(fam, q, cfg):
+def check_brown(fam, q, cfg, load_model):
     name = f"brown/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(name, name, f"q={q}", "skipped: class-data model")]
@@ -315,7 +316,7 @@ def check_brown(fam, q, cfg):
                       "skipped: beyond enumeration scope")]
 
     def run():
-        model = psl2_model(q)
+        model = load_model()
         graph = build_orbit_graph(fam, q, k=cfg.k, model=model)
         pres = brown_presentation(graph, model)
         expected = f"{len(pres.relations())} relations verified"
@@ -325,7 +326,7 @@ def check_brown(fam, q, cfg):
     return [_record(name, name, f"q={q} k={cfg.k}", expected, computed, ms)]
 
 
-def check_numerics(fam, q, cfg):
+def check_numerics(fam, q, cfg, load_model):
     base = f"numerics/{fam}-q{q}"
     if fam == "sz":
         return [_skip(base, base, f"q={q}", "skipped: class-data model")]
@@ -351,7 +352,7 @@ def check_numerics(fam, q, cfg):
     inputs = f"q={q} seed={seed}"
     table = table_for(fam, q)
     target = rho0_character(table)
-    model = psl2_model(q)
+    model = load_model()
     tol = cfg.tol
 
     def record(part, anchor, expected, compute):
@@ -470,25 +471,27 @@ CHECK_RUNNERS = {
 
 
 def run(cfg: VerificationConfig) -> VerificationReport:
-    jobs = []
-    for q in cfg.qs:
+    def run_q(q):
+        """Every check of one q.  The q's enumerated model is built on first
+        use, shared by these checks and dropped with them, so each q is
+        enumerated at most once whatever --jobs is."""
         fam = classify_q(cfg.family, q)
+        load_model = functools.cache(lambda: psl2_model(q))
+        records = []
         for check in cfg.checks:
-            jobs.append((q, fam, check))
-
-    def run_one(job):
-        q, fam, check = job
-        try:
-            return CHECK_RUNNERS[check](fam, q, cfg)
-        except Exception as e:          # a crashed check is a failing record
-            return [Record(f"{check}/{fam}-q{q}", f"{check}/{fam}-q{q}",
-                           f"q={q}", "completes", _error(e), False, 0)]
+            try:
+                records += CHECK_RUNNERS[check](fam, q, cfg, load_model)
+            except Exception as e:      # a crashed check is a failing record
+                records.append(Record(
+                    f"{check}/{fam}-q{q}", f"{check}/{fam}-q{q}", f"q={q}",
+                    "completes", _error(e), False, 0))
+        return records
 
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(run_one, jobs))
+            chunks = list(pool.map(run_q, cfg.qs))
     else:
-        chunks = [run_one(j) for j in jobs]
+        chunks = [run_q(q) for q in cfg.qs]
     records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: r.name)
     header = {

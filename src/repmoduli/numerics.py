@@ -439,7 +439,7 @@ def _check_gauge(t, rho0: UnitaryRep, sub, tol, name, where):
 class ModuliPoint:
     graph: OrbitGraph
     mats: dict                  # edge index -> unitary matrix
-    # rho0 -> every word symbol's image, filled by symbol_images
+    # rho0 -> (symbol -> row, stacked images), filled by symbol_images
     images: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
@@ -457,21 +457,29 @@ class ModuliPoint:
         return [self.tau_vertex(v) for v in range(len(self.graph.vertices))]
 
     def symbol_images(self, rho0: UnitaryRep):
-        """Every word symbol's image under rho0, once per rho0, in the rows
-        of BrownPresentation.symbol_rows: 1, tau_s^H tau_e^H rho0(g_e) tau_w
-        per x_e, tau_v^H rho0(G_v) tau_v per vertex, then the inverses."""
+        """Every word symbol's image under rho0, once per rho0: a dict from
+        symbol to row and the (n, d, d) stack of images.  Row 0 is the
+        identity, then tau_s^H tau_e^H rho0(g_e) tau_w per x_e and
+        tau_v^H rho0(g) tau_v per vertex v and g in G_v, then the same
+        symbols with exponent -1, imaged by the conjugate transposes."""
         out = self.images.get(rho0)
         if out is None:
             graph, tau_v = self.graph, self.tau_v
-            edges = [tau_v[e.s].conj().T @ self.mats[ei].conj().T @
-                     rho0.mat(e.g) @ tau_v[e.w]
-                     for ei, e in enumerate(graph.edges)]
-            direct = np.concatenate(
-                [np.eye(rho0.degree)[None], np.array(edges)] +
-                [t.conj().T @ rho0.stack_of(v.sub.elements) @ t
-                 for v, t in zip(graph.vertices, tau_v)])
-            out = self.images[rho0] = np.concatenate([direct,
-                                                      _h(direct[1:])])
+            keys = [[("x", ei, exp) for ei in range(len(graph.edges))]
+                    for exp in (1, -1)]
+            blocks = [np.eye(rho0.degree)[None], np.array([
+                tau_v[e.s].conj().T @ self.mats[ei].conj().T @
+                rho0.mat(e.g) @ tau_v[e.w]
+                for ei, e in enumerate(graph.edges)])]
+            for vi, (v, t) in enumerate(zip(graph.vertices, tau_v)):
+                for exp, ks in zip((1, -1), keys):
+                    ks += [("v", vi, g, exp) for g in v.sub.elements]
+                blocks.append(t.conj().T @ rho0.stack_of(v.sub.elements) @ t)
+            index = dict(zip(keys[0] + keys[1],
+                             range(1, 1 + 2 * len(keys[0]))))
+            direct = np.concatenate(blocks)
+            out = self.images[rho0] = (
+                index, np.concatenate([direct, _h(direct[1:])]))
         return out
 
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
@@ -524,7 +532,7 @@ def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
     """The induced representation at the moduli point on a sequence of
     words, as an (n, d, d) array: one batched product of symbol images per
     word position, left to right, shorter words padded by the identity."""
-    index, images = pres.symbol_rows, tau.symbol_images(rho0)
+    index, images = tau.symbol_images(rho0)
     try:
         rows = [[index[sym] for sym in w] for w in words]
     except KeyError as e:

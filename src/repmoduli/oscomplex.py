@@ -298,18 +298,6 @@ class BrownPresentation:
     def v(self, vidx, g, exp=1):
         return ("v", vidx, g, exp)
 
-    @cached_property
-    def symbol_rows(self):
-        """Word symbol -> its row in ModuliPoint.symbol_images: 0 is the
-        identity, then x_e for every edge and i_v(g) for every vertex v and
-        g in G_v, in order, then the same symbols with exponent -1."""
-        syms = [("x", ei) for ei in range(len(self.graph.edges))] + \
-            [("v", vi, g) for vi, v in enumerate(self.graph.vertices)
-             for g in v.sub.elements]
-        return {(*s, exp): 1 + i + half * len(syms)
-                for half, exp in enumerate((1, -1))
-                for i, s in enumerate(syms)}
-
     def phi(self, word):
         """The quotient morphism: x_e -> g_e, i_v(g) -> g."""
         model = self.model

@@ -133,6 +133,24 @@ def test_jobs_parallel_matches_serial():
     assert key(serial) == key(parallel)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_q_enumerated_once(monkeypatch, jobs):
+    # fusion and brown share one model per q, also when the q values run
+    # on separate threads and evict each other from psl2_model's cache
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return psl2_model(q)
+
+    monkeypatch.setattr(cli, "psl2_model", counted)
+    rep = run(parse_config(["--family", "psl2", "--q", "4,8,11",
+                            "--checks", "fusion,brown",
+                            "--jobs", str(jobs)]))
+    assert all(r.passed for r in rep.records)
+    assert sorted(calls) == [4, 8, 11]
+
+
 def _records(path):
     return {r["name"]: r for r in json.loads(path.read_text())["records"]}
 

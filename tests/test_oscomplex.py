@@ -209,7 +209,7 @@ def test_closed_paths_match_reference(fam, q, k):
     # the same paths from the same draws, and the generator left in the
     # same state
     g = build_orbit_graph(fam, q, k=k, model=psl2_model(q))
-    for seed in (0, 3, 7):
+    for seed in (0, 1, 2, 3, 4, 7):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         for _ in range(4):
             assert random_closed_path(g, rng) == \
