@@ -21,8 +21,7 @@ import numpy as np
 
 from .cyclo import Cyclotomic, factorize, legendre
 from .groups import (
-    ClassLabel, GroupModel, SubgroupSpec, class_data_model, closure,
-    fusion_table, suzuki_class_labels, suzuki_model, symbolic_subgroup,
+    ClassLabel, GroupModel, SubgroupSpec, class_data_model, fusion_table, suzuki_class_labels, suzuki_model, symbolic_subgroup,
     twisted_torus_reps,
 )
 
@@ -725,15 +724,6 @@ def split_dihedral_restriction(table: CharacterTable) -> Restriction:
     return Restriction(table, sub, table_dihedral_odd(2 * n), images)
 
 
-def c4_in_sz_restriction(table: CharacterTable) -> Restriction:
-    if table.family != "sz":
-        raise ValueError("C4 restriction data is a Suzuki construction")
-    sub = symbolic_subgroup("sz", table.q, "c4")
-    images = (ClassLabel("id"), ClassLabel("rho"), ClassLabel("sigma"),
-              ClassLabel("rho_inv"))
-    return Restriction(table, sub, table_cyclic(4), images)
-
-
 def dihedral_theta_restrictions(table: CharacterTable):
     """The (C_n, C_2) subgroup pair of an ambient dihedral table D_{2n}."""
     if table.family != "dihedral":
@@ -871,43 +861,3 @@ def centralizer_checks(table: CharacterTable):
         ms = int((time.perf_counter() - t0) * 1000)
         out.append((part, expected, computed, ms))
     return out
-
-
-def attach_model(table: CharacterTable, model: GroupModel):
-    """Check that an enumerated model matches the class data of the table.
-    The table keeps its own class-data model; callers pass the enumerated
-    one alongside it."""
-    if model.family != table.family or model.q != table.q:
-        raise TableMismatch("model family/q does not match the table")
-    if model.class_labels != table.labels:
-        raise TableMismatch("enumerated class labels disagree with the table")
-    if [model.class_sizes[lab] for lab in table.labels] != table.sizes:
-        raise TableMismatch("enumerated class sizes disagree with the table")
-
-
-def restriction_from_enumeration(table: CharacterTable, model: GroupModel,
-                                 sub: SubgroupSpec) -> Restriction:
-    """Restriction data computed element-by-element on the enumerated
-    `model` of the table's group."""
-    if not model.enumerated or sub.elements is None:
-        raise ValueError("needs an enumerated ambient model")
-    orders = model.element_orders
-    k = sub.order
-    gens_of_order = [g for g in sub.elements if orders[g] == k]
-    if gens_of_order:                                   # cyclic subgroup
-        images = [model.class_of[x]
-                  for x in closure(model, [gens_of_order[0]])]
-        return Restriction(table, sub, table_cyclic(k), tuple(images))
-    n = k // 2                                          # dihedral, odd n
-    rot = [g for g in sub.elements if orders[g] == n]
-    if n % 2 == 1 and rot:
-        powers = closure(model, [rot[0]])
-        refl = [g for g in sub.elements if g not in powers]
-        refl_classes = {model.class_of[g] for g in refl}
-        if len(refl_classes) != 1:
-            raise TableMismatch("reflections fuse into several classes")
-        images = [model.class_of[powers[0]]] + \
-            [model.class_of[powers[j]] for j in range(1, (n - 1) // 2 + 1)] + \
-            [refl_classes.pop()]
-        return Restriction(table, sub, table_dihedral_odd(2 * n), tuple(images))
-    raise ValueError(f"no restriction structure for subgroup {sub.tag}")

@@ -30,7 +30,7 @@ from .groups import (
     ENUMERATION_BOUND, _prime_power, build_subgroup, psl2_model,
     stored_fusion, fusion_table,
 )
-from .numerics import REALIZE_GROUP_BOUND, Tolerances
+from .numerics import Tolerances
 from .oscomplex import (
     brown_presentation, build_orbit_graph, moduli_dimension_report,
     euler_identity,
@@ -333,10 +333,9 @@ def check_numerics(fam, q, cfg, load_model):
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(base, base, f"q={q}",
                       "skipped: no distinguished character")]
-    order = q * (q * q - 1) // (1 if fam == "psl2_even" else 2)
-    if order > REALIZE_GROUP_BOUND:
+    if q > ENUMERATION_BOUND:
         return [_skip(base, base, f"q={q}",
-                      "skipped: beyond realization bound")]
+                      "skipped: beyond enumeration bound")]
 
     import numpy as np
     from .chars import centralizer_dim, fusion_for
@@ -400,8 +399,7 @@ def check_numerics(fam, q, cfg, load_model):
 
     def ranks():
         rep = realized()
-        return [commutant_rank(rep, sub.elements, exact + 8,
-                               seed=seed + exact, tol=tol)
+        return [commutant_rank(rep, sub.elements, seed=seed + exact, tol=tol)
                 for sub, exact in zip(stabilizers(), exact_ranks())]
 
     try:

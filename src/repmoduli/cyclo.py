@@ -283,21 +283,3 @@ def legendre(a, p):
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
-
-
-def quadratic_gauss_sum(p):
-    """sum_k (k|p) zeta_p^k for an odd prime p.
-
-    Its square is (-1)^((p-1)/2) * p, which fixes the classical sign
-    convention for square roots of +-p inside Q(zeta_p).
-    """
-    if p == 2 or p < 3 or factorize(p) != ((p, 1),):
-        raise ValueError("p must be an odd prime")
-    return Cyclotomic(p, tuple((k, legendre(k, p)) for k in range(1, p)))
-
-
-def sqrt_eps_q(p, n):
-    """Exact square root of (-1)^((q-1)/2) * q for q = p^n, p odd, n odd."""
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
-    return Cyclotomic.rational(p ** ((n - 1) // 2)) * quadratic_gauss_sum(p)

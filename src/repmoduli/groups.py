@@ -59,21 +59,6 @@ class ClassLabel(NamedTuple):
 ID = ClassLabel("id")
 
 
-# -- matrix helpers ----------------------------------------------------------
-
-def mat_mul(f, x, y):
-    """The 2x2 product over any field object with `add` and `mul`; the
-    reference that GroupModel.mul's table lookups are tested against."""
-    a, b, c, d = x
-    e, g, h, i = y
-    return (
-        f.add(f.mul(a, e), f.mul(b, h)),
-        f.add(f.mul(a, g), f.mul(b, i)),
-        f.add(f.mul(c, e), f.mul(d, h)),
-        f.add(f.mul(c, g), f.mul(d, i)),
-    )
-
-
 IDENTITY = (1, 0, 0, 1)
 
 
@@ -164,10 +149,6 @@ class GroupModel:
             n += 1
         return n
 
-    def classify(self, g):
-        g = self.canonical(g)
-        return self.class_of[g]
-
     def label_order(self, lab: ClassLabel):
         """Order of the elements of the class."""
         q = self.q
@@ -219,16 +200,6 @@ def _sl2_elements(f):
                     d = f.mul(ainv, f.add(1, f.mul(b, c)))
                     out.append((a, b, c, d))
     return out
-
-
-def _transvection_generators(f):
-    gens = []
-    lam = 1
-    for i in range(f.n):
-        lam = f.pow(f.generator, i) if i else 1
-        gens.append((1, 0, lam, 1))
-        gens.append((1, lam, 0, 1))
-    return gens
 
 
 def _torus_generator(model):

@@ -1,41 +1,30 @@
-"""Floating-point realization of the distinguished irreducible as one stack
-of unitary matrices, (|G|, d, d) in model.elements order; intertwiners,
-spectral splits, commutants and stabilizer checks as batched expressions
-over slices of it; word evaluation at moduli points, one batched product per
-word position; the gauge action; finite-difference checks of the
-word-differential formula.  Everything random is driven by an explicit seed;
-exact multiplicity data comes from the character layer beforehand.
+"""Floating-point realization of the distinguished irreducible rho0 from
+closed formulas, evaluated on demand: the odd half of the Weil
+representation for odd q, the Kirillov model of the cuspidal theta_1 for
+even q.  Group averages, commutant dimensions, spectral splits and
+stabilizer checks over subgroups; word evaluation at moduli points, one
+batched product per word position; the gauge action; finite-difference
+checks of the word-differential formula.  Everything random is driven by an
+explicit seed; exact data comes from the character layer.
+
+References: A. Weil, "Sur certains groupes d'opérateurs unitaires", Acta
+Math. 111 (1964); D. Bump, Automorphic Forms and Representations (CUP
+1997), section 4.1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .chars import (
-    Character, CharacterTable, attach_model, restriction_from_enumeration,
-)
-from .groups import (
-    IDENTITY, GroupModel, SubgroupSpec, _transvection_generators, closure,
-)
+from .chars import Character, CharacterTable, rho0_character
+from .groups import IDENTITY, ClassLabel, GroupModel, closure
 from .oscomplex import BrownPresentation, OrbitGraph, path_to_word
 
 
 class ToleranceExceeded(RuntimeError):
-    pass
-
-
-class ProjectionRankMismatch(RuntimeError):
-    pass
-
-
-class SingularAveraging(RuntimeError):
-    pass
-
-
-class NotIsomorphic(ValueError):
     pass
 
 
@@ -48,8 +37,6 @@ class Tolerances:
     unitary: float = 1e-8
     homomorphism: float = 1e-8
     character: float = 1e-6
-    intertwine: float = 1e-7
-    intertwine_unitary: float = 1e-9
     spectral: float = 1e-6
     commutant_svd: float = 1e-6
     moduli_word: float = 1e-7
@@ -60,9 +47,8 @@ class Tolerances:
 
 TOL = Tolerances()
 
-REALIZE_GROUP_BOUND = 4000
-REALIZE_MODULE_BOUND = 1500
 _CHUNK_BYTES = 1 << 20      # about 1 MB of matrices per batched operation
+_WORD_CHUNK_BYTES = 1 << 24  # symbol images held by one batch of words
 
 
 def _mnorm(a):
@@ -84,289 +70,362 @@ def expm(a, tol: Tolerances = TOL):
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-class UnitaryRep:
-    """A unitary matrix image for every element of an enumerated group,
-    stacked as one (|G|, d, d) array in `model.elements` order."""
-
-    def __init__(self, model: GroupModel, stack):
-        self.model = model
-        self.stack = stack
-        self.degree = stack.shape[1]
-        self.row = {g: i for i, g in enumerate(model.elements)}
-
-    def mat(self, g):
-        return self.stack[self.row[self.model.canonical(g)]]
-
-    def stack_of(self, elements):
-        """The (n, d, d) images of n elements of model.elements, in their
-        order."""
-        return self.stack[[self.row[g] for g in elements]]
-
-    def homomorphism_defect(self, rng=None, samples=300):
-        els = self.model.elements
-        rng = np.random.default_rng(0) if rng is None else rng
-        pairs = rng.integers(len(els), size=(samples, 2))
-        prods = [self.row[self.model.mul(els[i], els[j])] for i, j in pairs]
-        return _mnorm(self.stack[pairs[:, 0]] @ self.stack[pairs[:, 1]] -
-                      self.stack[prods])
-
-    def unitarity_defect(self):
-        return float(np.max([_mnorm(m @ _h(m) - np.eye(self.degree))
-                             for m in _chunked(self.stack)]))
-
-    def character_defect(self, target: Character):
-        """Worst trace deviation from the exact character, over all elements."""
-        return _mnorm(np.trace(self.stack, axis1=1, axis2=2) -
-                      _element_values(self.model, target))
-
-
 def _h(a):
     """The conjugate transpose of a matrix or of every matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
 
 
-def _chunk_slices(n, item_bytes):
-    """Slices covering range(n), each over about _CHUNK_BYTES of items."""
-    step = max(1, _CHUNK_BYTES // item_bytes)
+def _chunk_slices(n, item_bytes, budget=_CHUNK_BYTES):
+    """Slices covering range(n), each over about `budget` bytes of items."""
+    step = max(1, budget // max(item_bytes, 1))
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _chunked(stack):
-    """A stack of matrices as a sequence of views of about _CHUNK_BYTES."""
-    return [stack[sl] for sl in _chunk_slices(len(stack), stack[0].nbytes)]
+# -- images of a batch of elements ----------------------------------------------
+
+class Images:
+    """The images of a batch of n elements.  Where `mono` is set the image
+    is monomial: the k-th such element has M[i, cols[k, i]] = vals[k, i].
+    The other elements' images are the matrices `dense`, in batch order."""
+
+    def __init__(self, mono, cols, vals, dense):
+        self.mono, self.cols, self.vals, self.dense = mono, cols, vals, dense
+        # each element's row in cols or in dense
+        self.slot = np.where(mono, np.cumsum(mono), np.cumsum(~mono)) - 1
+
+    def stack(self, at=None):
+        """The images at batch positions `at` (all by default) as one dense
+        (len(at), d, d) stack."""
+        at = np.arange(len(self.mono)) if at is None else np.asarray(at)
+        d = self.dense.shape[-1]
+        out = np.zeros((len(at), d, d), dtype=np.complex128)
+        mono, slot = self.mono[at], self.slot[at]
+        out[~mono] = self.dense[slot[~mono]]
+        k = np.flatnonzero(mono)
+        out[k[:, None], np.arange(d), self.cols[slot[k]]] = self.vals[slot[k]]
+        return out
+
+    def _mono_chunks(self):
+        for sl in _chunk_slices(len(self.cols), 16 * self.cols.shape[1] ** 2):
+            yield self.cols[sl], self.vals[sl]
+
+    def sandwich_sum(self, xs):
+        """sum_M M x M^H over the batch, for every x of a stack xs; a
+        monomial M gives vals[i] x[cols[i], cols[j]] conj(vals[j]).  Only
+        the monomial images, a Borel subgroup's, run in chunks."""
+        m = self.dense[:, None]
+        total = (m @ xs @ _h(m)).sum(axis=0)
+        for cols, vals in self._mono_chunks():
+            inner = xs[:, cols[:, :, None], cols[:, None, :]]
+            total += (vals[:, :, None] * inner *
+                      vals.conj()[:, None, :]).sum(axis=1)
+        return total
+
+    def commutator_defect(self, t):
+        """max |t M - M t| over the batch; at the columns cols of a monomial
+        M, t M is t[i, j] vals[j] and M t is vals[i] t[cols[i], cols[j]]."""
+        # np.max, unlike max, keeps a NaN
+        return float(np.max([_mnorm(t @ self.dense - self.dense @ t)] + [
+            _mnorm(t * vals[:, None, :] -
+                   vals[:, :, None] * t[cols[:, :, None], cols[:, None, :]])
+            for cols, vals in self._mono_chunks()]))
 
 
-def _element_values(model, ch: Character):
-    """The exact character values as complex numbers, by model.elements."""
-    exact = {lab: complex(ch.value_at(lab).to_complex())
-             for lab in model.class_labels}
-    return np.array([exact[model.class_of[g]] for g in model.elements])
+class UnitaryRep:
+    """The images of an enumerated group under a unitary representation,
+    evaluated on demand by `formula` (a list of elements -> Images, with
+    the attribute `degree`).  A tuple of elements, as a stabilizer holds
+    them, is evaluated once and kept."""
+
+    def __init__(self, model: GroupModel, formula):
+        self.model = model
+        self.formula = formula
+        self.degree = formula.degree
+        self._kept = {}             # id(elements) -> (elements, Images)
+        self._mats = {}             # element -> image, read by mat
+
+    def images(self, elements) -> Images:
+        if not isinstance(elements, tuple):
+            return self.formula(elements)
+        if id(elements) not in self._kept:
+            self._kept[id(elements)] = (elements, self.formula(elements))
+        return self._kept[id(elements)][1]
+
+    def mat(self, g):
+        """The image of one element, kept read-only for later calls."""
+        g = self.model.canonical(g)
+        m = self._mats.get(g)
+        if m is None:
+            m = self._mats[g] = self.stack_of([g])[0]
+            m.flags.writeable = False
+        return m
+
+    def stack_of(self, elements):
+        """The (n, d, d) images of n elements of the model, in order."""
+        return self.images(elements).stack()
+
+    def average(self, elements, xs):
+        """(1/n) sum_g rho(g) x rho(g)^H over the n elements, for every x
+        of a stack xs."""
+        return self.images(elements).sandwich_sum(xs) / len(elements)
+
+    def homomorphism_defect(self, rng=None, samples=300):
+        """max |rho(g) rho(h) - rho(gh)| over seeded random pairs."""
+        els, mul = self.model.elements, self.model.mul
+        rng = np.random.default_rng(0) if rng is None else rng
+        pairs = rng.integers(len(els), size=(samples, 2))
+        out = []
+        for sl in _chunk_slices(samples, 48 * self.degree ** 2):
+            g = [els[i] for i in pairs[sl, 0]]
+            h = [els[i] for i in pairs[sl, 1]]
+            out.append(_mnorm(self.stack_of(g) @ self.stack_of(h) -
+                              self.stack_of(list(map(mul, g, h)))))
+        return float(np.max(out))
+
+    def unitarity_defect(self, elements=None):
+        """max |rho(g) rho(g)^H - 1| over the elements, by default the class
+        representatives."""
+        if elements is None:
+            elements = list(self.model.class_reps.values())
+        m = self.stack_of(elements)
+        return _mnorm(m @ _h(m) - np.eye(self.degree))
+
+    def character_defect(self, target: Character):
+        """Worst trace deviation from the exact character, over the class
+        representatives."""
+        labels = self.model.class_labels
+        traces = np.trace(self.stack_of(
+            [self.model.class_reps[lab] for lab in labels]), axis1=1, axis2=2)
+        return _mnorm(traces - np.array(
+            [complex(target.value_at(lab).to_complex()) for lab in labels]))
 
 
-def _left_cosets(model, gen):
-    """The left cosets t_j C of C = <gen>, as (exponents, reps, coset_of):
-    gen^e -> e, the representatives t_j, and element -> j."""
-    exponents = {g: e for e, g in enumerate(closure(model, [gen]))}
-    coset_of = {}
-    reps = []
-    for g in model.elements:
-        if g in coset_of:
-            continue
-        ci = len(reps)
-        reps.append(g)
-        for c in exponents:
-            coset_of[model.mul(g, c)] = ci
-    if len(reps) * len(exponents) != model.order:
-        raise ProjectionRankMismatch(
-            f"{len(reps)} cosets of a subgroup of order {len(exponents)} "
-            f"in a group of order {model.order}")
-    return exponents, reps, coset_of
+# -- closed-form models of rho0 ------------------------------------------------
+
+def _field_arrays(spec):
+    """(add, mul, neg, inv, tr) of a field as numpy arrays: its dense
+    tables, its inverses (0 at 0) and its absolute trace into the prime
+    field."""
+    q, p = spec.q, spec.p
+    add, mul, neg = (np.array(t, dtype=np.intp) for t in
+                     (spec.add_table, spec.mul_table, spec.neg_table))
+    inv = np.array([0] + [spec.inv(x) for x in range(1, q)], dtype=np.intp)
+    tr = np.zeros(q, dtype=np.intp)
+    for i in range(spec.n):
+        tr = add[tr, [spec.pow(x, p ** i) for x in range(q)]]
+    return add, mul, neg, inv, tr
 
 
-def _monomial(model, cosets, s):
-    """(perm, exps) with s t_j = t_perm[j] gen^exps[j], by scalar products."""
-    exponents, reps, coset_of = cosets
-    perm = np.empty(len(reps), dtype=np.int16)
-    exps = np.empty(len(reps), dtype=np.int16)
-    for j, t in enumerate(reps):
-        st = model.mul(s, t)
-        i = coset_of[st]
-        perm[j] = i
-        exps[j] = exponents[model.mul(model.inv(reps[i]), st)]
-    return perm, exps
+def _scale_from_relations(w, n):
+    """The scalar kappa with (kappa w)^2 = 1 and (kappa w n)^3 = 1, for the
+    images w and n of w = [[0, 1], [-1, 0]] and n(1) = [[1, 1], [0, 1]] up
+    to that scalar on w: kappa^2 = d / tr(w^2) by the first, kappa^3 =
+    d / tr((w n)^3) by the second, and kappa is their quotient."""
+    wn = w @ n
+    return np.trace(w @ w) / np.trace(wn @ wn @ wn)
 
 
-def _induced_action(model, cosets):
-    """(perms, exps), the (perm, exps) of every element by model.elements,
-    exactly: the transvection generators' monomials composed from 1 along
-    the Cayley graph.
+class _Model:
+    """A closed-form model of rho0 on an enumerated PSL2(q).  Elements with
+    c = 0 act monomially (`_monomial`), the others by a dense formula
+    (`_dense`) whose kernel table `self.kernel` carries the scalar that the
+    relations fix.  Every image entry is a table value, up to exact sign
+    changes and one subtraction, so an element's image does not depend on
+    the batch it is evaluated in."""
 
-    If s has (perm_s, exps_s) and g has (perm_g, exps_g), then
-    s g t_j = s t_{perm_g[j]} gen^{exps_g[j]}, so s g has
-    perm_s[perm_g] and exps_s[perm_g] + exps_g (mod the order of gen).
-    """
-    exponents, reps, _ = cosets
-    n, dim = len(exponents), len(reps)
-    row = {g: i for i, g in enumerate(model.elements)}
-    gens = [(g, _monomial(model, cosets, g))
-            for g in _transvection_generators(model.spec)]
-    perms = np.empty((model.order, dim), dtype=np.int16)
-    exps = np.empty((model.order, dim), dtype=np.int16)
-    queue = [row[IDENTITY]]
-    perms[queue[0]], exps[queue[0]] = np.arange(dim), 0
-    reached = set(queue)
-    while queue:
-        x = queue.pop()
-        perm_x, exps_x = perms[x], exps[x]
-        for g, (perm_g, exps_g) in gens:
-            y = row[model.mul(model.elements[x], g)]
-            if y not in reached:
-                reached.add(y)
-                perms[y] = perm_x[perm_g]
-                exps[y] = (exps_x[perm_g] + exps_g) % n
-                queue.append(y)
-    if len(reached) < model.order:
-        raise ProjectionRankMismatch(
-            f"generators reach {len(reached)} of {model.order} elements")
-    return perms, exps
+    def __call__(self, elements):
+        els = np.array(elements, dtype=np.intp).reshape(-1, 4)
+        c0 = els[:, 2] == 0
+        return Images(c0, *self._monomial(els[c0]), self._dense(els[~c0]))
+
+    def _fix_scale(self, minus_one):
+        w, n = self([(0, 1, minus_one, 0), (1, 1, 0, 1)]).stack()
+        self.kernel = self.kernel * _scale_from_relations(w, n)
 
 
-def _pick_induction_subgroup(table, model, target):
-    """Deterministic exact search for a cyclic subgroup and a linear
-    character containing the target with small multiplicity and small index."""
-    candidates = []
-    seen_orders = set()
-    for lab in model.class_labels:
-        rep = model.class_reps[lab]
-        n = model.element_orders[rep]
-        if n == 1 or n in seen_orders:
-            continue
-        seen_orders.add(n)
-        if model.order // n > REALIZE_MODULE_BOUND:
-            continue
-        candidates.append((model.order // n, n, rep))
-    candidates.sort(key=lambda t: (t[0], t[1]))
-    best = None
-    for index, n, rep in candidates:
-        sub = SubgroupSpec("cyclic", n, n, closure(model, [rep]))
-        restriction = restriction_from_enumeration(table, model, sub)
-        for j in range(n):
-            lam = restriction.table.by_name[f"mu_{j}"]
-            mult = restriction.multiplicity(target, lam)
-            if mult == 1:
-                return rep, n, j, 1
-            if mult > 1 and best is None:
-                best = (rep, n, j, int(mult))
-    if best is not None:
-        return best
-    raise ProjectionRankMismatch(
-        f"no cyclic subgroup induces {target.name} within the module bound")
+def _weil_psi_scale(p, n):
+    """The s with psi(x) = e(s Tr(x) / p) for eta_1 on F_q, q = p^n:
+    s = 2 for a prime q.  By the Davenport-Hasse relation the Gauss sum of
+    psi over F_q is (-1|p)^((n-1)/2) p^((n-1)/2) times the one over F_p,
+    while the table's sqrt(eps q) is p^((n-1)/2) times it, so the sign
+    (-1|p)^((n-1)/2) moves into s."""
+    return 2 * (-1) ** ((p - 1) // 2 * (n - 1) // 2)
+
+
+class WeilModel(_Model):
+    """eta_1 of PSL2(q), q = 3 mod 4: the odd half of the Weil
+    representation of SL2(q) on C[F_q], with psi of `_weil_psi_scale`.
+    An element with c = 0 sends f(y) to (a|q) psi(a b y^2) f(a y); any
+    other has the kernel kappa (-c|q) q^-1/2 psi((a y^2 - 2 y z + d z^2)/c).
+    -1 acts trivially on the odd functions, whose basis is
+    (e_y - e_-y) / sqrt(2) for the y with y < -y in the field's encoding."""
+
+    def __init__(self, model: GroupModel):
+        spec = model.spec
+        q = spec.q
+        self.add, self.mul, self.neg, self.inv, tr = _field_arrays(spec)
+        self.chi = -np.ones(q)          # the quadratic character off 0
+        self.chi[self.mul[np.arange(q), np.arange(q)]] = 1
+        half = np.array([y for y in range(1, q) if y < self.neg[y]])
+        self.degree = len(half)
+        self.pos = np.empty(q, dtype=np.intp)  # the basis row of +-x
+        self.pos[half] = self.pos[self.neg[half]] = np.arange(len(half))
+        self.sign = np.ones(q)                  # -1 where -x is the row
+        self.sign[self.neg[half]] = -1
+        self.half, self.y2 = half, self.mul[half, half]
+        self.two_yz = self.mul[self.add[1, 1],
+                               self.mul[half[:, None], half[None, :]]]
+        scale = _weil_psi_scale(spec.p, spec.n)
+        self.psi = np.exp(2j * np.pi * (scale * tr % spec.p) / spec.p)
+        self.kernel = self.psi / np.sqrt(q)
+        self._fix_scale(self.neg[1])
+
+    def _monomial(self, els):
+        a, b = els[:, 0], els[:, 1]
+        ay = self.mul[a[:, None], self.half]
+        vals = self.psi[self.mul[self.mul[a, b][:, None], self.y2]]
+        return self.pos[ay], vals * (self.chi[a][:, None] * self.sign[ay])
+
+    def _dense(self, els):
+        # the odd part of the kernel: rho[y, z] - rho[y, -z]
+        a, b, c, d = els.T
+        add, mul = self.add, self.mul
+        ci = self.inv[c][:, None, None]
+        s = add[mul[a[:, None], self.y2][:, :, None],
+                mul[d[:, None], self.y2][:, None, :]]
+        out = (self.kernel[mul[ci, add[s, self.neg[self.two_yz]]]] -
+               self.kernel[mul[ci, add[s, self.two_yz]]])
+        flip = self.chi[self.neg[c]] < 0
+        out[flip] = -out[flip]
+        return out
+
+
+class KirillovModel(_Model):
+    """theta_1 of PSL2(q) = SL2(q), q even: the Kirillov model on C[F_q^x]
+    of the cuspidal representation of a character nu of F_{q^2}^x that is
+    trivial on F_q^x, with psi(x) = (-1)^Tr(x).  An element with c = 0
+    sends f(x) to psi(a b x) f(a^2 x); any other has the kernel
+    kappa psi((a x + d y) / c) j(x y / c^2), with the Bessel function
+    j(u) = sum over N(t) = u of psi(Tr t) nu(t).
+
+    F_{q^2} = F_q[s] / (s^2 + s + alpha) is held as pairs u0 + q u1 over
+    F_q, for the first alpha that makes the polynomial irreducible, so
+    that Tr(u0 + u1 s) = u1 and N(u0 + u1 s) = u0^2 + u0 u1 + alpha u1^2.
+    nu = nu_0^k, with nu_0(t) = e(m / (q + 1)) where t^(q-1) = beta^m, for
+    the eigenvalue beta = u0 + Tr s of norm 1 and least u0 of the b^1
+    class representative; `_nu_exponent` sets k."""
+
+    def __init__(self, model: GroupModel):
+        q = model.q
+        self.add, self.mul, _, self.inv, tr = _field_arrays(model.spec)
+        add, mul = self.add, self.mul
+        self.sgn = (-1.0) ** tr
+        self.degree = q - 1
+        self.x = np.arange(1, q)
+        self.xy = mul[self.x[:, None], self.x[None, :]]
+        r = np.arange(q)
+        self.alpha = int(np.setdiff1d(r, add[mul[r, r], r])[0])
+        a, _, _, d = model.class_reps[ClassLabel("b", 1)]
+        t = add[a, d]
+        beta = q * t + next(x for x in r if self._norm(x, t) == 1)
+        log = np.zeros(q * q, dtype=np.intp)      # on the powers of beta
+        power = 1
+        for i in range(q + 1):
+            log[power] = i
+            power = self._times(power, beta)
+        u = np.arange(1, q * q)
+        u0, u1 = u % q, u // q
+        norm = self._norm(u0, u1)
+        conj2 = self._times(add[u0, u1] + q * u1, add[u0, u1] + q * u1)
+        inv = self.inv[norm]                # t^(q-1) = conj(t)^2 / N(t)
+        m = log[mul[inv, conj2 % q] + q * mul[inv, conj2 // q]]
+        nu = np.exp(2j * np.pi * (self._nu_exponent(q) * m % (q + 1)) /
+                    (q + 1))
+        self.kernel = np.zeros(q, dtype=np.complex128)
+        np.add.at(self.kernel, norm, self.sgn[u1] * nu)
+        self._fix_scale(1)
+
+    def _norm(self, u0, u1):
+        add, mul = self.add, self.mul
+        return add[add[mul[u0, u0], mul[u0, u1]], mul[self.alpha, mul[u1, u1]]]
+
+    def _times(self, u, v):
+        q, add, mul = len(self.add), self.add, self.mul
+        u0, u1, v0, v1 = u % q, u // q, v % q, v // q
+        return add[mul[u0, v0], mul[self.alpha, mul[u1, v1]]] + \
+            q * add[add[mul[u0, v1], mul[u1, v0]], mul[u1, v1]]
+
+    @staticmethod
+    def _nu_exponent(q):
+        """The k with nu_0^k(beta) = e(1 / (q + 1)), so that the character
+        theta_1(b^m) = -(nu(beta^m) + nu(beta^-m)) is the table's exactly:
+        nu_0(beta) = e((q - 1) / (q + 1)), and k inverts q - 1 modulo
+        q + 1."""
+        return pow(q - 1, -1, q + 1)
+
+    def _monomial(self, els):
+        a, b = els[:, 0], els[:, 1]
+        mul = self.mul
+        cols = mul[mul[a, a][:, None], self.x] - 1
+        return cols, self.sgn[mul[mul[a, b][:, None], self.x]].astype(
+            np.complex128)
+
+    def _dense(self, els):
+        a, _, c, d = els.T
+        mul = self.mul
+        ci = self.inv[c]
+        j = self.kernel[mul[mul[ci, ci][:, None, None], self.xy]]
+        left = self.sgn[mul[mul[a, ci][:, None], self.x]]
+        right = self.sgn[mul[mul[d, ci][:, None], self.x]]
+        return j * (left[:, :, None] * right[:, None, :])
+
+
+class _Linear:
+    """A degree-1 character: each image is the 1 x 1 matrix of its value."""
+
+    degree = 1
+
+    def __init__(self, model: GroupModel, target: Character):
+        self.value = lambda g: target.value_at(model.class_of[g]).to_complex()
+
+    def __call__(self, elements):
+        vals = np.array([[self.value(g)] for g in elements], dtype=complex)
+        return Images(np.ones(len(vals), bool), np.zeros(vals.shape, int),
+                      vals, np.empty((0, 1, 1)))
 
 
 def realize_irreducible(model: GroupModel, table: CharacterTable,
                         target: Character, seed=0,
                         tol: Tolerances = TOL) -> UnitaryRep:
-    """Unitary matrices with the exact character `target`.
+    """Unitary images with the exact character `target`: rho0 from its
+    closed-form model (WeilModel for odd q, KirillovModel for even q), a
+    degree-1 character from its values.
 
-    Induce from a linear character of a cyclic subgroup chosen exactly so the
-    target occurs, project onto the isotypic block, split off one copy with a
-    random invariant self-adjoint operator if needed, then unitarize by
-    averaging the Hermitian form over the group.
-    """
-    if not model.enumerated:
-        raise ValueError("realization needs an enumerated model "
-                         "(class-data groups are exact-only)")
-    if model.order > REALIZE_GROUP_BOUND:
-        raise ValueError(f"group order {model.order} beyond realization bound")
-    attach_model(table, model)
-    d = target.degree
-    rng = np.random.default_rng(seed)
-    values = _element_values(model, target)
-    if d == 1:
-        return UnitaryRep(model, values.reshape(-1, 1, 1))
-
-    gen, n, j, mult = _pick_induction_subgroup(table, model, target)
-    # the induced action permutes the left cosets of <gen> monomially
-    cosets = _left_cosets(model, gen)
-    dim = model.order // n
-    perms, exps = _induced_action(model, cosets)
-    root = np.exp(2j * np.pi * j / n)
-    lam_of = np.array([root ** e for e in range(n)])   # lambda_j(gen^e)
-
-    # sum_s conj(chi(s)) d/|G| ind(s), ind(s) having lambda(gen^exps[j])
-    # at (perm[j], j); add.at accumulates each entry in element order
-    proj = np.zeros((dim, dim), dtype=np.complex128)
-    coeff = np.conj(values) * d / model.order
-    cols = np.arange(dim)
-    for sl in _chunk_slices(model.order, 24 * dim):   # value and index
-        np.add.at(proj.reshape(-1), perms[sl].astype(np.intp) * dim + cols,
-                  coeff[sl, None] * lam_of[exps[sl]])
-
-    evals, evecs = np.linalg.eigh(proj)
-    rank = int(np.sum(evals > 0.5))
-    if rank != mult * d:
-        raise ProjectionRankMismatch(
-            f"isotypic rank {rank} != multiplicity*degree {mult * d}")
-    basis = evecs[:, evals > 0.5]
-
-    def compress(b):
-        """(slice, b^H ind(s) b for the elements s in it), chunk by chunk:
-        ind(s) b has row j of b, times lambda(gen^exps[j]), at row perm[j]."""
-        cb = b.conj()
-        for sl in _chunk_slices(model.order, b.nbytes):
-            yield sl, (cb[perms[sl]] * lam_of[exps[sl]][..., None]
-                       ).swapaxes(1, 2) @ b
-
-    if mult > 1:
-        for attempt in range(8):
-            x = rng.standard_normal((rank, rank)) + \
-                1j * rng.standard_normal((rank, rank))
-            x = x + x.conj().T
-            t = sum((m @ x @ _h(m)).sum(axis=0)
-                    for _, m in compress(basis)) / model.order
-            w, u = np.linalg.eigh(t)
-            # need a clean spectral gap after the first irreducible copy
-            if len(w) > d and np.min(np.abs(w[d] - w[:d])) < 1e-8:
-                continue
-            basis2 = basis @ u[:, :d]
-            basis = np.linalg.qr(basis2)[0]
-            break
-        else:
-            raise SingularAveraging("could not split the isotypic block")
-
-    # average the Hermitian form over the group and renormalize, in place
-    stack = np.empty((model.order, d, d), dtype=np.complex128)
-    h = np.zeros((d, d), dtype=np.complex128)
-    for sl, m in compress(basis):
-        stack[sl] = m
-        h += (_h(m) @ m).sum(axis=0)
-    h /= model.order
-    w, u = np.linalg.eigh(h)
-    s_half = u @ np.diag(np.sqrt(w)) @ u.conj().T
-    s_inv = u @ np.diag(1 / np.sqrt(w)) @ u.conj().T
-    for m in _chunked(stack):
-        m[...] = s_half @ m @ s_inv
-
-    rep = UnitaryRep(model, stack)
+    Raises ToleranceExceeded unless, within tol, the class representatives'
+    images are unitary, the images are a homomorphism on 300 pairs drawn
+    with `seed`, and the trace equals the exact character at every class
+    representative."""
+    if not model.enumerated or \
+            (model.family, model.q) != (table.family, table.q):
+        raise ValueError("realization needs the enumerated model of the "
+                         "table's group (class-data groups are exact-only)")
+    if target.degree == 1:
+        formula = _Linear(model, target)
+    elif target is rho0_character(table):
+        formula = (KirillovModel if model.q % 2 == 0 else WeilModel)(model)
+    else:
+        raise ValueError(f"no explicit model of {target.name}")
+    rep = UnitaryRep(model, formula)
     ud = rep.unitarity_defect()
     if _above(ud, tol.unitary):
         raise ToleranceExceeded(f"unitarity {ud:.2e}")
-    if _above(rep.homomorphism_defect(rng), tol.homomorphism):
+    if _above(rep.homomorphism_defect(np.random.default_rng(seed)),
+              tol.homomorphism):
         raise ToleranceExceeded("homomorphism defect above tolerance")
     cd = rep.character_defect(target)
     if _above(cd, tol.character):
         raise ToleranceExceeded(f"character defect {cd:.2e}")
     return rep
-
-
-def intertwiner(r1: UnitaryRep, r2: UnitaryRep, seed=0,
-                tol: Tolerances = TOL):
-    """A unitary U with U r1 U* = r2, by polar-unitarized averaging."""
-    if r1.model is not r2.model or r1.degree != r2.degree:
-        raise NotIsomorphic("shape mismatch")
-    reps = list(r1.model.class_reps.values())
-    traces = [np.trace(r.stack_of(reps), axis1=1, axis2=2) for r in (r1, r2)]
-    if _above(_mnorm(traces[0] - traces[1]), 1e-6):
-        raise NotIsomorphic("characters differ")
-    rng = np.random.default_rng(seed)
-    d = r1.degree
-    pairs = list(zip(_chunked(r1.stack), _chunked(r2.stack)))
-    for attempt in range(8):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        t = sum((m2 @ x @ _h(m1)).sum(axis=0) for m1, m2 in pairs)
-        t /= r1.model.order
-        u_svd, s_svd, vh_svd = np.linalg.svd(t)
-        if s_svd[-1] < 1e-6 * max(s_svd[0], 1e-300):
-            continue
-        u = u_svd @ vh_svd
-        worst = float(np.max([_mnorm(u @ m1 @ u.conj().T - m2)
-                              for m1, m2 in pairs]))
-        if _above(worst, tol.intertwine):
-            raise ToleranceExceeded(f"intertwining defect {worst:.2e}")
-        if _above(_mnorm(u @ u.conj().T - np.eye(d)), tol.intertwine_unitary):
-            raise ToleranceExceeded("intertwiner not unitary enough")
-        return u
-    raise SingularAveraging("averaging stayed singular after 8 attempts")
 
 
 def spectral_split(rep: UnitaryRep, g, tol: Tolerances = TOL):
@@ -378,7 +437,7 @@ def spectral_split(rep: UnitaryRep, g, tol: Tolerances = TOL):
     model = rep.model
     n = model.element_orders[g]
     a = rep.mat(g)
-    powers = rep.stack_of(closure(model, [g]))      # 1, g, g^2, ...
+    powers = rep.stack_of(list(closure(model, [g])))    # 1, g, g^2, ...
     roots = [np.exp(2j * np.pi * j / n) for j in range(n)]
     coeff = np.array([[root ** (-k) for k in range(n)] for root in roots])
     projs = np.tensordot(coeff, powers, axes=1) / n
@@ -396,40 +455,46 @@ def spectral_split(rep: UnitaryRep, g, tol: Tolerances = TOL):
     return u, mults
 
 
-def averaged_operator(m, x):
-    """(1/n) sum_i m_i x m_i^H over a stack m of n matrices."""
-    return (m @ x @ _h(m)).sum(axis=0) / len(m)
+def commutant_rank(rep: UnitaryRep, elements, seed=0, tol: Tolerances = TOL):
+    """Numerical dimension of the commutant of rep restricted to a subgroup.
 
-
-def commutant_rank(rep: UnitaryRep, elements, samples, seed=0,
-                   tol: Tolerances = TOL):
-    """Numerical dimension of the commutant of rep restricted to a subgroup:
-    rank of a stack of averaged random operators."""
+    The group average of a random self-adjoint operator is a generic
+    element a of the commutant, a sum of A_i (x) 1 over the isotypic
+    blocks: its eigenspaces are the copies of the irreducible constituents,
+    m_i of them in block i.  The average b of a second one links two
+    eigenspaces exactly when they lie in one block, so the linked pairs
+    number sum m_i^2, the dimension.  Eigenvalues closer than
+    tol.commutant_svd (relative) are one eigenspace, and smaller entries of
+    b count as zero."""
     rng = np.random.default_rng(seed)
     d = rep.degree
-    m = rep.stack_of(elements)
-    rows = []
-    for _ in range(samples):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rows.append(averaged_operator(m, x).reshape(-1))
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    return int(np.sum(sv > tol.commutant_svd * sv[0]))
+    x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    a, b = rep.average(elements, x + _h(x))
+    w, u = np.linalg.eigh(a)
+    starts = np.concatenate(([0], np.flatnonzero(
+        np.diff(w) > tol.commutant_svd * np.max(np.abs(w))) + 1))
+    linked = np.abs(u.conj().T @ b @ u) > tol.commutant_svd * _mnorm(b)
+    blocks = np.add.reduceat(np.add.reduceat(linked, starts, axis=0),
+                             starts, axis=1)
+    return int(np.count_nonzero(blocks))
 
 
 def random_commutant_skew(rep: UnitaryRep, elements, rng, scale=1.0):
     d = rep.degree
     x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     x = (x - x.conj().T) / 2
-    return scale * averaged_operator(rep.stack_of(elements), x)
+    return scale * rep.average(elements, x[None])[0]
 
 
 def _check_gauge(t, rho0: UnitaryRep, sub, tol, name, where):
     """Raise unless t is unitary and commutes with rho0 on every element of
-    the subgroup, within tol; a NaN fails."""
-    if _above(_mnorm(t @ t.conj().T - np.eye(len(t))), tol):
+    the subgroup, within tol; a NaN fails.  The identity, as alpha is at the
+    root, commutes exactly and is not multiplied out."""
+    eye = np.eye(len(t))
+    if _above(_mnorm(t @ t.conj().T - eye), tol):
         raise ToleranceExceeded(f"{name} not unitary")
-    r = rho0.stack_of(sub.elements)
-    if _above(_mnorm(t @ r - r @ t), tol):
+    if not np.array_equal(t, eye) and \
+            _above(rho0.images(sub.elements).commutator_defect(t), tol):
         raise ToleranceExceeded(f"{name} leaves the {where} commutant")
 
 
@@ -439,9 +504,6 @@ def _check_gauge(t, rho0: UnitaryRep, sub, tol, name, where):
 class ModuliPoint:
     graph: OrbitGraph
     mats: dict                  # edge index -> unitary matrix
-    # rho0 -> (symbol -> row, stacked images), filled by symbol_images
-    images: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
 
     def tau_vertex(self, v):
         path = self.graph.tree_path(v)
@@ -456,37 +518,39 @@ class ModuliPoint:
         """tau_vertex(v) for every vertex, in vertex order."""
         return [self.tau_vertex(v) for v in range(len(self.graph.vertices))]
 
-    def symbol_images(self, rho0: UnitaryRep):
-        """Every word symbol's image under rho0, once per rho0: a dict from
-        symbol to row and the (n, d, d) stack of images.  Row 0 is the
-        identity, then tau_s^H tau_e^H rho0(g_e) tau_w per x_e and
-        tau_v^H rho0(g) tau_v per vertex v and g in G_v, then the same
-        symbols with exponent -1, imaged by the conjugate transposes."""
-        out = self.images.get(rho0)
-        if out is None:
-            graph, tau_v = self.graph, self.tau_v
-            keys = [[("x", ei, exp) for ei in range(len(graph.edges))]
-                    for exp in (1, -1)]
-            blocks = [np.eye(rho0.degree)[None], np.array([
-                tau_v[e.s].conj().T @ self.mats[ei].conj().T @
+    def symbol_images(self, rho0: UnitaryRep, rows):
+        """The images under rho0 of the word symbols at `rows` of
+        graph.word_symbols, as one (len(rows), d, d) stack: the identity for
+        row 0, tau_s^H tau_e^H rho0(g_e) tau_w for x_e, tau_v^H rho0(g) tau_v
+        for g in G_v (one batched product per vertex, from the images that
+        rho0 keeps for G_v), and conjugate transposes for exponent -1."""
+        graph, tau_v = self.graph, self.tau_v
+        places = graph.word_symbols[1]
+        half = (len(places) - 1) // 2
+        direct, at = np.unique(np.where(rows > half, rows - half, rows),
+                               return_inverse=True)
+        out = np.empty((len(direct), rho0.degree, rho0.degree),
+                       dtype=np.complex128)
+        vertex, i = places[direct].T
+        out[direct == 0] = np.eye(rho0.degree)
+        for k in np.flatnonzero((vertex < 0) & (i >= 0)):
+            e = graph.edges[i[k]]
+            out[k] = tau_v[e.s].conj().T @ self.mats[i[k]].conj().T @ \
                 rho0.mat(e.g) @ tau_v[e.w]
-                for ei, e in enumerate(graph.edges)])]
-            for vi, (v, t) in enumerate(zip(graph.vertices, tau_v)):
-                for exp, ks in zip((1, -1), keys):
-                    ks += [("v", vi, g, exp) for g in v.sub.elements]
-                blocks.append(t.conj().T @ rho0.stack_of(v.sub.elements) @ t)
-            index = dict(zip(keys[0] + keys[1],
-                             range(1, 1 + 2 * len(keys[0]))))
-            direct = np.concatenate(blocks)
-            out = self.images[rho0] = (
-                index, np.concatenate([direct, _h(direct[1:])]))
+        for vi in np.unique(vertex[vertex >= 0]):
+            ks = np.flatnonzero(vertex == vi)
+            t = tau_v[vi]
+            out[ks] = rho0.images(graph.vertices[vi].sub.elements).stack(i[ks])
+            if vi != graph.root:        # tau is the identity at the root
+                out[ks] = t.conj().T @ out[ks] @ t
+        out = out[at]
+        out[rows > half] = _h(out[rows > half])
         return out
 
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
         for ei, t in self.mats.items():
             _check_gauge(t, rho0, self.graph.edges[ei].sub, tol.action,
                          f"tau_{ei}", "stabilizer")
-        return True
 
 
 @dataclass
@@ -501,7 +565,6 @@ class HPoint:
         for vi, v in enumerate(self.graph.vertices):
             _check_gauge(self.mats[vi], rho0, v.sub, tol.action,
                          f"alpha_{vi}", "vertex")
-        return True
 
 
 def identity_moduli_point(graph, degree):
@@ -530,20 +593,35 @@ def random_h_point(graph, rho0: UnitaryRep, rng, scale=1.0):
 def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
                  tau: ModuliPoint, words):
     """The induced representation at the moduli point on a sequence of
-    words, as an (n, d, d) array: one batched product of symbol images per
-    word position, left to right, shorter words padded by the identity."""
-    index, images = tau.symbol_images(rho0)
+    words, as an (n, d, d) array.  The words run in batches whose symbols'
+    images fit in _WORD_CHUNK_BYTES; a batch builds the image of each
+    symbol it uses once and multiplies left to right, one batched product
+    per word position, shorter words padded by the identity."""
+    index = tau.graph.word_symbols[0]
     try:
         rows = [[index[sym] for sym in w] for w in words]
     except KeyError as e:
         raise ValueError(f"unknown word symbol {e.args[0]!r}") from None
-    length = max(map(len, rows), default=0)
-    steps = np.array([r + [0] * (length - len(r)) for r in rows],
-                     dtype=np.intp).reshape(len(rows), length)
-    acc = np.repeat(images[:1], len(rows), axis=0)
-    for col in steps.T:
-        acc = acc @ images[col]
-    return acc
+    d = rho0.degree
+    out = np.empty((len(rows), d, d), dtype=np.complex128)
+    longest = max(map(len, rows), default=1)
+    for sl in _chunk_slices(len(rows), 16 * d * d * longest,
+                            _WORD_CHUNK_BYTES):
+        batch = rows[sl]
+        length = max(map(len, batch), default=0)
+        steps = np.array([r + [0] * (length - len(r)) for r in batch],
+                         dtype=np.intp).reshape(len(batch), length)
+        if steps.size < len(index):
+            used, at = np.unique(steps, return_inverse=True)
+        else:                   # the graph has no more symbols than steps
+            used, at = np.arange(len(index) + 1), steps
+        images = tau.symbol_images(rho0, used)
+        acc = np.repeat(np.eye(d, dtype=np.complex128)[None], len(batch),
+                        axis=0)
+        for col in at.reshape(steps.shape).T:
+            acc = acc @ images[col]
+        out[sl] = acc
+    return out
 
 
 def h_action(graph, rho0: UnitaryRep, tau: ModuliPoint,

@@ -15,6 +15,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .chars import (
     CharacterTable, centralizer_dim, fusion_for, gram, rho0_character,
 )
@@ -78,6 +80,24 @@ class OrbitGraph:
             path.append(i)
             v = u
         return list(reversed(path))
+
+    @cached_property
+    def word_symbols(self):
+        """(rows, places): the row of every word symbol, and the place of
+        every row.  Row 0 is the identity, at place (-1, -1); then x_e for
+        every edge e, at (-1, e); then (v, g) for every vertex v and the
+        i-th element g of G_v, at (v, i); then the same symbols with
+        exponent -1, at the same places.  Built once per graph."""
+        places = [(-1, i) for i in range(len(self.edges))] + [
+            (vi, i) for vi, v in enumerate(self.vertices)
+            for i in range(len(v.sub.elements))]
+        symbols = [("x", i) if vi < 0 else
+                   ("v", vi, self.vertices[vi].sub.elements[i])
+                   for vi, i in places]
+        first = {1: 1, -1: 1 + len(places)}
+        rows = {sym + (exp,): row for exp in (1, -1)
+                for row, sym in enumerate(symbols, first[exp])}
+        return rows, np.array([(-1, -1)] + places + places, dtype=np.intp)
 
     @cached_property
     def walk_steps(self):

@@ -6,19 +6,49 @@ import pytest
 import repmoduli.chars as chars
 from repmoduli.chars import (
     CharacterTable, NonIntegralDimension, Restriction, TableMismatch,
-    ThetaSet, c2_restriction, c4_in_sz_restriction, centralizer_dim,
+    ThetaSet, c2_restriction, centralizer_dim,
     check_column_orthogonality, check_row_orthogonality, d_theta,
     dihedral_theta_restrictions, fusion_for, gram, inner_product,
     multiplicity_check, pack_terms, restricted_inner_product,
-    restriction_from_enumeration, rho0_character, split_dihedral_restriction,
+    rho0_character, split_dihedral_restriction,
     split_torus_restriction, table_cyclic, table_dihedral_odd,
     table_psl2_even, table_psl2_odd, table_sl2_odd, table_suzuki,
     theta_balance,
 )
 from repmoduli.cyclo import Cyclotomic
 from repmoduli.groups import (
-    ClassLabel, build_subgroup, psl2_model, symbolic_subgroup,
+    ClassLabel, build_subgroup, closure, psl2_model, symbolic_subgroup,
 )
+
+
+def restriction_from_enumeration(table, model, sub):
+    """The reference restriction data, computed element by element on the
+    enumerated `model` of the table's group: a cyclic subgroup through the
+    powers of a generator, a dihedral one of odd rotation order through
+    its rotations and its one class of reflections."""
+    orders = model.element_orders
+    k = sub.order
+    gens_of_order = [g for g in sub.elements if orders[g] == k]
+    if gens_of_order:                                   # cyclic subgroup
+        images = [model.class_of[x]
+                  for x in closure(model, [gens_of_order[0]])]
+        return Restriction(table, sub, table_cyclic(k), tuple(images))
+    n = k // 2                                          # dihedral, odd n
+    powers = closure(model, [next(g for g in sub.elements
+                                  if orders[g] == n)])
+    refl = {model.class_of[g] for g in sub.elements if g not in powers}
+    assert len(refl) == 1, "reflections fuse into several classes"
+    images = [model.class_of[powers[j]] for j in range((n - 1) // 2 + 1)]
+    return Restriction(table, sub, table_dihedral_odd(2 * n),
+                       tuple(images) + tuple(refl))
+
+
+def c4_in_sz_restriction(table):
+    """The C4 subgroup of Sz(q), with its classes id, rho, sigma, rho_inv."""
+    sub = symbolic_subgroup("sz", table.q, "c4")
+    images = (ClassLabel("id"), ClassLabel("rho"), ClassLabel("sigma"),
+              ClassLabel("rho_inv"))
+    return Restriction(table, sub, table_cyclic(4), images)
 
 
 def test_theta1_values_q4():

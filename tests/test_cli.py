@@ -352,6 +352,76 @@ def test_failed_realization_fails_each_dependent_record(monkeypatch,
         assert "realization failed: ToleranceExceeded" in rec["computed"]
 
 
+def _wrong_kappa(num, monkeypatch):
+    real = num._scale_from_relations
+    monkeypatch.setattr(num, "_scale_from_relations",
+                        lambda w, n: -real(w, n))
+
+
+def _other_weil_half(num, monkeypatch):
+    # psi(x) = e(x / q): the odd functions then carry eta_2
+    monkeypatch.setattr(num, "_weil_psi_scale", lambda p, n: 1)
+
+
+def _wrong_nu(num, monkeypatch):
+    real = num.KirillovModel._nu_exponent
+    monkeypatch.setattr(num.KirillovModel, "_nu_exponent",
+                        staticmethod(lambda q: 2 * real(q)))
+
+
+@pytest.mark.parametrize("q,mutate", [
+    (19, _wrong_kappa), (19, _other_weil_half), (8, _wrong_nu),
+], ids=["kappa-sign", "weil-half", "nu-exponent"])
+def test_wrong_model_constant_fails_numerics(monkeypatch, tmp_path, q,
+                                             mutate):
+    import repmoduli.numerics as num
+    mutate(num, monkeypatch)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", str(q), "--checks", "numerics",
+               "--out", str(out)])
+    assert rc == 1
+    recs = _records(out)
+    assert len(recs) == 6
+    for name, rec in recs.items():
+        assert rec["pass"] is False, name
+        assert "realization failed: ToleranceExceeded" in rec["computed"]
+
+
+def test_symbol_rows_built_once_per_graph(monkeypatch):
+    # one orbit graph per q, and one symbol -> row map per graph, shared by
+    # every moduli point of that graph
+    from functools import cached_property
+    graphs, builds = [], []
+    real_graph, real_rows = cli.build_orbit_graph, osc.OrbitGraph.word_symbols
+
+    def graph(*args, **kwargs):
+        graphs.append(real_graph(*args, **kwargs))
+        return graphs[-1]
+
+    def rows(self):
+        builds.append(self)
+        return real_rows.func(self)
+
+    counted = cached_property(rows)
+    counted.__set_name__(osc.OrbitGraph, "word_symbols")
+    monkeypatch.setattr(cli, "build_orbit_graph", graph)
+    monkeypatch.setattr(osc.OrbitGraph, "word_symbols", counted)
+    report = run(parse_config(["--family", "psl2", "--q", "4,11",
+                               "--checks", "numerics"]))
+    assert report.ok
+    assert len(graphs) == 2
+    assert [id(g) for g in builds] == [id(g) for g in graphs]
+
+
+def test_numerics_skip_beyond_enumeration_bound():
+    report = run(parse_config(["--family", "psl2", "--q", "107",
+                               "--checks", "numerics"]))
+    assert report.ok
+    [skip] = report.records
+    assert skip.name == "numerics/psl2_odd-q107"
+    assert skip.computed == "skipped: beyond enumeration bound"
+
+
 def test_numerics_run_without_scipy():
     code = """
 import os, sys

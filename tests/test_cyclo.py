@@ -4,9 +4,25 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repmoduli.cyclo import (
-    Cyclotomic, NotRational, legendre, quadratic_gauss_sum, sqrt_eps_q,
-)
+from repmoduli.cyclo import Cyclotomic, NotRational, factorize, legendre
+
+
+def quadratic_gauss_sum(p):
+    """sum_k (k|p) zeta_p^k for an odd prime p.
+
+    Its square is (-1)^((p-1)/2) * p, which fixes the classical sign
+    convention for square roots of +-p inside Q(zeta_p).
+    """
+    if p == 2 or p < 3 or factorize(p) != ((p, 1),):
+        raise ValueError("p must be an odd prime")
+    return Cyclotomic(p, tuple((k, legendre(k, p)) for k in range(1, p)))
+
+
+def sqrt_eps_q(p, n):
+    """Exact square root of (-1)^((q-1)/2) * q for q = p^n, p odd, n odd."""
+    if n % 2 == 0:
+        raise ValueError("n must be odd")
+    return Cyclotomic.rational(p ** ((n - 1) // 2)) * quadratic_gauss_sum(p)
 
 
 def test_sum_of_primitive_fifth_roots():

@@ -7,17 +7,46 @@ from repmoduli.chars import (
     centralizer_dim, fusion_for, rho0_character, table_psl2_even,
     table_psl2_odd,
 )
-from repmoduli.groups import IDENTITY, psl2_model
+from repmoduli.groups import IDENTITY, build_subgroup, psl2_model
 from repmoduli.numerics import (
-    HPoint, ModuliPoint, NotIsomorphic, ProjectionRankMismatch, UnitaryRep,
-    commutant_rank, expm, h_action, identity_moduli_point, intertwiner,
-    random_h_point, random_moduli_point, realize_irreducible, rho_tau_eval,
-    spectral_split, word_differential_check,
+    HPoint, Images, KirillovModel, UnitaryRep, WeilModel, commutant_rank,
+    expm, h_action, identity_moduli_point, random_h_point,
+    random_moduli_point, realize_irreducible, rho_tau_eval, spectral_split,
+    word_differential_check,
 )
 from repmoduli.oscomplex import (
     brown_presentation, build_orbit_graph, random_closed_path,
     random_kernel_word, random_word,
 )
+
+
+def _dense_images(stack):
+    d = stack.shape[-1]
+    return Images(np.zeros(len(stack), dtype=bool), np.empty((0, d), int),
+                  np.empty((0, d), complex), stack)
+
+
+class _Dense:
+    """A formula whose images are f(elements, base images as one dense
+    stack), all dense; degree as given, or the base formula's."""
+
+    def __init__(self, base, f, degree=None):
+        self.base, self.f = base, f
+        self.degree = base.degree if degree is None else degree
+
+    def __call__(self, elements):
+        return _dense_images(self.f(list(elements),
+                                    self.base(elements).stack()))
+
+
+def _altering(base, element, alter):
+    """base with the image M of one element replaced by alter(M)."""
+    def f(elements, stack):
+        for i, g in enumerate(elements):
+            if g == element:
+                stack[i] = alter(stack[i])
+        return stack
+    return _Dense(base, f)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +93,7 @@ def test_realize_trivial_character():
     t = table_psl2_even(4)
     rep = realize_irreducible(m, t, t.by_name["1"], seed=0)
     assert rep.degree == 1
-    assert np.all(np.abs(rep.stack[:, 0, 0] - 1) < 1e-12)
+    assert np.all(np.abs(rep.stack_of(m.elements)[:, 0, 0] - 1) < 1e-12)
 
 
 def test_spectral_split_involutions(rho4, rho11):
@@ -99,42 +128,21 @@ def test_commutant_ranks_match_exact(rho4):
     g = build_orbit_graph("psl2_even", 4, model=m)
     for node in list(g.vertices) + list(g.edges):
         exact = centralizer_dim(target, fusion_for(t, node.sub))
-        got = commutant_rank(rep, node.sub.elements, exact + 8, seed=exact)
+        got = commutant_rank(rep, node.sub.elements, seed=exact)
         assert got == exact
 
 
-def test_intertwiner_recovers_conjugation(rho4):
-    m, _, rep = rho4
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    v = np.linalg.qr(x)[0]
-    r2 = UnitaryRep(m, v @ rep.stack @ v.conj().T)
-    u = intertwiner(rep, r2, seed=2)
-    worst = max(np.max(np.abs(u @ rep.mat(g) @ u.conj().T - r2.mat(g)))
-                for g in m.elements)
-    assert worst < 1e-7
-
-
-def test_intertwiner_self_is_scalar(rho4):
-    m, _, rep = rho4
-    u = intertwiner(rep, rep, seed=3)
-    lam = u[0, 0]
-    assert abs(abs(lam) - 1) < 1e-9
-    assert np.max(np.abs(u - lam * np.eye(3))) < 1e-7
-
-
-def test_intertwiner_rejects_different_characters(rho4):
-    m, t, rep = rho4
-    other = realize_irreducible(m, t, t.by_name["psi"], seed=0)
-    with pytest.raises(NotIsomorphic):
-        intertwiner(rep, UnitaryRep(m, other.stack[:, :3, :3]))
+def test_realization_commutant_is_scalar(rho4, rho11):
+    # Schur: only the scalars commute with an irreducible rho0 on all of G
+    for m, _, rep in (rho4, rho11):
+        assert commutant_rank(rep, m.elements, seed=3) == 1
 
 
 def test_direct_sum_commutant_dimension(rho4):
     m, _, rep = rho4
-    zero = np.zeros_like(rep.stack)
-    double = UnitaryRep(m, np.block([[rep.stack, zero], [zero, rep.stack]]))
-    assert commutant_rank(double, m.elements, 12, seed=0) == 4
+    double = UnitaryRep(m, _Dense(rep.formula, lambda els, s: np.block(
+        [[s, np.zeros_like(s)], [np.zeros_like(s), s]]), 2 * rep.degree))
+    assert commutant_rank(double, m.elements, seed=0) == 4
 
 
 def test_rho_tau_at_identity_point(setting4):
@@ -340,67 +348,52 @@ def test_moduli_and_gauge_checks_read_action_tolerance(setting4):
         h_action(g, rep, tau, alpha, tight)
 
 
-def test_realize_through_multiplicity_split(monkeypatch):
-    # force induction from C3 in PSL2(8), where the target occurs with
-    # multiplicity 3, so the random-invariant-operator splitter must run
-    import repmoduli.numerics as num
-    m = psl2_model(8)
-    t = table_psl2_even(8)
-    target = rho0_character(t)
-
-    def forced(table, model, tgt):
-        rep = next(g for g in model.elements if model.element_orders[g] == 3)
-        return rep, 3, 0, 3
-
-    monkeypatch.setattr(num, "_pick_induction_subgroup", forced)
-    rep = num.realize_irreducible(m, t, target, seed=5)
-    assert rep.degree == 7
-    assert rep.character_defect(target) < 1e-6
-    assert rep.unitarity_defect() < 1e-8
-
-
-def test_intertwiner_between_independent_realizations():
-    m = psl2_model(4)
-    t = table_psl2_even(4)
-    target = rho0_character(t)
-    r1 = realize_irreducible(m, t, target, seed=1)
-    r2 = realize_irreducible(m, t, target, seed=99)
-    u = intertwiner(r1, r2, seed=0)
-    worst = max(np.max(np.abs(u @ r1.mat(g) @ u.conj().T - r2.mat(g)))
-                for g in m.elements)
-    assert worst < 1e-7
-
-
-@pytest.mark.parametrize("q", [4, 8, 11])
-def test_induced_action_equals_scalar_monomials(q):
-    # the (perm, exps) composed over the Cayley graph are the integers the
-    # scalar coset computation gives, for every element and every cyclic
-    # subgroup the nonlinear characters are induced from
-    import repmoduli.numerics as num
+@pytest.mark.parametrize("q", [4, 8, 11, 16, 19, 27])
+def test_explicit_model_reference(q):
+    # the closed-form images against the exact character at every class
+    # representative, and as a homomorphism on every pair of transvection
+    # generators and on 200 seeded random pairs
     m = psl2_model(q)
     t = table_psl2_even(q) if q % 2 == 0 else table_psl2_odd(q)
-    gens = {num._pick_induction_subgroup(t, m, ch)[0]
-            for ch in t.chars if ch.degree > 1}
-    for gen in sorted(gens):
-        cosets = num._left_cosets(m, gen)
-        perms, exps = num._induced_action(m, cosets)
-        assert perms.dtype == exps.dtype == np.int16
-        assert len(perms) == len(exps) == m.order
-        for s, perm, exp in zip(m.elements, perms, exps):
-            ref_perm, ref_exps = num._monomial(m, cosets, s)
-            assert np.array_equal(perm, ref_perm)
-            assert np.array_equal(exp, ref_exps)
+    target = rho0_character(t)
+    rep = UnitaryRep(m, (KirillovModel if q % 2 == 0 else WeilModel)(m))
+    assert rep.degree == target.degree
+    traces = np.trace(rep.stack_of([m.class_reps[lab] for lab in t.labels]),
+                      axis1=1, axis2=2)
+    exact = [complex(target.value_at(lab).to_complex()) for lab in t.labels]
+    assert np.max(np.abs(traces - exact)) < 1e-12
+    f = m.spec
+    gens = [m.canonical(g) for i in range(f.n) for g in (
+        (1, 0, f.pow(f.generator, i), 1), (1, f.pow(f.generator, i), 0, 1))]
+    pairs = [(g, h) for g in gens for h in gens]
+    lhs = rep.stack_of([g for g, _ in pairs]) @ rep.stack_of(
+        [h for _, h in pairs])
+    assert np.max(np.abs(lhs - rep.stack_of(
+        [m.mul(g, h) for g, h in pairs]))) < 1e-12
+    assert rep.homomorphism_defect(np.random.default_rng(q), 200) < 1e-12
+    assert rep.unitarity_defect(gens) < 1e-12
 
 
-def test_realize_raises_when_generators_do_not_generate(monkeypatch):
-    import repmoduli.numerics as num
-    real = num._transvection_generators
-    monkeypatch.setattr(num, "_transvection_generators",
-                        lambda f: real(f)[:1])
-    m = psl2_model(4)
-    t = table_psl2_even(4)
-    with pytest.raises(ProjectionRankMismatch):
-        num.realize_irreducible(m, t, rho0_character(t), seed=0)
+@pytest.mark.parametrize("q", [8, 11])
+def test_monomial_images_match_dense(q):
+    # the Borel images stay monomial; their group averages and commutator
+    # defects equal those of the same images made dense
+    m = psl2_model(q)
+    t = table_psl2_even(q) if q % 2 == 0 else table_psl2_odd(q)
+    rep = realize_irreducible(m, t, rho0_character(t), seed=0)
+    borel = build_subgroup(m, "borel").elements
+    images = rep.images(borel)
+    assert images.mono.all()
+    dense = _dense_images(images.stack())
+    rng = np.random.default_rng(q)
+    d = rep.degree
+    xs = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    assert np.allclose(images.sandwich_sum(xs), dense.sandwich_sum(xs),
+                       atol=1e-12)
+    for t in (xs[0], np.eye(d), rep.mat(borel[1])):
+        assert images.commutator_defect(t) == pytest.approx(
+            dense.commutator_defect(t), abs=1e-12)
+    assert rep.images(borel) is images
 
 
 def _reference_eval(rep, tau, word):
@@ -444,14 +437,14 @@ def test_cached_word_values_are_bit_identical(setting11):
 
 
 def test_symbol_images_are_kept_per_rep(setting11):
-    # PSL2(11) induces rho0 with multiplicity 1, so seeds 0 and 1 give the
-    # same matrices; conjugating the second makes the two reps differ
+    # seeds 0 and 1 give the same matrices; conjugating the second makes
+    # the two reps differ, and one point evaluates each with its own images
     m, t, rep, g, pres = setting11
     r0 = realize_irreducible(m, t, rho0_character(t), seed=0)
     r1 = realize_irreducible(m, t, rho0_character(t), seed=1)
     u = np.linalg.qr(np.random.default_rng(5).standard_normal(
         (r1.degree, r1.degree)))[0]
-    r1 = UnitaryRep(m, u @ r1.stack @ u.T)
+    r1 = UnitaryRep(m, _Dense(r1.formula, lambda els, s: u @ s @ u.T))
     tau = random_moduli_point(g, r0, np.random.default_rng(12))
     rng = random.Random(12)
     for _ in range(10):
@@ -482,10 +475,13 @@ def test_expm_rotation_inverse_and_rejection():
 
 
 def test_defects_propagate_nan(rho4):
+    # NaN images wherever c != 0, as at the transvection representative
     m, t, rep = rho4
-    stack = rep.stack.copy()
-    stack[-1] = np.nan
-    bad = UnitaryRep(m, stack)
+
+    def nan_where_c(elements, stack):
+        stack[[g[2] != 0 for g in elements]] = np.nan
+        return stack
+    bad = UnitaryRep(m, _Dense(rep.formula, nan_where_c))
     assert np.isnan(bad.unitarity_defect())
     assert np.isnan(bad.character_defect(rho0_character(t)))
     assert np.isnan(bad.homomorphism_defect())
@@ -495,10 +491,9 @@ def test_nan_matrix_fails_realization(monkeypatch):
     import repmoduli.numerics as num
     real = num.UnitaryRep
 
-    def with_nan(model, stack):
-        stack = stack.copy()
-        stack[-1] = np.nan
-        return real(model, stack)
+    def with_nan(model, formula):
+        return real(model, _altering(formula, model.elements[-1],
+                                     lambda a: np.full_like(a, np.nan)))
 
     monkeypatch.setattr(num, "UnitaryRep", with_nan)
     m = psl2_model(4)
@@ -533,10 +528,9 @@ def test_phase_on_one_matrix_fails_realization(monkeypatch):
     import repmoduli.numerics as num
     real = num.UnitaryRep
 
-    def with_phase(model, stack):
-        stack = stack.copy()
-        stack[-1] *= np.exp(0.3j)
-        return real(model, stack)
+    def with_phase(model, formula):
+        return real(model, _altering(formula, model.elements[-1],
+                                     lambda a: a * np.exp(0.3j)))
 
     monkeypatch.setattr(num, "UnitaryRep", with_phase)
     m = psl2_model(4)
@@ -547,9 +541,7 @@ def test_phase_on_one_matrix_fails_realization(monkeypatch):
 
 def _with_one_element(rep, g, value):
     """rep with the matrix of g replaced by value(old matrix)."""
-    stack = rep.stack.copy()
-    stack[rep.row[g]] = value(stack[rep.row[g]])
-    return UnitaryRep(rep.model, stack)
+    return UnitaryRep(rep.model, _altering(rep.formula, g, value))
 
 
 @pytest.mark.parametrize("bad", ["conjugated", "nan"])
@@ -580,7 +572,7 @@ def test_commutant_ranks_are_pinned(rho4, rho11, q, ranks):
     fam = "psl2_even" if q == 4 else "psl2_odd"
     g = build_orbit_graph(fam, q, k=1, model=m)
     subs = [node.sub for node in list(g.vertices) + list(g.edges)]
-    assert [commutant_rank(rep, sub.elements, r + 8, seed=r)
+    assert [commutant_rank(rep, sub.elements, seed=r)
             for sub, r in zip(subs, ranks)] == ranks
 
 
