@@ -21,8 +21,8 @@ import numpy as np
 
 from .cyclo import Cyclotomic, factorize, legendre
 from .groups import (
-    ClassLabel, GroupModel, SubgroupSpec, class_data_model, fusion_table, suzuki_class_labels, suzuki_model, symbolic_subgroup,
-    twisted_torus_reps,
+    ClassLabel, GroupModel, SubgroupSpec, class_data_model, fusion_table,
+    suzuki_class_labels, suzuki_model, symbolic_subgroup, twisted_torus_reps,
 )
 
 

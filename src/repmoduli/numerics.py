@@ -34,6 +34,10 @@ class WordNotInKernel(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
+    """Numerical tolerances.  `commutant_svd` sets both cuts of
+    commutant_rank: eigenvalues of the first group average closer than it
+    (relative to the largest) are one eigenspace, and entries of the second
+    below it (relative to the largest) do not link two eigenspaces."""
     unitary: float = 1e-8
     homomorphism: float = 1e-8
     character: float = 1e-6
@@ -48,7 +52,6 @@ class Tolerances:
 TOL = Tolerances()
 
 _CHUNK_BYTES = 1 << 20      # about 1 MB of matrices per batched operation
-_WORD_CHUNK_BYTES = 1 << 24  # symbol images held by one batch of words
 
 
 def _mnorm(a):
@@ -134,8 +137,7 @@ class Images:
 class UnitaryRep:
     """The images of an enumerated group under a unitary representation,
     evaluated on demand by `formula` (a list of elements -> Images, with
-    the attribute `degree`).  A tuple of elements, as a stabilizer holds
-    them, is evaluated once and kept."""
+    the attribute `degree`).  Only `kept` keeps what it evaluates."""
 
     def __init__(self, model: GroupModel, formula):
         self.model = model
@@ -144,9 +146,9 @@ class UnitaryRep:
         self._kept = {}             # id(elements) -> (elements, Images)
         self._mats = {}             # element -> image, read by mat
 
-    def images(self, elements) -> Images:
-        if not isinstance(elements, tuple):
-            return self.formula(elements)
+    def kept(self, elements) -> Images:
+        """The images of a subgroup's element tuple, evaluated on the first
+        call and kept, keyed by that tuple, for the life of the rep."""
         if id(elements) not in self._kept:
             self._kept[id(elements)] = (elements, self.formula(elements))
         return self._kept[id(elements)][1]
@@ -162,12 +164,12 @@ class UnitaryRep:
 
     def stack_of(self, elements):
         """The (n, d, d) images of n elements of the model, in order."""
-        return self.images(elements).stack()
+        return self.formula(elements).stack()
 
     def average(self, elements, xs):
-        """(1/n) sum_g rho(g) x rho(g)^H over the n elements, for every x
-        of a stack xs."""
-        return self.images(elements).sandwich_sum(xs) / len(elements)
+        """(1/n) sum_g rho(g) x rho(g)^H over a subgroup's n elements, whose
+        images are kept, for every x of a stack xs."""
+        return self.kept(elements).sandwich_sum(xs) / len(elements)
 
     def homomorphism_defect(self, rng=None, samples=300):
         """max |rho(g) rho(h) - rho(gh)| over seeded random pairs."""
@@ -380,20 +382,6 @@ class KirillovModel(_Model):
         return j * (left[:, :, None] * right[:, None, :])
 
 
-class _Linear:
-    """A degree-1 character: each image is the 1 x 1 matrix of its value."""
-
-    degree = 1
-
-    def __init__(self, model: GroupModel, target: Character):
-        self.value = lambda g: target.value_at(model.class_of[g]).to_complex()
-
-    def __call__(self, elements):
-        vals = np.array([[self.value(g)] for g in elements], dtype=complex)
-        return Images(np.ones(len(vals), bool), np.zeros(vals.shape, int),
-                      vals, np.empty((0, 1, 1)))
-
-
 def realize_irreducible(model: GroupModel, table: CharacterTable,
                         target: Character, seed=0,
                         tol: Tolerances = TOL) -> UnitaryRep:
@@ -409,8 +397,14 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
             (model.family, model.q) != (table.family, table.q):
         raise ValueError("realization needs the enumerated model of the "
                          "table's group (class-data groups are exact-only)")
-    if target.degree == 1:
-        formula = _Linear(model, target)
+    if target.degree == 1:      # 1 x 1 monomial images: the values
+
+        def formula(els):
+            vals = np.array([[target.value_at(model.class_of[g]).to_complex()]
+                             for g in els], dtype=complex)
+            return Images(np.ones(len(vals), bool), np.zeros(vals.shape, int),
+                          vals, np.empty((0, 1, 1)))
+        formula.degree = 1
     elif target is rho0_character(table):
         formula = (KirillovModel if model.q % 2 == 0 else WeilModel)(model)
     else:
@@ -437,7 +431,7 @@ def spectral_split(rep: UnitaryRep, g, tol: Tolerances = TOL):
     model = rep.model
     n = model.element_orders[g]
     a = rep.mat(g)
-    powers = rep.stack_of(list(closure(model, [g])))    # 1, g, g^2, ...
+    powers = rep.stack_of(closure(model, [g]))    # 1, g, g^2, ...
     roots = [np.exp(2j * np.pi * j / n) for j in range(n)]
     coeff = np.array([[root ** (-k) for k in range(n)] for root in roots])
     projs = np.tensordot(coeff, powers, axes=1) / n
@@ -494,7 +488,7 @@ def _check_gauge(t, rho0: UnitaryRep, sub, tol, name, where):
     if _above(_mnorm(t @ t.conj().T - eye), tol):
         raise ToleranceExceeded(f"{name} not unitary")
     if not np.array_equal(t, eye) and \
-            _above(rho0.images(sub.elements).commutator_defect(t), tol):
+            _above(rho0.kept(sub.elements).commutator_defect(t), tol):
         raise ToleranceExceeded(f"{name} leaves the {where} commutant")
 
 
@@ -540,7 +534,7 @@ class ModuliPoint:
         for vi in np.unique(vertex[vertex >= 0]):
             ks = np.flatnonzero(vertex == vi)
             t = tau_v[vi]
-            out[ks] = rho0.images(graph.vertices[vi].sub.elements).stack(i[ks])
+            out[ks] = rho0.kept(graph.vertices[vi].sub.elements).stack(i[ks])
             if vi != graph.root:        # tau is the identity at the root
                 out[ks] = t.conj().T @ out[ks] @ t
         out = out[at]
@@ -594,9 +588,9 @@ def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
                  tau: ModuliPoint, words):
     """The induced representation at the moduli point on a sequence of
     words, as an (n, d, d) array.  The words run in batches whose symbols'
-    images fit in _WORD_CHUNK_BYTES; a batch builds the image of each
-    symbol it uses once and multiplies left to right, one batched product
-    per word position, shorter words padded by the identity."""
+    images fit in _CHUNK_BYTES; a batch builds the image of each symbol
+    it uses once and multiplies left to right, one batched product per word
+    position, shorter words padded by the identity."""
     index = tau.graph.word_symbols[0]
     try:
         rows = [[index[sym] for sym in w] for w in words]
@@ -605,16 +599,12 @@ def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
     d = rho0.degree
     out = np.empty((len(rows), d, d), dtype=np.complex128)
     longest = max(map(len, rows), default=1)
-    for sl in _chunk_slices(len(rows), 16 * d * d * longest,
-                            _WORD_CHUNK_BYTES):
+    for sl in _chunk_slices(len(rows), 16 * d * d * longest):
         batch = rows[sl]
         length = max(map(len, batch), default=0)
         steps = np.array([r + [0] * (length - len(r)) for r in batch],
                          dtype=np.intp).reshape(len(batch), length)
-        if steps.size < len(index):
-            used, at = np.unique(steps, return_inverse=True)
-        else:                   # the graph has no more symbols than steps
-            used, at = np.arange(len(index) + 1), steps
+        used, at = np.unique(steps, return_inverse=True)
         images = tau.symbol_images(rho0, used)
         acc = np.repeat(np.eye(d, dtype=np.complex128)[None], len(batch),
                         axis=0)

@@ -382,7 +382,7 @@ def test_monomial_images_match_dense(q):
     t = table_psl2_even(q) if q % 2 == 0 else table_psl2_odd(q)
     rep = realize_irreducible(m, t, rho0_character(t), seed=0)
     borel = build_subgroup(m, "borel").elements
-    images = rep.images(borel)
+    images = rep.kept(borel)
     assert images.mono.all()
     dense = _dense_images(images.stack())
     rng = np.random.default_rng(q)
@@ -393,7 +393,7 @@ def test_monomial_images_match_dense(q):
     for t in (xs[0], np.eye(d), rep.mat(borel[1])):
         assert images.commutator_defect(t) == pytest.approx(
             dense.commutator_defect(t), abs=1e-12)
-    assert rep.images(borel) is images
+    assert rep.kept(borel) is images
 
 
 def _reference_eval(rep, tau, word):
