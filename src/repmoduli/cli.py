@@ -27,8 +27,7 @@ from .chars import (
     table_sl2_odd, theta_balance,
 )
 from .groups import (
-    ENUMERATION_BOUND, _prime_power, build_subgroup, psl2_model,
-    stored_fusion, fusion_table,
+    _prime_power, build_subgroup, psl2_model, stored_fusion, fusion_table,
 )
 from .numerics import Tolerances
 from .oscomplex import (
@@ -39,6 +38,7 @@ from .oscomplex import (
 ENV_PREFIX = "REPMODULI_"
 ALL_CHECKS = ("tables", "fusion", "centralizers", "moduli-dim", "euler",
               "brown", "numerics")
+NUMERICS_BOUND = 83     # the largest q whose numerics run
 
 
 class UsageError(ValueError):
@@ -220,9 +220,6 @@ def check_fusion(fam, q, cfg, load_model):
     name = f"fusion/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(name, name, f"q={q}", "skipped: class-data model")]
-    if q > ENUMERATION_BOUND:
-        return [_skip(name, name, f"q={q}",
-                      "skipped: beyond enumeration scope")]
 
     def run():
         model = load_model()
@@ -311,9 +308,6 @@ def check_brown(fam, q, cfg, load_model):
     name = f"brown/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(name, name, f"q={q}", "skipped: class-data model")]
-    if q > ENUMERATION_BOUND:
-        return [_skip(name, name, f"q={q}",
-                      "skipped: beyond enumeration scope")]
 
     def run():
         model = load_model()
@@ -333,9 +327,9 @@ def check_numerics(fam, q, cfg, load_model):
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(base, base, f"q={q}",
                       "skipped: no distinguished character")]
-    if q > ENUMERATION_BOUND:
+    if q > NUMERICS_BOUND:
         return [_skip(base, base, f"q={q}",
-                      "skipped: beyond enumeration bound")]
+                      "skipped: beyond numerics bound")]
 
     import numpy as np
     from .chars import centralizer_dim, fusion_for
@@ -375,9 +369,9 @@ def check_numerics(fam, q, cfg, load_model):
     def spectral():
         rep, (graph, _) = realized(), setting()
         ghat0 = next(g for g in graph.edges[0].sub.elements
-                     if model.element_orders[g] == graph.edges[0].sub.order)
+                     if model.element_order(g) == graph.edges[0].sub.order)
         ghat1 = next(g for g in graph.edges[1].sub.elements
-                     if model.element_orders[g] == 2)
+                     if model.element_order(g) == 2)
         _, m0 = spectral_split(rep, ghat0, tol=tol)
         _, m1 = spectral_split(rep, ghat1, tol=tol)
         return sorted(m0.values()), (m1.get(0, 0), m1.get(1, 0))
@@ -470,9 +464,9 @@ CHECK_RUNNERS = {
 
 def run(cfg: VerificationConfig) -> VerificationReport:
     def run_q(q):
-        """Every check of one q.  The q's enumerated model is built on first
-        use, shared by these checks and dropped with them, so each q is
-        enumerated at most once whatever --jobs is."""
+        """Every check of one q.  The q's matrix model is built on first
+        use, shared by these checks and dropped with them, so each q's
+        model is built at most once whatever --jobs is."""
         fam = classify_q(cfg.family, q)
         load_model = functools.cache(lambda: psl2_model(q))
         records = []

@@ -212,7 +212,7 @@ class FieldSpec:
         self._exp = exp
         self._log = log
 
-    # -- public int-level ops (hot path for group enumeration) ----------------
+    # -- public int-level ops (hot path for group element products) ----------
 
     def add(self, a, b):
         return self.add_table[a][b]

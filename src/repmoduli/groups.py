@@ -1,15 +1,17 @@
 """Explicit models of SL2(q) and PSL2(q) with conjugacy classification,
 subgroup construction and class fusion; a class-data model for Sz(q).
 
-Enumerated models hold every group element as a 4-tuple of int-encoded field
-entries (row major, determinant 1).  Every element is labelled with its
-conjugacy class from its trace, and its order is the order of that class;
-the orbit-graph stabilizers are built from generators.  Every search scans
-in enumeration order, so that every derived choice is reproducible.
+A matrix model indexes its elements by their 4-tuples of int-encoded field
+entries (row major, determinant 1; in PSL2 the smaller of x and -x) in
+sorted order, and builds the i-th one in closed form, so the group is never
+listed.  An element's conjugacy class is read off its trace, and its order
+is the order of that class; the orbit-graph stabilizers are built from
+generators.  Every search scans in index order, so that every derived choice
+is reproducible.
 
 Sz(q) is deliberately modelled at class-data level only: every Suzuki
 computation downstream is a class function, and fusion comes from stored
-tables rather than element enumeration.
+tables rather than counts over elements.
 """
 
 from __future__ import annotations
@@ -22,10 +24,6 @@ from typing import NamedTuple, Optional
 from .gf import FieldSpec, gf_make
 
 
-class SizeBoundExceeded(ValueError):
-    pass
-
-
 class NotFound(RuntimeError):
     """A structurally guaranteed subgroup search failed (a bug)."""
 
@@ -34,18 +32,11 @@ class ClassDataError(ValueError):
     """Class labels or sizes contradict the group they describe."""
 
 
-def _check_class_sizes(model, expected=None):
-    """Raise ClassDataError unless the class sizes add up to |G| and match
-    the expected size per label kind, where given."""
-    for lab, size in model.class_sizes.items():
-        if expected is not None and size != expected[lab.kind]:
-            raise ClassDataError(f"class {lab} has size {size}")
+def _check_class_sizes(model):
+    """Raise ClassDataError unless the class sizes add up to |G|."""
     if sum(model.class_sizes.values()) != model.order:
         raise ClassDataError(f"class sizes do not add up to |G| = "
                              f"{model.order}")
-
-
-ENUMERATION_BOUND = 83
 
 
 class ClassLabel(NamedTuple):
@@ -64,9 +55,9 @@ IDENTITY = (1, 0, 0, 1)
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A subgroup selection: tag, optional parameter, and (when the ambient
-    group is enumerated) the explicit element tuple and the generators it
-    was built from."""
+    """A subgroup selection: tag, optional parameter, and (in a matrix
+    model) the explicit element tuple and the generators it was built
+    from."""
     tag: str
     param: int = 0
     order: int = 0
@@ -84,34 +75,72 @@ class SubgroupSpec:
 
 
 class GroupModel:
-    """Either an enumerated matrix group or an abstract class-data model."""
-
-    identity = IDENTITY
+    """An abstract class-data model, or with the field `spec` a matrix
+    group whose elements are indexed in closed form (`matrix_model`)."""
 
     def __init__(self, family, q, spec=None):
         self.family = family          # psl2_even | sl2_odd | psl2_odd | sz
         self.q = q
         self.spec = spec
-        # the field's lookup tables, read by the element operations below;
-        # every enumerable q is within the field's table bound
-        if spec is not None:
-            self._add, self._mul, self._neg = \
-                spec.add_table, spec.mul_table, spec.neg_table
         self._fold = family == "psl2_odd"     # PSL2 = SL2 / {+-1}
-        self.elements = None
-        self.class_of = None
         self.class_labels = []        # in display order
         self.class_sizes = {}
         self.class_reps = {}
-        self.element_orders = None
         self.order = 0
         self._subgroups = {}
+        if spec is not None:
+            # the field's lookup tables, read by the element operations
+            self._add, self._mul, self._neg = \
+                spec.add_table, spec.mul_table, spec.neg_table
+            self._inv = [0] + [spec.inv(x) for x in range(1, q)]
+            # the nonzero leading entries of the elements, in sorted order
+            self._lead = [x for x in range(1, q)
+                          if not self._fold or x < self._neg[x]]
+            self.order = len(self._lead) * q * (q + 1)
 
-    @property
-    def enumerated(self):
-        return self.elements is not None
+    def element(self, i):
+        """The i-th element in sorted order, for leading entries b and a:
+        first the (0, b, -1/b, d), then the (a, b, c, (1 + bc)/a)."""
+        if not 0 <= i < self.order:
+            raise IndexError(f"no element {i} in a group of order "
+                             f"{self.order}")
+        q, lead, mul = self.q, self._lead, self._mul
+        if i < len(lead) * q:
+            b = lead[i // q]
+            return (0, b, self._neg[self._inv[b]], i % q)
+        j, c = divmod(i - len(lead) * q, q)
+        a, b = divmod(j, q)
+        a = lead[a]
+        return (a, b, c, mul[self._inv[a]][self._add[1][mul[b][c]]])
 
-    # matrix ops bound to the field of an enumerated model
+    def scan(self):
+        """Every element, lazily, in index order."""
+        return map(self.element, range(self.order))
+
+    def class_of(self, x):
+        """The conjugacy class of x, by the trace rule of _label_classes."""
+        add, neg = self._add, self._neg
+        t = add[x[0]][x[3]]
+        lab = self._by_trace.get(t)
+        if lab is not None:
+            return lab
+        two = add[1][1]
+        if t == two:
+            u, central = x, ""
+        elif t == neg[two]:
+            u, central = tuple(neg[v] for v in x), "" if self._fold else "z"
+        else:
+            raise NotFound(f"no class has trace {t}")
+        if u == IDENTITY:
+            return self._named[central or "id"]
+        entry = u[2] if u[2] else neg[u[1]]
+        return self._named[central + ("c" if entry in self._squares else "d")]
+
+    def element_order(self, x):
+        """The order of x: the order of its class."""
+        return self._orders[self.class_of(x)]
+
+    # matrix ops bound to the field of a matrix model
     def mul(self, x, y):
         add, mul = self._add, self._mul
         a, b, c, d = x
@@ -140,8 +169,8 @@ class GroupModel:
         return self.mul(self.mul(by, g), self.inv(by))
 
     def order_of(self, g):
-        """The order of g by walking its powers; element_orders holds every
-        element's order without the walk."""
+        """The order of g by walking its powers; element_order reads it off
+        the class without the walk."""
         n = 1
         acc = g
         while acc != IDENTITY:
@@ -182,25 +211,7 @@ class GroupModel:
         return acc
 
 
-# -- enumeration -------------------------------------------------------------
-
-def _sl2_elements(f):
-    q = f.q
-    out = []
-    for a in range(q):
-        if a == 0:
-            for b in range(1, q):
-                c = f.neg(f.inv(b))
-                for d in range(q):
-                    out.append((0, b, c, d))
-        else:
-            ainv = f.inv(a)
-            for b in range(q):
-                for c in range(q):
-                    d = f.mul(ainv, f.add(1, f.mul(b, c)))
-                    out.append((a, b, c, d))
-    return out
-
+# -- matrix models -----------------------------------------------------------
 
 def _torus_generator(model):
     """diag(nu, 1/nu): it generates the split torus of the field generator."""
@@ -210,7 +221,7 @@ def _torus_generator(model):
 
 
 def _label_classes(model):
-    """Label every element with its conjugacy class, read off its trace
+    """Fix the class representatives and the trace rule of class_of
     (Fulton-Harris, Representation Theory, section 5.2).
 
     A class of trace other than +-2 is the class of its trace, and in
@@ -218,153 +229,67 @@ def _label_classes(model):
     is unipotent: x - 1 has rank 1, and conjugation multiplies its lower-left
     entry by a square, or, when that entry is 0, minus its upper-right entry.
     The square class of that entry splits c from d.  Trace -2 is z times
-    trace 2; in PSL2 the sign is dropped.  The representatives fix the labels
-    and their display order; the class sizes are counted and checked, and
-    every element's order is the order of its class."""
+    trace 2; in PSL2 the sign is dropped.  The labels, their display order
+    and the class sizes are class_data_model's; the representatives must
+    carry their labels and the sizes must add up to |G|."""
     f = model.spec
     q = model.q
-    nu = f.generator
+    data = class_data_model(model.family, q)
+    model.class_labels, model.class_sizes = data.class_labels, data.class_sizes
     a = _torus_generator(model)
-    c = model.canonical((1, 0, 1, 1))
-    reps = {}
     # the nonsplit torus generator: the first element of its order
-    n_nonsplit = (q + 1) // 2 if model.family == "psl2_odd" else q + 1
-    b = next(g for g in model.elements if model.order_of(g) == n_nonsplit)
-
-    if model.family == "psl2_even":
-        reps[ClassLabel("id")] = IDENTITY
-        reps[ClassLabel("c")] = c
-        for l in range(1, (q - 2) // 2 + 1):
-            reps[ClassLabel("a", l)] = model.power_label(a, l)
-        for m in range(1, q // 2 + 1):
-            reps[ClassLabel("b", m)] = model.power_label(b, m)
-        expected_sizes = {"id": 1, "c": q * q - 1, "a": q * (q + 1),
-                          "b": q * (q - 1)}
-    elif model.family == "sl2_odd":
-        z = model.canonical((f.neg(1), 0, 0, f.neg(1)))
-        d = model.canonical((1, 0, nu, 1))
-        reps[ClassLabel("id")] = IDENTITY
-        reps[ClassLabel("z")] = z
-        reps[ClassLabel("c")] = c
-        reps[ClassLabel("d")] = d
-        reps[ClassLabel("zc")] = model.mul(z, c)
-        reps[ClassLabel("zd")] = model.mul(z, d)
-        for l in range(1, (q - 3) // 2 + 1):
-            reps[ClassLabel("a", l)] = model.power_label(a, l)
-        for m in range(1, (q - 1) // 2 + 1):
-            reps[ClassLabel("b", m)] = model.power_label(b, m)
-        half = (q * q - 1) // 2
-        expected_sizes = {"id": 1, "z": 1, "c": half, "d": half, "zc": half,
-                          "zd": half, "a": q * (q + 1), "b": q * (q - 1)}
-    elif model.family == "psl2_odd":
-        d = model.canonical((1, 0, nu, 1))
-        reps[ClassLabel("id")] = IDENTITY
-        reps[ClassLabel("c")] = c
-        reps[ClassLabel("d")] = d
-        for l in range(1, (q - 3) // 4 + 1):
-            reps[ClassLabel("a", l)] = model.power_label(a, l)
-        for m in range(1, (q - 3) // 4 + 1):
-            reps[ClassLabel("b", m)] = model.power_label(b, m)
-        reps[ClassLabel("bq")] = model.power_label(b, (q + 1) // 4)
-        half = (q * q - 1) // 2
-        expected_sizes = {"id": 1, "c": half, "d": half, "a": q * (q + 1),
-                          "b": q * (q - 1), "bq": q * (q - 1) // 2}
-    else:
-        raise ValueError(model.family)
+    n_nonsplit = (q + 1) // 2 if model._fold else q + 1
+    b = next(g for g in model.scan() if model.order_of(g) == n_nonsplit)
+    z = model.canonical((f.neg(1), 0, 0, f.neg(1)))
+    c = model.canonical((1, 0, 1, 1))
+    d = model.canonical((1, 0, f.generator, 1))
+    fixed = {"id": IDENTITY, "z": z, "c": c, "d": d,
+             "zc": model.mul(z, c), "zd": model.mul(z, d),
+             "bq": model.power_label(b, (q + 1) // 4)}
+    semisimple = {"a": a, "b": b}
+    reps = {lab: model.power_label(semisimple[lab.kind], lab.index)
+            if lab.kind in semisimple else fixed[lab.kind]
+            for lab in model.class_labels}
 
     add, neg = f.add_table, f.neg_table
-    fold = model.family == "psl2_odd"
     by_trace = {}
     for lab, rep in reps.items():
         if lab.kind in ("a", "b", "bq"):
             tr = add[rep[0]][rep[3]]
-            for t in (tr, neg[tr]) if fold else (tr,):
+            for t in (tr, neg[tr]) if model._fold else (tr,):
                 other = by_trace.setdefault(t, lab)
                 if other != lab:
                     raise NotFound(f"representatives of {other} and {lab} "
                                    f"are conjugate")
-    named = {str(lab): lab for lab in reps}
-    squares = {f.mul(x, x) for x in range(1, q)}
-    two = add[1][1]
-
-    def unipotent_class(x, t):
-        if t == two:
-            u, central = x, ""
-        elif t == neg[two]:
-            u, central = tuple(neg[v] for v in x), "" if fold else "z"
-        else:
-            raise NotFound(f"no class has trace {t}")
-        if u == IDENTITY:
-            return named[central or "id"]
-        entry = u[2] if u[2] else neg[u[1]]
-        return named[central + ("c" if entry in squares else "d")]
-
-    class_of = {}
-    sizes = dict.fromkeys(reps, 0)
-    semisimple = by_trace.get
-    for x in model.elements:
-        t = add[x[0]][x[3]]
-        lab = semisimple(t) or unipotent_class(x, t)
-        class_of[x] = lab
-        sizes[lab] += 1
+    model._by_trace = by_trace
+    model._named = {str(lab): lab for lab in reps}
+    model._squares = {f.mul(x, x) for x in range(1, q)}
+    model._orders = {lab: model.label_order(lab) for lab in reps}
     for lab, rep in reps.items():
-        if class_of[rep] != lab:
+        if model.class_of(rep) != lab:
             raise NotFound(f"the representative of {lab} is labelled "
-                           f"{class_of[rep]}")
-
-    model.class_of = class_of
-    model.class_labels = list(reps)
+                           f"{model.class_of(rep)}")
     model.class_reps = reps
-    model.class_sizes = sizes
-    _check_class_sizes(model, expected_sizes)
-    orders = {lab: model.label_order(lab) for lab in reps}
-    model.element_orders = {x: orders[lab] for x, lab in class_of.items()}
+    _check_class_sizes(model)
 
 
-def enumerate_sl2(spec: FieldSpec) -> GroupModel:
-    q = spec.q
-    if q > ENUMERATION_BOUND:
-        raise SizeBoundExceeded(f"q={q} beyond enumeration bound")
-    family = "psl2_even" if spec.p == 2 else "sl2_odd"
-    model = GroupModel(family, q, spec)
-    model.elements = _sl2_elements(spec)
-    model.order = q * (q * q - 1)
-    if len(model.elements) != model.order:
-        raise ClassDataError(f"{len(model.elements)} elements enumerated, "
-                             f"expected |G| = {model.order}")
-    _label_classes(model)
-    return model
-
-
-def enumerate_psl2(spec: FieldSpec) -> GroupModel:
-    q = spec.q
-    if q > ENUMERATION_BOUND:
-        raise SizeBoundExceeded(f"q={q} beyond enumeration bound")
+def matrix_model(spec: FieldSpec, projective=False) -> GroupModel:
+    """SL2(q), or with `projective` PSL2(q) = SL2(q) / {+-1} (for odd
+    q = 3 mod 4; for even q the two are one group)."""
     if spec.p == 2:
-        return enumerate_sl2(spec)
-    if q % 4 != 3:
-        raise ValueError("only q = 3 mod 4 is in scope for PSL2 models")
-    model = GroupModel("psl2_odd", q, spec)
-    seen = {}
-    for x in _sl2_elements(spec):
-        cx = model.canonical(x)
-        if cx not in seen:
-            seen[cx] = None
-    model.elements = list(seen)
-    model.order = q * (q * q - 1) // 2
-    if len(model.elements) != model.order:
-        raise ClassDataError(f"{len(model.elements)} elements enumerated, "
-                             f"expected |G| = {model.order}")
+        family = "psl2_even"
+    else:
+        family = "psl2_odd" if projective else "sl2_odd"
+    model = GroupModel(family, spec.q, spec)
     _label_classes(model)
     return model
 
 
 @lru_cache(maxsize=1)
 def psl2_model(q):
-    """Enumerated PSL2(q) (== SL2(q) in characteristic 2), kept with its
-    subgroup memo for the most recent q only.  Callers must not modify it."""
-    spec = gf_make(*_prime_power(q))
-    return enumerate_psl2(spec)
+    """PSL2(q) (== SL2(q) in characteristic 2), kept with its subgroup memo
+    for the most recent q only.  Callers must not modify it."""
+    return matrix_model(gf_make(*_prime_power(q)), projective=True)
 
 
 def _prime_power(q):
@@ -398,17 +323,38 @@ def closure(model, gens):
     return tuple(out)
 
 
-def _first(model, order, pred):
-    """The first element of the given order, in enumeration order, that
-    satisfies pred."""
-    for g in model.elements:
-        if model.element_orders[g] == order and pred(g):
+def _first(model, order, pred, candidates=None):
+    """The first element of the given order, in index order, that satisfies
+    pred: among the given candidates (in index order), or all elements."""
+    for g in candidates or model.scan():
+        if model.element_order(g) == order and pred(g):
             return g
     raise NotFound(f"no element of order {order} with the required property")
 
 
+def _of_traces(model, traces):
+    """The elements with a trace in `traces`, in index order: (0, b, -1/b, t)
+    first, then (a, b, c, t - a) with bc = a(t - a) - 1."""
+    f, q = model.spec, model.q
+    for b in model._lead:
+        for t in sorted(traces):
+            yield (0, b, f.neg(f.inv(b)), t)
+    for a in model._lead:
+        for b in range(q):
+            row = []
+            for t in traces:
+                d = f.add(t, f.neg(a))
+                r = f.add(f.mul(a, d), f.neg(1))
+                if b:
+                    row.append((f.mul(r, f.inv(b)), d))
+                elif r == 0:
+                    row += [(c, d) for c in range(q)]
+            for c, d in sorted(row):
+                yield (a, b, c, d)
+
+
 def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
-    """A stabilizer of the orbit graphs in an enumerated model, built once
+    """A stabilizer of the orbit graphs in a matrix model, built once
     from generators and shared by the graph, the fusion check and numerics.
 
     With the split torus generator t and w = [[0, 1], [-1, 0]]:
@@ -417,8 +363,8 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
     the first order-3 element that normalizes klein4.  The cyclic groups are
     the split torus <t>, <w> of order 2 and the order-3 group of a4.
     """
-    if not model.enumerated:
-        raise ValueError("explicit subgroups need an enumerated model")
+    if model.spec is None:
+        raise ValueError("explicit subgroups need a matrix model")
     key = (tag, param)
     if key in model._subgroups:
         return model._subgroups[key]
@@ -427,8 +373,9 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
     t = _torus_generator(model)
     w = model.canonical((0, 1, model.spec.neg(1), 0))
     if tag == "borel":
-        gens = None
-        els = tuple(g for g in model.elements if g[2] == 0)
+        gens = None     # c = 0: every q-th element after those with a = 0
+        els = tuple(map(model.element,
+                        range(model.order // (q + 1), model.order, q)))
     elif tag == "trivial":
         gens = ()
     elif tag == "dihedral_split":
@@ -443,8 +390,10 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
     elif tag == "a4":
         v4 = build_subgroup(model, "klein4")
         v4set = set(v4.elements)
+        # in odd characteristic the elements of order 3 have trace +-1
         gens = v4.gens + (_first(model, 3, lambda g: all(
-            model.conjugate(x, g) in v4set for x in v4.gens)),)
+            model.conjugate(x, g) in v4set for x in v4.gens),
+            _of_traces(model, {1, model.spec.neg(1)})),)
     elif tag == "cyclic" and param == ((q - 1) // 2 if fam == "psl2_odd"
                                        else q - 1):
         gens = (t,)
@@ -497,12 +446,12 @@ def symbolic_subgroup(family, q, tag, param=0) -> SubgroupSpec:
 # -- class fusion -------------------------------------------------------------
 
 def fusion_table(model: GroupModel, sub: SubgroupSpec):
-    """|(x) cap L| for every class (x); brute force on enumerated models,
-    stored tables otherwise."""
-    if model.enumerated and sub.elements is not None:
+    """|(x) cap L| for every class (x); counted over the subgroup's elements
+    in a matrix model, stored tables otherwise."""
+    if model.spec is not None and sub.elements is not None:
         counts = {lab: 0 for lab in model.class_labels}
         for g in sub.elements:
-            counts[model.class_of[g]] += 1
+            counts[model.class_of(g)] += 1
         return counts
     return stored_fusion(model.family, model.q, sub.tag, sub.param,
                          model.class_labels)

@@ -135,7 +135,7 @@ class Images:
 
 
 class UnitaryRep:
-    """The images of an enumerated group under a unitary representation,
+    """The images of a matrix group under a unitary representation,
     evaluated on demand by `formula` (a list of elements -> Images, with
     the attribute `degree`).  Only `kept` keeps what it evaluates."""
 
@@ -173,13 +173,13 @@ class UnitaryRep:
 
     def homomorphism_defect(self, rng=None, samples=300):
         """max |rho(g) rho(h) - rho(gh)| over seeded random pairs."""
-        els, mul = self.model.elements, self.model.mul
+        element, mul = self.model.element, self.model.mul
         rng = np.random.default_rng(0) if rng is None else rng
-        pairs = rng.integers(len(els), size=(samples, 2))
+        pairs = rng.integers(self.model.order, size=(samples, 2)).tolist()
         out = []
         for sl in _chunk_slices(samples, 48 * self.degree ** 2):
-            g = [els[i] for i in pairs[sl, 0]]
-            h = [els[i] for i in pairs[sl, 1]]
+            g = [element(i) for i, _ in pairs[sl]]
+            h = [element(j) for _, j in pairs[sl]]
             out.append(_mnorm(self.stack_of(g) @ self.stack_of(h) -
                               self.stack_of(list(map(mul, g, h)))))
         return float(np.max(out))
@@ -228,12 +228,12 @@ def _scale_from_relations(w, n):
 
 
 class _Model:
-    """A closed-form model of rho0 on an enumerated PSL2(q).  Elements with
-    c = 0 act monomially (`_monomial`), the others by a dense formula
-    (`_dense`) whose kernel table `self.kernel` carries the scalar that the
-    relations fix.  Every image entry is a table value, up to exact sign
-    changes and one subtraction, so an element's image does not depend on
-    the batch it is evaluated in."""
+    """A closed-form model of rho0 on PSL2(q).  Elements with c = 0 act
+    monomially (`_monomial`), the others by a dense formula (`_dense`) whose
+    kernel table `self.kernel` carries the scalar that the relations fix.
+    Every image entry is a table value, up to exact sign changes and one
+    subtraction, so an element's image does not depend on the batch it is
+    evaluated in."""
 
     def __call__(self, elements):
         els = np.array(elements, dtype=np.intp).reshape(-1, 4)
@@ -393,14 +393,14 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
     images are unitary, the images are a homomorphism on 300 pairs drawn
     with `seed`, and the trace equals the exact character at every class
     representative."""
-    if not model.enumerated or \
+    if model.spec is None or \
             (model.family, model.q) != (table.family, table.q):
-        raise ValueError("realization needs the enumerated model of the "
+        raise ValueError("realization needs the matrix model of the "
                          "table's group (class-data groups are exact-only)")
     if target.degree == 1:      # 1 x 1 monomial images: the values
 
         def formula(els):
-            vals = np.array([[target.value_at(model.class_of[g]).to_complex()]
+            vals = np.array([[target.value_at(model.class_of(g)).to_complex()]
                              for g in els], dtype=complex)
             return Images(np.ones(len(vals), bool), np.zeros(vals.shape, int),
                           vals, np.empty((0, 1, 1)))
@@ -429,7 +429,7 @@ def spectral_split(rep: UnitaryRep, g, tol: Tolerances = TOL):
     are snapped to the exact roots of unity of the element order.
     """
     model = rep.model
-    n = model.element_orders[g]
+    n = model.element_order(g)
     a = rep.mat(g)
     powers = rep.stack_of(closure(model, [g]))    # 1, g, g^2, ...
     roots = [np.exp(2j * np.pi * j / n) for j in range(n)]

@@ -3,7 +3,7 @@ group presentations and dimension identities.
 
 Graphs come in two flavours sharing one data type: symbolic graphs carry
 only stabilizer specs (enough for the dimension and restriction identities
-at any q), while concrete graphs over an enumerated group also carry
+at any q), while concrete graphs over a matrix model also carry
 explicit stabilizer subgroups and connecting elements g_e, found by
 deterministic scans, and support presentations and word evaluation.
 """
@@ -60,7 +60,7 @@ class OrbitGraph:
 
     @property
     def concrete(self):
-        return self.model is not None and self.model.enumerated
+        return self.model is not None and self.model.spec is not None
 
     def tree_path(self, v):
         """Edge-orbit indices of the unique tree path root -> v."""
@@ -145,7 +145,7 @@ def _stabilizer_plan(family, q):
 def build_orbit_graph(family, q, k=0, model=None, ge_choice=0) -> OrbitGraph:
     """The orbit graph with k extra free edge orbits attached at the root.
 
-    With an enumerated `model`, stabilizers and connecting elements are
+    With a matrix `model`, stabilizers and connecting elements are
     concrete; `ge_choice` skips that many valid candidates in every
     connecting-element scan (used to confirm the choice does not matter).
     """
@@ -191,12 +191,12 @@ def _build_concrete(family, q, k, model, ge_choice):
         g = IDENTITY
         if not tree:
             target = set(vertices[w].sub.elements)
-            g = _scan(model.elements, lambda h: all(
+            g = _scan(model.scan(), lambda h: all(
                 model.conjugate(x, model.inv(h)) in target
                 for x in sub.gens), skip=ge_choice)
         edges.append(EdgeOrbit(f"eta{i}", sub, s, w, tree, g=g))
     root = set(vertices[0].sub.elements)
-    free = (g for g in model.elements if g not in root)
+    free = (g for g in model.scan() if g not in root)
     trivial = build_subgroup(model, "trivial")
     for i in range(k):
         edges.append(EdgeOrbit(f"eta'{i + 1}", trivial, 0, 0, False,

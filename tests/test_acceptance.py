@@ -93,7 +93,7 @@ def test_criterion_2_fusion_vs_brute_force():
             total += 1
     elapsed = time.monotonic() - t0
     _report(2, elapsed < 60,
-            f"{total} enumerated fusion rows equal the stored tables "
+            f"{total} counted fusion rows equal the stored tables "
             f"entry-by-entry (runtime budget 60s)", elapsed)
 
 
@@ -194,7 +194,7 @@ def test_criterion_8_numerical_realization(realized):
         assert rep.character_defect(target) <= 1e-6
         assert rep.homomorphism_defect(np.random.default_rng(0)) <= 1e-8
         ghat1 = next(g for g in graph.edges[1].sub.elements
-                     if model.element_orders[g] == 2)
+                     if model.element_order(g) == 2)
         _, mults = spectral_split(rep, ghat1)
         assert (mults.get(0, 0), mults.get(1, 0)) == expected_mults, q
         for node in list(graph.vertices) + \

@@ -23,22 +23,22 @@ from repmoduli.groups import (
 
 def restriction_from_enumeration(table, model, sub):
     """The reference restriction data, computed element by element on the
-    enumerated `model` of the table's group: a cyclic subgroup through the
+    matrix `model` of the table's group: a cyclic subgroup through the
     powers of a generator, a dihedral one of odd rotation order through
     its rotations and its one class of reflections."""
-    orders = model.element_orders
+    order = model.element_order
     k = sub.order
-    gens_of_order = [g for g in sub.elements if orders[g] == k]
+    gens_of_order = [g for g in sub.elements if order(g) == k]
     if gens_of_order:                                   # cyclic subgroup
-        images = [model.class_of[x]
+        images = [model.class_of(x)
                   for x in closure(model, [gens_of_order[0]])]
         return Restriction(table, sub, table_cyclic(k), tuple(images))
     n = k // 2                                          # dihedral, odd n
     powers = closure(model, [next(g for g in sub.elements
-                                  if orders[g] == n)])
-    refl = {model.class_of[g] for g in sub.elements if g not in powers}
+                                  if order(g) == n)])
+    refl = {model.class_of(g) for g in sub.elements if g not in powers}
     assert len(refl) == 1, "reflections fuse into several classes"
-    images = [model.class_of[powers[j]] for j in range((n - 1) // 2 + 1)]
+    images = [model.class_of(powers[j]) for j in range((n - 1) // 2 + 1)]
     return Restriction(table, sub, table_dihedral_odd(2 * n),
                        tuple(images) + tuple(refl))
 
@@ -285,9 +285,9 @@ def test_table_classes_match_enumeration():
 
 def test_sl2_odd_table_against_enumeration():
     from repmoduli.gf import gf_make
-    from repmoduli.groups import enumerate_sl2
+    from repmoduli.groups import matrix_model
     t = table_sl2_odd(7)
-    m = enumerate_sl2(gf_make(7))
+    m = matrix_model(gf_make(7))
     assert t.labels == m.class_labels
     assert t.sizes == [m.class_sizes[lab] for lab in m.class_labels]
     assert check_row_orthogonality(t)
@@ -378,7 +378,7 @@ def test_permutation_character_reciprocity():
             sub = build_subgroup(m, tag)
             cosets = []
             seen = set()
-            for g in m.elements:
+            for g in m.scan():
                 if g in seen:
                     continue
                 coset = frozenset(m.mul(g, h) for h in sub.elements)
@@ -390,7 +390,7 @@ def test_permutation_character_reciprocity():
                               if m.mul(rep, next(iter(c))) in c)
             fus = {lab: 0 for lab in t.labels}
             for g in sub.elements:
-                fus[m.class_of[g]] += 1
+                fus[m.class_of(g)] += 1
             one = t.by_name["1"]
             for chi in t.chars:
                 acc = Cyclotomic.zero()

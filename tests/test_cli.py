@@ -175,8 +175,8 @@ def test_altered_fusion_count_fails_euler(monkeypatch, tmp_path):
 
 
 def test_altered_stored_fusion_fails_at_q27(monkeypatch, tmp_path):
-    # PSL2(27) is checked by enumeration: one stored count of its A4 row off
-    # by one must fail the fusion record
+    # PSL2(27)'s fusion is counted over its subgroups: one stored count of
+    # its A4 row off by one must fail the fusion record
     real = cli.stored_fusion
 
     def one_more_unipotent(family, q, tag, param, labels):
@@ -192,6 +192,26 @@ def test_altered_stored_fusion_fails_at_q27(monkeypatch, tmp_path):
     assert rc == 1
     rec = _records(out)["fusion/psl2_odd-q27"]
     assert rec["pass"] is False and rec["computed"] == "mismatch at ['a4']"
+
+
+def test_altered_stored_fusion_fails_at_q131(monkeypatch, tmp_path):
+    # above q = 83 the fusion rows are counted too: one stored count of the
+    # Borel row of PSL2(131) off by one must fail the fusion record
+    real = cli.stored_fusion
+
+    def one_more_split(family, q, tag, param, labels):
+        counts = real(family, q, tag, param, labels)
+        if tag == "borel":
+            counts[ClassLabel("a", 1)] += 1
+        return counts
+
+    monkeypatch.setattr(cli, "stored_fusion", one_more_split)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "131", "--checks", "fusion",
+               "--out", str(out)])
+    assert rc == 1
+    rec = _records(out)["fusion/psl2_odd-q131"]
+    assert rec["pass"] is False and rec["computed"] == "mismatch at ['borel']"
 
 
 def test_brown_record_fails_when_verify_fails(monkeypatch, tmp_path):
@@ -258,7 +278,7 @@ def misdirect_closing_edge(graph):
     out of G_w (a wrong connecting element)."""
     model, e = graph.model, graph.edges[-1]
     target = set(graph.vertices[e.w].sub.elements)
-    e.g = next(g for g in model.elements
+    e.g = next(g for g in model.scan()
                if any(model.conjugate(x, model.inv(g)) not in target
                       for x in e.sub.elements))
     return graph
@@ -286,7 +306,7 @@ model = psl2_model(4)
 graph = build_orbit_graph("psl2_even", 4, model=model)
 e = graph.edges[-1]
 target = set(graph.vertices[e.w].sub.elements)
-e.g = next(g for g in model.elements
+e.g = next(g for g in model.scan()
            if any(model.conjugate(x, model.inv(g)) not in target
                   for x in e.sub.elements))
 try:
@@ -306,7 +326,7 @@ def test_numerics_leave_cached_state_unchanged(tmp_path):
     rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
                "--out", str(tmp_path / "r.json")])
     assert rc == 0
-    assert table_psl2_even(4).model.enumerated is False
+    assert table_psl2_even(4).model.spec is None
     assert psl2_model(4) is psl2_model(4)
 
 
@@ -419,7 +439,7 @@ def test_numerics_skip_beyond_enumeration_bound():
     assert report.ok
     [skip] = report.records
     assert skip.name == "numerics/psl2_odd-q107"
-    assert skip.computed == "skipped: beyond enumeration bound"
+    assert skip.computed == "skipped: beyond numerics bound"
 
 
 def test_numerics_run_without_scipy():

@@ -1,12 +1,13 @@
 import random
+from collections import Counter
 from functools import cache
 
 import pytest
 
 from repmoduli.gf import gf_make
 from repmoduli.groups import (
-    ClassLabel, IDENTITY, SizeBoundExceeded, _prime_power, build_subgroup,
-    enumerate_psl2, enumerate_sl2, fusion_table, psl2_model, stored_fusion,
+    ClassLabel, IDENTITY, _of_traces, _prime_power, build_subgroup,
+    fusion_table, matrix_model, psl2_model, stored_fusion,
     suzuki_class_labels, suzuki_model, symbolic_subgroup,
 )
 
@@ -41,7 +42,7 @@ def test_psl2_4_order_and_class_count():
 
 
 def test_sl2_5_order():
-    m = enumerate_sl2(gf_make(5))
+    m = matrix_model(gf_make(5))
     assert m.order == 120
     assert len(m.class_labels) == 5 + 4  # q + 4
 
@@ -52,7 +53,7 @@ def test_psl2_11_transvection_class_size():
 
 
 def _classify(model, g):
-    return model.class_of[model.canonical(g)]
+    return model.class_of(model.canonical(g))
 
 
 def test_classify_identity_and_transvection():
@@ -64,7 +65,7 @@ def test_classify_identity_and_transvection():
 
 def test_psl2_11_involutions_are_bq():
     m = psl2_model(11)
-    invs = [g for g in m.elements if m.element_orders[g] == 2]
+    invs = [g for g in m.scan() if m.element_order(g) == 2]
     assert invs
     assert {_classify(m, g) for g in invs} == {ClassLabel("bq")}
 
@@ -74,8 +75,8 @@ def test_classify_constant_on_conjugacy_orbits():
     for q in (4, 11):
         m = psl2_model(q)
         for _ in range(200):
-            g = rng.choice(m.elements)
-            h = rng.choice(m.elements)
+            g = m.element(rng.randrange(m.order))
+            h = m.element(rng.randrange(m.order))
             assert _classify(m, g) == _classify(m, m.conjugate(g, h))
 
 
@@ -151,17 +152,12 @@ def test_enumerated_fusion_matches_stored_tables():
             m.family, 11, tag, param, m.class_labels), tag
 
 
-def test_enumeration_bound():
-    with pytest.raises(SizeBoundExceeded):
-        enumerate_psl2(gf_make(89))
-
-
 def test_suzuki_class_data():
     labels = suzuki_class_labels(8)
     assert len(labels) == 11
     model = suzuki_model(8)
     assert model.order == 29120
-    assert not model.enumerated
+    assert model.spec is None
     with pytest.raises(ValueError):
         suzuki_class_labels(16)  # even exponent
 
@@ -178,8 +174,8 @@ def test_suzuki_stored_fusion_sums():
 
 def test_psl2_even_equals_sl2():
     spec = gf_make(2, 2)
-    assert enumerate_psl2(spec) is not None
-    assert enumerate_sl2(spec).order == 60
+    assert matrix_model(spec, projective=True) is not None
+    assert matrix_model(spec).order == 60
 
 
 def _conjugacy_partition(model):
@@ -190,7 +186,7 @@ def _conjugacy_partition(model):
     inv_gens = [(g, inv(g)) for g in transvection_generators(model.spec)]
     class_of = {}
     sizes = []
-    for x in model.elements:
+    for x in model.scan():
         if x in class_of:
             continue
         cid = len(sizes)
@@ -214,16 +210,37 @@ def test_label_orders_match_enumeration():
     # the labels against the power walk, on every element; PSL2(27) and
     # SL2(9), SL2(25), SL2(27) are extension fields
     models = [psl2_model(q) for q in (4, 8, 11, 16, 19, 27, 32)] + \
-        [enumerate_sl2(gf_make(*_prime_power(q))) for q in (5, 7, 9, 25, 27)]
+        [matrix_model(gf_make(*_prime_power(q))) for q in (5, 7, 9, 25, 27)]
     for m in models:
         cls, sizes = _conjugacy_partition(m)
         label_of = {cls[rep]: lab for lab, rep in m.class_reps.items()}
         assert len(label_of) == len(sizes) == len(m.class_labels), m.q
-        for x in m.elements:
-            assert m.class_of[x] == label_of[cls[x]], (m.family, m.q, x)
-            assert m.element_orders[x] == m.order_of(x), (m.family, m.q, x)
+        for x in m.scan():
+            assert m.class_of(x) == label_of[cls[x]], (m.family, m.q, x)
+            assert m.element_order(x) == m.order_of(x), (m.family, m.q, x)
         assert m.class_sizes == {lab: sizes[cid]
                                  for cid, lab in label_of.items()}
+
+
+@pytest.mark.parametrize("q", [4, 8, 11, 16, 19, 27, 32, 43, 59, 64, 67,
+                               83])
+def test_indexed_elements_and_class_sizes(q):
+    # every in-scope q up to 83: the indexed elements are sorted, distinct,
+    # of determinant 1 and canonical, the trace labels counted over them are
+    # the class sizes, and the trace scan of the A4 search lists exactly the
+    # elements of trace +-1 in index order
+    m = psl2_model(q)
+    f = m.spec
+    els = [m.element(i) for i in range(m.order)]
+    assert all(x < y for x, y in zip(els, els[1:]))
+    assert all(f.add(f.mul(a, d), f.neg(f.mul(b, c))) == 1
+               for a, b, c, d in els)
+    assert all(m.canonical(x) == x for x in els)
+    assert Counter(map(m.class_of, els)) == m.class_sizes
+    if m.family == "psl2_odd":
+        traces = {1, f.neg(1)}
+        assert list(_of_traces(m, traces)) == [
+            x for x in els if f.add(x[0], x[3]) in traces]
 
 
 def test_suzuki_label_orders():
@@ -255,7 +272,7 @@ def test_corrupted_class_size_raises():
     cents[t.index[ClassLabel("sigma")]] //= 2     # one class twice as big
     with pytest.raises(ClassDataError, match="add up"):
         suzuki_model(8, cents)
-    m = enumerate_psl2(gf_make(2, 2))
+    m = matrix_model(gf_make(2, 2))
     m.order += 1
     with pytest.raises(ClassDataError, match="add up"):
         _label_classes(m)
@@ -271,7 +288,7 @@ class _SlowField:
 
 
 def _reference_ops(model):
-    """mul, inv and canonical of an enumerated model, rebuilt from the
+    """mul, inv and canonical of a matrix model, rebuilt from the
     field's slow arithmetic and the mat_mul reference."""
     f = _SlowField(model.spec)
 
@@ -294,9 +311,9 @@ def _reference_ops(model):
 def test_table_group_ops_match_reference_all_pairs(q):
     m = psl2_model(q)
     mul, inv, _, _ = _reference_ops(m)
-    for x in m.elements:
+    for x in m.scan():
         assert m.inv(x) == inv(x)
-        for y in m.elements:
+        for y in m.scan():
             assert m.mul(x, y) == mul(x, y)
 
 
@@ -307,7 +324,8 @@ def test_table_group_ops_match_reference_random_pairs(q):
     mul, inv, canonical, f = _reference_ops(m)
     rng = random.Random(q)
     for _ in range(10000):
-        x, y = rng.choice(m.elements), rng.choice(m.elements)
+        x = m.element(rng.randrange(m.order))
+        y = m.element(rng.randrange(m.order))
         assert m.mul(x, y) == mul(x, y)
         assert m.inv(x) == inv(x)
         neg_x = tuple(f.neg(v) for v in x)

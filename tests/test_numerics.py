@@ -93,16 +93,16 @@ def test_realize_trivial_character():
     t = table_psl2_even(4)
     rep = realize_irreducible(m, t, t.by_name["1"], seed=0)
     assert rep.degree == 1
-    assert np.all(np.abs(rep.stack_of(m.elements)[:, 0, 0] - 1) < 1e-12)
+    assert np.all(np.abs(rep.stack_of(list(m.scan()))[:, 0, 0] - 1) < 1e-12)
 
 
 def test_spectral_split_involutions(rho4, rho11):
     m4, _, rep4 = rho4
-    inv4 = next(g for g in m4.elements if m4.element_orders[g] == 2)
+    inv4 = next(g for g in m4.scan() if m4.element_order(g) == 2)
     _, mults = spectral_split(rep4, inv4)
     assert mults == {0: 1, 1: 2}
     m11, _, rep11 = rho11
-    inv11 = next(g for g in m11.elements if m11.element_orders[g] == 2)
+    inv11 = next(g for g in m11.scan() if m11.element_order(g) == 2)
     _, mults = spectral_split(rep11, inv11)
     assert mults == {0: 3, 1: 2}
 
@@ -115,7 +115,7 @@ def test_spectral_split_identity(rho4):
 
 def test_spectral_split_generator_independent(rho11):
     m, _, rep = rho11
-    g = next(x for x in m.elements if m.element_orders[x] == 5)
+    g = next(x for x in m.scan() if m.element_order(x) == 5)
     other = m.power_label(g, 2)
     _, m1 = spectral_split(rep, g)
     _, m2 = spectral_split(rep, other)
@@ -135,14 +135,14 @@ def test_commutant_ranks_match_exact(rho4):
 def test_realization_commutant_is_scalar(rho4, rho11):
     # Schur: only the scalars commute with an irreducible rho0 on all of G
     for m, _, rep in (rho4, rho11):
-        assert commutant_rank(rep, m.elements, seed=3) == 1
+        assert commutant_rank(rep, list(m.scan()), seed=3) == 1
 
 
 def test_direct_sum_commutant_dimension(rho4):
     m, _, rep = rho4
     double = UnitaryRep(m, _Dense(rep.formula, lambda els, s: np.block(
         [[s, np.zeros_like(s)], [np.zeros_like(s), s]]), 2 * rep.degree))
-    assert commutant_rank(double, m.elements, seed=0) == 4
+    assert commutant_rank(double, list(m.scan()), seed=0) == 4
 
 
 def test_rho_tau_at_identity_point(setting4):
@@ -290,7 +290,7 @@ def test_realize_psl2_8():
     rep = realize_irreducible(m, t, rho0_character(t), seed=2)
     assert rep.degree == 7
     assert rep.character_defect(rho0_character(t)) < 1e-6
-    inv = next(g for g in m.elements if m.element_orders[g] == 2)
+    inv = next(g for g in m.scan() if m.element_order(g) == 2)
     _, mults = spectral_split(rep, inv)
     assert mults == {0: 3, 1: 4}  # (q/2-1, q/2)
 
@@ -492,7 +492,7 @@ def test_nan_matrix_fails_realization(monkeypatch):
     real = num.UnitaryRep
 
     def with_nan(model, formula):
-        return real(model, _altering(formula, model.elements[-1],
+        return real(model, _altering(formula, model.element(model.order - 1),
                                      lambda a: np.full_like(a, np.nan)))
 
     monkeypatch.setattr(num, "UnitaryRep", with_nan)
@@ -529,7 +529,7 @@ def test_phase_on_one_matrix_fails_realization(monkeypatch):
     real = num.UnitaryRep
 
     def with_phase(model, formula):
-        return real(model, _altering(formula, model.elements[-1],
+        return real(model, _altering(formula, model.element(model.order - 1),
                                      lambda a: a * np.exp(0.3j)))
 
     monkeypatch.setattr(num, "UnitaryRep", with_phase)
@@ -584,8 +584,8 @@ def test_homomorphism_defect_draws_pairs_in_order(rho4):
     rng, ref = np.random.default_rng(15), np.random.default_rng(15)
     worst = 0.0
     for _ in range(300):
-        g = m.elements[ref.integers(m.order)]
-        h = m.elements[ref.integers(m.order)]
+        g = m.element(ref.integers(m.order))
+        h = m.element(ref.integers(m.order))
         worst = max(worst, np.max(np.abs(rep.mat(g) @ rep.mat(h) -
                                          rep.mat(m.mul(g, h)))))
     assert rep.homomorphism_defect(rng) == worst
