@@ -308,16 +308,19 @@ def check_brown(fam, q, cfg, load_model):
     name = f"brown/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(name, name, f"q={q}", "skipped: class-data model")]
+    # a type (i) relation per tree edge, |G_e| of type (ii) per edge
+    expected = sum(e.in_tree + e.sub.order
+                   for e in build_orbit_graph(fam, q, k=cfg.k).edges)
 
     def run():
         model = load_model()
-        graph = build_orbit_graph(fam, q, k=cfg.k, model=model)
-        pres = brown_presentation(graph, model)
-        expected = f"{len(pres.relations())} relations verified"
-        return expected, expected if pres.verify() else "failed"
+        # brown_presentation raises NotFound unless phi kills every relation
+        pres = brown_presentation(
+            build_orbit_graph(fam, q, k=cfg.k, model=model), model)
+        return f"{len(pres.relations())} relations verified"
 
-    (expected, computed), ms = _timed(run)
-    return [_record(name, name, f"q={q} k={cfg.k}", expected, computed, ms)]
+    return [_guarded(name, name, f"q={q} k={cfg.k}",
+                     f"{expected} relations verified", run)]
 
 
 def check_numerics(fam, q, cfg, load_model):
@@ -334,9 +337,9 @@ def check_numerics(fam, q, cfg, load_model):
     import numpy as np
     from .chars import centralizer_dim, fusion_for
     from .numerics import (
-        commutant_rank, h_action, identity_moduli_point, random_h_point,
-        random_moduli_point, realize_irreducible, rho_tau_eval,
-        spectral_split, word_differential_check,
+        commutant_rank, gauge_defect, identity_moduli_point,
+        realize_irreducible, rho_tau_eval, spectral_split,
+        word_differential_checks,
     )
     from .oscomplex import random_closed_path, random_kernel_word, random_word
 
@@ -407,15 +410,9 @@ def check_numerics(fam, q, cfg, load_model):
 
     def gauge_invariance():
         rep, (graph, pres) = realized(), setting()
-        worst = 0.0
-        for _ in range(20):
-            tau = random_moduli_point(graph, rep, nrng, tol=tol)
-            alpha = random_h_point(graph, rep, nrng)
-            moved = h_action(graph, rep, tau, alpha, tol)
-            words = [random_word(pres, rng, 6) for _ in range(50)]
-            d = np.max(np.abs(rho_tau_eval(pres, rep, tau, words) -
-                              rho_tau_eval(pres, rep, moved, words)))
-            worst = np.maximum(worst, d)
+        words = [[random_word(pres, rng, 6) for _ in range(50)]
+                 for _ in range(20)]
+        worst = gauge_defect(pres, rep, nrng, words, tol)
         return "within tolerance" if worst <= tol.moduli_word \
             else f"defect {worst:.2e}"
 
@@ -432,13 +429,12 @@ def check_numerics(fam, q, cfg, load_model):
     def differential():
         rep, (graph, pres) = realized(), setting()
         rng = random.Random(seed + 1)
+        paths = [random_closed_path(graph, rng) for _ in range(10)]
         worst_rel = 0.0
-        for i in range(10):
-            legs = random_closed_path(graph, rng)
-            f, fd, err = word_differential_check(pres, rep, legs,
-                                                 seed=seed + i, tol=tol)
-            rel = err / (1 + float(np.max(np.abs(f))))
-            worst_rel = np.maximum(worst_rel, rel)
+        for f, _, err in word_differential_checks(
+                pres, rep, paths, range(seed, seed + 10), tol=tol):
+            worst_rel = np.maximum(worst_rel,
+                                   err / (1 + float(np.max(np.abs(f)))))
         return "within tolerance" if worst_rel <= tol.jacobian_rel \
             else f"relative error {worst_rel:.2e}"
 

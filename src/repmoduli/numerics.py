@@ -2,10 +2,11 @@
 closed formulas, evaluated on demand: the odd half of the Weil
 representation for odd q, the Kirillov model of the cuspidal theta_1 for
 even q.  Group averages, commutant dimensions, spectral splits and
-stabilizer checks over subgroups; word evaluation at moduli points, one
-batched product per word position; the gauge action; finite-difference
-checks of the word-differential formula.  Everything random is driven by an
-explicit seed; exact data comes from the character layer.
+stabilizer checks over subgroups; word evaluation at many moduli points,
+one batched product per word position; the gauge action, its draws
+stacked; finite-difference checks of the word-differential formula.
+Everything random is driven by an explicit seed; exact data comes from the
+character layer.
 
 References: A. Weil, "Sur certains groupes d'opérateurs unitaires", Acta
 Math. 111 (1964); D. Bump, Automorphic Forms and Representations (CUP
@@ -20,15 +21,11 @@ from functools import cached_property
 import numpy as np
 
 from .chars import Character, CharacterTable, rho0_character
-from .groups import IDENTITY, ClassLabel, GroupModel, closure
+from .groups import ClassLabel, GroupModel, closure
 from .oscomplex import BrownPresentation, OrbitGraph, path_to_word
 
 
 class ToleranceExceeded(RuntimeError):
-    pass
-
-
-class WordNotInKernel(ValueError):
     pass
 
 
@@ -64,13 +61,13 @@ def _above(x, tol):
 
 
 def expm(a, tol: Tolerances = TOL):
-    """exp(a) for a skew-Hermitian a, as V diag(e^{iw}) V^H from the
-    eigenpairs (w, V) of the Hermitian -1j a.  Raises ValueError when a is
-    not skew-Hermitian within tol.unitary."""
-    if _above(_mnorm(a + a.conj().T), tol.unitary):
+    """exp(a) for a skew-Hermitian a, or for every a of a stack, as
+    V diag(e^{iw}) V^H from the eigenpairs (w, V) of the Hermitian -1j a.
+    Raises ValueError when an a is not skew-Hermitian within tol.unitary."""
+    if _above(_mnorm(a + _h(a)), tol.unitary):
         raise ValueError("expm needs a skew-Hermitian matrix")
     w, v = np.linalg.eigh(-1j * a)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ _h(v)
 
 
 def _h(a):
@@ -78,9 +75,9 @@ def _h(a):
     return a.conj().swapaxes(-1, -2)
 
 
-def _chunk_slices(n, item_bytes, budget=_CHUNK_BYTES):
-    """Slices covering range(n), each over about `budget` bytes of items."""
-    step = max(1, budget // max(item_bytes, 1))
+def _chunk_slices(n, item_bytes):
+    """Slices covering range(n), each over about _CHUNK_BYTES of items."""
+    step = max(1, _CHUNK_BYTES // max(item_bytes, 1))
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
@@ -108,30 +105,38 @@ class Images:
         out[k[:, None], np.arange(d), self.cols[slot[k]]] = self.vals[slot[k]]
         return out
 
-    def _mono_chunks(self):
-        for sl in _chunk_slices(len(self.cols), 16 * self.cols.shape[1] ** 2):
-            yield self.cols[sl], self.vals[sl]
+    def _chunks(self, n):
+        """The dense and the monomial images, in chunks of _CHUNK_BYTES."""
+        item = 16 * n * self.dense.shape[-1] ** 2
+        return ([self.dense[sl] for sl in _chunk_slices(len(self.dense), item)],
+                [(self.cols[sl], self.vals[sl])
+                 for sl in _chunk_slices(len(self.cols), item)])
 
     def sandwich_sum(self, xs):
         """sum_M M x M^H over the batch, for every x of a stack xs; a
-        monomial M gives vals[i] x[cols[i], cols[j]] conj(vals[j]).  Only
-        the monomial images, a Borel subgroup's, run in chunks."""
-        m = self.dense[:, None]
-        total = (m @ xs @ _h(m)).sum(axis=0)
-        for cols, vals in self._mono_chunks():
+        monomial M gives vals[i] x[cols[i], cols[j]] conj(vals[j])."""
+        dense, mono = self._chunks(len(xs))
+        total = np.zeros(xs.shape, dtype=np.complex128)
+        for m in dense:
+            total += (m[:, None] @ xs @ _h(m[:, None])).sum(axis=0)
+        for cols, vals in mono:
             inner = xs[:, cols[:, :, None], cols[:, None, :]]
             total += (vals[:, :, None] * inner *
                       vals.conj()[:, None, :]).sum(axis=1)
         return total
 
     def commutator_defect(self, t):
-        """max |t M - M t| over the batch; at the columns cols of a monomial
-        M, t M is t[i, j] vals[j] and M t is vals[i] t[cols[i], cols[j]]."""
+        """max |t M - M t| over the batch and a matrix or stack t; at the
+        columns cols of a monomial M, t M is t[i, j] vals[j] and M t is
+        vals[i] t[cols[i], cols[j]]."""
+        ts = t.reshape((-1,) + t.shape[-2:])
+        dense, mono = self._chunks(len(ts))
+        t = ts[:, None]
         # np.max, unlike max, keeps a NaN
-        return float(np.max([_mnorm(t @ self.dense - self.dense @ t)] + [
+        return float(np.max([0.0] + [_mnorm(t @ m - m @ t) for m in dense] + [
             _mnorm(t * vals[:, None, :] -
-                   vals[:, :, None] * t[cols[:, :, None], cols[:, None, :]])
-            for cols, vals in self._mono_chunks()]))
+                   vals[:, :, None] * ts[:, cols[:, :, None], cols[:, None, :]])
+            for cols, vals in mono]))
 
 
 class UnitaryRep:
@@ -473,19 +478,24 @@ def commutant_rank(rep: UnitaryRep, elements, seed=0, tol: Tolerances = TOL):
     return int(np.count_nonzero(blocks))
 
 
-def random_commutant_skew(rep: UnitaryRep, elements, rng, scale=1.0):
-    d = rep.degree
-    x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    x = (x - x.conj().T) / 2
-    return scale * rep.average(elements, x[None])[0]
+def _commutant_skews(rho0: UnitaryRep, subs, rngs, scale=1.0):
+    """Random skew-Hermitian elements of the commutants of the subgroups
+    `subs`, (len(subs), len(rngs), d, d): a round per generator draws a
+    normal x for each subgroup, real then imaginary part, and averages its
+    skew part over the subgroup."""
+    d = rho0.degree
+    z = np.array([rng.standard_normal((len(subs), 2, d, d)) for rng in rngs])
+    x = z[:, :, 0] + 1j * z[:, :, 1]
+    return np.array([scale * rho0.average(sub.elements, (y - _h(y)) / 2)
+                     for sub, y in zip(subs, x.swapaxes(0, 1))])
 
 
 def _check_gauge(t, rho0: UnitaryRep, sub, tol, name, where):
-    """Raise unless t is unitary and commutes with rho0 on every element of
-    the subgroup, within tol; a NaN fails.  The identity, as alpha is at the
-    root, commutes exactly and is not multiplied out."""
-    eye = np.eye(len(t))
-    if _above(_mnorm(t @ t.conj().T - eye), tol):
+    """Raise unless t, a matrix or stack, is unitary and commutes with rho0
+    on every element of the subgroup, within tol; a NaN fails.  The
+    identity, as alpha is at the root, commutes and is not multiplied out."""
+    eye = np.eye(t.shape[-1])
+    if _above(_mnorm(t @ _h(t) - eye), tol):
         raise ToleranceExceeded(f"{name} not unitary")
     if not np.array_equal(t, eye) and \
             _above(rho0.kept(sub.elements).commutator_defect(t), tol):
@@ -497,7 +507,7 @@ def _check_gauge(t, rho0: UnitaryRep, sub, tol, name, where):
 @dataclass
 class ModuliPoint:
     graph: OrbitGraph
-    mats: dict                  # edge index -> unitary matrix
+    mats: dict                  # edge index -> unitary matrix, or a stack
 
     def tau_vertex(self, v):
         path = self.graph.tree_path(v)
@@ -512,22 +522,23 @@ class ModuliPoint:
         """tau_vertex(v) for every vertex, in vertex order."""
         return [self.tau_vertex(v) for v in range(len(self.graph.vertices))]
 
-    def symbol_images(self, rho0: UnitaryRep, rows):
-        """The images under rho0 of the word symbols at `rows` of
-        graph.word_symbols, as one (len(rows), d, d) stack: the identity for
-        row 0, tau_s^H tau_e^H rho0(g_e) tau_w for x_e, tau_v^H rho0(g) tau_v
-        for g in G_v (one batched product per vertex, from the images that
-        rho0 keeps for G_v), and conjugate transposes for exponent -1."""
+    def draw(self, i):
+        """The i-th point of a point whose matrices are stacks."""
+        return ModuliPoint(self.graph, {e: m[i] for e, m in self.mats.items()})
+
+    def symbol_images(self, rho0: UnitaryRep, rows, into):
+        """Write into the (len(rows), d, d) stack `into` the images under
+        rho0 of the word symbols at `rows` of graph.word_symbols:
+        tau_s^H tau_e^H rho0(g_e) tau_w for x_e, tau_v^H rho0(g) tau_v for g
+        in G_v (one batched product per vertex, from the images that rho0
+        keeps for G_v), and conjugate transposes for exponent -1."""
         graph, tau_v = self.graph, self.tau_v
         places = graph.word_symbols[1]
-        half = (len(places) - 1) // 2
-        direct, at = np.unique(np.where(rows > half, rows - half, rows),
-                               return_inverse=True)
-        out = np.empty((len(direct), rho0.degree, rho0.degree),
-                       dtype=np.complex128)
+        half = len(places)              # rows from here on: exponent -1
+        direct, at = np.unique(rows % half, return_inverse=True)
+        out = np.empty((len(direct),) + into.shape[1:], dtype=np.complex128)
         vertex, i = places[direct].T
-        out[direct == 0] = np.eye(rho0.degree)
-        for k in np.flatnonzero((vertex < 0) & (i >= 0)):
+        for k in np.flatnonzero(vertex < 0):
             e = graph.edges[i[k]]
             out[k] = tau_v[e.s].conj().T @ self.mats[i[k]].conj().T @ \
                 rho0.mat(e.g) @ tau_v[e.w]
@@ -537,9 +548,8 @@ class ModuliPoint:
             out[ks] = rho0.kept(graph.vertices[vi].sub.elements).stack(i[ks])
             if vi != graph.root:        # tau is the identity at the root
                 out[ks] = t.conj().T @ out[ks] @ t
-        out = out[at]
-        out[rows > half] = _h(out[rows > half])
-        return out
+        np.take(out, at, axis=0, out=into, mode="clip")  # no buffered copy
+        into[rows >= half] = _h(into[rows >= half])
 
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
         for ei, t in self.mats.items():
@@ -568,49 +578,66 @@ def identity_moduli_point(graph, degree):
 
 def random_moduli_point(graph, rho0: UnitaryRep, rng, scale=1.0,
                         tol: Tolerances = TOL):
-    point = ModuliPoint(graph, {
-        i: expm(random_commutant_skew(rho0, e.sub.elements, rng, scale), tol)
-        for i, e in enumerate(graph.edges)})
+    point = ModuliPoint(graph, dict(enumerate(expm(_commutant_skews(
+        rho0, [e.sub for e in graph.edges], [rng], scale)[:, 0], tol))))
     point.check(rho0, tol)
     return point
 
 
 def random_h_point(graph, rho0: UnitaryRep, rng, scale=1.0):
-    mats = {graph.root: np.eye(rho0.degree, dtype=np.complex128)}
-    for i, v in enumerate(graph.vertices):
-        if i == graph.root:
-            continue
-        mats[i] = expm(random_commutant_skew(rho0, v.sub.elements, rng, scale))
-    return HPoint(graph, mats)
+    others = [i for i in range(len(graph.vertices)) if i != graph.root]
+    mats = expm(_commutant_skews(
+        rho0, [graph.vertices[i].sub for i in others], [rng], scale)[:, 0])
+    return HPoint(graph, {graph.root: np.eye(rho0.degree, dtype=np.complex128),
+                          **dict(zip(others, mats))})
 
 
-def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
-                 tau: ModuliPoint, words):
-    """The induced representation at the moduli point on a sequence of
-    words, as an (n, d, d) array.  The words run in batches whose symbols'
-    images fit in _CHUNK_BYTES; a batch builds the image of each symbol
-    it uses once and multiplies left to right, one batched product per word
-    position, shorter words padded by the identity."""
-    index = tau.graph.word_symbols[0]
+def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep, tau, words):
+    """The induced representation on a sequence of words (the identity on
+    an empty one), as an (n, d, d) array: at the moduli point `tau`, or at
+    tau[i] for the i-th word.  The words run in chunks whose distinct
+    images, one per point and symbol, and accumulators fit in
+    _CHUNK_BYTES.  A chunk multiplies its words longest first, position j
+    over the words longer than j, left to right as word by word."""
+    points = [tau] * len(words) if isinstance(tau, ModuliPoint) else tau
+    index = pres.graph.word_symbols[0]
     try:
         rows = [[index[sym] for sym in w] for w in words]
     except KeyError as e:
         raise ValueError(f"unknown word symbol {e.args[0]!r}") from None
-    d = rho0.degree
-    out = np.empty((len(rows), d, d), dtype=np.complex128)
-    longest = max(map(len, rows), default=1)
-    for sl in _chunk_slices(len(rows), 16 * d * d * longest):
-        batch = rows[sl]
-        length = max(map(len, batch), default=0)
-        steps = np.array([r + [0] * (length - len(r)) for r in batch],
-                         dtype=np.intp).reshape(len(batch), length)
-        used, at = np.unique(steps, return_inverse=True)
-        images = tau.symbol_images(rho0, used)
-        acc = np.repeat(np.eye(d, dtype=np.complex128)[None], len(batch),
-                        axis=0)
-        for col in at.reshape(steps.shape).T:
-            acc = acc @ images[col]
-        out[sl] = acc
+    d, n_rows = rho0.degree, len(index)
+    out = np.repeat(np.eye(d, dtype=np.complex128)[None], len(rows), axis=0)
+    distinct = list({id(p): p for p in points}.values())
+    slot = {id(p): i for i, p in enumerate(distinct)}
+    lengths = np.array([len(r) for r in rows], dtype=np.intp)
+    ends = np.cumsum(lengths)
+    # every symbol of every word as one key: its point's index, then row
+    keys = np.repeat([slot[id(p)] for p in points], lengths) * n_rows + \
+        np.fromiter((x for r in rows for x in r), np.intp, lengths.sum())
+    room = _CHUNK_BYTES // (16 * d * d)     # matrices per chunk
+    start = 0
+    while start < len(rows):
+        # the chunk ends before its new keys plus accumulators pass `room`
+        first = ends[start] - lengths[start]
+        new = np.unique(keys[first:], return_index=True)[1]
+        need = np.cumsum(1 + np.bincount(np.searchsorted(
+            ends[start:] - first, new, "right"), minlength=len(rows) - start))
+        stop = start + max(1, int(np.searchsorted(need, room, "right")))
+        uniq, inv = np.unique(keys[first:ends[stop - 1]], return_inverse=True)
+        images = np.empty((len(uniq), d, d), dtype=np.complex128)
+        bounds = np.searchsorted(uniq, np.arange(len(distinct) + 1) * n_rows)
+        for p, a, b in zip(distinct, bounds[:-1], bounds[1:]):
+            if a < b:
+                p.symbol_images(rho0, uniq[a:b] % n_rows, images[a:b])
+        size = lengths[start:stop]
+        order = np.argsort(-size, kind="stable")
+        heads = (np.cumsum(size) - size)[order]     # each word's first key
+        acc = images[inv[heads[:np.count_nonzero(size)]]]
+        for j in range(1, size.max()):
+            n = np.count_nonzero(size > j)
+            acc[:n] = acc[:n] @ images[inv[heads[:n] + j]]
+        out[start + order[:len(acc)]] = acc
+        start = stop
     return out
 
 
@@ -621,35 +648,60 @@ def h_action(graph, rho0: UnitaryRep, tau: ModuliPoint,
     mats = {}
     for i, e in enumerate(graph.edges):
         ge = rho0.mat(e.g)
-        mats[i] = ge @ alpha.mats[e.w].conj().T @ ge.conj().T @ \
-            tau.mats[i] @ alpha.mats[e.s]
+        mats[i] = ge @ _h(alpha.mats[e.w]) @ _h(ge) @ tau.mats[i] @ \
+            alpha.mats[e.s]
     return ModuliPoint(graph, mats)
+
+
+def gauge_defect(pres: BrownPresentation, rho0: UnitaryRep, rng, words,
+                 tol: Tolerances = TOL):
+    """max |rho_tau(w) - rho_{tau . alpha}(w)| over draws (tau, alpha), one
+    per list of `words`, drawn as random_moduli_point then random_h_point
+    would draw them.  The draws run stacked: one group average per
+    subgroup, one eigh, and the checks (ToleranceExceeded) over all."""
+    graph, n_edges = pres.graph, len(pres.graph.edges)
+    others = [i for i in range(len(graph.vertices)) if i != graph.root]
+    subs = [c.sub for c in graph.edges + [graph.vertices[i] for i in others]]
+    mats = expm(_commutant_skews(rho0, subs, [rng] * len(words)), tol)
+    tau = ModuliPoint(graph, dict(enumerate(mats[:n_edges])))
+    tau.check(rho0, tol)
+    moved = h_action(graph, rho0, tau, HPoint(graph, {
+        graph.root: np.eye(rho0.degree, dtype=np.complex128),
+        **dict(zip(others, mats[n_edges:]))}), tol)
+    worst = 0.0
+    for i, ws in enumerate(words):
+        values = rho_tau_eval(pres, rho0, [tau.draw(i)] * len(ws) +
+                              [moved.draw(i)] * len(ws), ws + ws)
+        worst = np.maximum(worst, _mnorm(values[:len(ws)] - values[len(ws):]))
+    return worst
 
 
 def word_differential_check(pres: BrownPresentation, rho0: UnitaryRep,
                             legs, seed=0, step=1e-5, tol: Tolerances = TOL):
-    """Directional derivative of the word map at the identity moduli point:
-    the closed-edge-path formula against central finite differences.
+    """word_differential_checks of one closed path with its seed."""
+    return word_differential_checks(pres, rho0, [legs], [seed], step, tol)[0]
 
-    Returns (formula, finite_difference, max_error).
-    """
-    graph = pres.graph
-    word = path_to_word(pres, legs)
-    if pres.phi(word) != IDENTITY:
-        raise WordNotInKernel("closed path word does not map to 1")
-    rng = np.random.default_rng(seed)
-    tangent = {i: random_commutant_skew(rho0, e.sub.elements, rng)
-               for i, e in enumerate(graph.edges)}
 
-    ra = rho0.stack_of([a for a, _, _ in legs])
-    steps = np.array([eps * tangent[ei] for _, ei, eps in legs])
-    formula = -(ra @ steps @ _h(ra)).sum(axis=0)
-
-    def at(t):
-        point = ModuliPoint(graph, {i: expm(t * x, tol)
-                                    for i, x in tangent.items()})
-        return rho_tau_eval(pres, rho0, point, [word])[0]
-
-    fd = (at(step) - at(-step)) / (2 * step)
-    err = _mnorm(formula - fd)
-    return formula, fd, err
+def word_differential_checks(pres: BrownPresentation, rho0: UnitaryRep,
+                             paths, seeds, step=1e-5, tol: Tolerances = TOL):
+    """Directional derivatives of the word map at the identity moduli
+    point, along the tangent drawn with each seed: the closed-edge-path
+    formula of each path against central finite differences, as
+    (formula, finite_difference, max_error) per path.  The paths run
+    stacked: one group average per edge, one eigh, one word evaluation."""
+    graph, n = pres.graph, len(paths)
+    words = [path_to_word(pres, legs) for legs in paths]
+    tangents = _commutant_skews(rho0, [e.sub for e in graph.edges],
+                                [np.random.default_rng(s) for s in seeds])
+    ends = [ModuliPoint(graph, dict(enumerate(m))) for m in
+            expm(np.array([step * tangents, -step * tangents]), tol)]
+    values = rho_tau_eval(pres, rho0, [p.draw(i) for p in ends
+                                       for i in range(n)], words + words)
+    out = []
+    for i, legs in enumerate(paths):
+        ra = rho0.stack_of([a for a, _, _ in legs])
+        steps = np.array([eps * tangents[ei, i] for _, ei, eps in legs])
+        formula = -(ra @ steps @ _h(ra)).sum(axis=0)
+        fd = (values[i] - values[n + i]) / (2 * step)
+        out.append((formula, fd, _mnorm(formula - fd)))
+    return out

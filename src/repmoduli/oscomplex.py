@@ -84,20 +84,24 @@ class OrbitGraph:
     @cached_property
     def word_symbols(self):
         """(rows, places): the row of every word symbol, and the place of
-        every row.  Row 0 is the identity, at place (-1, -1); then x_e for
-        every edge e, at (-1, e); then (v, g) for every vertex v and the
-        i-th element g of G_v, at (v, i); then the same symbols with
-        exponent -1, at the same places.  Built once per graph."""
+        every row.  First x_e for every edge e, at (-1, e); then (v, g) for
+        every vertex v and the i-th element g of G_v, at (v, i); then the
+        same symbols with exponent -1, their places those of the rows
+        len(places) before.  Built once per graph."""
         places = [(-1, i) for i in range(len(self.edges))] + [
             (vi, i) for vi, v in enumerate(self.vertices)
             for i in range(len(v.sub.elements))]
         symbols = [("x", i) if vi < 0 else
                    ("v", vi, self.vertices[vi].sub.elements[i])
                    for vi, i in places]
-        first = {1: 1, -1: 1 + len(places)}
-        rows = {sym + (exp,): row for exp in (1, -1)
-                for row, sym in enumerate(symbols, first[exp])}
-        return rows, np.array([(-1, -1)] + places + places, dtype=np.intp)
+        rows = {sym + (exp,): row + (exp < 0) * len(places)
+                for exp in (1, -1) for row, sym in enumerate(symbols)}
+        return rows, np.array(places, dtype=np.intp)
+
+    @cached_property
+    def vertex_sets(self):
+        """The element set of every vertex stabilizer, once per graph."""
+        return [frozenset(v.sub.elements) for v in self.vertices]
 
     @cached_property
     def walk_steps(self):
@@ -220,8 +224,7 @@ def validate_graph(graph: OrbitGraph):
     if not graph.concrete:
         return True
     for e in graph.edges:
-        sv = set(graph.vertices[e.s].sub.elements)
-        wv = set(graph.vertices[e.w].sub.elements)
+        sv, wv = graph.vertex_sets[e.s], graph.vertex_sets[e.w]
         if not sv.issuperset(e.sub.elements):
             raise InvalidGraph(f"{e.name}: G_e not in source")
         if e.in_tree and e.g != IDENTITY:
@@ -370,20 +373,29 @@ def random_closed_path(graph: OrbitGraph, rng, min_len=4, max_len=14):
     """A closed edge path (a_i, e_i, eps_i) based at the root vertex.
 
     Each step draws a twist t in G_v, then an edge; a walk not closed in the
-    root group within max_len steps is drawn again.  A leg along e has
-    a = c t for the prefix c, formed once the walk is accepted."""
+    root group within max_len steps is drawn again.  The root group is the
+    Borel subgroup, which holds the prefix c exactly when the bottom row
+    (r, s) of c has r = 0, so the walk carries only that row.  A leg along
+    e has a = c t, formed with the prefixes once the walk is accepted."""
     model, steps = graph.model, graph.walk_steps
-    root_set = set(graph.vertices[graph.root].sub.elements)
+    add, mul = model.spec.add_table, model.spec.mul_table
     while True:
-        c, vidx = IDENTITY, graph.root
-        walk = []
+        r, s, vidx, walk = 0, 1, graph.root, []
         for _ in range(max_len):
-            ei, eps, t, step, vidx = rng.choice(rng.choice(steps[vidx]))
+            walk.append(rng.choice(rng.choice(steps[vidx])))
+            _, _, _, (a, b, c, d), vidx = walk[-1]
+            r, s = add[mul[r][a]][mul[s][c]], add[mul[r][b]][mul[s][d]]
+            if vidx == graph.root and len(walk) >= min_len and r == 0:
+                break
+        else:
+            continue
+        legs, c = [], IDENTITY
+        for ei, eps, t, step, _ in walk:
             prev, c = c, model.mul(c, step)
-            walk.append((prev, t, ei, 1) if eps == 1 else (c, None, ei, -1))
-            if vidx == graph.root and len(walk) >= min_len and c in root_set:
-                return [(model.mul(a, t) if eps == 1 else a, ei, eps)
-                        for a, t, ei, eps in walk]
+            legs.append((model.mul(prev, t) if eps == 1 else c, ei, eps))
+        if c not in graph.vertex_sets[graph.root]:
+            raise InvalidGraph("closed walk leaves the root group")
+        return legs
 
 
 def path_to_word(pres: BrownPresentation, legs):
@@ -402,12 +414,12 @@ def path_to_word(pres: BrownPresentation, legs):
             h = model.mul(model.mul(model.inv(prefix), a), e.g)
             vidx = e.w
             step = model.mul(h, model.inv(e.g))
-        if h not in graph.vertices[vidx].sub.elements:
+        if h not in graph.vertex_sets[vidx]:
             raise InvalidGraph("path legs do not line up")
         word.append(pres.v(vidx, h))
         word.append(pres.x(ei, eps))
         prefix = model.mul(prefix, step)
-    if prefix not in graph.vertices[graph.root].sub.elements:
+    if prefix not in graph.vertex_sets[graph.root]:
         raise InvalidGraph("closed path does not return to the root group")
     word.append(pres.v(graph.root, prefix, -1))
     if pres.phi(tuple(word)) != IDENTITY:

@@ -215,21 +215,24 @@ def test_altered_stored_fusion_fails_at_q131(monkeypatch, tmp_path):
 
 
 def test_brown_record_fails_when_verify_fails(monkeypatch, tmp_path):
+    # the record verifies once, through brown_presentation, and takes its
+    # expected count from the symbolic graph
     calls = []
 
-    def verify_only_at_construction(self):
+    def verify_fails(self):
         calls.append(self)
-        return len(calls) == 1
+        return False
 
-    monkeypatch.setattr(osc.BrownPresentation, "verify",
-                        verify_only_at_construction)
+    monkeypatch.setattr(osc.BrownPresentation, "verify", verify_fails)
     out = tmp_path / "r.json"
     rc = main(["--family", "psl2", "--q", "4", "--checks", "brown",
                "--out", str(out)])
     assert rc == 1
+    assert len(calls) == 1
     rec = _records(out)["brown/psl2_even-q4"]
-    assert rec["pass"] is False and rec["computed"] == "failed"
-    assert rec["expected"].endswith(" relations verified")
+    assert rec["pass"] is False
+    assert rec["computed"].startswith("error: NotFound")
+    assert rec["expected"] == "9 relations verified"
 
 
 def test_flipped_stored_value_fails_tables(monkeypatch, tmp_path):
@@ -275,7 +278,10 @@ def test_altered_dihedral_value_fails_theta_balance(
 
 def misdirect_closing_edge(graph):
     """Set the closing edge's g_e to the first element that conjugates G_e
-    out of G_w (a wrong connecting element)."""
+    out of G_w (a wrong connecting element); a symbolic graph, which has no
+    elements, is left as it is."""
+    if not graph.concrete:
+        return graph
     model, e = graph.model, graph.edges[-1]
     target = set(graph.vertices[e.w].sub.elements)
     e.g = next(g for g in model.scan()
@@ -405,6 +411,77 @@ def test_wrong_model_constant_fails_numerics(monkeypatch, tmp_path, q,
     for name, rec in recs.items():
         assert rec["pass"] is False, name
         assert "realization failed: ToleranceExceeded" in rec["computed"]
+
+
+def _gauge_defect_per_draw(q, seed=0, draws=20, words=50):
+    """The gauge-invariance defect drawn and evaluated one draw at a time,
+    each point's words in their own rho_tau_eval call."""
+    import random
+    import numpy as np
+    from repmoduli.chars import rho0_character, table_for
+    from repmoduli.numerics import (
+        h_action, random_h_point, random_moduli_point, realize_irreducible,
+        rho_tau_eval,
+    )
+    fam = classify_q("psl2", q)
+    model, table = psl2_model(q), table_for(fam, q)
+    rep = realize_irreducible(model, table, rho0_character(table), seed=seed)
+    graph = osc.build_orbit_graph(fam, q, model=model)
+    pres = osc.brown_presentation(graph, model)
+    rng, nrng = random.Random(seed), np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(draws):
+        tau = random_moduli_point(graph, rep, nrng)
+        moved = h_action(graph, rep, tau, random_h_point(graph, rep, nrng))
+        ws = [osc.random_word(pres, rng, 6) for _ in range(words)]
+        worst = max(worst, float(np.max(np.abs(
+            rho_tau_eval(pres, rep, tau, ws) -
+            rho_tau_eval(pres, rep, moved, ws)))))
+    return worst
+
+
+def test_gauge_record_matches_per_draw_loop(monkeypatch):
+    # the stacked draws of the gauge-invariance record give the defect of
+    # the same draws taken one at a time
+    import repmoduli.numerics as num
+    seen = {}
+    real = num.gauge_defect
+
+    def spy(pres, *args, **kwargs):
+        seen[pres.graph.q] = real(pres, *args, **kwargs)
+        return seen[pres.graph.q]
+
+    monkeypatch.setattr(num, "gauge_defect", spy)
+    assert main(["--family", "psl2", "--q", "4,8,11,19", "--checks",
+                 "numerics", "--out", os.devnull]) == 0
+    assert sorted(seen) == [4, 8, 11, 19]
+    for q, worst in seen.items():
+        assert 0 < worst < 1e-12
+        assert abs(worst - _gauge_defect_per_draw(q)) <= 1e-13
+
+
+def test_perturbed_moved_point_fails_gauge_record(monkeypatch, tmp_path):
+    # one draw's tau . alpha off by a phase on one edge: the words of that
+    # draw differ at tau and at tau . alpha
+    import numpy as np
+    import repmoduli.numerics as num
+    real = num.h_action
+
+    def perturbed(*args, **kwargs):
+        moved = real(*args, **kwargs)
+        moved.mats[0] = moved.mats[0].copy()
+        moved.mats[0][7] *= np.exp(0.1j)
+        return moved
+
+    monkeypatch.setattr(num, "h_action", perturbed)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
+               "--out", str(out)])
+    assert rc == 1
+    recs = _records(out)
+    gauge = recs.pop("numerics/psl2_even-q4/gauge-invariance")
+    assert gauge["pass"] is False and gauge["computed"].startswith("defect")
+    assert all(rec["pass"] for rec in recs.values())
 
 
 def test_symbol_rows_built_once_per_graph(monkeypatch):

@@ -503,8 +503,8 @@ def test_nan_matrix_fails_realization(monkeypatch):
 
 
 def test_batched_words_equal_reference(setting11):
-    # one batch per point, with words of different lengths padded by the
-    # identity: every value equals the word-by-word product bit for bit
+    # one batch per point, with words of different lengths: every value
+    # equals the word-by-word product bit for bit
     m, t, rep, g, pres = setting11
     nrng = np.random.default_rng(13)
     rng = random.Random(13)
@@ -522,6 +522,40 @@ def test_batched_words_equal_reference(setting11):
             assert np.array_equal(value, _reference_eval(rep, point, w))
     assert rho_tau_eval(pres, rep, tau, []).shape == \
         (0, rep.degree, rep.degree)
+
+
+@pytest.mark.parametrize("budget", [None, 16 * 5 * 5 * 8])
+def test_mixed_points_and_lengths_equal_reference(setting11, monkeypatch,
+                                                 budget):
+    # words of 1 to 116 symbols at three points in one call, in chunks of
+    # about 1 MB or, patched, of 8 matrices (many chunks, the longest word
+    # alone in one): every value equals the word-by-word product bit for
+    # bit
+    import repmoduli.numerics as num
+    m, t, rep, g, pres = setting11
+    if budget is not None:
+        monkeypatch.setattr(num, "_CHUNK_BYTES", budget)
+    built = []                  # a point's images, once per chunk
+    real = num.ModuliPoint.symbol_images
+    monkeypatch.setattr(num.ModuliPoint, "symbol_images",
+                        lambda *a: built.append(a[0]) or real(*a))
+    nrng = np.random.default_rng(16)
+    rng = random.Random(16)
+    tau = random_moduli_point(g, rep, nrng)
+    moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
+    points = [tau, moved, identity_moduli_point(g, rep.degree)]
+    words = [random_word(pres, rng, n) for n in
+             (1, 116, 2, 3, 1, 7, 40, 5, 13, 89, 1, 21, 60, 4)]
+    words += [random_kernel_word(pres, rng) for _ in range(10)]
+    at = [points[i % 3] for i in range(len(words))]
+    values = rho_tau_eval(pres, rep, at, words)
+    assert values.shape == (len(words), rep.degree, rep.degree)
+    for w, point, value in zip(words, at, values):
+        assert np.array_equal(value, _reference_eval(rep, point, w))
+    if budget is None:          # one chunk
+        assert sorted(map(id, built)) == sorted(map(id, points))
+    else:
+        assert len(built) > 10
 
 
 def test_phase_on_one_matrix_fails_realization(monkeypatch):

@@ -9,9 +9,10 @@ from repmoduli.groups import (
     IDENTITY, ClassLabel, psl2_model,
 )
 from repmoduli.oscomplex import (
-    brown_presentation, build_orbit_graph, moduli_dimension_report,
-    path_to_word, euler_identity, random_closed_path, random_kernel_word,
-    random_word, validate_graph, word_inverse,
+    InvalidGraph, brown_presentation, build_orbit_graph,
+    moduli_dimension_report, path_to_word, euler_identity,
+    random_closed_path, random_kernel_word, random_word, validate_graph,
+    word_inverse,
 )
 
 
@@ -215,6 +216,15 @@ def test_closed_paths_match_reference(fam, q, k):
             assert random_closed_path(g, rng) == \
                 _closed_path_reference(g, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
+
+
+def test_closed_walk_guards_the_root_group():
+    # the walk closes on the bottom row of its prefix, which is right for
+    # the Borel root group only; with another root group the guard raises
+    g = build_orbit_graph("psl2_odd", 11, model=psl2_model(11))
+    g.vertex_sets[g.root] = frozenset([IDENTITY])
+    with pytest.raises(InvalidGraph):
+        random_closed_path(g, random.Random(0))
 
 
 def test_euler_identity_wider_spot():
