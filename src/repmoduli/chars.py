@@ -11,7 +11,6 @@ handled at once without ever leaving exact arithmetic.  Canonical
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -760,8 +759,8 @@ def theta_balance(n):
 
 def centralizer_checks(table: CharacterTable):
     """Every numbered restriction/centralizer claim for the distinguished
-    irreducible of this family, as (part, expected, computed, millis), with
-    the time each part took to compute.
+    irreducible of this family, as (part, expected, compute): compute()
+    returns the value that must equal `expected`.
 
     Covers the centralizer dimensions of all orbit-graph stabilizers
     (including the congruence branches), Borel-restriction irreducibility,
@@ -854,10 +853,4 @@ def centralizer_checks(table: CharacterTable):
         add("trivial-multiplicity", 0, dihedral("psi_1"))
     else:
         raise ValueError(f"no proposition checks for family {fam!r}")
-    out = []
-    for part, expected, compute in parts:
-        t0 = time.perf_counter()
-        computed = compute()
-        ms = int((time.perf_counter() - t0) * 1000)
-        out.append((part, expected, computed, ms))
-    return out
+    return parts

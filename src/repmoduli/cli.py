@@ -9,28 +9,30 @@ an environment variable with the REPMODULI_ prefix (e.g. REPMODULI_SEED).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 
-from . import __version__
-from .chars import (
+# one BLAS thread unless the user chose otherwise: the matrices here are at
+# most 63 x 63, too small for threads to pay; set before numpy is loaded
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from . import __version__  # noqa: E402
+from .chars import (  # noqa: E402
     TableMismatch, check_column_orthogonality, check_row_orthogonality,
-    centralizer_checks, rho0_character, table_for, table_psl2_odd,
-    table_sl2_odd, theta_balance,
+    centralizer_checks, rho0_character, table_for, theta_balance,
 )
-from .groups import (
+from .groups import (  # noqa: E402
     _prime_power, build_subgroup, psl2_model, stored_fusion, fusion_table,
 )
-from .numerics import Tolerances
-from .oscomplex import (
+from .numerics import Tolerances  # noqa: E402
+from .oscomplex import (  # noqa: E402
     brown_presentation, build_orbit_graph, moduli_dimension_report,
     euler_identity,
 )
@@ -55,7 +57,6 @@ class VerificationConfig:
     tol: Tolerances = field(default_factory=Tolerances)
     fmt: str = "json"
     out: str = ""
-    jobs: int = 1
 
 
 @dataclass
@@ -133,31 +134,22 @@ class PrerequisiteFailed(RuntimeError):
     """An input that a record needs could not be built."""
 
 
-def _millis_since(t0):
-    return int((time.perf_counter() - t0) * 1000)
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, _millis_since(t0)
-
-
 def _error(e):
     return f"error: {type(e).__name__}: {e}"
 
 
 def _guarded(name, anchor, inputs, expected, compute):
-    """The record of compute(), timed alone.  An exception that compute
-    raises fails this record and no other."""
+    """The record of compute(), which passes when str(compute()) equals
+    str(expected), timed alone.  An exception that compute raises fails
+    this record and no other."""
     t0 = time.perf_counter()
     try:
-        computed = compute()
+        computed = str(compute())
+        passed = computed == str(expected)
     except Exception as e:
-        return Record(name, anchor, inputs, str(expected), _error(e), False,
-                      _millis_since(t0))
-    return _record(name, anchor, inputs, expected, computed,
-                   _millis_since(t0))
+        computed, passed = _error(e), False
+    return Record(name, anchor, inputs, str(expected), computed, passed,
+                  int((time.perf_counter() - t0) * 1000))
 
 
 def _prerequisite(what, build):
@@ -179,19 +171,15 @@ def _prerequisite(what, build):
     return get
 
 
-def _record(name, anchor, inputs, expected, computed, millis):
-    return Record(name, anchor, inputs, str(expected), str(computed),
-                  str(expected) == str(computed), millis)
-
-
 def _skip(name, anchor, inputs, reason):
     return Record(name, anchor, inputs, "skipped", reason, True, 0)
 
 
 def _table_stack(fam, q):
+    """(family, q) of every table that the tables check builds."""
     if fam == "psl2_odd":
-        return [table_sl2_odd(q), table_psl2_odd(q)]
-    return [table_for(fam, q if fam not in ("dihedral",) else 2 * q)]
+        return [("sl2_odd", q), ("psl2_odd", q)]
+    return [(fam, 2 * q if fam == "dihedral" else q)]
 
 
 def _orthogonal(check, table):
@@ -202,52 +190,39 @@ def _orthogonal(check, table):
         return f"mismatch: {e}"
 
 
-def check_tables(fam, q, cfg, load_model):
-    records = []
-    for table in _table_stack(fam, q):
-        inputs = f"{table.family} q={table.q}"
-        for kind, check in (("rows", check_row_orthogonality),
-                            ("columns", check_column_orthogonality)):
-            ok, ms = _timed(lambda: _orthogonal(check, table))
-            records.append(_record(
-                f"tables/{kind}/{table.family}-q{table.q}",
-                f"tables/orthogonality/{table.family}-q{table.q}", inputs,
-                True, ok, ms))
-    return records
+def check_tables(fam, q, cfg):
+    return [_guarded(f"tables/{kind}/{family}-q{n}",
+                     f"tables/orthogonality/{family}-q{n}",
+                     f"{family} q={n}", True,
+                     lambda family=family, n=n, check=check:
+                     _orthogonal(check, table_for(family, n)))
+            for family, n in _table_stack(fam, q)
+            for kind, check in (("rows", check_row_orthogonality),
+                                ("columns", check_column_orthogonality))]
 
 
-def check_fusion(fam, q, cfg, load_model):
+def check_fusion(fam, q, cfg):
     name = f"fusion/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(name, name, f"q={q}", "skipped: class-data model")]
+    # a row per distinct stabilizer of the orbit graph
+    graph = build_orbit_graph(fam, q)
+    rows = list(dict.fromkeys((c.sub.tag, c.sub.param)
+                              for c in graph.vertices + graph.edges))
 
     def run():
-        model = load_model()
-        if fam == "psl2_even":
-            rows = [("borel", 0), ("dihedral_split", 0),
-                    ("dihedral_nonsplit", 0), ("cyclic", q - 1),
-                    ("cyclic", 2)]
-        else:
-            rows = [("borel", 0), ("a4", 0), ("dihedral_split", 0),
-                    ("dihedral_nonsplit", 0), ("cyclic", 2), ("klein4", 0),
-                    ("cyclic", (q - 1) // 2), ("cyclic", 3)]
-        bad = []
-        for tag, param in rows:
-            sub = build_subgroup(model, tag, param)
-            brute = fusion_table(model, sub)
-            stored = stored_fusion(fam, q, tag, param, model.class_labels)
-            if brute != stored:
-                bad.append(tag)
-        return f"{len(rows)} subgroup rows equal" if not bad else \
-            f"mismatch at {bad}"
+        model = psl2_model(q)
+        bad = [tag for tag, param in rows
+               if fusion_table(model, build_subgroup(model, tag, param)) !=
+               stored_fusion(fam, q, tag, param, model.class_labels)]
+        return f"mismatch at {bad}" if bad else \
+            f"{len(rows)} subgroup rows equal"
 
-    computed, ms = _timed(run)
-    rows = 5 if fam == "psl2_even" else 8
-    return [_record(name, name, f"q={q}",
-                    f"{rows} subgroup rows equal", computed, ms)]
+    return [_guarded(name, name, f"q={q}",
+                     f"{len(rows)} subgroup rows equal", run)]
 
 
-def check_centralizers(fam, q, cfg, load_model):
+def check_centralizers(fam, q, cfg):
     if fam == "dihedral":
         return [_guarded(f"centralizers/theta-balance-n{q}",
                          f"theta-balance/dihedral-n{q}", f"n={q}",
@@ -255,43 +230,42 @@ def check_centralizers(fam, q, cfg, load_model):
     if fam == "cyclic":
         return [_skip(f"centralizers/cyclic-n{q}", "centralizers/cyclic",
                       f"n={q}", "skipped: no distinguished character")]
-    return [_record(f"centralizers/{fam}-q{q}/{part}",
-                    f"centralizers/{fam}/part-{part}", f"q={q}",
-                    expected, computed, ms)
-            for part, expected, computed, ms in
+    return [_guarded(f"centralizers/{fam}-q{q}/{part}",
+                     f"centralizers/{fam}/part-{part}", f"q={q}",
+                     expected, compute)
+            for part, expected, compute in
             centralizer_checks(table_for(fam, q))]
 
 
-def check_moduli_dim(fam, q, cfg, load_model):
+def _dimensions(rep):
+    return f"dim {rep.dim_quotient}, " + ("equal" if rep.equal else "unequal")
+
+
+def check_moduli_dim(fam, q, cfg):
     if fam not in ("psl2_even", "psl2_odd", "sz"):
         return [_skip(f"moduli-dim/{fam}-q{q}", "moduli-dim", f"q={q}",
                       "skipped: no orbit graph for this family")]
     table = table_for(fam, q)
-    records = []
-    for k in range(4):
-        rep, ms = _timed(
-            lambda k=k: moduli_dimension_report(build_orbit_graph(fam, q, k=k),
-                                                table))
-        records.append(_record(
-            f"moduli-dim/{fam}-q{q}/k{k}",
-            f"moduli-dim/{fam}", f"q={q} k={k}",
-            f"dim {rep.dim_target}, equal",
-            f"dim {rep.dim_quotient}, " +
-            ("equal" if rep.equal else "unequal"), ms))
-    return records
+    degree = rho0_character(table).degree
+    # expected: the paper's target (k + 1) deg(rho0)^2, computed apart from
+    # the report under check
+    return [_guarded(f"moduli-dim/{fam}-q{q}/k{k}", f"moduli-dim/{fam}",
+                     f"q={q} k={k}", f"dim {(k + 1) * degree ** 2}, equal",
+                     lambda k=k: _dimensions(moduli_dimension_report(
+                         build_orbit_graph(fam, q, k=k), table)))
+            for k in range(4)]
 
 
-def check_euler(fam, q, cfg, load_model):
+def check_euler(fam, q, cfg):
     name = f"euler/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd", "sz"):
         return [_skip(name, name, f"q={q}",
                       "skipped: no orbit graph for this family")]
     table = table_for(fam, q)
-    graph = build_orbit_graph(fam, q)
     n = len(table.chars)
 
     def run():
-        lhs, rhs, equal = euler_identity(graph, table)
+        lhs, rhs, equal = euler_identity(build_orbit_graph(fam, q), table)
         for i, phi in enumerate(table.chars):
             for j, psi in enumerate(table.chars):
                 if not equal[i][j]:
@@ -299,12 +273,11 @@ def check_euler(fam, q, cfg, load_model):
                             f"{lhs[i][j]} != {rhs[i][j]}")
         return f"{n * n} ordered pairs equal"
 
-    computed, ms = _timed(run)
-    return [_record(name, name, f"q={q}, one free 2-cell orbit",
-                    f"{n * n} ordered pairs equal", computed, ms)]
+    return [_guarded(name, name, f"q={q}, one free 2-cell orbit",
+                     f"{n * n} ordered pairs equal", run)]
 
 
-def check_brown(fam, q, cfg, load_model):
+def check_brown(fam, q, cfg):
     name = f"brown/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
         return [_skip(name, name, f"q={q}", "skipped: class-data model")]
@@ -313,7 +286,7 @@ def check_brown(fam, q, cfg, load_model):
                    for e in build_orbit_graph(fam, q, k=cfg.k).edges)
 
     def run():
-        model = load_model()
+        model = psl2_model(q)
         # brown_presentation raises NotFound unless phi kills every relation
         pres = brown_presentation(
             build_orbit_graph(fam, q, k=cfg.k, model=model), model)
@@ -323,7 +296,7 @@ def check_brown(fam, q, cfg, load_model):
                      f"{expected} relations verified", run)]
 
 
-def check_numerics(fam, q, cfg, load_model):
+def check_numerics(fam, q, cfg):
     base = f"numerics/{fam}-q{q}"
     if fam == "sz":
         return [_skip(base, base, f"q={q}", "skipped: class-data model")]
@@ -348,7 +321,7 @@ def check_numerics(fam, q, cfg, load_model):
     inputs = f"q={q} seed={seed}"
     table = table_for(fam, q)
     target = rho0_character(table)
-    model = load_model()
+    model = psl2_model(q)
     tol = cfg.tol
 
     def record(part, anchor, expected, compute):
@@ -459,28 +432,19 @@ CHECK_RUNNERS = {
 
 
 def run(cfg: VerificationConfig) -> VerificationReport:
-    def run_q(q):
-        """Every check of one q.  The q's matrix model is built on first
-        use, shared by these checks and dropped with them, so each q's
-        model is built at most once whatever --jobs is."""
+    """Every check of every q, one q after another on one thread.
+    psl2_model keeps the matrix model of the latest q, so the checks of a
+    q share one model."""
+    records = []
+    for q in cfg.qs:
         fam = classify_q(cfg.family, q)
-        load_model = functools.cache(lambda: psl2_model(q))
-        records = []
         for check in cfg.checks:
             try:
-                records += CHECK_RUNNERS[check](fam, q, cfg, load_model)
+                records += CHECK_RUNNERS[check](fam, q, cfg)
             except Exception as e:      # a crashed check is a failing record
                 records.append(Record(
                     f"{check}/{fam}-q{q}", f"{check}/{fam}-q{q}", f"q={q}",
                     "completes", _error(e), False, 0))
-        return records
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(run_q, cfg.qs))
-    else:
-        chunks = [run_q(q) for q in cfg.qs]
-    records = [r for chunk in chunks for r in chunk]
     records.sort(key=lambda r: r.name)
     header = {
         "version": __version__,
@@ -523,7 +487,8 @@ def build_parser():
                    choices=["json", "text"])
     p.add_argument("--out", default=_env_default("OUT", ""),
                    help="output path (default: stdout)")
-    p.add_argument("--jobs", type=int, default=_env_default("JOBS", "1"))
+    p.add_argument("--jobs", type=int, default=_env_default("JOBS", "1"),
+                   help="must be 1: the checks run on one thread")
     return p
 
 
@@ -559,8 +524,10 @@ def parse_config(argv=None) -> VerificationConfig:
             tol = replace(tol, **{name: v})
         if args.k < 0:
             raise UsageError("k must be >= 0")
+        if args.jobs != 1:
+            raise UsageError("--jobs must be 1: the checks run on one thread")
         cfg = VerificationConfig(args.family, qs, args.k, checks, args.seed,
-                                 tol, args.fmt, args.out, max(1, args.jobs))
+                                 tol, args.fmt, args.out)
         for q in qs:
             classify_q(cfg.family, q)
         return cfg

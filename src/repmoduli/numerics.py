@@ -49,6 +49,7 @@ class Tolerances:
 TOL = Tolerances()
 
 _CHUNK_BYTES = 1 << 20      # about 1 MB of matrices per batched operation
+_FD_STEP = 1e-5             # central finite-difference step of word maps
 
 
 def _mnorm(a):
@@ -478,7 +479,7 @@ def commutant_rank(rep: UnitaryRep, elements, seed=0, tol: Tolerances = TOL):
     return int(np.count_nonzero(blocks))
 
 
-def _commutant_skews(rho0: UnitaryRep, subs, rngs, scale=1.0):
+def _commutant_skews(rho0: UnitaryRep, subs, rngs):
     """Random skew-Hermitian elements of the commutants of the subgroups
     `subs`, (len(subs), len(rngs), d, d): a round per generator draws a
     normal x for each subgroup, real then imaginary part, and averages its
@@ -486,7 +487,7 @@ def _commutant_skews(rho0: UnitaryRep, subs, rngs, scale=1.0):
     d = rho0.degree
     z = np.array([rng.standard_normal((len(subs), 2, d, d)) for rng in rngs])
     x = z[:, :, 0] + 1j * z[:, :, 1]
-    return np.array([scale * rho0.average(sub.elements, (y - _h(y)) / 2)
+    return np.array([rho0.average(sub.elements, (y - _h(y)) / 2)
                      for sub, y in zip(subs, x.swapaxes(0, 1))])
 
 
@@ -576,18 +577,17 @@ def identity_moduli_point(graph, degree):
     return ModuliPoint(graph, {i: eye.copy() for i in range(len(graph.edges))})
 
 
-def random_moduli_point(graph, rho0: UnitaryRep, rng, scale=1.0,
-                        tol: Tolerances = TOL):
+def random_moduli_point(graph, rho0: UnitaryRep, rng, tol: Tolerances = TOL):
     point = ModuliPoint(graph, dict(enumerate(expm(_commutant_skews(
-        rho0, [e.sub for e in graph.edges], [rng], scale)[:, 0], tol))))
+        rho0, [e.sub for e in graph.edges], [rng])[:, 0], tol))))
     point.check(rho0, tol)
     return point
 
 
-def random_h_point(graph, rho0: UnitaryRep, rng, scale=1.0):
+def random_h_point(graph, rho0: UnitaryRep, rng):
     others = [i for i in range(len(graph.vertices)) if i != graph.root]
     mats = expm(_commutant_skews(
-        rho0, [graph.vertices[i].sub for i in others], [rng], scale)[:, 0])
+        rho0, [graph.vertices[i].sub for i in others], [rng])[:, 0])
     return HPoint(graph, {graph.root: np.eye(rho0.degree, dtype=np.complex128),
                           **dict(zip(others, mats))})
 
@@ -677,24 +677,26 @@ def gauge_defect(pres: BrownPresentation, rho0: UnitaryRep, rng, words,
 
 
 def word_differential_check(pres: BrownPresentation, rho0: UnitaryRep,
-                            legs, seed=0, step=1e-5, tol: Tolerances = TOL):
+                            legs, seed=0, tol: Tolerances = TOL):
     """word_differential_checks of one closed path with its seed."""
-    return word_differential_checks(pres, rho0, [legs], [seed], step, tol)[0]
+    return word_differential_checks(pres, rho0, [legs], [seed], tol)[0]
 
 
 def word_differential_checks(pres: BrownPresentation, rho0: UnitaryRep,
-                             paths, seeds, step=1e-5, tol: Tolerances = TOL):
+                             paths, seeds, tol: Tolerances = TOL):
     """Directional derivatives of the word map at the identity moduli
     point, along the tangent drawn with each seed: the closed-edge-path
-    formula of each path against central finite differences, as
-    (formula, finite_difference, max_error) per path.  The paths run
-    stacked: one group average per edge, one eigh, one word evaluation."""
+    formula of each path against central finite differences of step
+    _FD_STEP, as (formula, finite_difference, max_error) per path.  The
+    paths run stacked: one group average per edge, one eigh, one word
+    evaluation."""
     graph, n = pres.graph, len(paths)
     words = [path_to_word(pres, legs) for legs in paths]
     tangents = _commutant_skews(rho0, [e.sub for e in graph.edges],
                                 [np.random.default_rng(s) for s in seeds])
     ends = [ModuliPoint(graph, dict(enumerate(m))) for m in
-            expm(np.array([step * tangents, -step * tangents]), tol)]
+            expm(np.array([_FD_STEP * tangents, -_FD_STEP * tangents]),
+                 tol)]
     values = rho_tau_eval(pres, rho0, [p.draw(i) for p in ends
                                        for i in range(n)], words + words)
     out = []
@@ -702,6 +704,6 @@ def word_differential_checks(pres: BrownPresentation, rho0: UnitaryRep,
         ra = rho0.stack_of([a for a, _, _ in legs])
         steps = np.array([eps * tangents[ei, i] for _, ei, eps in legs])
         formula = -(ra @ steps @ _h(ra)).sum(axis=0)
-        fd = (values[i] - values[n + i]) / (2 * step)
+        fd = (values[i] - values[n + i]) / (2 * _FD_STEP)
         out.append((formula, fd, _mnorm(formula - fd)))
     return out

@@ -146,12 +146,11 @@ def _stabilizer_plan(family, q):
     return vertices, edges
 
 
-def build_orbit_graph(family, q, k=0, model=None, ge_choice=0) -> OrbitGraph:
+def build_orbit_graph(family, q, k=0, model=None) -> OrbitGraph:
     """The orbit graph with k extra free edge orbits attached at the root.
 
     With a matrix `model`, stabilizers and connecting elements are
-    concrete; `ge_choice` skips that many valid candidates in every
-    connecting-element scan (used to confirm the choice does not matter).
+    concrete.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -167,23 +166,20 @@ def build_orbit_graph(family, q, k=0, model=None, ge_choice=0) -> OrbitGraph:
                                    symbolic_subgroup(family, q, "trivial"),
                                    0, 0, False, free=True))
         return OrbitGraph(family, q, k, vertices, edges)
-    return _build_concrete(family, q, k, model, ge_choice)
+    return _build_concrete(family, q, k, model)
 
 
-def _scan(candidates, pred, skip=0):
+def _scan(candidates, pred):
     for x in candidates:
         if pred(x):
-            if skip == 0:
-                return x
-            skip -= 1
+            return x
     raise NotFound("deterministic scan found no candidate")
 
 
-def _build_concrete(family, q, k, model, ge_choice):
+def _build_concrete(family, q, k, model):
     """The graph of _stabilizer_plan with the stabilizers of build_subgroup;
-    the connecting element of a closing edge is the first (after `ge_choice`
-    valid ones) that conjugates the edge group's generators into the target
-    vertex group."""
+    the connecting element of a closing edge is the first that conjugates
+    the edge group's generators into the target vertex group."""
     if model.family != family or model.q != q:
         raise ValueError("model does not match the requested family/q")
     vtags, especs = _stabilizer_plan(family, q)
@@ -197,7 +193,7 @@ def _build_concrete(family, q, k, model, ge_choice):
             target = set(vertices[w].sub.elements)
             g = _scan(model.scan(), lambda h: all(
                 model.conjugate(x, model.inv(h)) in target
-                for x in sub.gens), skip=ge_choice)
+                for x in sub.gens))
         edges.append(EdgeOrbit(f"eta{i}", sub, s, w, tree, g=g))
     root = set(vertices[0].sub.elements)
     free = (g for g in model.scan() if g not in root)
@@ -261,11 +257,10 @@ class ModuliDimensionReport:
                 "dim_target": self.dim_target, "equal": self.equal}
 
 
-def moduli_dimension_report(graph: OrbitGraph, table: CharacterTable,
-                            rho0=None) -> ModuliDimensionReport:
+def moduli_dimension_report(graph: OrbitGraph,
+                            table: CharacterTable) -> ModuliDimensionReport:
     """Compare dim of the gauge quotient with dim of the target group power."""
-    if rho0 is None:
-        rho0 = rho0_character(table)
+    rho0 = rho0_character(table)
     m = rho0.degree
     edge_dims = [centralizer_dim(rho0, fusion_for(table, e.sub))
                  for e in graph.edges]
@@ -279,15 +274,14 @@ def moduli_dimension_report(graph: OrbitGraph, table: CharacterTable,
         dim_m, dim_h, dim_m - dim_h, target, dim_m - dim_h == target)
 
 
-def euler_identity(graph: OrbitGraph, table: CharacterTable,
-                   free_two_cells=1):
+def euler_identity(graph: OrbitGraph, table: CharacterTable):
     """Character-level Euler relation for an acyclic complex built on the
-    graph plus free 2-cell orbits, for every pair of irreducibles at once:
+    graph plus one free 2-cell orbit, for every pair of irreducibles at once:
     (lhs, rhs, equal) as n x n matrices indexed like table.chars.  Each side
-    is one Gram with the summed class weights of its cells, the free 2-cells
-    weighing the identity class (column 0) to give free * d d^T."""
+    is one Gram with the summed class weights of its cells, the free 2-cell
+    weighing the identity class (column 0) to give d d^T."""
     lhs_w = [Fraction(s, table.order) for s in table.sizes]
-    rhs_w = [Fraction(free_two_cells)] + [Fraction(0)] * (len(lhs_w) - 1)
+    rhs_w = [Fraction(1)] + [Fraction(0)] * (len(lhs_w) - 1)
     for cells, weights in ((graph.edges, lhs_w), (graph.vertices, rhs_w)):
         for cell in cells:
             fusion = fusion_for(table, cell.sub)
@@ -369,11 +363,12 @@ def brown_presentation(graph: OrbitGraph, model: GroupModel) -> BrownPresentatio
 
 # -- closed edge paths and kernel words --------------------------------------------
 
-def random_closed_path(graph: OrbitGraph, rng, min_len=4, max_len=14):
-    """A closed edge path (a_i, e_i, eps_i) based at the root vertex.
+def random_closed_path(graph: OrbitGraph, rng):
+    """A closed edge path (a_i, e_i, eps_i) of 4 to 14 legs, based at the
+    root vertex.
 
     Each step draws a twist t in G_v, then an edge; a walk not closed in the
-    root group within max_len steps is drawn again.  The root group is the
+    root group within 14 steps is drawn again.  The root group is the
     Borel subgroup, which holds the prefix c exactly when the bottom row
     (r, s) of c has r = 0, so the walk carries only that row.  A leg along
     e has a = c t, formed with the prefixes once the walk is accepted."""
@@ -381,11 +376,11 @@ def random_closed_path(graph: OrbitGraph, rng, min_len=4, max_len=14):
     add, mul = model.spec.add_table, model.spec.mul_table
     while True:
         r, s, vidx, walk = 0, 1, graph.root, []
-        for _ in range(max_len):
+        for _ in range(14):
             walk.append(rng.choice(rng.choice(steps[vidx])))
             _, _, _, (a, b, c, d), vidx = walk[-1]
             r, s = add[mul[r][a]][mul[s][c]], add[mul[r][b]][mul[s][d]]
-            if vidx == graph.root and len(walk) >= min_len and r == 0:
+            if vidx == graph.root and len(walk) >= 4 and r == 0:
                 break
         else:
             continue

@@ -102,15 +102,15 @@ def test_criterion_3_proposition_parts():
     total = 0
     for q in EVEN_QS:
         checks = centralizer_checks(table_psl2_even(q))
-        assert all(e == c for _, e, c, _ in checks), (q, checks)
+        assert all(e == c() for _, e, c in checks), (q, checks)
         total += len(checks)
     for q in ODD_QS:
         checks = centralizer_checks(table_psl2_odd(q))
-        assert all(e == c for _, e, c, _ in checks), (q, checks)
+        assert all(e == c() for _, e, c in checks), (q, checks)
         total += len(checks)
     for q in SZ_QS:
         checks = centralizer_checks(table_suzuki(q))
-        assert all(e == c for _, e, c, _ in checks), (q, checks)
+        assert all(e == c() for _, e, c in checks), (q, checks)
         total += len(checks)
     elapsed = time.monotonic() - t0
     _report(3, True, f"{total} numbered proposition parts verified exactly "

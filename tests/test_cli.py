@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -41,14 +42,30 @@ def test_usage_error_exit_code(monkeypatch):
                   ["--q", "4", "--tol", "unitary=inf"],
                   ["--q", "4", "--tol", "character=abc"],
                   ["--q", "4", "--tol", "character"],
-                  ["--q", "4", "--tol", "__init__=1"]):
+                  ["--q", "4", "--tol", "__init__=1"],
+                  ["--q", "4", "--jobs", "2"], ["--q", "4", "--jobs", "0"]):
         with pytest.raises(SystemExit) as e:
             parse_config(["--family", "psl2"] + extra)
         assert e.value.code == 2, extra
-    monkeypatch.setenv("REPMODULI_K", "x")
-    with pytest.raises(SystemExit) as e:
-        parse_config(["--family", "psl2", "--q", "4"])
-    assert e.value.code == 2
+    for var, value in (("REPMODULI_K", "x"), ("REPMODULI_JOBS", "2")):
+        with monkeypatch.context() as env:
+            env.setenv(var, value)
+            with pytest.raises(SystemExit) as e:
+                parse_config(["--family", "psl2", "--q", "4"])
+        assert e.value.code == 2, var
+
+
+def test_benchmark_command_lines_parse():
+    # every batch that bench/run.py runs, with the flags it appends
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "bench", "run.py")
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.WORKLOADS
+    for argv in bench.WORKLOADS.values():
+        cfg = parse_config(argv + ["--seed", "0", "--jobs", "1"])
+        assert cfg.seed == 0 and cfg.qs
 
 
 def test_run_psl2_4_all_checks_passes():
@@ -123,32 +140,40 @@ def test_env_overrides(monkeypatch):
     assert cfg.checks == ("tables",) and cfg.seed == 42
 
 
-def test_jobs_parallel_matches_serial():
-    argv = ["--family", "psl2", "--q", "4,8", "--checks",
-            "tables,centralizers,moduli-dim"]
-    serial = run(parse_config(argv + ["--jobs", "1"]))
-    parallel = run(parse_config(argv + ["--jobs", "4"]))
-    key = lambda rep: [(r.name, r.expected, r.computed, r.passed)
-                       for r in rep.records]
-    assert key(serial) == key(parallel)
+@pytest.mark.parametrize("runs", [1, 2])
+def test_each_q_enumerated_once(runs):
+    # the q values run one after another, so psl2_model's one-entry cache
+    # gives fusion, brown and numerics of a q one shared model; it keeps
+    # only the last q, so each further run builds every q once more
+    psl2_model.cache_clear()
+    cfg = parse_config(["--family", "psl2", "--q", "4,8,11",
+                        "--checks", "fusion,brown,numerics"])
+    for _ in range(runs):
+        rep = run(cfg)
+        assert all(r.passed for r in rep.records)
+    assert psl2_model.cache_info().misses == 3 * runs
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_each_q_enumerated_once(monkeypatch, jobs):
-    # fusion and brown share one model per q, also when the q values run
-    # on separate threads and evict each other from psl2_model's cache
-    calls = []
-
-    def counted(q):
-        calls.append(q)
-        return psl2_model(q)
-
-    monkeypatch.setattr(cli, "psl2_model", counted)
-    rep = run(parse_config(["--family", "psl2", "--q", "4,8,11",
-                            "--checks", "fusion,brown",
-                            "--jobs", str(jobs)]))
-    assert all(r.passed for r in rep.records)
-    assert sorted(calls) == [4, 8, 11]
+def test_cli_sets_one_blas_thread_unless_set():
+    code = """
+import os
+import repmoduli.cli
+print(*(os.environ[v] for v in
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")))
+"""
+    src = os.path.dirname(os.path.dirname(repmoduli.__file__))
+    for preset, expected in ((None, "1"), ("3", "3")):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            env.pop(var, None)
+            if preset is not None:
+                env[var] = preset
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [expected] * 3, preset
 
 
 def _records(path):
@@ -233,6 +258,51 @@ def test_brown_record_fails_when_verify_fails(monkeypatch, tmp_path):
     assert rec["pass"] is False
     assert rec["computed"].startswith("error: NotFound")
     assert rec["expected"] == "9 relations verified"
+
+
+def test_raising_column_check_fails_only_its_record(monkeypatch, tmp_path):
+    real = cli.check_column_orthogonality
+
+    def raises_on_psl2_odd(table):
+        if table.family == "psl2_odd":
+            raise RuntimeError("column check broke")
+        return real(table)
+
+    monkeypatch.setattr(cli, "check_column_orthogonality", raises_on_psl2_odd)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4,11", "--checks", "tables",
+               "--out", str(out)])
+    assert rc == 1
+    recs = _records(out)
+    failed = recs.pop("tables/columns/psl2_odd-q11")
+    assert failed["pass"] is False
+    assert failed["computed"] == "error: RuntimeError: column check broke"
+    assert sorted(recs) == [
+        "tables/columns/psl2_even-q4", "tables/columns/sl2_odd-q11",
+        "tables/rows/psl2_even-q4", "tables/rows/psl2_odd-q11",
+        "tables/rows/sl2_odd-q11"]
+    assert all(rec["pass"] for rec in recs.values())
+
+
+def test_raising_centralizer_part_fails_only_that_part(monkeypatch,
+                                                       tmp_path):
+    # only the trivial-multiplicity part restricts to the split dihedral
+    # subgroup's own table
+    import repmoduli.chars as chars
+
+    def broken(table):
+        raise RuntimeError("restriction broke")
+
+    monkeypatch.setattr(chars, "split_dihedral_restriction", broken)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "centralizers",
+               "--out", str(out)])
+    assert rc == 1
+    recs = _records(out)
+    failed = recs.pop("centralizers/psl2_even-q4/trivial-multiplicity")
+    assert failed["pass"] is False
+    assert failed["computed"] == "error: RuntimeError: restriction broke"
+    assert len(recs) == 8 and all(rec["pass"] for rec in recs.values())
 
 
 def test_flipped_stored_value_fails_tables(monkeypatch, tmp_path):

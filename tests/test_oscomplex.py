@@ -148,10 +148,18 @@ def test_brown_presentation_sound():
 
 
 def test_ge_choice_does_not_matter():
+    # the closing edge's g_e set to the second element that conjugates
+    # G_e into G_w, where the construction takes the first
     m = psl2_model(11)
     t = table_psl2_odd(11)
-    g0 = build_orbit_graph("psl2_odd", 11, model=m, ge_choice=0)
-    g1 = build_orbit_graph("psl2_odd", 11, model=m, ge_choice=1)
+    g0 = build_orbit_graph("psl2_odd", 11, model=m)
+    g1 = build_orbit_graph("psl2_odd", 11, model=m)
+    e = g1.edges[3]
+    target = set(g1.vertices[e.w].sub.elements)
+    valid = (g for g in m.scan()
+             if all(m.conjugate(x, m.inv(g)) in target for x in e.sub.gens))
+    next(valid)
+    e.g = next(valid)
     assert g0.edges[3].g != g1.edges[3].g
     assert brown_presentation(g0, m).verify()
     assert brown_presentation(g1, m).verify()
