@@ -67,14 +67,15 @@ def _rat(c):
 
 
 def _pair(n, a, c=1):
-    """c (zeta_n^a + zeta_n^-a), stored; one shared value per n, a mod n
-    and c, since stored values are immutable."""
-    return _pair_mod(n, a % n, c)
+    """c (zeta_n^a + zeta_n^-a), stored."""
+    return _roots(n, (a % n, -a % n), c)
 
 
 @lru_cache(maxsize=None)
-def _pair_mod(n, a, c):
-    return pack_terms(n, ((a, c), (-a, c)))
+def _roots(n, exps, c):
+    """c times the sum of zeta_n^k over k in exps, stored; one shared value
+    per key, since stored values are immutable."""
+    return pack_terms(n, [(k, c) for k in exps])
 
 
 class Character:
@@ -95,7 +96,16 @@ class Character:
 
     @property
     def degree(self):
-        return int(_cyclotomic(self.packed[0]).to_rational())
+        """The value at the identity, which must be a positive integer; it
+        is canonicalized only when not stored over Q (order 1)."""
+        p = self.packed[0]
+        if p is not None and p[0] != 1:
+            c = _cyclotomic(p)
+            p = _rat(c.to_rational()) if c.order == 1 else None
+        if p is None or p[3] != 1 or p[2][0] < 1:
+            raise NonIntegralDimension(
+                f"{self.name} has degree {_cyclotomic(self.packed[0])}")
+        return p[2][0]
 
     def value_at(self, label):
         return _cyclotomic(self.packed[self.table.index[label]])
@@ -215,71 +225,104 @@ def gram(rows_a, rows_b, weights):
     reduced on the CRT grid of Z/m and read off at exponent 0.  A partial
     that is not rational raises TableMismatch naming the entry.  A group is
     computed in int64 when sum_x |w_x| |a(x)|_1 |b(x)|_1, doubled per fold
-    axis, stays below 2^62, and in Python ints otherwise.  Returns a list
-    of rows of Fractions.
+    axis, stays below 2^62, and in Python ints otherwise.  When `rows_b is
+    rows_a` only the entries j >= i are computed and the rest mirrored:
+    G[j][i] = conj(G[i][j]), and a rational partial is its own conjugate.
+    Returns a list of rows of Fractions.
     """
-    total, den = _gram(rows_a, rows_b, weights)
-    values = {v: Fraction(v, den) for v in set(total.flat)}   # one per value
-    return [[values[v] for v in row] for row in total.tolist()]
+    return grams(rows_a, rows_b, [weights])[0]
 
 
-def _gram(rows_a, rows_b, weights):
-    """`gram` as an integer object array over one common denominator."""
-    wden = lcm(*(w.denominator for w in weights))
-    ws = [w.numerator * (wden // w.denominator) for w in weights]
-    cols = [x for x, w in enumerate(ws) if w]
+def grams(rows_a, rows_b, weight_vectors):
+    """`gram` for each of several weight vectors, from one expansion of the
+    term pairs; each vector keeps its own accumulator and its own checks."""
+    out = []
+    for total, den in _gram(rows_a, rows_b, weight_vectors):
+        values = {v: Fraction(v, den) for v in set(total.flat)}
+        out.append([[values[v] for v in row] for row in total.tolist()])
+    return out
+
+
+def _gram(rows_a, rows_b, weight_vectors, diagonal=False):
+    """`grams` as (integer object array, common denominator) pairs.  With
+    `diagonal` (rows_a and rows_b of one length) only the entries G[i][i]
+    are computed, and each array is the column of them."""
+    wdens = [lcm(*(w.denominator for w in v)) for v in weight_vectors]
+    ws = [[w.numerator * (d // w.denominator) for w in v]
+          for v, d in zip(weight_vectors, wdens)]
+    cols = [x for x, w in enumerate(zip(*ws)) if any(w)]
+    ws = np.array([[w[x] for x in cols] for w in ws], dtype=object)
     flat_a = _flatten(rows_a, cols)
     flat_b = flat_a if rows_b is rows_a else _flatten(rows_b, cols)
-    bounds = [abs(ws[x]) * p * q
-              for x, p, q in zip(cols, flat_a[2], flat_b[2])]
-    cond = np.array([lcm(p, q) if b else 0 for p, q, b in
-                     zip(flat_a[1], flat_b[1], bounds)], dtype=np.int64)
-    weight = np.array([ws[x] for x in cols], dtype=object)
-    total = np.zeros((len(rows_a), len(rows_b)), dtype=object)
+    part = "diagonal" if diagonal else "upper" if flat_b is flat_a else "all"
+    bounds = abs(ws) * np.array(flat_a[2], dtype=object) * \
+        np.array(flat_b[2], dtype=object)       # one row per weight vector
+    cond = np.array([lcm(p, q) for p, q in zip(flat_a[1], flat_b[1])],
+                    dtype=np.int64) * (bounds != 0).any(axis=0)
+    totals = np.zeros((len(ws), len(rows_a), 1 if diagonal else len(rows_b)),
+                      dtype=object)
     for m in sorted(set(cond.tolist()) - {0}):
         in_group = cond == m
-        bound = sum(b for b, g in zip(bounds, in_group) if g)
-        dtype = np.int64 if bound << len(factorize(m)) < 1 << 62 else object
-        a = _group_terms(flat_a[3], in_group, m, dtype)
-        b = a if flat_b is flat_a else \
-            _group_terms(flat_b[3], in_group, m, dtype)
-        _add_group(total, a, b, np.where(in_group, weight, 0).astype(dtype), m)
-    return total, flat_a[0] * flat_b[0] * wden
+        fold = len(factorize(m))
+        weights = [(k, np.where(in_group, w, 0).astype(
+                        np.int64 if s << fold < 1 << 62 else object))
+                   for k, (w, s) in enumerate(zip(
+                       ws, bounds[:, in_group].sum(axis=1))) if s]
+        a = _group_terms(flat_a[3], in_group, m)
+        b = a if flat_b is flat_a else _group_terms(flat_b[3], in_group, m)
+        _add_group(totals, a, b, weights, m, part)
+    if part == "upper":
+        i, j = np.tril_indices(len(rows_a), -1)
+        totals[:, i, j] = totals[:, j, i]
+    den = flat_a[0] * flat_b[0]
+    return [(total, den * wden) for total, wden in zip(totals, wdens)]
 
 
-def _group_terms(terms, in_group, m, dtype):
+def _group_terms(terms, in_group, m):
     """(row, column, exponent mod m, numerator) of the terms on the columns
     of one conductor-m group."""
     sel = in_group[terms[1]]
     r, c, o, k, n = (t[sel] for t in terms)
-    return r, c, k * (m // o), n.astype(dtype)
+    return r, c, k * (m // o), n
 
 
-def _add_group(total, a, b, weight, m):
-    """Add to `total` the partial Gram over one conductor-m group of terms,
-    in chunks of rows of `total` that keep temporaries near _CHUNK.
+def _add_group(totals, a, b, weights, m, part):
+    """Add to totals[k] the partial Gram over one conductor-m group of terms
+    for every (k, weight vector) in `weights`, in chunks of rows of the
+    Grams that keep temporaries near _CHUNK.
 
-    The b-side is sorted by column once, so the partners of an a-term are
-    one contiguous run of it.  Every per-term array is prepared once, and a
+    The partners of an a-term in row i and column x are the b-terms of
+    column x: all of them with `part` "all", those in rows >= i with
+    "upper", those in row i with "diagonal" (whose Grams are one column).
+    The b-side is sorted by (column, row) once, so the partners are one
+    contiguous run of it.  Every per-term array is prepared once, and a
     chunk's pairs are np.repeat expansions of its contiguous slice of
-    a-terms plus one gather from the b-side."""
+    a-terms plus one gather from the b-side; the weight vectors share the
+    pairs and slots, each with its own accumulator."""
     ra, ca, ea, na = a
     rb, cb, eb, nb = b
-    n_a, n_b = total.shape
+    _, n_a, n_b = totals.shape
     shape, fs, perm = _dense_data(m)
     perm = np.concatenate((perm, perm))     # read at ea - eb + m in [1, 2m)
-    by_col = np.argsort(cb, kind="stable")
-    slot_b, eb, nb = rb[by_col] * m, eb[by_col], nb[by_col]
-    count_b = np.bincount(cb, minlength=len(weight))
-    partners = count_b[ca]
-    ends = np.cumsum(partners)
-    first = np.concatenate(([0], ends))     # first pair of each a-term
+    by_col = np.argsort(cb, kind="stable")  # terms come in row order
+    rb, cb, eb, nb = rb[by_col], cb[by_col], eb[by_col], nb[by_col]
+    count_b = np.bincount(cb, minlength=len(weights[0][1]))
+    end = np.cumsum(count_b)[ca]
+    start = end - count_b[ca]
+    if part != "all":
+        key, at = cb * n_a + rb, ca * n_a + ra
+        start = np.searchsorted(key, at)
+        if part == "diagonal":
+            end = np.searchsorted(key, at, side="right")
+    partners = end - start
+    first = np.concatenate(([0], np.cumsum(partners)))  # first pair per term
     # b-side index of a pair = offset[a-term] + pair number
-    offset = (np.cumsum(count_b) - count_b)[ca] - first[:-1]
-    wa = na * weight[ca]
+    offset = start - first[:-1]
+    slot_b = rb * m if part != "diagonal" else np.zeros_like(rb)
+    sides = [(k, na.astype(w.dtype) * w[ca], nb.astype(w.dtype))
+             for k, w in weights]
     per_row = np.bincount(ra, weights=partners, minlength=n_a)
     step = max(1, _CHUNK // max(n_b * m, int(per_row.max())))
-    slot_a = ra % step * (n_b * m)
     ea = ea + m
     bounds = np.searchsorted(ra, range(0, n_a + step, step)).tolist()
     for i0, lo, hi in zip(range(0, n_a, step), bounds, bounds[1:]):
@@ -289,20 +332,25 @@ def _add_group(total, a, b, weight, m):
         reps = partners[lo:hi]
         ib = np.repeat(offset[lo:hi], reps) + np.arange(p0, p1)
         n_rows = min(step, n_a - i0)
-        acc = np.zeros(n_rows * n_b * m, dtype=weight.dtype)
-        slot = np.repeat(slot_a[lo:hi], reps) + slot_b[ib]
+        j0 = i0 if part == "upper" else 0   # the chunk's first Gram column
+        width = n_b - j0
+        slot = np.repeat((ra[lo:hi] - i0) * (width * m), reps) + \
+            slot_b[ib] - j0 * m
         slot += perm[np.repeat(ea[lo:hi], reps) - eb[ib]]
-        np.add.at(acc, slot, np.repeat(wa[lo:hi], reps) * nb[ib])
-        acc = acc.reshape(n_rows * n_b, m)
-        _fan_reduce(acc, shape, fs)
-        if acc[:, 1:].any():
-            i, j = divmod(int(np.flatnonzero(acc[:, 1:].any(axis=1))[0]),
-                          n_b)
-            raise TableMismatch(
-                f"Gram entry ({i0 + i},{j}) is not rational: its part over "
-                f"the columns of conductor {m} is irrational")
-        total[i0:i0 + n_rows] += \
-            acc[:, 0].astype(object).reshape(n_rows, n_b)
+        for k, wa, nb_k in sides:
+            acc = np.zeros(n_rows * width * m, dtype=wa.dtype)
+            np.add.at(acc, slot, np.repeat(wa[lo:hi], reps) * nb_k[ib])
+            acc = acc.reshape(n_rows * width, m)
+            _fan_reduce(acc, shape, fs)
+            if acc[:, 1:].any():
+                i, j = divmod(int(np.flatnonzero(acc[:, 1:].any(axis=1))[0]),
+                              width)
+                i, j = i0 + i, i0 + i if part == "diagonal" else j0 + j
+                raise TableMismatch(
+                    f"Gram entry ({i},{j}) is not rational: its part over "
+                    f"the columns of conductor {m} is irrational")
+            totals[k, i0:i0 + n_rows, j0:] += \
+                acc[:, 0].astype(object).reshape(n_rows, width)
 
 
 @lru_cache(maxsize=64)
@@ -353,7 +401,7 @@ def fusion_for(table: CharacterTable, sub: SubgroupSpec):
 def check_row_orthogonality(table):
     """<chi_i, chi_j> = delta_ij for all pairs; raises on the first failure."""
     rows = [c.packed for c in table.chars]
-    g, den = _gram(rows, rows, table.sizes)
+    [(g, den)] = _gram(rows, rows, [table.sizes])
     expect = np.zeros(g.shape, dtype=object)
     np.fill_diagonal(expect, table.order * den)
     bad = np.argwhere(g != expect)
@@ -368,7 +416,7 @@ def check_row_orthogonality(table):
 def check_column_orthogonality(table):
     """sum_chi chi(x) conj(chi(y)) = delta_xy |C(x)| for all class pairs."""
     cols = list(zip(*(c.packed for c in table.chars)))
-    g, den = _gram(cols, cols, [1] * len(table.chars))
+    [(g, den)] = _gram(cols, cols, [[1] * len(table.chars)])
     # |x| G[x][y] against delta_xy |G| den, all in integers
     sized = g * np.array(table.sizes, dtype=object)[:, None]
     expect = np.zeros(g.shape, dtype=object)
@@ -501,7 +549,7 @@ def table_suzuki(q) -> CharacterTable:
 
     def orbit(n, x):
         """-(zeta_n^x + zeta_n^xq + zeta_n^-x + zeta_n^-xq), stored."""
-        return pack_terms(n, [(x * u, -1) for u in (1, q, -1, -q)])
+        return _roots(n, tuple(x * u % n for u in (1, q, -1, -q)), -1)
 
     one, minus = _rat(1), _rat(-1)
     z0 = lambda a: None
@@ -530,10 +578,10 @@ def table_suzuki(q) -> CharacterTable:
             lambda c: minus)))
 
     # class sizes are not tabulated for Sz: the centralizer orders come from
-    # column orthogonality |C(x)| = sum_chi |chi(x)|^2
+    # column orthogonality |C(x)| = sum_chi |chi(x)|^2, the diagonal alone
     cols = list(zip(*(values for _, values in chars)))
-    g = gram(cols, cols, [1] * len(chars))
-    model = suzuki_model(q, [g[j][j] for j in range(len(cols))])
+    [(g, den)] = _gram(cols, cols, [[1] * len(chars)], diagonal=True)
+    model = suzuki_model(q, [Fraction(v, den) for v in g[:, 0]])
     return CharacterTable("sz", q, model, chars)
 
 
@@ -619,23 +667,35 @@ class Restriction:
                     raise TableMismatch(
                         f"restriction images disagree with fusion at {lab}")
 
+    def multiplicities(self, chi: Character, lams) -> list:
+        """<Res chi, lam>_H for each irreducible lam of H, from one Gram."""
+        if chi.table is not self.ambient or \
+                any(lam.table is not self.table for lam in lams):
+            raise TableMismatch("character/table mismatch in restriction")
+        row, = gram([self.restrict(chi)], [lam.packed for lam in lams],
+                    self.table.sizes)
+        return [x / self.table.order for x in row]
+
     def multiplicity(self, chi: Character, lam: Character) -> Fraction:
         """<Res chi, lam>_H for an irreducible lam of H."""
-        if chi.table is not self.ambient or lam.table is not self.table:
-            raise TableMismatch("character/table mismatch in restriction")
-        return gram([self.restrict(chi)], [lam.packed],
-                    self.table.sizes)[0][0] / self.table.order
+        return self.multiplicities(chi, [lam])[0]
 
     def restrict(self, chi: Character):
         """The stored values of chi on the H-classes."""
         return [chi.packed[self.ambient.index[lab]] for lab in self.images]
 
 
+def multiplicity_checks(chi, restriction: Restriction, lams) -> list:
+    """The multiplicities of the lams in Res chi, each a checked integer."""
+    ms = restriction.multiplicities(chi, lams)
+    for m in ms:
+        if m.denominator != 1 or m < 0:
+            raise NonIntegralDimension(f"multiplicity {m} is not integral")
+    return list(map(int, ms))
+
+
 def multiplicity_check(chi, restriction: Restriction, lam) -> int:
-    m = restriction.multiplicity(chi, lam)
-    if m.denominator != 1 or m < 0:
-        raise NonIntegralDimension(f"multiplicity {m} is not integral")
-    return int(m)
+    return multiplicity_checks(chi, restriction, [lam])[0]
 
 
 @dataclass
@@ -653,8 +713,8 @@ class ThetaSet:
         # irreducible chi of the ambient group and every lam in the set
         r = self.restriction
         lams = self.characters()
-        g, den = _gram([r.restrict(chi) for chi in r.ambient.chars],
-                       [lam.packed for lam in lams], r.table.sizes)
+        [(g, den)] = _gram([r.restrict(chi) for chi in r.ambient.chars],
+                           [lam.packed for lam in lams], [r.table.sizes])
         degrees = [lam.degree for lam in lams]
         self._rows = {chi.name: {name: x * d for name, x, d in
                                  zip(self.names, row, degrees)}
@@ -780,7 +840,7 @@ def centralizer_checks(table: CharacterTable):
 
     def mults(restriction, names):
         r = restriction(table)
-        return [multiplicity_check(chi, r, r.table.by_name[n]) for n in names]
+        return multiplicity_checks(chi, r, [r.table.by_name[n] for n in names])
 
     def spectrum(n0):
         return lambda: mults(split_torus_restriction,

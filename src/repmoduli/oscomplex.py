@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .chars import (
-    CharacterTable, centralizer_dim, fusion_for, gram, rho0_character,
+    CharacterTable, centralizer_dim, fusion_for, grams, rho0_character,
 )
 from .groups import (
     IDENTITY, GroupModel, NotFound, SubgroupSpec, build_subgroup,
@@ -278,8 +278,9 @@ def euler_identity(graph: OrbitGraph, table: CharacterTable):
     """Character-level Euler relation for an acyclic complex built on the
     graph plus one free 2-cell orbit, for every pair of irreducibles at once:
     (lhs, rhs, equal) as n x n matrices indexed like table.chars.  Each side
-    is one Gram with the summed class weights of its cells, the free 2-cell
-    weighing the identity class (column 0) to give d d^T."""
+    is a Gram with the summed class weights of its cells, the free 2-cell
+    weighing the identity class (column 0) to give d d^T; both come from
+    one expansion of the pairs."""
     lhs_w = [Fraction(s, table.order) for s in table.sizes]
     rhs_w = [Fraction(1)] + [Fraction(0)] * (len(lhs_w) - 1)
     for cells, weights in ((graph.edges, lhs_w), (graph.vertices, rhs_w)):
@@ -290,7 +291,7 @@ def euler_identity(graph: OrbitGraph, table: CharacterTable):
             weights[:] = [w + Fraction(c, size)
                           for w, c in zip(weights, counts)]
     rows = [c.packed for c in table.chars]
-    lhs, rhs = gram(rows, rows, lhs_w), gram(rows, rows, rhs_w)
+    lhs, rhs = grams(rows, rows, [lhs_w, rhs_w])
     return lhs, rhs, [[a == b for a, b in zip(ra, rb)]
                       for ra, rb in zip(lhs, rhs)]
 

@@ -118,7 +118,8 @@ def _reference_gram(rows_a, rows_b, weights):
 
 def _gram_cases():
     """(rows_a, rows_b, weights) as canonical values, for gram's
-    reference, and as the packed rows gram reads."""
+    reference, and as the packed rows gram reads; where both sides are one
+    table, the packed sides are one list, which gram reads as Hermitian."""
     t11 = table_psl2_odd(11)
     a4 = fusion_for(t11, symbolic_subgroup("psl2_odd", 11, "a4"))
     psi = t11.by_name["psi"]
@@ -133,9 +134,11 @@ def _gram_cases():
         (t11.chars, [psi], [1 << 70 if psi.value_at(lab).is_zero() else s
                             for lab, s in zip(t11.labels, t11.sizes)]),
     ]
-    out = [([c.values for c in a], [c.values for c in b], weights,
-            [c.packed for c in a], [c.packed for c in b])
-           for a, b, weights in cases]
+    out = []
+    for a, b, weights in cases:
+        packed_a = [c.packed for c in a]
+        out.append(([c.values for c in a], [c.values for c in b], weights,
+                    packed_a, packed_a if b is a else [c.packed for c in b]))
     ts = table_suzuki(8)
     cols = list(zip(*(c.values for c in ts.chars)))
     packed_cols = list(zip(*(c.packed for c in ts.chars)))
@@ -143,23 +146,43 @@ def _gram_cases():
     return out
 
 
-def test_gram_matches_cyclotomic_reference():
+def _check_gram_cases():
     for a, b, weights, packed_a, packed_b in _gram_cases():
-        assert gram(packed_a, packed_b, weights) == \
-            _reference_gram(a, b, weights), weights
+        want = _reference_gram(a, b, weights)
+        # one list on both sides takes the Hermitian path (pairs j >= i,
+        # mirrored), a copy of it the path that expands every pair
+        assert gram(packed_a, packed_b, weights) == want, weights
+        assert gram(packed_a, list(packed_b), weights) == want, weights
+        # a second, all-ones weight vector in the same expansion (int64
+        # beside the Python-int weights past 2^64)
+        ones = [1] * len(weights)
+        assert chars.grams(packed_a, packed_b, [weights, ones]) == \
+            [want, gram(packed_a, list(packed_b), ones)], weights
+        if len(packed_b) == len(packed_a):
+            for rows_b in (packed_b, list(packed_b)):
+                [(diag, den)] = chars._gram(packed_a, rows_b, [weights],
+                                            diagonal=True)
+                assert [Fraction(v, den) for v in diag[:, 0]] == \
+                    [want[i][i] for i in range(len(want))], weights
+
+
+def test_gram_matches_cyclotomic_reference():
+    _check_gram_cases()
 
 
 @pytest.mark.parametrize("chunk", [1, 1 << 9])
 def test_gram_across_chunk_boundaries(monkeypatch, chunk):
     # a small chunk splits every Gram into many chunks of rows
     monkeypatch.setattr(chars, "_CHUNK", chunk)
-    for a, b, weights, packed_a, packed_b in _gram_cases():
-        assert gram(packed_a, packed_b, weights) == \
-            _reference_gram(a, b, weights), weights
+    _check_gram_cases()
+    # the Hermitian checks pair a row only with the rows from it on, so an
+    # irrational cell must fail them in the first row and the last alike
     t = table_psl2_even(4)
-    bad = _copy_with_value(t, "theta_1", ClassLabel("c"), Cyclotomic.root(5))
-    with pytest.raises(TableMismatch, match="not rational"):
-        check_row_orthogonality(bad)
+    for name in ("1", "theta_1", "theta_2"):
+        bad = _copy_with_value(t, name, ClassLabel("c"), Cyclotomic.root(5))
+        for check in (check_row_orthogonality, check_column_orthogonality):
+            with pytest.raises(TableMismatch, match="not rational"):
+                check(bad)
 
 
 def _copy_with_value(table, name, label, value):
@@ -339,6 +362,42 @@ def test_c2_and_c4_restrictions():
     mults = [multiplicity_check(w1, r4, r4.table.by_name[f"mu_{k}"])
              for k in range(4)]
     assert sum(mults) == 14 and min(mults) >= 0
+
+
+@pytest.mark.parametrize("build, q", [(table_psl2_even, 8),
+                                      (table_psl2_odd, 11),
+                                      (table_suzuki, 32)])
+def test_batched_multiplicities_match_one_by_one(build, q):
+    t = build(q)
+    r = split_torus_restriction(t)
+    for chi in (rho0_character(t), t.chars[-1]):
+        lams = r.table.chars
+        assert r.multiplicities(chi, lams) == \
+            [r.multiplicity(chi, lam) for lam in lams]
+        assert chars.multiplicity_checks(chi, r, lams) == \
+            [multiplicity_check(chi, r, lam) for lam in lams]
+
+
+def test_degree_must_be_a_positive_integer():
+    t = table_psl2_even(4)
+    rest = list(t.chars[0].packed[1:])
+    for bad in (Cyclotomic.rational(Fraction(3, 2)), Cyclotomic.zero(),
+                Cyclotomic.rational(-2), Cyclotomic.root(5)):
+        chi = chars.Character("bad", t, [pack_terms(bad.order, bad.coeffs)]
+                              + rest)
+        with pytest.raises(NonIntegralDimension):
+            chi.degree
+    # stored over Q(zeta_3), canonically the rational 1
+    one = pack_terms(3, ((1, -1), (2, -1)))
+    assert chars.Character("one", t, [one] + rest).degree == 1
+
+
+@pytest.mark.parametrize("q", [8, 32, 128])
+def test_suzuki_class_sizes_from_the_gram_diagonal(q):
+    t = table_suzuki(q)
+    cols = list(zip(*(c.packed for c in t.chars)))
+    g = gram(cols, list(cols), [1] * len(t.chars))
+    assert all(g[x][x] * s == t.order for x, s in enumerate(t.sizes))
 
 
 def test_split_torus_restriction_even_multiplicity_free():

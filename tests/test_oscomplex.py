@@ -3,7 +3,8 @@ import random
 import pytest
 
 from repmoduli.chars import (
-    rho0_character, table_psl2_even, table_psl2_odd, table_suzuki,
+    gram, rho0_character, table_for, table_psl2_even, table_psl2_odd,
+    table_suzuki,
 )
 from repmoduli.groups import (
     IDENTITY, ClassLabel, psl2_model,
@@ -94,6 +95,28 @@ def test_euler_identity_all_pairs_psl2_11():
     for i in range(len(t.chars)):
         for j in range(len(t.chars)):
             assert eq[i][j]
+
+
+@pytest.mark.parametrize("fam, q", [("psl2_even", 4), ("psl2_odd", 11),
+                                    ("sz", 8), ("sz", 32)])
+def test_euler_sides_match_separate_grams(monkeypatch, fam, q):
+    # both sides come from one expansion; each must equal its own Gram
+    import repmoduli.oscomplex as osc
+    weights = []
+    real = osc.grams
+
+    def keep_weights(rows_a, rows_b, vectors):
+        weights.extend(vectors)
+        return real(rows_a, rows_b, vectors)
+
+    monkeypatch.setattr(osc, "grams", keep_weights)
+    t = table_for(fam, q)
+    lhs, rhs, eq = euler_identity(build_orbit_graph(fam, q), t)
+    rows = [c.packed for c in t.chars]
+    lhs_w, rhs_w = weights
+    assert lhs == gram(rows, list(rows), lhs_w)
+    assert rhs == gram(rows, list(rows), rhs_w)
+    assert all(all(r) for r in eq)
 
 
 def test_euler_identity_fails_on_one_altered_fusion_count(monkeypatch):
