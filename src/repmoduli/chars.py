@@ -230,52 +230,38 @@ def gram(rows_a, rows_b, weights):
     G[j][i] = conj(G[i][j]), and a rational partial is its own conjugate.
     Returns a list of rows of Fractions.
     """
-    return grams(rows_a, rows_b, [weights])[0]
+    total, den = _gram(rows_a, rows_b, weights)
+    values = {v: Fraction(v, den) for v in set(total.flat)}
+    return [[values[v] for v in row] for row in total.tolist()]
 
 
-def grams(rows_a, rows_b, weight_vectors):
-    """`gram` for each of several weight vectors, from one expansion of the
-    term pairs; each vector keeps its own accumulator and its own checks."""
-    out = []
-    for total, den in _gram(rows_a, rows_b, weight_vectors):
-        values = {v: Fraction(v, den) for v in set(total.flat)}
-        out.append([[values[v] for v in row] for row in total.tolist()])
-    return out
-
-
-def _gram(rows_a, rows_b, weight_vectors, diagonal=False):
-    """`grams` as (integer object array, common denominator) pairs.  With
+def _gram(rows_a, rows_b, weights, diagonal=False):
+    """`gram` as (integer object array, common denominator).  With
     `diagonal` (rows_a and rows_b of one length) only the entries G[i][i]
-    are computed, and each array is the column of them."""
-    wdens = [lcm(*(w.denominator for w in v)) for v in weight_vectors]
-    ws = [[w.numerator * (d // w.denominator) for w in v]
-          for v, d in zip(weight_vectors, wdens)]
-    cols = [x for x, w in enumerate(zip(*ws)) if any(w)]
-    ws = np.array([[w[x] for x in cols] for w in ws], dtype=object)
+    are computed, and the array is the column of them."""
+    wden = lcm(*(w.denominator for w in weights))
+    cols = [x for x, w in enumerate(weights) if w]
+    w = np.array([int(weights[x] * wden) for x in cols], dtype=object)
     flat_a = _flatten(rows_a, cols)
     flat_b = flat_a if rows_b is rows_a else _flatten(rows_b, cols)
     part = "diagonal" if diagonal else "upper" if flat_b is flat_a else "all"
-    bounds = abs(ws) * np.array(flat_a[2], dtype=object) * \
-        np.array(flat_b[2], dtype=object)       # one row per weight vector
+    bounds = abs(w) * np.array(flat_a[2], dtype=object) * \
+        np.array(flat_b[2], dtype=object)
     cond = np.array([lcm(p, q) for p, q in zip(flat_a[1], flat_b[1])],
-                    dtype=np.int64) * (bounds != 0).any(axis=0)
-    totals = np.zeros((len(ws), len(rows_a), 1 if diagonal else len(rows_b)),
-                      dtype=object)
+                    dtype=np.int64) * (bounds != 0)
+    total = np.zeros((len(rows_a), 1 if diagonal else len(rows_b)),
+                     dtype=object)
     for m in sorted(set(cond.tolist()) - {0}):
         in_group = cond == m
-        fold = len(factorize(m))
-        weights = [(k, np.where(in_group, w, 0).astype(
-                        np.int64 if s << fold < 1 << 62 else object))
-                   for k, (w, s) in enumerate(zip(
-                       ws, bounds[:, in_group].sum(axis=1))) if s]
+        small = bounds[in_group].sum() << len(factorize(m)) < 1 << 62
         a = _group_terms(flat_a[3], in_group, m)
         b = a if flat_b is flat_a else _group_terms(flat_b[3], in_group, m)
-        _add_group(totals, a, b, weights, m, part)
+        _add_group(total, a, b, np.where(in_group, w, 0).astype(
+            np.int64 if small else object), m, part)
     if part == "upper":
         i, j = np.tril_indices(len(rows_a), -1)
-        totals[:, i, j] = totals[:, j, i]
-    den = flat_a[0] * flat_b[0]
-    return [(total, den * wden) for total, wden in zip(totals, wdens)]
+        total[i, j] = total[j, i]
+    return total, flat_a[0] * flat_b[0] * wden
 
 
 def _group_terms(terms, in_group, m):
@@ -286,27 +272,26 @@ def _group_terms(terms, in_group, m):
     return r, c, k * (m // o), n
 
 
-def _add_group(totals, a, b, weights, m, part):
-    """Add to totals[k] the partial Gram over one conductor-m group of terms
-    for every (k, weight vector) in `weights`, in chunks of rows of the
-    Grams that keep temporaries near _CHUNK.
+def _add_group(total, a, b, w, m, part):
+    """Add to `total` the partial Gram over one conductor-m group of terms,
+    weighted by the column weights `w`, in chunks of rows of the Gram that
+    keep temporaries near _CHUNK.
 
     The partners of an a-term in row i and column x are the b-terms of
     column x: all of them with `part` "all", those in rows >= i with
-    "upper", those in row i with "diagonal" (whose Grams are one column).
+    "upper", those in row i with "diagonal" (whose Gram is one column).
     The b-side is sorted by (column, row) once, so the partners are one
     contiguous run of it.  Every per-term array is prepared once, and a
     chunk's pairs are np.repeat expansions of its contiguous slice of
-    a-terms plus one gather from the b-side; the weight vectors share the
-    pairs and slots, each with its own accumulator."""
+    a-terms plus one gather from the b-side."""
     ra, ca, ea, na = a
     rb, cb, eb, nb = b
-    _, n_a, n_b = totals.shape
+    n_a, n_b = total.shape
     shape, fs, perm = _dense_data(m)
     perm = np.concatenate((perm, perm))     # read at ea - eb + m in [1, 2m)
     by_col = np.argsort(cb, kind="stable")  # terms come in row order
     rb, cb, eb, nb = rb[by_col], cb[by_col], eb[by_col], nb[by_col]
-    count_b = np.bincount(cb, minlength=len(weights[0][1]))
+    count_b = np.bincount(cb, minlength=len(w))
     end = np.cumsum(count_b)[ca]
     start = end - count_b[ca]
     if part != "all":
@@ -319,8 +304,7 @@ def _add_group(totals, a, b, weights, m, part):
     # b-side index of a pair = offset[a-term] + pair number
     offset = start - first[:-1]
     slot_b = rb * m if part != "diagonal" else np.zeros_like(rb)
-    sides = [(k, na.astype(w.dtype) * w[ca], nb.astype(w.dtype))
-             for k, w in weights]
+    wa, nb = na.astype(w.dtype) * w[ca], nb.astype(w.dtype)
     per_row = np.bincount(ra, weights=partners, minlength=n_a)
     step = max(1, _CHUNK // max(n_b * m, int(per_row.max())))
     ea = ea + m
@@ -337,20 +321,19 @@ def _add_group(totals, a, b, weights, m, part):
         slot = np.repeat((ra[lo:hi] - i0) * (width * m), reps) + \
             slot_b[ib] - j0 * m
         slot += perm[np.repeat(ea[lo:hi], reps) - eb[ib]]
-        for k, wa, nb_k in sides:
-            acc = np.zeros(n_rows * width * m, dtype=wa.dtype)
-            np.add.at(acc, slot, np.repeat(wa[lo:hi], reps) * nb_k[ib])
-            acc = acc.reshape(n_rows * width, m)
-            _fan_reduce(acc, shape, fs)
-            if acc[:, 1:].any():
-                i, j = divmod(int(np.flatnonzero(acc[:, 1:].any(axis=1))[0]),
-                              width)
-                i, j = i0 + i, i0 + i if part == "diagonal" else j0 + j
-                raise TableMismatch(
-                    f"Gram entry ({i},{j}) is not rational: its part over "
-                    f"the columns of conductor {m} is irrational")
-            totals[k, i0:i0 + n_rows, j0:] += \
-                acc[:, 0].astype(object).reshape(n_rows, width)
+        acc = np.zeros(n_rows * width * m, dtype=w.dtype)
+        np.add.at(acc, slot, np.repeat(wa[lo:hi], reps) * nb[ib])
+        acc = acc.reshape(n_rows * width, m)
+        _fan_reduce(acc, shape, fs)
+        if acc[:, 1:].any():
+            i, j = divmod(int(np.flatnonzero(acc[:, 1:].any(axis=1))[0]),
+                          width)
+            i, j = i0 + i, i0 + i if part == "diagonal" else j0 + j
+            raise TableMismatch(
+                f"Gram entry ({i},{j}) is not rational: its part over "
+                f"the columns of conductor {m} is irrational")
+        total[i0:i0 + n_rows, j0:] += \
+            acc[:, 0].astype(object).reshape(n_rows, width)
 
 
 @lru_cache(maxsize=64)
@@ -401,7 +384,7 @@ def fusion_for(table: CharacterTable, sub: SubgroupSpec):
 def check_row_orthogonality(table):
     """<chi_i, chi_j> = delta_ij for all pairs; raises on the first failure."""
     rows = [c.packed for c in table.chars]
-    [(g, den)] = _gram(rows, rows, [table.sizes])
+    g, den = _gram(rows, rows, table.sizes)
     expect = np.zeros(g.shape, dtype=object)
     np.fill_diagonal(expect, table.order * den)
     bad = np.argwhere(g != expect)
@@ -416,7 +399,7 @@ def check_row_orthogonality(table):
 def check_column_orthogonality(table):
     """sum_chi chi(x) conj(chi(y)) = delta_xy |C(x)| for all class pairs."""
     cols = list(zip(*(c.packed for c in table.chars)))
-    [(g, den)] = _gram(cols, cols, [[1] * len(table.chars)])
+    g, den = _gram(cols, cols, [1] * len(table.chars))
     # |x| G[x][y] against delta_xy |G| den, all in integers
     sized = g * np.array(table.sizes, dtype=object)[:, None]
     expect = np.zeros(g.shape, dtype=object)
@@ -580,7 +563,7 @@ def table_suzuki(q) -> CharacterTable:
     # class sizes are not tabulated for Sz: the centralizer orders come from
     # column orthogonality |C(x)| = sum_chi |chi(x)|^2, the diagonal alone
     cols = list(zip(*(values for _, values in chars)))
-    [(g, den)] = _gram(cols, cols, [[1] * len(chars)], diagonal=True)
+    g, den = _gram(cols, cols, [1] * len(chars), diagonal=True)
     model = suzuki_model(q, [Fraction(v, den) for v in g[:, 0]])
     return CharacterTable("sz", q, model, chars)
 
@@ -676,10 +659,6 @@ class Restriction:
                     self.table.sizes)
         return [x / self.table.order for x in row]
 
-    def multiplicity(self, chi: Character, lam: Character) -> Fraction:
-        """<Res chi, lam>_H for an irreducible lam of H."""
-        return self.multiplicities(chi, [lam])[0]
-
     def restrict(self, chi: Character):
         """The stored values of chi on the H-classes."""
         return [chi.packed[self.ambient.index[lab]] for lab in self.images]
@@ -692,10 +671,6 @@ def multiplicity_checks(chi, restriction: Restriction, lams) -> list:
         if m.denominator != 1 or m < 0:
             raise NonIntegralDimension(f"multiplicity {m} is not integral")
     return list(map(int, ms))
-
-
-def multiplicity_check(chi, restriction: Restriction, lam) -> int:
-    return multiplicity_checks(chi, restriction, [lam])[0]
 
 
 @dataclass
@@ -713,8 +688,8 @@ class ThetaSet:
         # irreducible chi of the ambient group and every lam in the set
         r = self.restriction
         lams = self.characters()
-        [(g, den)] = _gram([r.restrict(chi) for chi in r.ambient.chars],
-                           [lam.packed for lam in lams], [r.table.sizes])
+        g, den = _gram([r.restrict(chi) for chi in r.ambient.chars],
+                       [lam.packed for lam in lams], r.table.sizes)
         degrees = [lam.degree for lam in lams]
         self._rows = {chi.name: {name: x * d for name, x, d in
                                  zip(self.names, row, degrees)}

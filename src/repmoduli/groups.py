@@ -200,7 +200,7 @@ class GroupModel:
                  "zc": 2 * p, "zd": 2 * p}
         return fixed[lab.kind]
 
-    def power_label(self, g, e):
+    def power(self, g, e):
         acc = IDENTITY
         base = g
         while e:
@@ -245,9 +245,9 @@ def _label_classes(model):
     d = model.canonical((1, 0, f.generator, 1))
     fixed = {"id": IDENTITY, "z": z, "c": c, "d": d,
              "zc": model.mul(z, c), "zd": model.mul(z, d),
-             "bq": model.power_label(b, (q + 1) // 4)}
+             "bq": model.power(b, (q + 1) // 4)}
     semisimple = {"a": a, "b": b}
-    reps = {lab: model.power_label(semisimple[lab.kind], lab.index)
+    reps = {lab: model.power(semisimple[lab.kind], lab.index)
             if lab.kind in semisimple else fixed[lab.kind]
             for lab in model.class_labels}
 
@@ -386,7 +386,7 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
                        lambda y: model.conjugate(y, w) == model.inv(y)), w)
     elif tag == "klein4":
         y = build_subgroup(model, "dihedral_nonsplit").gens[0]
-        gens = (model.power_label(y, (q + 1) // 4), w)
+        gens = (model.power(y, (q + 1) // 4), w)
     elif tag == "a4":
         v4 = build_subgroup(model, "klein4")
         v4set = set(v4.elements)

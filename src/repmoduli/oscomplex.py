@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .chars import (
-    CharacterTable, centralizer_dim, fusion_for, grams, rho0_character,
+    CharacterTable, centralizer_dim, fusion_for, rho0_character,
 )
 from .groups import (
     IDENTITY, GroupModel, NotFound, SubgroupSpec, build_subgroup,
@@ -276,24 +276,24 @@ def moduli_dimension_report(graph: OrbitGraph,
 
 def euler_identity(graph: OrbitGraph, table: CharacterTable):
     """Character-level Euler relation for an acyclic complex built on the
-    graph plus one free 2-cell orbit, for every pair of irreducibles at once:
-    (lhs, rhs, equal) as n x n matrices indexed like table.chars.  Each side
-    is a Gram with the summed class weights of its cells, the free 2-cell
-    weighing the identity class (column 0) to give d d^T; both come from
-    one expansion of the pairs."""
-    lhs_w = [Fraction(s, table.order) for s in table.sizes]
-    rhs_w = [Fraction(1)] + [Fraction(0)] * (len(lhs_w) - 1)
-    for cells, weights in ((graph.edges, lhs_w), (graph.vertices, rhs_w)):
+    graph plus one free 2-cell orbit, as its two class-weight vectors
+    (lhs, rhs), one Fraction per column of the table.  lhs sums the class
+    weights of G and of every edge stabilizer, rhs those of every vertex
+    stabilizer plus the free 2-cell, which weighs the identity class
+    (column 0) to give d d^T.  Each side of the relation for a pair of
+    irreducibles (phi, psi) is sum_x w_x phi(x) conj(psi(x)), linear in the
+    weights; the irreducibles are a basis of the class functions, so the
+    relation holds for every pair exactly when lhs == rhs."""
+    lhs = [Fraction(s, table.order) for s in table.sizes]
+    rhs = [Fraction(1)] + [Fraction(0)] * (len(lhs) - 1)
+    for cells, weights in ((graph.edges, lhs), (graph.vertices, rhs)):
         for cell in cells:
             fusion = fusion_for(table, cell.sub)
             counts = [fusion.get(lab, 0) for lab in table.labels]
             size = sum(counts)
             weights[:] = [w + Fraction(c, size)
                           for w, c in zip(weights, counts)]
-    rows = [c.packed for c in table.chars]
-    lhs, rhs = grams(rows, rows, [lhs_w, rhs_w])
-    return lhs, rhs, [[a == b for a, b in zip(ra, rb)]
-                      for ra, rb in zip(lhs, rhs)]
+    return lhs, rhs
 
 
 # -- Brown presentation -----------------------------------------------------------

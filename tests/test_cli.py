@@ -180,23 +180,42 @@ def _records(path):
     return {r["name"]: r for r in json.loads(path.read_text())["records"]}
 
 
-def test_altered_fusion_count_fails_euler(monkeypatch, tmp_path):
+def _altered_fusion_fails_euler(monkeypatch, tmp_path, family, q, tag,
+                                param, kind):
+    # one more element of class `kind` in the fusion row of every cell
+    # stabilizer (tag, param) that the Euler check reads
     real = osc.fusion_for
 
-    def one_more_involution(table, sub):
+    def one_more(table, sub):
         fusion = real(table, sub)
-        if sub.tag == "dihedral_split":
+        if (sub.tag, sub.param) == (tag, param):
             fusion = dict(fusion)
-            fusion[ClassLabel("c")] += 1
+            fusion[ClassLabel(kind)] += 1
         return fusion
 
-    monkeypatch.setattr(osc, "fusion_for", one_more_involution)
+    monkeypatch.setattr(osc, "fusion_for", one_more)
     out = tmp_path / "r.json"
-    rc = main(["--family", "psl2", "--q", "4", "--checks", "euler",
+    rc = main(["--family", family, "--q", str(q), "--checks", "euler",
                "--out", str(out)])
     assert rc == 1
-    rec = _records(out)["euler/psl2_even-q4"]
+    rec, = _records(out).values()
     assert rec["pass"] is False and rec["computed"].startswith("fails at (")
+
+
+def test_altered_fusion_count_fails_euler(monkeypatch, tmp_path):
+    # a vertex stabilizer: the rhs weights
+    _altered_fusion_fails_euler(monkeypatch, tmp_path, "psl2", 4,
+                                "dihedral_split", 0, "c")
+
+
+@pytest.mark.parametrize("family, q, tag, param, kind", [
+    ("psl2", 4, "cyclic", 2, "c"),          # edge stabilizers: the lhs
+    ("sz", 8, "dihedral_split", 0, "sigma"),
+])
+def test_altered_edge_or_suzuki_fusion_count_fails_euler(
+        monkeypatch, tmp_path, family, q, tag, param, kind):
+    _altered_fusion_fails_euler(monkeypatch, tmp_path, family, q, tag,
+                                param, kind)
 
 
 def test_altered_stored_fusion_fails_at_q27(monkeypatch, tmp_path):

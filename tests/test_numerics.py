@@ -116,7 +116,7 @@ def test_spectral_split_identity(rho4):
 def test_spectral_split_generator_independent(rho11):
     m, _, rep = rho11
     g = next(x for x in m.scan() if m.element_order(x) == 5)
-    other = m.power_label(g, 2)
+    other = m.power(g, 2)
     _, m1 = spectral_split(rep, g)
     _, m2 = spectral_split(rep, other)
     assert sorted(m1.values()) == sorted(m2.values()) == [1] * 5

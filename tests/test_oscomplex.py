@@ -3,7 +3,7 @@ import random
 import pytest
 
 from repmoduli.chars import (
-    gram, rho0_character, table_for, table_psl2_even, table_psl2_odd,
+    gram, rho0_character, table_psl2_even, table_psl2_odd,
     table_suzuki,
 )
 from repmoduli.groups import (
@@ -69,12 +69,20 @@ def test_moduli_dimension_k_independent():
         assert rep.dim_target == (k + 1) * rep.degree ** 2
 
 
+def _euler_grams(graph, table):
+    """Both sides of the Euler relation for every ordered pair of
+    irreducibles: the Grams of the two class-weight vectors."""
+    lhs_w, rhs_w = euler_identity(graph, table)
+    rows = [c.packed for c in table.chars]
+    return gram(rows, rows, lhs_w), gram(rows, rows, rhs_w)
+
+
 def test_euler_identity_specializes_to_euler_characteristic():
     t = table_psl2_even(4)
     g = build_orbit_graph("psl2_even", 4)
     i = t.chars.index(t.by_name["1"])
-    lhs, rhs, eq = euler_identity(g, t)
-    assert eq[i][i] and lhs[i][i] == 1 + len(g.edges) and \
+    lhs, rhs = _euler_grams(g, t)
+    assert lhs[i][i] == rhs[i][i] and lhs[i][i] == 1 + len(g.edges) and \
         rhs[i][i] == len(g.vertices) + 1
 
 
@@ -82,41 +90,19 @@ def test_euler_identity_distinguished_character():
     t = table_psl2_even(4)
     g = build_orbit_graph("psl2_even", 4)
     th = t.chars.index(t.by_name["theta_1"])
-    lhs, rhs, eq = euler_identity(g, t)
-    assert eq[th][th] and lhs[th][th] == 14 and rhs[th][th] == 14
+    lhs, rhs = _euler_grams(g, t)
+    assert lhs[th][th] == 14 and rhs[th][th] == 14
     one = t.chars.index(t.by_name["1"])
-    assert eq[one][th]
+    assert lhs[one][th] == rhs[one][th]
 
 
 def test_euler_identity_all_pairs_psl2_11():
     t = table_psl2_odd(11)
     g = build_orbit_graph("psl2_odd", 11)
-    eq = euler_identity(g, t)[2]
+    lhs, rhs = _euler_grams(g, t)
     for i in range(len(t.chars)):
         for j in range(len(t.chars)):
-            assert eq[i][j]
-
-
-@pytest.mark.parametrize("fam, q", [("psl2_even", 4), ("psl2_odd", 11),
-                                    ("sz", 8), ("sz", 32)])
-def test_euler_sides_match_separate_grams(monkeypatch, fam, q):
-    # both sides come from one expansion; each must equal its own Gram
-    import repmoduli.oscomplex as osc
-    weights = []
-    real = osc.grams
-
-    def keep_weights(rows_a, rows_b, vectors):
-        weights.extend(vectors)
-        return real(rows_a, rows_b, vectors)
-
-    monkeypatch.setattr(osc, "grams", keep_weights)
-    t = table_for(fam, q)
-    lhs, rhs, eq = euler_identity(build_orbit_graph(fam, q), t)
-    rows = [c.packed for c in t.chars]
-    lhs_w, rhs_w = weights
-    assert lhs == gram(rows, list(rows), lhs_w)
-    assert rhs == gram(rows, list(rows), rhs_w)
-    assert all(all(r) for r in eq)
+            assert lhs[i][j] == rhs[i][j]
 
 
 def test_euler_identity_fails_on_one_altered_fusion_count(monkeypatch):
@@ -133,8 +119,11 @@ def test_euler_identity_fails_on_one_altered_fusion_count(monkeypatch):
     monkeypatch.setattr(osc, "fusion_for", one_more_involution)
     t = table_psl2_even(4)
     th = t.chars.index(t.by_name["theta_1"])
-    lhs, rhs, eq = euler_identity(build_orbit_graph("psl2_even", 4), t)
-    assert eq[th][th] is False and lhs[th][th] != rhs[th][th]
+    g = build_orbit_graph("psl2_even", 4)
+    lhs_w, rhs_w = euler_identity(g, t)
+    assert lhs_w != rhs_w
+    lhs, rhs = _euler_grams(g, t)
+    assert lhs[th][th] != rhs[th][th]
 
 
 def test_concrete_graph_validates():
@@ -265,8 +254,8 @@ def test_euler_identity_wider_spot():
         g = build_orbit_graph(fam, q)
         chars = table.chars
         picks = [0, 1, len(chars) // 2, len(chars) - 1]
-        eq = euler_identity(g, table)[2]
+        lhs, rhs = _euler_grams(g, table)
         for i in picks:
             for j in picks:
-                assert eq[i][j], (fam, chars[i].name)
+                assert lhs[i][j] == rhs[i][j], (fam, chars[i].name)
 
