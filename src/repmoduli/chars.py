@@ -21,7 +21,7 @@ import numpy as np
 from .cyclo import Cyclotomic, factorize, legendre
 from .groups import (
     ClassLabel, GroupModel, SubgroupSpec, class_data_model, fusion_table,
-    suzuki_class_labels, suzuki_model, symbolic_subgroup, twisted_torus_reps,
+    symbolic_subgroup,
 )
 
 
@@ -235,30 +235,27 @@ def gram(rows_a, rows_b, weights):
     return [[values[v] for v in row] for row in total.tolist()]
 
 
-def _gram(rows_a, rows_b, weights, diagonal=False):
-    """`gram` as (integer object array, common denominator).  With
-    `diagonal` (rows_a and rows_b of one length) only the entries G[i][i]
-    are computed, and the array is the column of them."""
+def _gram(rows_a, rows_b, weights):
+    """`gram` as (integer object array, common denominator)."""
     wden = lcm(*(w.denominator for w in weights))
     cols = [x for x, w in enumerate(weights) if w]
     w = np.array([int(weights[x] * wden) for x in cols], dtype=object)
     flat_a = _flatten(rows_a, cols)
     flat_b = flat_a if rows_b is rows_a else _flatten(rows_b, cols)
-    part = "diagonal" if diagonal else "upper" if flat_b is flat_a else "all"
+    upper = flat_b is flat_a
     bounds = abs(w) * np.array(flat_a[2], dtype=object) * \
         np.array(flat_b[2], dtype=object)
     cond = np.array([lcm(p, q) for p, q in zip(flat_a[1], flat_b[1])],
                     dtype=np.int64) * (bounds != 0)
-    total = np.zeros((len(rows_a), 1 if diagonal else len(rows_b)),
-                     dtype=object)
+    total = np.zeros((len(rows_a), len(rows_b)), dtype=object)
     for m in sorted(set(cond.tolist()) - {0}):
         in_group = cond == m
         small = bounds[in_group].sum() << len(factorize(m)) < 1 << 62
         a = _group_terms(flat_a[3], in_group, m)
         b = a if flat_b is flat_a else _group_terms(flat_b[3], in_group, m)
         _add_group(total, a, b, np.where(in_group, w, 0).astype(
-            np.int64 if small else object), m, part)
-    if part == "upper":
+            np.int64 if small else object), m, upper)
+    if upper:
         i, j = np.tril_indices(len(rows_a), -1)
         total[i, j] = total[j, i]
     return total, flat_a[0] * flat_b[0] * wden
@@ -272,18 +269,17 @@ def _group_terms(terms, in_group, m):
     return r, c, k * (m // o), n
 
 
-def _add_group(total, a, b, w, m, part):
+def _add_group(total, a, b, w, m, upper):
     """Add to `total` the partial Gram over one conductor-m group of terms,
     weighted by the column weights `w`, in chunks of rows of the Gram that
     keep temporaries near _CHUNK.
 
     The partners of an a-term in row i and column x are the b-terms of
-    column x: all of them with `part` "all", those in rows >= i with
-    "upper", those in row i with "diagonal" (whose Gram is one column).
-    The b-side is sorted by (column, row) once, so the partners are one
-    contiguous run of it.  Every per-term array is prepared once, and a
-    chunk's pairs are np.repeat expansions of its contiguous slice of
-    a-terms plus one gather from the b-side."""
+    column x: all of them, or with `upper` those in rows >= i.  The b-side
+    is sorted by (column, row) once, so the partners are one contiguous run
+    of it.  Every per-term array is prepared once, and a chunk's pairs are
+    np.repeat expansions of its contiguous slice of a-terms plus one gather
+    from the b-side."""
     ra, ca, ea, na = a
     rb, cb, eb, nb = b
     n_a, n_b = total.shape
@@ -294,16 +290,12 @@ def _add_group(total, a, b, w, m, part):
     count_b = np.bincount(cb, minlength=len(w))
     end = np.cumsum(count_b)[ca]
     start = end - count_b[ca]
-    if part != "all":
-        key, at = cb * n_a + rb, ca * n_a + ra
-        start = np.searchsorted(key, at)
-        if part == "diagonal":
-            end = np.searchsorted(key, at, side="right")
+    if upper:
+        start = np.searchsorted(cb * n_a + rb, ca * n_a + ra)
     partners = end - start
     first = np.concatenate(([0], np.cumsum(partners)))  # first pair per term
     # b-side index of a pair = offset[a-term] + pair number
     offset = start - first[:-1]
-    slot_b = rb * m if part != "diagonal" else np.zeros_like(rb)
     wa, nb = na.astype(w.dtype) * w[ca], nb.astype(w.dtype)
     per_row = np.bincount(ra, weights=partners, minlength=n_a)
     step = max(1, _CHUNK // max(n_b * m, int(per_row.max())))
@@ -316,10 +308,10 @@ def _add_group(total, a, b, w, m, part):
         reps = partners[lo:hi]
         ib = np.repeat(offset[lo:hi], reps) + np.arange(p0, p1)
         n_rows = min(step, n_a - i0)
-        j0 = i0 if part == "upper" else 0   # the chunk's first Gram column
+        j0 = i0 if upper else 0     # the chunk's first Gram column
         width = n_b - j0
         slot = np.repeat((ra[lo:hi] - i0) * (width * m), reps) + \
-            slot_b[ib] - j0 * m
+            (rb[ib] - j0) * m
         slot += perm[np.repeat(ea[lo:hi], reps) - eb[ib]]
         acc = np.zeros(n_rows * width * m, dtype=w.dtype)
         np.add.at(acc, slot, np.repeat(wa[lo:hi], reps) * nb[ib])
@@ -328,10 +320,9 @@ def _add_group(total, a, b, w, m, part):
         if acc[:, 1:].any():
             i, j = divmod(int(np.flatnonzero(acc[:, 1:].any(axis=1))[0]),
                           width)
-            i, j = i0 + i, i0 + i if part == "diagonal" else j0 + j
             raise TableMismatch(
-                f"Gram entry ({i},{j}) is not rational: its part over "
-                f"the columns of conductor {m} is irrational")
+                f"Gram entry ({i0 + i},{j0 + j}) is not rational: its part "
+                f"over the columns of conductor {m} is irrational")
         total[i0:i0 + n_rows, j0:] += \
             acc[:, 0].astype(object).reshape(n_rows, width)
 
@@ -504,12 +495,9 @@ def table_psl2_odd(q) -> CharacterTable:
     _require(q % 4 == 3, "the folded table needs q = 3 mod 4")
     sl2 = table_sl2_odd(q)
     model = class_data_model("psl2_odd", q)
-    src = sl2.index
-    cols = ([src[ClassLabel("id")], src[ClassLabel("c")],
-             src[ClassLabel("d")]] +
-            [src[ClassLabel("a", l)] for l in range(1, (q - 3) // 4 + 1)] +
-            [src[ClassLabel("b", m)] for m in range(1, (q - 3) // 4 + 1)] +
-            [src[ClassLabel("b", (q + 1) // 4)]])
+    bq = ClassLabel("b", (q + 1) // 4)      # the class of the involutions
+    cols = [sl2.index[bq if lab.kind == "bq" else lab]
+            for lab in model.class_labels]
     chars = []
     for c in sl2.chars:
         if c.value_at(ClassLabel("z")) == c.value_at(ClassLabel("id")):
@@ -519,11 +507,11 @@ def table_psl2_odd(q) -> CharacterTable:
 
 @lru_cache(maxsize=None)
 def table_suzuki(q) -> CharacterTable:
-    suzuki_class_labels(q)          # rejects q outside Sz's range first
+    model = class_data_model("sz", q)   # rejects q outside Sz's range first
     r = isqrt(2 * q)
-    As = range(1, (q - 2) // 2 + 1)
-    Bs = twisted_torus_reps(q + r + 1, q)
-    Cs = twisted_torus_reps(q - r + 1, q)
+    # the torus classes and their characters share the index sets
+    As, Bs, Cs = ([lab.index for lab in model.class_labels if lab.kind == k]
+                  for k in ("pi0", "pi1", "pi2"))
 
     def row(deg, at_sigma, at_rho, at_rho_inv, at_pi0, at_pi1, at_pi2):
         return ([_rat(deg), at_sigma, at_rho, at_rho_inv] +
@@ -559,12 +547,6 @@ def table_suzuki(q) -> CharacterTable:
             pack_terms(4, ((1, pm * half_r),)),
             pack_terms(4, ((1, -pm * half_r),)), z0, lambda b: one,
             lambda c: minus)))
-
-    # class sizes are not tabulated for Sz: the centralizer orders come from
-    # column orthogonality |C(x)| = sum_chi |chi(x)|^2, the diagonal alone
-    cols = list(zip(*(values for _, values in chars)))
-    g, den = _gram(cols, cols, [1] * len(chars), diagonal=True)
-    model = suzuki_model(q, [Fraction(v, den) for v in g[:, 0]])
     return CharacterTable("sz", q, model, chars)
 
 
@@ -573,19 +555,10 @@ def table_dihedral_odd(two_n) -> CharacterTable:
     n = two_n // 2
     _require(two_n == 2 * n and n % 2 == 1 and n >= 3,
              "dihedral table needs order 2n with odd n >= 3")
-    model = GroupModel("dihedral", two_n)
-    labels = [ClassLabel("id")] + \
-        [ClassLabel("r", k) for k in range(1, (n - 1) // 2 + 1)] + \
-        [ClassLabel("s")]
-    sizes = {ClassLabel("id"): 1, ClassLabel("s"): n}
-    for k in range(1, (n - 1) // 2 + 1):
-        sizes[ClassLabel("r", k)] = 2
-    model.class_labels = labels
-    model.class_sizes = sizes
-    model.order = two_n
+    model = class_data_model("dihedral", two_n)
     one = _rat(1)
     ks = range(1, (n - 1) // 2 + 1)
-    chars = [("psi_1", [one] * len(labels)),
+    chars = [("psi_1", [one] * len(model.class_labels)),
              ("psi_2", [one] + [one] * len(ks) + [_rat(-1)])]
     for i in ks:
         chars.append((f"chi_{i}",
@@ -596,11 +569,7 @@ def table_dihedral_odd(two_n) -> CharacterTable:
 @lru_cache(maxsize=None)
 def table_cyclic(n) -> CharacterTable:
     _require(n >= 1, "n must be positive")
-    model = GroupModel("cyclic", n)
-    labels = [ClassLabel("g", j) for j in range(n)]
-    model.class_labels = labels
-    model.class_sizes = {lab: 1 for lab in labels}
-    model.order = n
+    model = class_data_model("cyclic", n)
     roots = [pack_terms(n, ((k, 1),)) for k in range(n)]
     chars = [(f"mu_{k}", [roots[k * j % n] for j in range(n)])
              for k in range(n)]

@@ -286,7 +286,8 @@ def check_brown(fam, q, cfg):
 
     def run():
         model = psl2_model(q)
-        # brown_presentation raises NotFound unless phi kills every relation
+        # brown_presentation raises unless every conjugated edge stabilizer
+        # lies in its target vertex group
         pres = brown_presentation(
             build_orbit_graph(fam, q, k=cfg.k, model=model), model)
         return f"{len(pres.relations())} relations verified"

@@ -1,5 +1,11 @@
 """Explicit models of SL2(q) and PSL2(q) with conjugacy classification,
-subgroup construction and class fusion; a class-data model for Sz(q).
+subgroup construction and class fusion; class-data models for every family.
+
+`class_data_model(family, q)` is the one source of class labels, class sizes
+and group order, for the matrix groups, Sz(q), and the dihedral and cyclic
+groups whose tables the restrictions use.  The sizes of Sz(q) come from the
+closed-form centralizer orders (Suzuki 1962), never from its table, so the
+table's orthogonality checks test them.
 
 A matrix model indexes its elements by their 4-tuples of int-encoded field
 entries (row major, determinant 1; in PSL2 the smaller of x and -x) in
@@ -26,6 +32,14 @@ from .gf import FieldSpec, gf_make
 
 class NotFound(RuntimeError):
     """A structurally guaranteed subgroup search failed (a bug)."""
+
+
+def first(candidates, pred):
+    """The first candidate that satisfies pred; NotFound if there is none."""
+    for x in candidates:
+        if pred(x):
+            return x
+    raise NotFound("no candidate has the required property")
 
 
 class ClassDataError(ValueError):
@@ -239,7 +253,7 @@ def _label_classes(model):
     a = _torus_generator(model)
     # the nonsplit torus generator: the first element of its order
     n_nonsplit = (q + 1) // 2 if model._fold else q + 1
-    b = next(g for g in model.scan() if model.order_of(g) == n_nonsplit)
+    b = first(model.scan(), lambda g: model.order_of(g) == n_nonsplit)
     z = model.canonical((f.neg(1), 0, 0, f.neg(1)))
     c = model.canonical((1, 0, 1, 1))
     d = model.canonical((1, 0, f.generator, 1))
@@ -323,15 +337,6 @@ def closure(model, gens):
     return tuple(out)
 
 
-def _first(model, order, pred, candidates=None):
-    """The first element of the given order, in index order, that satisfies
-    pred: among the given candidates (in index order), or all elements."""
-    for g in candidates or model.scan():
-        if model.element_order(g) == order and pred(g):
-            return g
-    raise NotFound(f"no element of order {order} with the required property")
-
-
 def _of_traces(model, traces):
     """The elements with a trace in `traces`, in index order: (0, b, -1/b, t)
     first, then (a, b, c, t - a) with bc = a(t - a) - 1."""
@@ -382,8 +387,8 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
         gens = (t, w)
     elif tag == "dihedral_nonsplit":
         n = (q + 1) // 2 if fam == "psl2_odd" else q + 1
-        gens = (_first(model, n,
-                       lambda y: model.conjugate(y, w) == model.inv(y)), w)
+        gens = (first(model.scan(), lambda y: model.element_order(y) == n
+                      and model.conjugate(y, w) == model.inv(y)), w)
     elif tag == "klein4":
         y = build_subgroup(model, "dihedral_nonsplit").gens[0]
         gens = (model.power(y, (q + 1) // 4), w)
@@ -391,9 +396,10 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
         v4 = build_subgroup(model, "klein4")
         v4set = set(v4.elements)
         # in odd characteristic the elements of order 3 have trace +-1
-        gens = v4.gens + (_first(model, 3, lambda g: all(
-            model.conjugate(x, g) in v4set for x in v4.gens),
-            _of_traces(model, {1, model.spec.neg(1)})),)
+        gens = v4.gens + (first(
+            _of_traces(model, {1, model.spec.neg(1)}),
+            lambda g: model.element_order(g) == 3 and all(
+                model.conjugate(x, g) in v4set for x in v4.gens)),)
     elif tag == "cyclic" and param == ((q - 1) // 2 if fam == "psl2_odd"
                                        else q - 1):
         gens = (t,)
@@ -600,67 +606,64 @@ def suzuki_class_labels(q):
     return labels
 
 
-def suzuki_model(q, centralizer_orders=None) -> GroupModel:
-    """Class data of Sz(q); with the centralizer order of every class (in
-    label order) it also carries the class sizes |G| / |C(x)|."""
-    model = GroupModel("sz", q)
-    model.class_labels = suzuki_class_labels(q)
-    model.order = q * q * (q * q + 1) * (q - 1)
-    if centralizer_orders is not None:
-        for lab, cent in zip(model.class_labels, centralizer_orders):
-            if cent.denominator != 1 or cent < 1 or model.order % int(cent):
-                raise ClassDataError(f"bad centralizer order {cent} at {lab}")
-            model.class_sizes[lab] = model.order // int(cent)
-        _check_class_sizes(model)
-    return model
-
-
 def class_data_model(family, q) -> GroupModel:
-    """Abstract class-data model: labels and sizes without elements."""
+    """Abstract class-data model: the class labels in display order, their
+    sizes and |G|, without elements.  For `dihedral` q is the order 2n of
+    D_2n (n odd), for `cyclic` the order n of C_n.  The Sz(q) sizes are
+    |G| / |C(x)| with the centralizer orders |G|, q^2, 2q, 2q, q - 1,
+    q + r + 1, q - r + 1 (r^2 = 2q) of id, sigma, rho, rho_inv, pi0, pi1,
+    pi2 (M. Suzuki, Ann. of Math. 75, 1962)."""
     model = GroupModel(family, q)
-    labels = [ClassLabel("id")]
-    sizes = {ClassLabel("id"): 1}
+    sizes = model.class_sizes
+
+    def add(kind, size, indices=(0,)):
+        for i in indices:
+            sizes[ClassLabel(kind, i)] = size
+
     if family == "psl2_even":
         model.order = q * (q * q - 1)
-        labels.append(ClassLabel("c"))
-        sizes[ClassLabel("c")] = q * q - 1
-        for l in range(1, (q - 2) // 2 + 1):
-            labels.append(ClassLabel("a", l))
-            sizes[ClassLabel("a", l)] = q * (q + 1)
-        for m in range(1, q // 2 + 1):
-            labels.append(ClassLabel("b", m))
-            sizes[ClassLabel("b", m)] = q * (q - 1)
+        add("id", 1)
+        add("c", q * q - 1)
+        add("a", q * (q + 1), range(1, (q - 2) // 2 + 1))
+        add("b", q * (q - 1), range(1, q // 2 + 1))
     elif family == "sl2_odd":
         model.order = q * (q * q - 1)
-        half = (q * q - 1) // 2
-        for kind in ("z", "c", "d", "zc", "zd"):
-            labels.append(ClassLabel(kind))
-            sizes[ClassLabel(kind)] = 1 if kind == "z" else half
-        for l in range(1, (q - 3) // 2 + 1):
-            labels.append(ClassLabel("a", l))
-            sizes[ClassLabel("a", l)] = q * (q + 1)
-        for m in range(1, (q - 1) // 2 + 1):
-            labels.append(ClassLabel("b", m))
-            sizes[ClassLabel("b", m)] = q * (q - 1)
+        add("id", 1)
+        add("z", 1)
+        for kind in ("c", "d", "zc", "zd"):
+            add(kind, (q * q - 1) // 2)
+        add("a", q * (q + 1), range(1, (q - 3) // 2 + 1))
+        add("b", q * (q - 1), range(1, (q - 1) // 2 + 1))
     elif family == "psl2_odd":
         if q % 4 != 3:
             raise ValueError("PSL2 class data needs q = 3 mod 4")
         model.order = q * (q * q - 1) // 2
-        half = (q * q - 1) // 2
+        add("id", 1)
         for kind in ("c", "d"):
-            labels.append(ClassLabel(kind))
-            sizes[ClassLabel(kind)] = half
-        for l in range(1, (q - 3) // 4 + 1):
-            labels.append(ClassLabel("a", l))
-            sizes[ClassLabel("a", l)] = q * (q + 1)
-        for m in range(1, (q - 3) // 4 + 1):
-            labels.append(ClassLabel("b", m))
-            sizes[ClassLabel("b", m)] = q * (q - 1)
-        labels.append(ClassLabel("bq"))
-        sizes[ClassLabel("bq")] = q * (q - 1) // 2
+            add(kind, (q * q - 1) // 2)
+        add("a", q * (q + 1), range(1, (q - 3) // 4 + 1))
+        add("b", q * (q - 1), range(1, (q - 3) // 4 + 1))
+        add("bq", q * (q - 1) // 2)
+    elif family == "sz":
+        labels = suzuki_class_labels(q)
+        model.order = q * q * (q * q + 1) * (q - 1)
+        r = isqrt(2 * q)
+        cent = {"id": model.order, "sigma": q * q, "rho": 2 * q,
+                "rho_inv": 2 * q, "pi0": q - 1, "pi1": q + r + 1,
+                "pi2": q - r + 1}
+        for lab in labels:
+            sizes[lab] = model.order // cent[lab.kind]
+    elif family == "dihedral":
+        n = q // 2
+        model.order = q
+        add("id", 1)
+        add("r", 2, range(1, (n - 1) // 2 + 1))
+        add("s", n)
+    elif family == "cyclic":
+        model.order = q
+        add("g", 1, range(q))
     else:
         raise ValueError(family)
-    model.class_labels = labels
-    model.class_sizes = sizes
+    model.class_labels = list(sizes)
     _check_class_sizes(model)
     return model

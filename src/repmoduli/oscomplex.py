@@ -21,7 +21,7 @@ from .chars import (
     CharacterTable, centralizer_dim, fusion_for, rho0_character,
 )
 from .groups import (
-    IDENTITY, GroupModel, NotFound, SubgroupSpec, build_subgroup,
+    IDENTITY, GroupModel, NotFound, SubgroupSpec, build_subgroup, first,
     symbolic_subgroup,
 )
 
@@ -169,13 +169,6 @@ def build_orbit_graph(family, q, k=0, model=None) -> OrbitGraph:
     return _build_concrete(family, q, k, model)
 
 
-def _scan(candidates, pred):
-    for x in candidates:
-        if pred(x):
-            return x
-    raise NotFound("deterministic scan found no candidate")
-
-
 def _build_concrete(family, q, k, model):
     """The graph of _stabilizer_plan with the stabilizers of build_subgroup;
     the connecting element of a closing edge is the first that conjugates
@@ -191,7 +184,7 @@ def _build_concrete(family, q, k, model):
         g = IDENTITY
         if not tree:
             target = set(vertices[w].sub.elements)
-            g = _scan(model.scan(), lambda h: all(
+            g = first(model.scan(), lambda h: all(
                 model.conjugate(x, model.inv(h)) in target
                 for x in sub.gens))
         edges.append(EdgeOrbit(f"eta{i}", sub, s, w, tree, g=g))
@@ -345,20 +338,19 @@ class BrownPresentation:
         return rels
 
     def verify(self):
-        """phi kills every relation; the stabilizer memberships behind the
-        relations are checked exhaustively by validate_graph, which raises
-        InvalidGraph when one fails."""
-        validate_graph(self.graph)
-        for lhs, rhs in self.relations():
-            if self.phi(lhs) != self.phi(rhs):
-                return False
-        return True
+        """The relations are sound: validate_graph raises InvalidGraph unless
+        g_e^-1 G_e g_e lies in G_w for every edge, which makes every type (ii)
+        rhs a vertex-group element.  phi itself kills every relation by
+        construction: a type (i) relation is x_e = 1 with g_e = 1 on tree
+        edges, and relations() builds the type (ii) rhs as the very product
+        g_e^-1 g g_e that phi reads off the lhs."""
+        return validate_graph(self.graph)
 
 
 def brown_presentation(graph: OrbitGraph, model: GroupModel) -> BrownPresentation:
     pres = BrownPresentation(graph, model)
     if not pres.verify():
-        raise NotFound("phi does not respect the presentation relations")
+        raise NotFound("the presentation relations do not verify")
     return pres
 
 

@@ -153,12 +153,6 @@ def _check_gram_cases():
         # mirrored), a copy of it the path that expands every pair
         assert gram(packed_a, packed_b, weights) == want, weights
         assert gram(packed_a, list(packed_b), weights) == want, weights
-        if len(packed_b) == len(packed_a):
-            for rows_b in (packed_b, list(packed_b)):
-                diag, den = chars._gram(packed_a, rows_b, weights,
-                                        diagonal=True)
-                assert [Fraction(v, den) for v in diag[:, 0]] == \
-                    [want[i][i] for i in range(len(want))], weights
 
 
 def test_gram_matches_cyclotomic_reference():

@@ -238,6 +238,35 @@ def test_altered_stored_fusion_fails_at_q27(monkeypatch, tmp_path):
     assert rec["pass"] is False and rec["computed"] == "mismatch at ['a4']"
 
 
+def test_swapped_suzuki_class_sizes_fail_the_tables(monkeypatch, tmp_path):
+    # the Sz class sizes are stored apart from the table: swapping those of
+    # sigma and rho keeps their sum |G| but must fail both orthogonality
+    # checks of Sz(8)
+    import repmoduli.chars as chars
+    real = chars.class_data_model
+
+    def swapped(family, q):
+        model = real(family, q)
+        if family == "sz":
+            sizes = model.class_sizes
+            sigma, rho = ClassLabel("sigma"), ClassLabel("rho")
+            sizes[sigma], sizes[rho] = sizes[rho], sizes[sigma]
+        return model
+
+    monkeypatch.setattr(chars, "class_data_model", swapped)
+    chars.table_suzuki.cache_clear()
+    try:
+        out = tmp_path / "r.json"
+        rc = main(["--family", "sz", "--q", "8", "--checks", "tables",
+                   "--out", str(out)])
+    finally:
+        chars.table_suzuki.cache_clear()
+    assert rc == 1
+    recs = _records(out)
+    assert recs["tables/rows/sz-q8"]["pass"] is False
+    assert recs["tables/columns/sz-q8"]["pass"] is False
+
+
 def test_altered_stored_fusion_fails_at_q131(monkeypatch, tmp_path):
     # above q = 83 the fusion rows are counted too: one stored count of the
     # Borel row of PSL2(131) off by one must fail the fusion record

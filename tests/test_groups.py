@@ -7,8 +7,8 @@ import pytest
 from repmoduli.gf import gf_make
 from repmoduli.groups import (
     ClassLabel, IDENTITY, _of_traces, _prime_power, build_subgroup,
-    fusion_table, matrix_model, psl2_model, stored_fusion,
-    suzuki_class_labels, suzuki_model, symbolic_subgroup,
+    class_data_model, fusion_table, matrix_model, psl2_model, stored_fusion,
+    suzuki_class_labels, symbolic_subgroup,
 )
 
 
@@ -155,7 +155,7 @@ def test_enumerated_fusion_matches_stored_tables():
 def test_suzuki_class_data():
     labels = suzuki_class_labels(8)
     assert len(labels) == 11
-    model = suzuki_model(8)
+    model = class_data_model("sz", 8)
     assert model.order == 29120
     assert model.spec is None
     with pytest.raises(ValueError):
@@ -163,7 +163,7 @@ def test_suzuki_class_data():
 
 
 def test_suzuki_stored_fusion_sums():
-    model = suzuki_model(8)
+    model = class_data_model("sz", 8)
     for tag, param in [("borel", 0), ("dihedral_split", 0),
                        ("torus_normalizer", 1), ("torus_normalizer", -1),
                        ("cyclic", 7), ("c4", 0), ("cyclic", 2)]:
@@ -244,7 +244,7 @@ def test_indexed_elements_and_class_sizes(q):
 
 
 def test_suzuki_label_orders():
-    m = suzuki_model(8)
+    m = class_data_model("sz", 8)
     assert m.label_order(ClassLabel("sigma")) == 2
     assert m.label_order(ClassLabel("rho")) == 4
     assert m.label_order(ClassLabel("pi1", 1)) == 13
@@ -264,14 +264,7 @@ def test_fusion_psl2_27_zero_mod_three_branch():
 
 
 def test_corrupted_class_size_raises():
-    from repmoduli.chars import table_suzuki
     from repmoduli.groups import ClassDataError, _label_classes
-    t = table_suzuki(8)
-    cents = [t.order // s for s in t.sizes]
-    assert suzuki_model(8, cents).class_sizes == dict(zip(t.labels, t.sizes))
-    cents[t.index[ClassLabel("sigma")]] //= 2     # one class twice as big
-    with pytest.raises(ClassDataError, match="add up"):
-        suzuki_model(8, cents)
     m = matrix_model(gf_make(2, 2))
     m.order += 1
     with pytest.raises(ClassDataError, match="add up"):

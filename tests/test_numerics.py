@@ -297,10 +297,10 @@ def test_realize_psl2_8():
 
 def test_realize_rejects_class_data_model():
     from repmoduli.chars import table_suzuki
-    from repmoduli.groups import suzuki_model
+    from repmoduli.groups import class_data_model
     t = table_suzuki(8)
     with pytest.raises(ValueError):
-        realize_irreducible(suzuki_model(8), t, t.by_name["W_1"])
+        realize_irreducible(class_data_model("sz", 8), t, t.by_name["W_1"])
 
 
 def test_rho_tau_unknown_symbol(setting4):
