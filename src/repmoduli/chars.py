@@ -20,7 +20,7 @@ import numpy as np
 
 from .cyclo import Cyclotomic, factorize, legendre
 from .groups import (
-    ClassLabel, GroupModel, SubgroupSpec, class_data_model, fusion_table,
+    ClassData, ClassLabel, SubgroupSpec, class_data_model, stored_fusion,
     symbolic_subgroup,
 )
 
@@ -115,12 +115,12 @@ class Character:
 
 
 class CharacterTable:
-    def __init__(self, family, q, model: GroupModel, chars):
+    def __init__(self, family, q, model: ClassData, chars):
         self.family = family
         self.q = q
         self.model = model
         self.order = model.order
-        self.labels = list(model.class_labels)
+        self.labels = model.class_labels
         self.sizes = [model.class_sizes[lab] for lab in self.labels]
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.chars = [Character(name, self, row) for name, row in chars]
@@ -367,7 +367,9 @@ def centralizer_dim(chi, fusion=None) -> int:
 
 
 def fusion_for(table: CharacterTable, sub: SubgroupSpec):
-    return fusion_table(table.model, sub)
+    """The stored class-fusion row of a subgroup of the table's group."""
+    return stored_fusion(table.family, table.q, sub.tag, sub.param,
+                         table.labels)
 
 
 # -- orthogonality --------------------------------------------------------------
@@ -604,20 +606,18 @@ class Restriction:
     def __post_init__(self):
         if len(self.images) != len(self.table.labels):
             raise TableMismatch("restriction image length mismatch")
-        # the H-class sizes must add up within each ambient fused class,
-        # whenever a fusion row is available to compare against
+        # the H-class sizes must add up within each ambient fused class to
+        # the stored fusion row; a dihedral ambient group has no stored rows
+        if self.ambient.family == "dihedral":
+            return
         fused = {}
         for lab, sz in zip(self.images, self.table.sizes):
             fused[lab] = fused.get(lab, 0) + sz
-        try:
-            stored = fusion_table(self.ambient.model, self.subgroup)
-        except ValueError:
-            stored = None
-        if stored is not None:
-            for lab, count in fused.items():
-                if stored.get(lab, 0) != count:
-                    raise TableMismatch(
-                        f"restriction images disagree with fusion at {lab}")
+        stored = fusion_for(self.ambient, self.subgroup)
+        for lab, count in fused.items():
+            if stored.get(lab, 0) != count:
+                raise TableMismatch(
+                    f"restriction images disagree with fusion at {lab}")
 
     def multiplicities(self, chi: Character, lams) -> list:
         """<Res chi, lam>_H for each irreducible lam of H, from one Gram."""

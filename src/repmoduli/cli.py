@@ -29,7 +29,8 @@ from .chars import (  # noqa: E402
     centralizer_checks, rho0_character, table_for, theta_balance,
 )
 from .groups import (  # noqa: E402
-    _prime_power, build_subgroup, psl2_model, stored_fusion, fusion_table,
+    _prime_power, build_subgroup, first, psl2_model, stored_fusion,
+    fusion_table,
 )
 from .numerics import Tolerances  # noqa: E402
 from .oscomplex import (  # noqa: E402
@@ -344,10 +345,11 @@ def check_numerics(fam, q, cfg):
 
     def spectral():
         rep, (graph, _) = realized(), setting()
-        ghat0 = next(g for g in graph.edges[0].sub.elements
-                     if model.element_order(g) == graph.edges[0].sub.order)
-        ghat1 = next(g for g in graph.edges[1].sub.elements
-                     if model.element_order(g) == 2)
+        ghat0 = first(graph.edges[0].sub.elements,
+                      lambda g: model.element_order(g) ==
+                      graph.edges[0].sub.order)
+        ghat1 = first(graph.edges[1].sub.elements,
+                      lambda g: model.element_order(g) == 2)
         _, m0 = spectral_split(rep, ghat0, tol=tol)
         _, m1 = spectral_split(rep, ghat1, tol=tol)
         return sorted(m0.values()), (m1.get(0, 0), m1.get(1, 0))

@@ -1,13 +1,17 @@
 """Explicit models of SL2(q) and PSL2(q) with conjugacy classification,
-subgroup construction and class fusion; class-data models for every family.
+subgroup construction and class fusion; class data for every family.
 
-`class_data_model(family, q)` is the one source of class labels, class sizes
-and group order, for the matrix groups, Sz(q), and the dihedral and cyclic
-groups whose tables the restrictions use.  The sizes of Sz(q) come from the
-closed-form centralizer orders (Suzuki 1962), never from its table, so the
-table's orthogonality checks test them.
+`class_data_model(family, q)` is the one source of class labels, class
+sizes, element orders and group order, for the matrix groups, Sz(q), and the
+dihedral and cyclic groups whose tables the restrictions use.  It returns a
+frozen `ClassData` whose sizes and orders are read-only mappings, so a
+cached table cannot be altered through its class data.  The sizes and
+element orders of Sz(q) come from the closed-form centralizer orders
+(Suzuki 1962), never from its table, so the table's orthogonality checks
+test them.
 
-A matrix model indexes its elements by their 4-tuples of int-encoded field
+A `GroupModel` is a matrix group over a field, built on the `ClassData` of
+its family.  It indexes its elements by their 4-tuples of int-encoded field
 entries (row major, determinant 1; in PSL2 the smaller of x and -x) in
 sorted order, and builds the i-th one in closed form, so the group is never
 listed.  An element's conjugacy class is read off its trace, and its order
@@ -15,7 +19,7 @@ is the order of that class; the orbit-graph stabilizers are built from
 generators.  Every search scans in index order, so that every derived choice
 is reproducible.
 
-Sz(q) is deliberately modelled at class-data level only: every Suzuki
+Sz(q) is deliberately modelled by its class data only: every Suzuki
 computation downstream is a class function, and fusion comes from stored
 tables rather than counts over elements.
 """
@@ -25,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import NamedTuple, Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
+from .cyclo import factorize
 from .gf import FieldSpec, gf_make
 
 
@@ -88,29 +94,41 @@ class SubgroupSpec:
                 "klein4": "V4", "c4": "C4", "trivial": "1"}[self.tag]
 
 
-class GroupModel:
-    """An abstract class-data model, or with the field `spec` a matrix
-    group whose elements are indexed in closed form (`matrix_model`)."""
+@dataclass(frozen=True)
+class ClassData:
+    """The class data of a group: |G|, the class labels in display order,
+    and read-only mappings from each label to its class size and to the
+    order of its elements."""
+    family: str     # psl2_even | sl2_odd | psl2_odd | sz | dihedral | cyclic
+    q: int
+    order: int
+    class_labels: tuple
+    class_sizes: Mapping
+    class_orders: Mapping
 
-    def __init__(self, family, q, spec=None):
-        self.family = family          # psl2_even | sl2_odd | psl2_odd | sz
-        self.q = q
-        self.spec = spec
-        self._fold = family == "psl2_odd"     # PSL2 = SL2 / {+-1}
-        self.class_labels = []        # in display order
-        self.class_sizes = {}
+
+class GroupModel:
+    """SL2(q) or PSL2(q) as a matrix group over the field `spec`, with the
+    class data `data` of its family; its elements are indexed in closed
+    form (`matrix_model`)."""
+
+    def __init__(self, data: ClassData, spec: FieldSpec):
+        self.data = data
+        self.family, self.q, self.spec = data.family, data.q, spec
+        self.class_labels = data.class_labels      # in display order
+        self.class_sizes = data.class_sizes
         self.class_reps = {}
-        self.order = 0
+        self._fold = self.family == "psl2_odd"     # PSL2 = SL2 / {+-1}
         self._subgroups = {}
-        if spec is not None:
-            # the field's lookup tables, read by the element operations
-            self._add, self._mul, self._neg = \
-                spec.add_table, spec.mul_table, spec.neg_table
-            self._inv = [0] + [spec.inv(x) for x in range(1, q)]
-            # the nonzero leading entries of the elements, in sorted order
-            self._lead = [x for x in range(1, q)
-                          if not self._fold or x < self._neg[x]]
-            self.order = len(self._lead) * q * (q + 1)
+        q = spec.q
+        # the field's lookup tables, read by the element operations
+        self._add, self._mul, self._neg = \
+            spec.add_table, spec.mul_table, spec.neg_table
+        self._inv = [0] + [spec.inv(x) for x in range(1, q)]
+        # the nonzero leading entries of the elements, in sorted order
+        self._lead = [x for x in range(1, q)
+                      if not self._fold or x < self._neg[x]]
+        self.order = len(self._lead) * q * (q + 1)
 
     def element(self, i):
         """The i-th element in sorted order, for leading entries b and a:
@@ -152,7 +170,7 @@ class GroupModel:
 
     def element_order(self, x):
         """The order of x: the order of its class."""
-        return self._orders[self.class_of(x)]
+        return self.data.class_orders[self.class_of(x)]
 
     # matrix ops bound to the field of a matrix model
     def mul(self, x, y):
@@ -192,28 +210,6 @@ class GroupModel:
             n += 1
         return n
 
-    def label_order(self, lab: ClassLabel):
-        """Order of the elements of the class."""
-        q = self.q
-        if self.family == "sz":
-            cyclic = {"pi0": q - 1, "pi1": q + isqrt(2 * q) + 1,
-                      "pi2": q - isqrt(2 * q) + 1}
-            if lab.kind in cyclic:
-                n = cyclic[lab.kind]
-                return n // gcd(n, lab.index)
-            return {"id": 1, "sigma": 2, "rho": 4, "rho_inv": 4}[lab.kind]
-        half = 2 if self.family == "psl2_odd" else 1
-        if lab.kind == "a":
-            n = (q - 1) // half
-            return n // gcd(n, lab.index)
-        if lab.kind == "b":
-            n = (q + 1) // half
-            return n // gcd(n, lab.index)
-        p = _prime_power(q)[0]
-        fixed = {"id": 1, "z": 2, "bq": 2, "c": p, "d": p,
-                 "zc": 2 * p, "zd": 2 * p}
-        return fixed[lab.kind]
-
     def power(self, g, e):
         acc = IDENTITY
         base = g
@@ -248,8 +244,6 @@ def _label_classes(model):
     carry their labels and the sizes must add up to |G|."""
     f = model.spec
     q = model.q
-    data = class_data_model(model.family, q)
-    model.class_labels, model.class_sizes = data.class_labels, data.class_sizes
     a = _torus_generator(model)
     # the nonsplit torus generator: the first element of its order
     n_nonsplit = (q + 1) // 2 if model._fold else q + 1
@@ -278,7 +272,6 @@ def _label_classes(model):
     model._by_trace = by_trace
     model._named = {str(lab): lab for lab in reps}
     model._squares = {f.mul(x, x) for x in range(1, q)}
-    model._orders = {lab: model.label_order(lab) for lab in reps}
     for lab, rep in reps.items():
         if model.class_of(rep) != lab:
             raise NotFound(f"the representative of {lab} is labelled "
@@ -294,7 +287,7 @@ def matrix_model(spec: FieldSpec, projective=False) -> GroupModel:
         family = "psl2_even"
     else:
         family = "psl2_odd" if projective else "sl2_odd"
-    model = GroupModel(family, spec.q, spec)
+    model = GroupModel(class_data_model(family, spec.q), spec)
     _label_classes(model)
     return model
 
@@ -307,17 +300,11 @@ def psl2_model(q):
 
 
 def _prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                n += 1
-            if qq != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, n
-    raise ValueError(f"{q} is not a prime power")
+    """(p, n) with q = p^n; ValueError unless q is a prime power."""
+    f = factorize(q)
+    if len(f) != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return f[0]
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -368,8 +355,6 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
     the first order-3 element that normalizes klein4.  The cyclic groups are
     the split torus <t>, <w> of order 2 and the order-3 group of a4.
     """
-    if model.spec is None:
-        raise ValueError("explicit subgroups need a matrix model")
     key = (tag, param)
     if key in model._subgroups:
         return model._subgroups[key]
@@ -452,15 +437,12 @@ def symbolic_subgroup(family, q, tag, param=0) -> SubgroupSpec:
 # -- class fusion -------------------------------------------------------------
 
 def fusion_table(model: GroupModel, sub: SubgroupSpec):
-    """|(x) cap L| for every class (x); counted over the subgroup's elements
-    in a matrix model, stored tables otherwise."""
-    if model.spec is not None and sub.elements is not None:
-        counts = {lab: 0 for lab in model.class_labels}
-        for g in sub.elements:
-            counts[model.class_of(g)] += 1
-        return counts
-    return stored_fusion(model.family, model.q, sub.tag, sub.param,
-                         model.class_labels)
+    """|(x) cap L| for every class (x), counted over the elements of a
+    subgroup L of a matrix model."""
+    counts = {lab: 0 for lab in model.class_labels}
+    for g in sub.elements:
+        counts[model.class_of(g)] += 1
+    return counts
 
 
 def stored_fusion(family, q, tag, param, labels):
@@ -606,64 +588,75 @@ def suzuki_class_labels(q):
     return labels
 
 
-def class_data_model(family, q) -> GroupModel:
-    """Abstract class-data model: the class labels in display order, their
-    sizes and |G|, without elements.  For `dihedral` q is the order 2n of
-    D_2n (n odd), for `cyclic` the order n of C_n.  The Sz(q) sizes are
-    |G| / |C(x)| with the centralizer orders |G|, q^2, 2q, 2q, q - 1,
-    q + r + 1, q - r + 1 (r^2 = 2q) of id, sigma, rho, rho_inv, pi0, pi1,
-    pi2 (M. Suzuki, Ann. of Math. 75, 1962)."""
-    model = GroupModel(family, q)
-    sizes = model.class_sizes
+def class_data_model(family, q) -> ClassData:
+    """The class data of a group, without elements: its class labels in
+    display order, their sizes and element orders, and |G|.  For `dihedral`
+    q is the order 2n of D_2n (n odd), for `cyclic` the order n of C_n.  An
+    indexed class kind^i of a cyclic subgroup of order n has element order
+    n / gcd(n, i).  The Sz(q) centralizer orders are |G|, q^2, 2q, 2q,
+    q - 1, q + r + 1, q - r + 1 (r^2 = 2q) for id, sigma, rho, rho_inv, pi0,
+    pi1, pi2 (M. Suzuki, Ann. of Math. 75, 1962): the sizes are |G| / |C(x)|,
+    and a torus class pi_k^i lies in a cyclic torus of order |C(x)|."""
+    sizes, orders = {}, {}
 
-    def add(kind, size, indices=(0,)):
-        for i in indices:
-            sizes[ClassLabel(kind, i)] = size
+    def add(kind, size, n, indices=None):
+        """One class of element order n, or with `indices` the classes
+        kind^i of the cyclic group of order n."""
+        for i in (0,) if indices is None else indices:
+            lab = ClassLabel(kind, i)
+            sizes[lab] = size
+            orders[lab] = n if indices is None else n // gcd(n, i)
 
     if family == "psl2_even":
-        model.order = q * (q * q - 1)
-        add("id", 1)
-        add("c", q * q - 1)
-        add("a", q * (q + 1), range(1, (q - 2) // 2 + 1))
-        add("b", q * (q - 1), range(1, q // 2 + 1))
+        order = q * (q * q - 1)
+        add("id", 1, 1)
+        add("c", q * q - 1, 2)
+        add("a", q * (q + 1), q - 1, range(1, (q - 2) // 2 + 1))
+        add("b", q * (q - 1), q + 1, range(1, q // 2 + 1))
     elif family == "sl2_odd":
-        model.order = q * (q * q - 1)
-        add("id", 1)
-        add("z", 1)
-        for kind in ("c", "d", "zc", "zd"):
-            add(kind, (q * q - 1) // 2)
-        add("a", q * (q + 1), range(1, (q - 3) // 2 + 1))
-        add("b", q * (q - 1), range(1, (q - 1) // 2 + 1))
+        p = _prime_power(q)[0]
+        order = q * (q * q - 1)
+        add("id", 1, 1)
+        add("z", 1, 2)
+        for kind, n in (("c", p), ("d", p), ("zc", 2 * p), ("zd", 2 * p)):
+            add(kind, (q * q - 1) // 2, n)
+        add("a", q * (q + 1), q - 1, range(1, (q - 3) // 2 + 1))
+        add("b", q * (q - 1), q + 1, range(1, (q - 1) // 2 + 1))
     elif family == "psl2_odd":
         if q % 4 != 3:
             raise ValueError("PSL2 class data needs q = 3 mod 4")
-        model.order = q * (q * q - 1) // 2
-        add("id", 1)
+        p = _prime_power(q)[0]
+        order = q * (q * q - 1) // 2
+        add("id", 1, 1)
         for kind in ("c", "d"):
-            add(kind, (q * q - 1) // 2)
-        add("a", q * (q + 1), range(1, (q - 3) // 4 + 1))
-        add("b", q * (q - 1), range(1, (q - 3) // 4 + 1))
-        add("bq", q * (q - 1) // 2)
+            add(kind, (q * q - 1) // 2, p)
+        add("a", q * (q + 1), (q - 1) // 2, range(1, (q - 3) // 4 + 1))
+        add("b", q * (q - 1), (q + 1) // 2, range(1, (q - 3) // 4 + 1))
+        add("bq", q * (q - 1) // 2, 2)
     elif family == "sz":
         labels = suzuki_class_labels(q)
-        model.order = q * q * (q * q + 1) * (q - 1)
+        order = q * q * (q * q + 1) * (q - 1)
         r = isqrt(2 * q)
-        cent = {"id": model.order, "sigma": q * q, "rho": 2 * q,
-                "rho_inv": 2 * q, "pi0": q - 1, "pi1": q + r + 1,
-                "pi2": q - r + 1}
+        cent = {"id": order, "sigma": q * q, "rho": 2 * q, "rho_inv": 2 * q,
+                "pi0": q - 1, "pi1": q + r + 1, "pi2": q - r + 1}
+        fixed = {"id": 1, "sigma": 2, "rho": 4, "rho_inv": 4}
         for lab in labels:
-            sizes[lab] = model.order // cent[lab.kind]
+            n = cent[lab.kind]
+            sizes[lab] = order // n
+            orders[lab] = fixed[lab.kind] if lab.kind in fixed \
+                else n // gcd(n, lab.index)
     elif family == "dihedral":
         n = q // 2
-        model.order = q
-        add("id", 1)
-        add("r", 2, range(1, (n - 1) // 2 + 1))
-        add("s", n)
+        order = q
+        add("id", 1, 1)
+        add("r", 2, n, range(1, (n - 1) // 2 + 1))
+        add("s", n, 2)
     elif family == "cyclic":
-        model.order = q
-        add("g", 1, range(q))
+        order = q
+        add("g", 1, q, range(q))
     else:
         raise ValueError(family)
-    model.class_labels = list(sizes)
-    _check_class_sizes(model)
-    return model
+    data = ClassData(family, q, order, tuple(sizes), MappingProxyType(sizes),
+                     MappingProxyType(orders))
+    _check_class_sizes(data)
+    return data

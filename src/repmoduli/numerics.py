@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .chars import Character, CharacterTable, rho0_character
-from .groups import ClassLabel, GroupModel, closure
+from .groups import ClassLabel, GroupModel, closure, first
 from .oscomplex import BrownPresentation, OrbitGraph, path_to_word
 
 
@@ -335,7 +335,7 @@ class KirillovModel(_Model):
         self.alpha = int(np.setdiff1d(r, add[mul[r, r], r])[0])
         a, _, _, d = model.class_reps[ClassLabel("b", 1)]
         t = add[a, d]
-        beta = q * t + next(x for x in r if self._norm(x, t) == 1)
+        beta = q * t + first(r, lambda x: self._norm(x, t) == 1)
         log = np.zeros(q * q, dtype=np.intp)      # on the powers of beta
         power = 1
         for i in range(q + 1):
@@ -399,7 +399,7 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
     images are unitary, the images are a homomorphism on 300 pairs drawn
     with `seed`, and the trace equals the exact character at every class
     representative."""
-    if model.spec is None or \
+    if not isinstance(model, GroupModel) or \
             (model.family, model.q) != (table.family, table.q):
         raise ValueError("realization needs the matrix model of the "
                          "table's group (class-data groups are exact-only)")

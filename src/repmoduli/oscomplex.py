@@ -60,7 +60,7 @@ class OrbitGraph:
 
     @property
     def concrete(self):
-        return self.model is not None and self.model.spec is not None
+        return self.model is not None
 
     def tree_path(self, v):
         """Edge-orbit indices of the unique tree path root -> v."""

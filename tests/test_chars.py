@@ -51,6 +51,16 @@ def c4_in_sz_restriction(table):
     return Restriction(table, sub, table_cyclic(4), images)
 
 
+def test_restriction_without_a_stored_row_raises():
+    # PSL2(8) has no element of order 5, and c has order 2: with no stored
+    # fusion row to agree with, the restriction must not pass unchecked
+    c = ClassLabel("c")
+    with pytest.raises(ValueError, match="no stored fusion"):
+        Restriction(table_psl2_even(8),
+                    symbolic_subgroup("psl2_even", 8, "cyclic", 5),
+                    table_cyclic(5), (ClassLabel("id"), c, c, c, c))
+
+
 def test_theta1_values_q4():
     t = table_psl2_even(4)
     th = t.by_name["theta_1"]

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -15,7 +16,7 @@ from repmoduli.chars import (
 from repmoduli.cli import (
     UsageError, VerificationConfig, classify_q, main, parse_config, run,
 )
-from repmoduli.groups import ClassLabel, psl2_model
+from repmoduli.groups import ClassData, ClassLabel, IDENTITY, psl2_model
 
 
 def test_classify_q():
@@ -248,9 +249,10 @@ def test_swapped_suzuki_class_sizes_fail_the_tables(monkeypatch, tmp_path):
     def swapped(family, q):
         model = real(family, q)
         if family == "sz":
-            sizes = model.class_sizes
+            sizes = dict(model.class_sizes)
             sigma, rho = ClassLabel("sigma"), ClassLabel("rho")
             sizes[sigma], sizes[rho] = sizes[rho], sizes[sigma]
+            model = replace(model, class_sizes=sizes)
         return model
 
     monkeypatch.setattr(chars, "class_data_model", swapped)
@@ -450,7 +452,7 @@ def test_numerics_leave_cached_state_unchanged(tmp_path):
     rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
                "--out", str(tmp_path / "r.json")])
     assert rc == 0
-    assert table_psl2_even(4).model.spec is None
+    assert isinstance(table_psl2_even(4).model, ClassData)
     assert psl2_model(4) is psl2_model(4)
 
 
@@ -494,6 +496,28 @@ def test_failed_realization_fails_each_dependent_record(monkeypatch,
     for name, rec in recs.items():
         assert rec["pass"] is False, name
         assert "realization failed: ToleranceExceeded" in rec["computed"]
+
+
+def test_spectral_without_an_element_of_the_order_reads_not_found(
+        monkeypatch, tmp_path):
+    # an edge stabilizer with no element of its order leaves the spectral
+    # split nothing to split by
+    real = cli.build_orbit_graph
+
+    def identity_only(*args, **kwargs):
+        graph = real(*args, **kwargs)
+        graph.edges[0].sub = replace(graph.edges[0].sub,
+                                     elements=(IDENTITY,))
+        return graph
+
+    monkeypatch.setattr(cli, "build_orbit_graph", identity_only)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
+               "--out", str(out)])
+    assert rc == 1
+    rec = _records(out)["numerics/psl2_even-q4/spectral"]
+    assert rec["pass"] is False
+    assert rec["computed"].startswith("error: NotFound: ")
 
 
 def _wrong_kappa(num, monkeypatch):

@@ -4,9 +4,12 @@ from functools import cache
 
 import pytest
 
+from repmoduli.chars import table_suzuki
+from repmoduli.cyclo import factorize
 from repmoduli.gf import gf_make
 from repmoduli.groups import (
-    ClassLabel, IDENTITY, _of_traces, _prime_power, build_subgroup,
+    ID, ClassData, ClassLabel, IDENTITY, _of_traces, _prime_power,
+    build_subgroup,
     class_data_model, fusion_table, matrix_model, psl2_model, stored_fusion,
     suzuki_class_labels, symbolic_subgroup,
 )
@@ -157,7 +160,7 @@ def test_suzuki_class_data():
     assert len(labels) == 11
     model = class_data_model("sz", 8)
     assert model.order == 29120
-    assert model.spec is None
+    assert isinstance(model, ClassData)
     with pytest.raises(ValueError):
         suzuki_class_labels(16)  # even exponent
 
@@ -168,7 +171,7 @@ def test_suzuki_stored_fusion_sums():
                        ("torus_normalizer", 1), ("torus_normalizer", -1),
                        ("cyclic", 7), ("c4", 0), ("cyclic", 2)]:
         sub = symbolic_subgroup("sz", 8, tag, param)
-        tab = fusion_table(model, sub)
+        tab = stored_fusion("sz", 8, tag, param, model.class_labels)
         assert sum(tab.values()) == sub.order, (tag, param)
 
 
@@ -244,11 +247,63 @@ def test_indexed_elements_and_class_sizes(q):
 
 
 def test_suzuki_label_orders():
-    m = class_data_model("sz", 8)
-    assert m.label_order(ClassLabel("sigma")) == 2
-    assert m.label_order(ClassLabel("rho")) == 4
-    assert m.label_order(ClassLabel("pi1", 1)) == 13
-    assert m.label_order(ClassLabel("pi2", 1)) == 5
+    orders = class_data_model("sz", 8).class_orders
+    assert orders[ClassLabel("sigma")] == 2
+    assert orders[ClassLabel("rho")] == 4
+    assert orders[ClassLabel("pi1", 1)] == 13
+    assert orders[ClassLabel("pi2", 1)] == 5
+
+
+@pytest.mark.parametrize("family,qs", [
+    ("psl2_even", [2 ** n for n in range(2, 9)]),
+    ("sl2_odd", [3, 5, 7, 11, 13, 27, 125, 243]),
+    ("psl2_odd", [3, 7, 11, 19, 23, 27, 31, 43, 83, 131, 243]),
+    ("sz", [8, 32, 128, 512]),
+    ("dihedral", [2 * n for n in range(3, 100, 2)]),
+    ("cyclic", list(range(1, 50))),
+])
+def test_class_orders_divide_the_centralizer_orders(family, qs):
+    # an element lies in its centralizer, whose order is |G| / |class|;
+    # the identity is the one class of order 1
+    for q in qs:
+        data = class_data_model(family, q)
+        assert set(data.class_orders) == set(data.class_labels), (family, q)
+        for lab in data.class_labels:
+            cent = data.order // data.class_sizes[lab]
+            assert cent % data.class_orders[lab] == 0, (family, q, lab)
+        assert [lab for lab, n in data.class_orders.items() if n == 1] == \
+            [data.class_labels[0]], (family, q)
+
+
+def test_class_data_is_read_only():
+    # the class data of a cached table and of the cached matrix model
+    model = psl2_model(11)
+    for data in (table_suzuki(8).model, model.data):
+        with pytest.raises(TypeError):
+            data.class_sizes[ID] = 2
+        with pytest.raises(TypeError):
+            data.class_orders[ID] = 2
+        with pytest.raises(TypeError):
+            data.class_labels[0] = ID
+    with pytest.raises(TypeError):
+        model.class_sizes[ID] = 2
+
+
+_PRIMES = [p for p in range(2, 600) if all(p % d for d in range(2, p))]
+
+
+@pytest.mark.parametrize("start", range(-5, 600, 100))
+def test_prime_power_matches_its_definition(start):
+    # q = p^n for a prime p and n >= 1, found by listing every such power
+    # below 600; every other q in -5..599 is rejected
+    powers = {p ** n: (p, n) for p in _PRIMES for n in range(1, 10)
+              if p ** n < 600}
+    for q in range(start, min(start + 100, 600)):
+        if q in powers:
+            assert _prime_power(q) == powers[q] == factorize(q)[0]
+        else:
+            with pytest.raises(ValueError):
+                _prime_power(q)
 
 
 def test_fusion_psl2_27_zero_mod_three_branch():
