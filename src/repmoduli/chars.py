@@ -20,8 +20,8 @@ import numpy as np
 
 from .cyclo import Cyclotomic, factorize, legendre
 from .groups import (
-    ClassData, ClassLabel, SubgroupSpec, class_data_model, stored_fusion,
-    symbolic_subgroup,
+    ID, ClassData, ClassLabel, SubgroupSpec, class_data_model, first,
+    stored_fusion, symbolic_subgroup,
 )
 
 
@@ -619,127 +619,87 @@ class Restriction:
                 raise TableMismatch(
                     f"restriction images disagree with fusion at {lab}")
 
-    def multiplicities(self, chi: Character, lams) -> list:
-        """<Res chi, lam>_H for each irreducible lam of H, from one Gram."""
-        if chi.table is not self.ambient or \
+    def multiplicities(self, chis, lams) -> list:
+        """<Res chi, lam>_H for each ambient character chi in `chis` (rows)
+        and each irreducible lam of H (columns), from one Gram of the
+        restricted rows; NonIntegralDimension unless every entry is a
+        nonnegative integer."""
+        if any(chi.table is not self.ambient for chi in chis) or \
                 any(lam.table is not self.table for lam in lams):
             raise TableMismatch("character/table mismatch in restriction")
-        row, = gram([self.restrict(chi)], [lam.packed for lam in lams],
-                    self.table.sizes)
-        return [x / self.table.order for x in row]
-
-    def restrict(self, chi: Character):
-        """The stored values of chi on the H-classes."""
-        return [chi.packed[self.ambient.index[lab]] for lab in self.images]
-
-
-def multiplicity_checks(chi, restriction: Restriction, lams) -> list:
-    """The multiplicities of the lams in Res chi, each a checked integer."""
-    ms = restriction.multiplicities(chi, lams)
-    for m in ms:
-        if m.denominator != 1 or m < 0:
-            raise NonIntegralDimension(f"multiplicity {m} is not integral")
-    return list(map(int, ms))
+        cols = [self.ambient.index[lab] for lab in self.images]
+        g, den = _gram([[chi.packed[x] for x in cols] for chi in chis],
+                       [lam.packed for lam in lams], self.table.sizes)
+        den *= self.table.order
+        bad = next((v for v in g.flat if v % den or v < 0), None)
+        if bad is not None:
+            raise NonIntegralDimension(
+                f"multiplicity {Fraction(bad, den)} is not a nonnegative "
+                f"integer")
+        return (g // den).tolist()
 
 
-@dataclass
-class ThetaSet:
-    """A subset of the irreducibles of a subgroup table, with one Gram from
-    which d(chi, Theta') is read for every subset Theta' of it."""
-    restriction: Restriction
-    names: tuple
-
-    def __post_init__(self):
-        for name in self.names:
-            if name not in self.restriction.table.by_name:
-                raise TableMismatch(f"{name} is not a character of the subgroup")
-        # <Res chi, lam>_H |H| den, weighted by the degree lam(1), for every
-        # irreducible chi of the ambient group and every lam in the set
-        r = self.restriction
-        lams = self.characters()
-        g, den = _gram([r.restrict(chi) for chi in r.ambient.chars],
-                       [lam.packed for lam in lams], r.table.sizes)
-        degrees = [lam.degree for lam in lams]
-        self._rows = {chi.name: {name: x * d for name, x, d in
-                                 zip(self.names, row, degrees)}
-                      for chi, row in zip(r.ambient.chars, g.tolist())}
-        self._den = den * r.table.order
-
-    def characters(self):
-        return [self.restriction.table.by_name[n] for n in self.names]
+def d_theta(restriction: Restriction, chis, thetas) -> list:
+    """d(chi, Theta) = sum over lam in Theta of <Res chi, lam>_H lam(1), the
+    total dimension of the restriction factors with characters in Theta,
+    for each chi in `chis` (rows) and each set Theta of irreducibles of H
+    in `thetas` (columns), from one Gram over the union of the sets."""
+    lams = list(dict.fromkeys(lam for theta in thetas for lam in theta))
+    at = {lam: i for i, lam in enumerate(lams)}
+    cols = [[at[lam] for lam in theta] for theta in thetas]
+    degrees = [lam.degree for lam in lams]
+    return [[sum(row[i] * degrees[i] for i in c) for c in cols]
+            for row in restriction.multiplicities(chis, lams)]
 
 
-def d_theta(chi, theta: ThetaSet, names=None) -> int:
-    """Total dimension of the restriction factors with characters in Theta,
-    or in its subset `names`."""
-    if chi.table is not theta.restriction.ambient:
-        raise TableMismatch("character/table mismatch in restriction")
-    row = theta._rows[chi.name]
-    try:
-        total = Fraction(sum(row[n] for n in (
-            theta.names if names is None else names)), theta._den)
-    except KeyError as e:
-        raise TableMismatch(f"{e.args[0]} is not in {theta.names}") from None
-    if total.denominator != 1 or total < 0:
-        raise NonIntegralDimension(f"d(rho, Theta) = {total}")
-    return int(total)
+def _normalizer_restriction(table: CharacterTable, tag, param=None):
+    """A subgroup of the split-torus normalizer <r, s> = D_2n, odd n, of the
+    table's group: the torus <r> (`cyclic`), <s> (`cyclic` with param 2) or
+    all of it (`dihedral_split`).  The torus class kind (`a`, `pi0`, or `r`
+    in a dihedral group), n = the order of kind^1 and the class of s, the
+    one class of involutions, come from the class data.  A subgroup class
+    of element order 2 lies in the class of s, and r^j in kind^j, with j
+    folded to j <= n/2."""
+    data = table.model
+    kind = {"sz": "pi0", "dihedral": "r"}.get(table.family, "a")
+    n = data.class_orders[ClassLabel(kind, 1)]
+    involution = first(table.labels, lambda lab: data.class_orders[lab] == 2)
+    if tag == "dihedral_split":
+        param, sub_table = 0, table_dihedral_odd(2 * n)
+    else:
+        param = param or n
+        sub_table = table_cyclic(param)
 
+    def image(lab):
+        if sub_table.model.class_orders[lab] == 2:
+            return involution
+        j = min(lab.index, n - lab.index)
+        return ClassLabel(kind, j) if j else ID
 
-def _fold(j, n):
-    j %= n
-    return min(j, n - j)
-
-
-def _split_rotation_label(family, l):
-    return ClassLabel("pi0" if family == "sz" else "a", l) if l else ClassLabel("id")
-
-
-def _involution_label(family):
-    return {"psl2_even": ClassLabel("c"), "psl2_odd": ClassLabel("bq"),
-            "sz": ClassLabel("sigma")}[family]
+    return Restriction(table,
+                       symbolic_subgroup(table.family, table.q, tag, param),
+                       sub_table, tuple(map(image, sub_table.labels)))
 
 
 def split_torus_restriction(table: CharacterTable) -> Restriction:
     """The cyclic subgroup generated by the split-torus class representative."""
-    family, q = table.family, table.q
-    n = (q - 1) // 2 if family == "psl2_odd" else q - 1
-    sub = symbolic_subgroup(family, q, "cyclic", n)
-    images = tuple(_split_rotation_label(family, _fold(j, n))
-                   for j in range(n))
-    return Restriction(table, sub, table_cyclic(n), images)
+    return _normalizer_restriction(table, "cyclic")
 
 
 def c2_restriction(table: CharacterTable) -> Restriction:
-    sub = symbolic_subgroup(table.family, table.q, "cyclic", 2)
-    images = (ClassLabel("id"), _involution_label(table.family))
-    return Restriction(table, sub, table_cyclic(2), images)
+    return _normalizer_restriction(table, "cyclic", 2)
 
 
 def split_dihedral_restriction(table: CharacterTable) -> Restriction:
     """The dihedral normalizer of the split torus, with rotations folded."""
-    family, q = table.family, table.q
-    n = (q - 1) // 2 if family == "psl2_odd" else q - 1
-    sub = symbolic_subgroup(family, q, "dihedral_split")
-    images = tuple([ClassLabel("id")] +
-                   [_split_rotation_label(family, k)
-                    for k in range(1, (n - 1) // 2 + 1)] +
-                   [_involution_label(family)])
-    return Restriction(table, sub, table_dihedral_odd(2 * n), images)
+    return _normalizer_restriction(table, "dihedral_split")
 
 
 def dihedral_theta_restrictions(table: CharacterTable):
     """The (C_n, C_2) subgroup pair of an ambient dihedral table D_{2n}."""
     if table.family != "dihedral":
         raise ValueError("theta restrictions live in a dihedral ambient group")
-    n = table.q // 2
-    images_cn = tuple(ClassLabel("id") if j == 0 else ClassLabel("r", _fold(j, n))
-                      for j in range(n))
-    sub_cn = SubgroupSpec("cyclic", n, n)
-    h1 = Restriction(table, sub_cn, table_cyclic(n), images_cn)
-    sub_c2 = SubgroupSpec("cyclic", 2, 2)
-    h2 = Restriction(table, sub_c2, table_cyclic(2),
-                     (ClassLabel("id"), ClassLabel("s")))
-    return h1, h2
+    return split_torus_restriction(table), c2_restriction(table)
 
 
 def theta_balance(n):
@@ -751,13 +711,14 @@ def theta_balance(n):
     """
     table = table_dihedral_odd(2 * n)
     h1, h2 = dihedral_theta_restrictions(table)
-    theta1 = tuple(f"mu_{k}" for k in range(1, (n - 1) // 2 + 1))
-    theta1_full = ThetaSet(h1, ("mu_0",) + theta1)
-    theta2 = ThetaSet(h2, ("mu_0",))
-    part1 = all(d_theta(c, theta1_full, theta1) == d_theta(c, theta2)
-                for c in table.chars if c.name != "psi_1")
-    part2 = all(d_theta(c, theta1_full) == d_theta(c, theta2)
-                for c in table.chars if c.name != "psi_2")
+    mu = h1.table.by_name
+    theta1 = [mu[f"mu_{k}"] for k in range(1, (n - 1) // 2 + 1)]
+    d1 = d_theta(h1, table.chars, [theta1, [mu["mu_0"]] + theta1])
+    d2 = d_theta(h2, table.chars, [[h2.table.by_name["mu_0"]]])
+    part1 = all(a == d for c, (a, _), (d,) in zip(table.chars, d1, d2)
+                if c.name != "psi_1")
+    part2 = all(b == d for c, (_, b), (d,) in zip(table.chars, d1, d2)
+                if c.name != "psi_2")
     return part1, part2
 
 
@@ -784,7 +745,7 @@ def centralizer_checks(table: CharacterTable):
 
     def mults(restriction, names):
         r = restriction(table)
-        return multiplicity_checks(chi, r, [r.table.by_name[n] for n in names])
+        return r.multiplicities([chi], [r.table.by_name[n] for n in names])[0]
 
     def spectrum(n0):
         return lambda: mults(split_torus_restriction,

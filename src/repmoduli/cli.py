@@ -176,6 +176,13 @@ def _skip(name, anchor, inputs, reason):
     return Record(name, anchor, inputs, "skipped", reason, True, 0)
 
 
+def _skip_matrix_check(name, fam, q):
+    """The skip record of a check that needs the matrix group and its orbit
+    graph, for a family other than PSL2."""
+    return [_skip(name, name, f"q={q}", "skipped: class-data model"
+                  if fam == "sz" else "skipped: no orbit graph for this family")]
+
+
 def _table_stack(fam, q):
     """(family, q) of every table that the tables check builds."""
     if fam == "psl2_odd":
@@ -205,7 +212,7 @@ def check_tables(fam, q, cfg):
 def check_fusion(fam, q, cfg):
     name = f"fusion/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
-        return [_skip(name, name, f"q={q}", "skipped: class-data model")]
+        return _skip_matrix_check(name, fam, q)
     # a row per distinct stabilizer of the orbit graph
     graph = build_orbit_graph(fam, q)
     rows = list(dict.fromkeys((c.sub.tag, c.sub.param)
@@ -280,7 +287,7 @@ def check_euler(fam, q, cfg):
 def check_brown(fam, q, cfg):
     name = f"brown/{fam}-q{q}"
     if fam not in ("psl2_even", "psl2_odd"):
-        return [_skip(name, name, f"q={q}", "skipped: class-data model")]
+        return _skip_matrix_check(name, fam, q)
     # a type (i) relation per tree edge, |G_e| of type (ii) per edge
     expected = sum(e.in_tree + e.sub.order
                    for e in build_orbit_graph(fam, q, k=cfg.k).edges)

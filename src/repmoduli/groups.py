@@ -84,15 +84,6 @@ class SubgroupSpec:
     elements: Optional[tuple] = None
     gens: Optional[tuple] = None
 
-    def name(self):
-        if self.tag == "cyclic":
-            return f"C{self.param}"
-        if self.tag == "torus_normalizer":
-            return "C+" if self.param > 0 else "C-"
-        return {"borel": "B", "dihedral_split": "D_split",
-                "dihedral_nonsplit": "D_nonsplit", "a4": "A4",
-                "klein4": "V4", "c4": "C4", "trivial": "1"}[self.tag]
-
 
 @dataclass(frozen=True)
 class ClassData:

@@ -392,8 +392,8 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
                         target: Character, seed=0,
                         tol: Tolerances = TOL) -> UnitaryRep:
     """Unitary images with the exact character `target`: rho0 from its
-    closed-form model (WeilModel for odd q, KirillovModel for even q), a
-    degree-1 character from its values.
+    closed-form model (WeilModel for odd q, KirillovModel for even q); any
+    other character raises ValueError.
 
     Raises ToleranceExceeded unless, within tol, the class representatives'
     images are unitary, the images are a homomorphism on 300 pairs drawn
@@ -403,15 +403,7 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
             (model.family, model.q) != (table.family, table.q):
         raise ValueError("realization needs the matrix model of the "
                          "table's group (class-data groups are exact-only)")
-    if target.degree == 1:      # 1 x 1 monomial images: the values
-
-        def formula(els):
-            vals = np.array([[target.value_at(model.class_of(g)).to_complex()]
-                             for g in els], dtype=complex)
-            return Images(np.ones(len(vals), bool), np.zeros(vals.shape, int),
-                          vals, np.empty((0, 1, 1)))
-        formula.degree = 1
-    elif target is rho0_character(table):
+    if target is rho0_character(table):
         formula = (KirillovModel if model.q % 2 == 0 else WeilModel)(model)
     else:
         raise ValueError(f"no explicit model of {target.name}")

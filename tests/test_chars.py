@@ -6,10 +6,10 @@ import pytest
 import repmoduli.chars as chars
 from repmoduli.chars import (
     CharacterTable, NonIntegralDimension, Restriction, TableMismatch,
-    ThetaSet, c2_restriction, centralizer_dim,
+    c2_restriction, centralizer_dim,
     check_column_orthogonality, check_row_orthogonality, d_theta,
     dihedral_theta_restrictions, fusion_for, gram, inner_product,
-    multiplicity_checks, pack_terms, restricted_inner_product,
+    pack_terms, restricted_inner_product,
     rho0_character, split_dihedral_restriction,
     split_torus_restriction, table_cyclic, table_dihedral_odd,
     table_psl2_even, table_psl2_odd, table_sl2_odd, table_suzuki,
@@ -240,47 +240,48 @@ def test_multiplicity_examples():
     t4 = table_psl2_even(4)
     th = t4.by_name["theta_1"]
     d6 = split_dihedral_restriction(t4)
-    assert multiplicity_checks(th, d6, [d6.table.by_name["psi_1"]])[0] == 0
+    assert d6.multiplicities([th], [d6.table.by_name["psi_1"]]) == [[0]]
+    # -theta_1 has negative multiplicities, which are no dimensions
+    minus = chars.Character("-theta_1", t4, [
+        p and p[:2] + (tuple(-n for n in p[2]),) + p[3:] for p in th.packed])
+    with pytest.raises(NonIntegralDimension, match="-1 is not"):
+        d6.multiplicities([minus], d6.table.chars)
     borel_f = fusion_for(t4, symbolic_subgroup("psl2_even", 4, "borel"))
     assert restricted_inner_product(th, th, borel_f) == 1
 
     t11 = table_psl2_odd(11)
     e1 = t11.by_name["eta_1"]
     d10 = split_dihedral_restriction(t11)
-    assert multiplicity_checks(e1, d10, [d10.table.by_name["psi_2"]])[0] == 0
+    assert d10.multiplicities([e1], [d10.table.by_name["psi_2"]]) == [[0]]
 
 
 def test_d_theta_dihedral_examples():
     table = table_dihedral_odd(2 * 7)
     h1, h2 = dihedral_theta_restrictions(table)
-    theta1 = ThetaSet(h1, ("mu_1", "mu_2", "mu_3"))
-    theta2 = ThetaSet(h2, ("mu_0",))
-    chi1 = table.by_name["chi_1"]
-    assert d_theta(chi1, theta1) == 1
-    assert d_theta(chi1, theta2) == 1
-    assert d_theta(table.by_name["psi_1"], theta2) == 1
+    theta1 = [h1.table.by_name[f"mu_{k}"] for k in (1, 2, 3)]
+    theta2 = [h2.table.by_name["mu_0"]]
+    chi1, psi1 = table.by_name["chi_1"], table.by_name["psi_1"]
+    assert d_theta(h1, [chi1], [theta1]) == [[1]]
+    assert d_theta(h2, [chi1, psi1], [theta2]) == [[1], [1]]
 
 
 def test_theta_subsets_read_from_one_gram():
-    # d(chi, Theta') read from the Gram of a larger set equals the value
-    # from a Gram of Theta' alone and the sum of the multiplicities
+    # d(chi, Theta) read from the Gram over a union of sets equals the value
+    # from a Gram of Theta alone and the sum of the multiplicities
     for n in range(3, 22, 2):
         table = table_dihedral_odd(2 * n)
         h1, h2 = dihedral_theta_restrictions(table)
-        theta1 = tuple(f"mu_{k}" for k in range(1, (n - 1) // 2 + 1))
-        full = ThetaSet(h1, ("mu_0",) + theta1)
-        alone, mu0 = ThetaSet(h1, theta1), ThetaSet(h1, ("mu_0",))
-        for chi in table.chars:
-            d1 = d_theta(chi, full, theta1)
-            assert d1 == d_theta(chi, alone) == sum(
-                multiplicity_checks(chi, h1, [h1.table.by_name[name]])[0]
-                for name in theta1)
-            assert d_theta(chi, full, ("mu_0",)) == d_theta(chi, mu0)
-            assert d_theta(chi, full) == d1 + d_theta(chi, mu0)
+        mu = h1.table.by_name
+        theta1 = [mu[f"mu_{k}"] for k in range(1, (n - 1) // 2 + 1)]
+        full = [mu["mu_0"]] + theta1
+        rows = d_theta(h1, table.chars, [theta1, [mu["mu_0"]], full])
+        for chi, (d1, d0, d) in zip(table.chars, rows):
+            assert [d1] == d_theta(h1, [chi], [theta1])[0] == [sum(
+                h1.multiplicities([chi], theta1)[0])]
+            assert [d0] == d_theta(h1, [chi], [[mu["mu_0"]]])[0]
+            assert d == d1 + d0
     with pytest.raises(TableMismatch):
-        d_theta(table.chars[0], alone, ("mu_0",))
-    with pytest.raises(TableMismatch):
-        ThetaSet(h2, ("mu_2",))
+        d_theta(h2, table.chars, [[mu["mu_0"]]])
 
 
 def test_theta_balance_small():
@@ -342,9 +343,9 @@ def test_restriction_from_enumeration_matches_analytic():
     e1 = t.by_name["eta_1"]
     analytic = split_dihedral_restriction(table_psl2_odd(11))
     for name in ("psi_1", "psi_2", "chi_1", "chi_2"):
-        got = enum_r.multiplicities(e1, [enum_r.table.by_name[name]])[0]
-        want = analytic.multiplicities(table_psl2_odd(11).by_name["eta_1"],
-                                       [analytic.table.by_name[name]])[0]
+        got = enum_r.multiplicities([e1], [enum_r.table.by_name[name]])
+        want = analytic.multiplicities([table_psl2_odd(11).by_name["eta_1"]],
+                                       [analytic.table.by_name[name]])
         assert got == want
 
 
@@ -353,13 +354,11 @@ def test_c2_and_c4_restrictions():
     r = c2_restriction(t)
     th = t.by_name["theta_1"]
     # eigenvalue multiplicities of the involution action: (q/2-1, q/2)
-    assert multiplicity_checks(th, r, [r.table.by_name["mu_0"]])[0] == 1
-    assert multiplicity_checks(th, r, [r.table.by_name["mu_1"]])[0] == 2
+    assert r.multiplicities([th], r.table.chars) == [[1, 2]]
     ts = table_suzuki(8)
     r4 = c4_in_sz_restriction(ts)
     w1 = ts.by_name["W_1"]
-    mults = [multiplicity_checks(w1, r4, [r4.table.by_name[f"mu_{k}"]])[0]
-             for k in range(4)]
+    mults, = r4.multiplicities([w1], r4.table.chars)
     assert sum(mults) == 14 and min(mults) >= 0
 
 
@@ -369,12 +368,14 @@ def test_c2_and_c4_restrictions():
 def test_batched_multiplicities_match_one_by_one(build, q):
     t = build(q)
     r = split_torus_restriction(t)
-    for chi in (rho0_character(t), t.chars[-1]):
-        lams = r.table.chars
-        assert r.multiplicities(chi, lams) == \
-            [r.multiplicities(chi, [lam])[0] for lam in lams]
-        assert multiplicity_checks(chi, r, lams) == \
-            [multiplicity_checks(chi, r, [lam])[0] for lam in lams]
+    lams = r.table.chars
+    chi, psi = rho0_character(t), t.chars[-1]
+    for x in (chi, psi):
+        row, = r.multiplicities([x], lams)
+        assert all(isinstance(m, int) for m in row)
+        assert row == [r.multiplicities([x], [lam])[0][0] for lam in lams]
+    assert r.multiplicities([chi, psi], lams) == \
+        r.multiplicities([chi], lams) + r.multiplicities([psi], lams)
 
 
 def test_degree_must_be_a_positive_integer():
@@ -403,8 +404,8 @@ def test_split_torus_restriction_even_multiplicity_free():
     t = table_psl2_even(8)
     r = split_torus_restriction(t)
     th = t.by_name["theta_1"]
-    mults = [multiplicity_checks(th, r, [r.table.by_name[f"mu_{k}"]])[0]
-             for k in range(7)]
+    mults, = r.multiplicities([th], [r.table.by_name[f"mu_{k}"]
+                                     for k in range(7)])
     assert mults == [1] * 7
 
 

@@ -88,6 +88,20 @@ def test_sz_numerics_skip_recorded():
     assert skip and "class-data model" in skip[0].computed
 
 
+@pytest.mark.parametrize("family, q, reason", [
+    ("dihedral", 5, "no orbit graph for this family"),
+    ("cyclic", 6, "no orbit graph for this family"),
+    ("sz", 8, "class-data model"),
+])
+@pytest.mark.parametrize("check", ["fusion", "brown"])
+def test_matrix_checks_skip_with_the_family_reason(family, q, reason, check):
+    report = run(parse_config(["--family", family, "--q", str(q),
+                               "--checks", check]))
+    assert report.ok
+    rec, = report.records
+    assert rec.computed == f"skipped: {reason}"
+
+
 def test_report_schema_and_determinism(tmp_path):
     argv = ["--family", "psl2", "--q", "4", "--checks", "tables,moduli-dim",
             "--seed", "7"]
@@ -380,6 +394,10 @@ def test_flipped_stored_value_fails_tables(monkeypatch, tmp_path):
     # the check raises and its error is the record
     ("chi_1", ClassLabel("r", 1), pack_terms(7, ((2, 1), (-2, 1))),
      "centralizers/theta-balance-n7", "not rational"),
+    # chi_1 at s: <Res_C2 chi_1, mu_0> = (2 + 1) / 2 is rational but not an
+    # integer, so the check raises NonIntegralDimension
+    ("chi_1", ClassLabel("s"), pack_terms(1, ((0, 1),)),
+     "centralizers/theta-balance-n7", "NonIntegralDimension"),
 ])
 def test_altered_dihedral_value_fails_theta_balance(
         monkeypatch, tmp_path, name, label, value, failure, computed):
