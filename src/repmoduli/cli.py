@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -387,22 +386,22 @@ def check_numerics(fam, q, cfg):
         expected_ranks = str(e)
     record("commutant-ranks", "commutant-ranks", expected_ranks, ranks)
 
-    rng = random.Random(seed)
     nrng = np.random.default_rng(seed)
+    # one word generator per record, apart from the moduli points of nrng
+    gauge_rng, kernel_rng, path_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
 
     def gauge_invariance():
         rep, (graph, pres) = realized(), setting()
-        words = [[random_word(pres, rng, 6) for _ in range(50)]
-                 for _ in range(20)]
+        words = random_word(pres, gauge_rng, 6, (20, 50))
         worst = gauge_defect(pres, rep, nrng, words, tol)
         return "within tolerance" if worst <= tol.moduli_word \
             else f"defect {worst:.2e}"
 
     def universal_point():
-        # draws from `rng` after gauge_invariance, as one sequence
         rep, (graph, pres) = realized(), setting()
         one = identity_moduli_point(graph, rep.degree)
-        words = [random_kernel_word(pres, rng) for _ in range(100)]
+        words = random_kernel_word(pres, kernel_rng, 100)
         universal = np.max(np.abs(rho_tau_eval(pres, rep, one, words) -
                                   np.eye(rep.degree)))
         return "within tolerance" if universal <= tol.universal \
@@ -410,8 +409,7 @@ def check_numerics(fam, q, cfg):
 
     def differential():
         rep, (graph, pres) = realized(), setting()
-        rng = random.Random(seed + 1)
-        paths = [random_closed_path(graph, rng) for _ in range(10)]
+        paths = random_closed_path(graph, path_rng, 10)
         worst_rel = 0.0
         for f, _, err in word_differential_checks(
                 pres, rep, paths, range(seed, seed + 10), tol=tol):

@@ -503,10 +503,13 @@ class ModuliPoint:
     mats: dict                  # edge index -> unitary matrix, or a stack
 
     def tau_vertex(self, v):
-        path = self.graph.tree_path(v)
-        d = next(iter(self.mats.values())).shape[0]
-        out = np.eye(d, dtype=np.complex128)
-        for e in path:          # tau_v = tau_{e_s} ... tau_{e_1}
+        """tau_v = tau_{e_s} ... tau_{e_1} along the tree path e_1 ... e_s
+        from the root to v: a matrix, or for a point whose matrices are
+        stacks, the stack of every draw's tau_v."""
+        some = next(iter(self.mats.values()))
+        out = np.broadcast_to(np.eye(some.shape[-1], dtype=np.complex128),
+                              some.shape)
+        for e in self.graph.tree_paths[v]:
             out = self.mats[e] @ out
         return out
 
@@ -519,29 +522,34 @@ class ModuliPoint:
         """The i-th point of a point whose matrices are stacks."""
         return ModuliPoint(self.graph, {e: m[i] for e, m in self.mats.items()})
 
-    def symbol_images(self, rho0: UnitaryRep, rows, into):
+    def symbol_images(self, rho0: UnitaryRep, at, rows, into):
         """Write into the (len(rows), d, d) stack `into` the images under
-        rho0 of the word symbols at `rows` of graph.word_symbols:
+        rho0 of the word symbols at `rows` of graph.word_symbols, the k-th
+        at draw at[k] of this point, whose matrices are stacks:
         tau_s^H tau_e^H rho0(g_e) tau_w for x_e, tau_v^H rho0(g) tau_v for g
-        in G_v (one batched product per vertex, from the images that rho0
-        keeps for G_v), and conjugate transposes for exponent -1."""
+        in G_v, and conjugate transposes for exponent -1.  Each edge and
+        each vertex is one batched product over all draws, its taus
+        gathered from the stacked tau_v, and rho0's images of a vertex
+        group are stacked in one call, from those that rho0 keeps."""
         graph, tau_v = self.graph, self.tau_v
         places = graph.word_symbols[1]
         half = len(places)              # rows from here on: exponent -1
-        direct, at = np.unique(rows % half, return_inverse=True)
+        # one image per draw and symbol of exponent 1
+        direct, back = np.unique(at * half + rows % half, return_inverse=True)
+        which, (vertex, i) = direct // half, places[direct % half].T
         out = np.empty((len(direct),) + into.shape[1:], dtype=np.complex128)
-        vertex, i = places[direct].T
-        for k in np.flatnonzero(vertex < 0):
-            e = graph.edges[i[k]]
-            out[k] = tau_v[e.s].conj().T @ self.mats[i[k]].conj().T @ \
-                rho0.mat(e.g) @ tau_v[e.w]
+        for ei in np.unique(i[vertex < 0]):
+            ks = np.flatnonzero((vertex < 0) & (i == ei))
+            e, p = graph.edges[ei], which[ks]
+            out[ks] = _h(tau_v[e.s])[p] @ _h(self.mats[ei])[p] @ \
+                rho0.mat(e.g) @ tau_v[e.w][p]
         for vi in np.unique(vertex[vertex >= 0]):
             ks = np.flatnonzero(vertex == vi)
-            t = tau_v[vi]
             out[ks] = rho0.kept(graph.vertices[vi].sub.elements).stack(i[ks])
             if vi != graph.root:        # tau is the identity at the root
-                out[ks] = t.conj().T @ out[ks] @ t
-        np.take(out, at, axis=0, out=into, mode="clip")  # no buffered copy
+                p = which[ks]
+                out[ks] = _h(tau_v[vi])[p] @ out[ks] @ tau_v[vi][p]
+        np.take(out, back, axis=0, out=into, mode="clip")  # no buffered copy
         into[rows >= half] = _h(into[rows >= half])
 
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
@@ -585,42 +593,50 @@ def random_h_point(graph, rho0: UnitaryRep, rng):
 
 
 def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep, tau, words):
-    """The induced representation on a sequence of words (the identity on
-    an empty one), as an (n, d, d) array: at the moduli point `tau`, or at
-    tau[i] for the i-th word.  The words run in chunks whose distinct
-    images, one per point and symbol, and accumulators fit in
-    _CHUNK_BYTES.  A chunk multiplies its words longest first, position j
+    """The induced representation on a sequence of words, each a sequence
+    of rows of graph.word_symbols (the identity on an empty one), as an
+    (n, d, d) array: at the moduli point `tau`, or at tau[i] for the i-th
+    word.  The distinct points run as one stacked point.  The words run in
+    chunks whose distinct images, one per point and symbol, and
+    accumulators fit in _CHUNK_BYTES; a chunk builds all its images in one
+    symbol_images call.  It multiplies its words longest first, position j
     over the words longer than j, left to right as word by word."""
+    graph = pres.graph
     points = [tau] * len(words) if isinstance(tau, ModuliPoint) else tau
-    index = pres.graph.word_symbols[0]
+    n_rows = 2 * len(graph.word_symbols[1])
+    lengths = np.array([len(w) for w in words], dtype=np.intp)
     try:
-        rows = [[index[sym] for sym in w] for w in words]
-    except KeyError as e:
-        raise ValueError(f"unknown word symbol {e.args[0]!r}") from None
-    d, n_rows = rho0.degree, len(index)
-    out = np.repeat(np.eye(d, dtype=np.complex128)[None], len(rows), axis=0)
+        rows = np.concatenate([np.empty(0, dtype=np.intp), *words]).astype(
+            np.intp, casting="safe")
+    except (TypeError, ValueError):
+        raise ValueError("a word is a sequence of symbol rows") from None
+    if rows.size and not 0 <= rows.min() <= rows.max() < n_rows:
+        raise ValueError(f"word symbol rows lie in [0, {n_rows})")
+    d = rho0.degree
+    out = np.repeat(np.eye(d, dtype=np.complex128)[None], len(words), axis=0)
+    if not len(words):
+        return out
     distinct = list({id(p): p for p in points}.values())
     slot = {id(p): i for i, p in enumerate(distinct)}
-    lengths = np.array([len(r) for r in rows], dtype=np.intp)
+    stacked = ModuliPoint(graph, {e: np.stack([p.mats[e] for p in distinct])
+                                  for e in range(len(graph.edges))})
     ends = np.cumsum(lengths)
     # every symbol of every word as one key: its point's index, then row
-    keys = np.repeat([slot[id(p)] for p in points], lengths) * n_rows + \
-        np.fromiter((x for r in rows for x in r), np.intp, lengths.sum())
+    keys = np.repeat([slot[id(p)] for p in points], lengths) * n_rows + rows
     room = _CHUNK_BYTES // (16 * d * d)     # matrices per chunk
     start = 0
-    while start < len(rows):
-        # the chunk ends before its new keys plus accumulators pass `room`
+    while start < len(words):
+        # the chunk ends before its new keys plus accumulators pass `room`,
+        # so within its first `room` words
         first = ends[start] - lengths[start]
-        new = np.unique(keys[first:], return_index=True)[1]
-        need = np.cumsum(1 + np.bincount(np.searchsorted(
-            ends[start:] - first, new, "right"), minlength=len(rows) - start))
+        window = ends[start:start + room] - first
+        new = np.unique(keys[first:first + window[-1]], return_index=True)[1]
+        need = np.cumsum(1 + np.bincount(np.searchsorted(window, new, "right"),
+                                         minlength=len(window)))
         stop = start + max(1, int(np.searchsorted(need, room, "right")))
         uniq, inv = np.unique(keys[first:ends[stop - 1]], return_inverse=True)
         images = np.empty((len(uniq), d, d), dtype=np.complex128)
-        bounds = np.searchsorted(uniq, np.arange(len(distinct) + 1) * n_rows)
-        for p, a, b in zip(distinct, bounds[:-1], bounds[1:]):
-            if a < b:
-                p.symbol_images(rho0, uniq[a:b] % n_rows, images[a:b])
+        stacked.symbol_images(rho0, uniq // n_rows, uniq % n_rows, images)
         size = lengths[start:stop]
         order = np.argsort(-size, kind="stable")
         heads = (np.cumsum(size) - size)[order]     # each word's first key
@@ -648,9 +664,12 @@ def h_action(graph, rho0: UnitaryRep, tau: ModuliPoint,
 def gauge_defect(pres: BrownPresentation, rho0: UnitaryRep, rng, words,
                  tol: Tolerances = TOL):
     """max |rho_tau(w) - rho_{tau . alpha}(w)| over draws (tau, alpha), one
-    per list of `words`, drawn as random_moduli_point then random_h_point
-    would draw them.  The draws run stacked: one group average per
-    subgroup, one eigh, and the checks (ToleranceExceeded) over all."""
+    per sequence of `words`, drawn as random_moduli_point then
+    random_h_point would draw them.  The draws run stacked: one group
+    average per subgroup, one eigh, the checks (ToleranceExceeded) over
+    all, and one word evaluation, at tau and at tau . alpha, for as many
+    draws' words as keep their values and differences within
+    _CHUNK_BYTES (all 20 draws of 50 words while d <= 4)."""
     graph, n_edges = pres.graph, len(pres.graph.edges)
     others = [i for i in range(len(graph.vertices)) if i != graph.root]
     subs = [c.sub for c in graph.edges + [graph.vertices[i] for i in others]]
@@ -660,11 +679,17 @@ def gauge_defect(pres: BrownPresentation, rho0: UnitaryRep, rng, words,
     moved = h_action(graph, rho0, tau, HPoint(graph, {
         graph.root: np.eye(rho0.degree, dtype=np.complex128),
         **dict(zip(others, mats[n_edges:]))}), tol)
+    # a word's values at two points and their difference: 64 d^2 bytes
+    per_draw = 64 * rho0.degree ** 2 * max(map(len, words), default=0)
     worst = 0.0
-    for i, ws in enumerate(words):
-        values = rho_tau_eval(pres, rho0, [tau.draw(i)] * len(ws) +
-                              [moved.draw(i)] * len(ws), ws + ws)
-        worst = np.maximum(worst, _mnorm(values[:len(ws)] - values[len(ws):]))
+    for sl in _chunk_slices(len(words), per_draw):
+        group = range(len(words))[sl]
+        batch = [w for i in group for w in words[i]]
+        at = [p for point in (tau, moved) for i in group
+              for p in [point.draw(i)] * len(words[i])]
+        values = rho_tau_eval(pres, rho0, at, batch + batch)
+        worst = np.maximum(worst, _mnorm(values[:len(batch)] -
+                                         values[len(batch):]))
     return worst
 
 

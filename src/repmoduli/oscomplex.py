@@ -62,24 +62,23 @@ class OrbitGraph:
     def concrete(self):
         return self.model is not None
 
-    def tree_path(self, v):
-        """Edge-orbit indices of the unique tree path root -> v."""
-        parent = {self.root: None}
+    @cached_property
+    def tree_paths(self):
+        """The edge-orbit indices of the unique tree path root -> v, for
+        every vertex v in order; NotFound if the tree does not span.  Built
+        once per graph."""
+        paths = {self.root: []}
         order = [self.root]
         while order:
             u = order.pop()
             for i, e in enumerate(self.edges):
-                if e.in_tree and e.s == u and e.w not in parent:
-                    parent[e.w] = (u, i)
+                if e.in_tree and e.s == u and e.w not in paths:
+                    paths[e.w] = paths[u] + [i]
                     order.append(e.w)
-        if v not in parent:
-            raise NotFound(f"vertex {v} not reached by the tree")
-        path = []
-        while parent[v] is not None:
-            u, i = parent[v]
-            path.append(i)
-            v = u
-        return list(reversed(path))
+        for v in range(len(self.vertices)):
+            if v not in paths:
+                raise NotFound(f"vertex {v} not reached by the tree")
+        return [paths[v] for v in range(len(self.vertices))]
 
     @cached_property
     def word_symbols(self):
@@ -105,16 +104,30 @@ class OrbitGraph:
 
     @cached_property
     def walk_steps(self):
-        """For each vertex v and twist t in G_v, the moves (e, eps, t,
-        t g_e^eps, next vertex) of random_closed_path: along the edges
-        leaving v, then against those entering it.  Built on first use."""
-        mul, edges = self.model.mul, list(enumerate(self.edges))
-        options = [[(i, 1, e.g, e.w) for i, e in edges if e.s == v] +
-                   [(i, -1, self.model.inv(e.g), e.s) for i, e in edges
-                    if e.w == v] for v in range(len(self.vertices))]
-        return [[[(i, eps, t, mul(t, f), nxt) for i, eps, f, nxt in moves]
-                 for t in vertex.sub.elements]
-                for vertex, moves in zip(self.vertices, options)]
+        """The moves of the closed walks, as arrays (first, count, moves,
+        add, mul).  The moves from vertex v are the columns first[v] +
+        range(count[v]) of `moves`, one for each twist t in G_v (major) and
+        edge option: along the edges leaving v, then against those entering
+        it.  A column holds the word rows of i_v(t) and of x_e^eps, the
+        next vertex, and the entries (a, b, c, d) of t g_e^eps.  add and
+        mul are the field's tables, flat: x + y at add[x q + y].  Built on
+        first use."""
+        model, rows = self.model, self.word_symbols[0]
+        edges, moves, first = list(enumerate(self.edges)), [], []
+        for v, vertex in enumerate(self.vertices):
+            options = [(i, 1, e.g, e.w) for i, e in edges if e.s == v] + \
+                [(i, -1, model.inv(e.g), e.s) for i, e in edges if e.w == v]
+            first.append(len(moves))
+            moves += [(rows["v", v, t, 1], rows["x", i, eps], nxt,
+                       *model.mul(t, f))
+                      for t in vertex.sub.elements
+                      for i, eps, f, nxt in options]
+        first = np.array(first + [len(moves)], dtype=np.intp)
+        spec = model.spec
+        return (first[:-1], np.diff(first),
+                np.array(moves, dtype=np.intp).T.copy(),
+                np.array(spec.add_table, dtype=np.intp).ravel(),
+                np.array(spec.mul_table, dtype=np.intp).ravel())
 
 
 def _stabilizer_plan(family, q):
@@ -208,8 +221,7 @@ def validate_graph(graph: OrbitGraph):
     if n_tree != len(graph.vertices) - 1:
         raise InvalidGraph(f"{n_tree} tree edges for "
                            f"{len(graph.vertices)} vertices")
-    for v in range(len(graph.vertices)):
-        graph.tree_path(v)      # raises if the tree does not span
+    graph.tree_paths            # raises if the tree does not span
     if not graph.concrete:
         return True
     for e in graph.edges:
@@ -300,26 +312,39 @@ class BrownPresentation:
         if not self.graph.concrete:
             raise ValueError("a presentation needs a concrete graph")
 
-    # words are tuples of symbols ('x', edge_index, +-1) and
-    # ('v', vertex_index, element, +-1)
+    # a word is a sequence of rows of graph.word_symbols, the symbols
+    # ('x', edge_index, +-1) and ('v', vertex_index, element, +-1)
 
     def x(self, e, exp=1):
-        return ("x", e, exp)
+        """The row of x_e^exp."""
+        return self._row(("x", e, exp))
 
     def v(self, vidx, g, exp=1):
-        return ("v", vidx, g, exp)
+        """The row of i_v(g)^exp."""
+        return self._row(("v", vidx, g, exp))
+
+    def _row(self, sym):
+        try:
+            return self.graph.word_symbols[0][sym]
+        except KeyError:
+            raise ValueError(f"unknown word symbol {sym!r}") from None
+
+    @cached_property
+    def elements(self):
+        """The image under phi of every word symbol row: g_e for x_e, g for
+        i_v(g), and their inverses for exponent -1."""
+        graph = self.graph
+        direct = [graph.edges[i].g if vi < 0 else
+                  graph.vertices[vi].sub.elements[i]
+                  for vi, i in graph.word_symbols[1].tolist()]
+        return direct + [self.model.inv(g) for g in direct]
 
     def phi(self, word):
         """The quotient morphism: x_e -> g_e, i_v(g) -> g."""
-        model = self.model
+        mul, elements = self.model.mul, self.elements
         acc = IDENTITY
-        for sym in word:
-            if sym[0] == "x":
-                _, e, exp = sym
-                f = self.graph.edges[e].g
-            else:
-                _, _, f, exp = sym
-            acc = model.mul(acc, f if exp == 1 else model.inv(f))
+        for row in np.asarray(word, dtype=np.intp).tolist():
+            acc = mul(acc, elements[row])
         return acc
 
     def relations(self):
@@ -354,36 +379,79 @@ def brown_presentation(graph: OrbitGraph, model: GroupModel) -> BrownPresentatio
     return pres
 
 
-# -- closed edge paths and kernel words --------------------------------------------
+# -- random words, closed edge paths and kernel words --------------------------
 
-def random_closed_path(graph: OrbitGraph, rng):
-    """A closed edge path (a_i, e_i, eps_i) of 4 to 14 legs, based at the
-    root vertex.
+_WALK_STEPS = 14            # a closed walk has 4 to 14 steps
+_WALK_BATCH = 8             # walks drawn per closed walk still missing
 
-    Each step draws a twist t in G_v, then an edge; a walk not closed in the
-    root group within 14 steps is drawn again.  The root group is the
-    Borel subgroup, which holds the prefix c exactly when the bottom row
-    (r, s) of c has r = 0, so the walk carries only that row.  A leg along
-    e has a = c t, formed with the prefixes once the walk is accepted."""
-    model, steps = graph.model, graph.walk_steps
-    add, mul = model.spec.add_table, model.spec.mul_table
-    while True:
-        r, s, vidx, walk = 0, 1, graph.root, []
-        for _ in range(14):
-            walk.append(rng.choice(rng.choice(steps[vidx])))
-            _, _, _, (a, b, c, d), vidx = walk[-1]
-            r, s = add[mul[r][a]][mul[s][c]], add[mul[r][b]][mul[s][d]]
-            if vidx == graph.root and len(walk) >= 4 and r == 0:
-                break
-        else:
-            continue
+
+def _closed_walks(graph: OrbitGraph, rng, n):
+    """n closed walks from the root vertex: the rows of graph.walk_steps
+    that each walk takes, and its closing prefix.
+
+    A round walks _WALK_BATCH walks for every walk still missing, in
+    lockstep, from a (14, walks) array of uniforms u: step j of a walk at
+    vertex v takes its move floor(u[j] count[v]), a uniform twist t in G_v
+    and a uniform edge option.  A walk is cut at its first step from the
+    4th on that ends at the root vertex with the prefix in the root group;
+    a walk with no such step is dropped.  The first n walks to close, in
+    order, have the law of a walk drawn again until it closes within 14
+    steps.  The root group is the Borel subgroup, which holds the prefix c
+    exactly when the bottom row (r, s) of c has r = 0; InvalidGraph if a
+    closing prefix is not in it."""
+    first, count, moves, add, mul = graph.walk_steps
+    root, model, q = graph.root, graph.model, graph.q
+
+    def dot(x, y, z, w):        # x y + z w in the field
+        return add[mul[x * q + y] * q + mul[z * q + w]]
+
+    walks, ends = [], []
+    while len(walks) < n:
+        u = rng.random((_WALK_STEPS, _WALK_BATCH * (n - len(walks))))
+        at = np.full(u.shape[1], root)
+        pre = np.zeros((4, u.shape[1]), dtype=np.intp)    # prefix (a, b, c, d)
+        pre[0] = pre[3] = 1
+        taken = np.empty(u.shape, dtype=np.intp)
+        length = np.zeros(u.shape[1], dtype=np.intp)    # 0 while open
+        closing = np.empty_like(pre)
+        for j, uj in enumerate(u):
+            taken[j] = step = first[at] + (uj * count[at]).astype(np.intp)
+            at, e, f, g, h = moves.take(step, axis=1)[2:]
+            a, b, c, d = pre
+            pre = np.array([dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g),
+                            dot(c, f, d, h)])
+            if j >= 3:          # from the 4th step on
+                now = (length == 0) & (at == root) & (pre[2] == 0)
+                length[now] = j + 1
+                closing[:, now] = pre[:, now]
+        for k in np.flatnonzero(length)[:n - len(walks)]:
+            walks.append(taken[:length[k], k])
+            ends.append(model.canonical(tuple(closing[:, k].tolist())))
+    if not graph.vertex_sets[root].issuperset(ends):
+        raise InvalidGraph("closed walk leaves the root group")
+    return walks, ends
+
+
+def random_closed_path(graph: OrbitGraph, rng, n):
+    """n closed edge paths (a_i, e_i, eps_i) of 4 to 14 legs, based at the
+    root vertex, from the walks of _closed_walks.  A leg along e has
+    a = c t, against e a = c t g_e^-1, for the prefix c before the step and
+    its twist t."""
+    model, places = graph.model, graph.word_symbols[1].tolist()
+    moves, half = graph.walk_steps[2], len(places)
+    paths = []
+    for walk in _closed_walks(graph, rng, n)[0]:
         legs, c = [], IDENTITY
-        for ei, eps, t, step, _ in walk:
-            prev, c = c, model.mul(c, step)
-            legs.append((model.mul(prev, t) if eps == 1 else c, ei, eps))
-        if c not in graph.vertex_sets[graph.root]:
-            raise InvalidGraph("closed walk leaves the root group")
-        return legs
+        for twist, edge, _, *step in moves[:, walk].T.tolist():
+            vi, i = places[twist]
+            t = graph.vertices[vi].sub.elements[i]
+            prev, c = c, model.mul(c, tuple(step))
+            if edge < half:
+                legs.append((model.mul(prev, t), edge, 1))
+            else:
+                legs.append((c, edge - half, -1))
+        paths.append(legs)
+    return paths
 
 
 def path_to_word(pres: BrownPresentation, legs):
@@ -410,41 +478,61 @@ def path_to_word(pres: BrownPresentation, legs):
     if prefix not in graph.vertex_sets[graph.root]:
         raise InvalidGraph("closed path does not return to the root group")
     word.append(pres.v(graph.root, prefix, -1))
-    if pres.phi(tuple(word)) != IDENTITY:
+    return _in_kernel(pres, np.array(word, dtype=np.intp))
+
+
+def _in_kernel(pres: BrownPresentation, word):
+    if pres.phi(word) != IDENTITY:
         raise InvalidGraph("path word does not map to 1")
-    return tuple(word)
+    return word
 
 
-def word_inverse(word):
-    return tuple((s[0], s[1], s[2], -s[3]) if s[0] == "v"
-                 else (s[0], s[1], -s[2]) for s in reversed(word))
+def word_inverse(pres: BrownPresentation, word):
+    """The inverse word: the rows reversed, each with its exponent
+    flipped."""
+    half = len(pres.graph.word_symbols[1])
+    return (np.asarray(word, dtype=np.intp)[::-1] + half) % (2 * half)
 
 
-def random_word(pres: BrownPresentation, rng, length=8):
-    """A random word in the presentation generators (not generally in the
-    kernel)."""
+def random_word(pres: BrownPresentation, rng, length, size=()):
+    """Random words of `length` symbols (not generally in the kernel), as
+    an array of rows of shape size + (length,), one word by default.  Each
+    symbol is x_e for a uniform edge e or i_v(g) for a uniform vertex v
+    and g in G_v, with equal odds, and either exponent with equal odds."""
     graph = pres.graph
+    vertex = graph.word_symbols[1][:, 0]
+    order = np.array([len(v.sub.elements) for v in graph.vertices])
+    weight = np.where(vertex < 0, 1 / len(graph.edges),
+                      1 / (len(graph.vertices) * order[vertex])) / 4
+    return rng.choice(2 * len(vertex), np.atleast_1d(size).tolist() + [length],
+                      p=np.tile(weight, 2))
+
+
+def random_kernel_word(pres: BrownPresentation, rng, n):
+    """n random elements of ker(phi), each with equal odds a closed-path
+    word w, a conjugate u w u^-1 by a random word u of 1 to 4 symbols, or a
+    commutator w v w^-1 v^-1 of two.  A walk's word is written from its
+    moves: i_v(t) x_e^eps for each step, with the twist t that path_to_word
+    would recover from the legs, then i_root(c)^-1 for the closing prefix
+    c; InvalidGraph unless phi maps it to 1."""
+    graph = pres.graph
+    styles = rng.integers(3, size=n).tolist()
+    moves = graph.walk_steps[2]
+    paths = iter([_in_kernel(pres, np.append(
+        moves[:2, walk].T.ravel(), pres.v(graph.root, c, -1)))
+        for walk, c in zip(*_closed_walks(
+            graph, rng, n + styles.count(2)))])
+    conj = iter(zip(random_word(pres, rng, 4, styles.count(1)),
+                    rng.integers(1, 5, size=styles.count(1)).tolist()))
     out = []
-    for _ in range(length):
-        if rng.random() < 0.5:
-            ei = rng.randrange(len(graph.edges))
-            out.append(pres.x(ei, rng.choice((1, -1))))
-        else:
-            vi = rng.randrange(len(graph.vertices))
-            g = rng.choice(graph.vertices[vi].sub.elements)
-            out.append(pres.v(vi, g, rng.choice((1, -1))))
-    return tuple(out)
-
-
-def random_kernel_word(pres: BrownPresentation, rng):
-    """A random element of ker(phi): conjugated closed-path words and
-    commutators of such."""
-    base = path_to_word(pres, random_closed_path(pres.graph, rng))
-    style = rng.randrange(3)
-    if style == 0:
-        return base
-    if style == 1:
-        u = random_word(pres, rng, rng.randrange(1, 5))
-        return u + base + word_inverse(u)
-    other = path_to_word(pres, random_closed_path(pres.graph, rng))
-    return base + other + word_inverse(base) + word_inverse(other)
+    for style in styles:
+        w = next(paths)
+        if style == 1:
+            u, cut = next(conj)
+            w = np.concatenate([u[:cut], w, word_inverse(pres, u[:cut])])
+        elif style == 2:
+            v = next(paths)
+            w = np.concatenate([w, v, word_inverse(pres, w),
+                                word_inverse(pres, v)])
+        out.append(w)
+    return out

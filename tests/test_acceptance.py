@@ -5,7 +5,6 @@ lines and timings.  All exact checks are bit-exact (no tolerance); the
 numerical criteria pin the stated tolerances.
 """
 
-import random
 import time
 
 import numpy as np
@@ -218,22 +217,20 @@ def test_criterion_9_moduli_mechanics(realized):
     worst_univ = 0.0
     for q in (4, 11):
         model, table, rep, graph, pres = realized[q]
-        rng = random.Random(9)
+        rng = np.random.default_rng(109)
         nrng = np.random.default_rng(9)
         for _ in range(20):
             tau = random_moduli_point(graph, rep, nrng)
             alpha = random_h_point(graph, rep, nrng)
             moved = h_action(graph, rep, tau, alpha)
-            for _ in range(50):
-                w = random_word(pres, rng, 6)
+            for w in random_word(pres, rng, 6, 50):
                 d = float(np.max(np.abs(
                     rho_tau_eval(pres, rep, tau, [w])[0] -
                     rho_tau_eval(pres, rep, moved, [w])[0])))
                 worst_gauge = max(worst_gauge, d)
         one = identity_moduli_point(graph, rep.degree)
         eye = np.eye(rep.degree)
-        for _ in range(100):
-            w = random_kernel_word(pres, rng)
+        for w in random_kernel_word(pres, rng, 100):
             val = rho_tau_eval(pres, rep, one, [w])[0]
             d = float(np.max(np.abs(val - eye)))
             worst_univ = max(worst_univ, d)
@@ -247,10 +244,9 @@ def test_criterion_9_moduli_mechanics(realized):
 def test_criterion_10_word_differential(realized):
     t0 = time.monotonic()
     model, table, rep, graph, pres = realized[4]
-    rng = random.Random(1)
     worst = 0.0
-    for i in range(10):
-        legs = random_closed_path(graph, rng)
+    paths = random_closed_path(graph, np.random.default_rng(1), 10)
+    for i, legs in enumerate(paths):
         f, fd, err = word_differential_check(pres, rep, legs, seed=i)
         rel = err / (1 + float(np.max(np.abs(f))))
         worst = max(worst, rel)

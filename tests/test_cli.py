@@ -575,8 +575,8 @@ def test_wrong_model_constant_fails_numerics(monkeypatch, tmp_path, q,
 
 def _gauge_defect_per_draw(q, seed=0, draws=20, words=50):
     """The gauge-invariance defect drawn and evaluated one draw at a time,
-    each point's words in their own rho_tau_eval call."""
-    import random
+    each point's words in their own rho_tau_eval call, the words drawn a
+    draw at a time from the record's word generator."""
     import numpy as np
     from repmoduli.chars import rho0_character, table_for
     from repmoduli.numerics import (
@@ -588,12 +588,13 @@ def _gauge_defect_per_draw(q, seed=0, draws=20, words=50):
     rep = realize_irreducible(model, table, rho0_character(table), seed=seed)
     graph = osc.build_orbit_graph(fam, q, model=model)
     pres = osc.brown_presentation(graph, model)
-    rng, nrng = random.Random(seed), np.random.default_rng(seed)
+    nrng = np.random.default_rng(seed)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(3)[0])
     worst = 0.0
     for _ in range(draws):
         tau = random_moduli_point(graph, rep, nrng)
         moved = h_action(graph, rep, tau, random_h_point(graph, rep, nrng))
-        ws = [osc.random_word(pres, rng, 6) for _ in range(words)]
+        ws = osc.random_word(pres, rng, 6, words)
         worst = max(worst, float(np.max(np.abs(
             rho_tau_eval(pres, rep, tau, ws) -
             rho_tau_eval(pres, rep, moved, ws)))))
@@ -641,6 +642,32 @@ def test_perturbed_moved_point_fails_gauge_record(monkeypatch, tmp_path):
     recs = _records(out)
     gauge = recs.pop("numerics/psl2_even-q4/gauge-invariance")
     assert gauge["pass"] is False and gauge["computed"].startswith("defect")
+    assert all(rec["pass"] for rec in recs.values())
+
+
+def test_word_outside_kernel_fails_universal_record(monkeypatch, tmp_path):
+    # one kernel word with one generator symbol appended, i_root(g) for an
+    # element g != 1 of the root group, leaves ker(phi): the universal
+    # point no longer sends every word to the identity
+    real = osc.random_kernel_word
+
+    def one_symbol_more(pres, rng, n):
+        words = real(pres, rng, n)
+        root = pres.graph.root
+        g = next(x for x in pres.graph.vertices[root].sub.elements
+                 if x != IDENTITY)
+        words[n // 2] = list(words[n // 2]) + [pres.v(root, g)]
+        return words
+
+    monkeypatch.setattr(osc, "random_kernel_word", one_symbol_more)
+    out = tmp_path / "r.json"
+    rc = main(["--family", "psl2", "--q", "4", "--checks", "numerics",
+               "--out", str(out)])
+    assert rc == 1
+    recs = _records(out)
+    universal = recs.pop("numerics/psl2_even-q4/universal-point")
+    assert universal["pass"] is False
+    assert universal["computed"].startswith("defect")
     assert all(rec["pass"] for rec in recs.values())
 
 

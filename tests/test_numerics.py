@@ -1,5 +1,3 @@
-import random
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,8 @@ from repmoduli.chars import (
 )
 from repmoduli.groups import IDENTITY, build_subgroup, psl2_model
 from repmoduli.numerics import (
-    HPoint, Images, KirillovModel, UnitaryRep, WeilModel, commutant_rank,
-    expm, h_action, identity_moduli_point, random_h_point,
+    HPoint, Images, KirillovModel, ModuliPoint, UnitaryRep, WeilModel,
+    commutant_rank, expm, h_action, identity_moduli_point, random_h_point,
     random_moduli_point, realize_irreducible, rho_tau_eval, spectral_split,
     word_differential_check,
 )
@@ -147,9 +145,8 @@ def test_direct_sum_commutant_dimension(rho4):
 def test_rho_tau_at_identity_point(setting4):
     m, t, rep, g, pres = setting4
     one = identity_moduli_point(g, rep.degree)
-    rng = random.Random(1)
-    for _ in range(20):
-        w = random_word(pres, rng, 6)
+    rng = np.random.default_rng(1)
+    for w in random_word(pres, rng, 6, 20):
         lhs = rho_tau_eval(pres, rep, one, [w])[0]
         assert np.max(np.abs(lhs - rep.mat(pres.phi(w)))) < 1e-8
     # tree edges evaluate to the identity
@@ -162,12 +159,10 @@ def test_rho_tau_at_identity_point(setting4):
 def test_rho_tau_multiplicative_and_relations(setting4):
     m, t, rep, g, pres = setting4
     nrng = np.random.default_rng(2)
-    rng = random.Random(2)
+    rng = np.random.default_rng(102)
     tau = random_moduli_point(g, rep, nrng)
-    for _ in range(10):
-        w1 = random_word(pres, rng, 5)
-        w2 = random_word(pres, rng, 5)
-        lhs = rho_tau_eval(pres, rep, tau, [w1 + w2])[0]
+    for w1, w2 in random_word(pres, rng, 5, (10, 2)):
+        lhs = rho_tau_eval(pres, rep, tau, [np.concatenate([w1, w2])])[0]
         rhs = rho_tau_eval(pres, rep, tau, [w1])[0] @ \
             rho_tau_eval(pres, rep, tau, [w2])[0]
         assert np.max(np.abs(lhs - rhs)) < 1e-7
@@ -181,9 +176,7 @@ def test_rho_tau_multiplicative_and_relations(setting4):
 def test_universal_point_kills_kernel(setting4):
     m, t, rep, g, pres = setting4
     one = identity_moduli_point(g, rep.degree)
-    rng = random.Random(3)
-    for _ in range(25):
-        w = random_kernel_word(pres, rng)
+    for w in random_kernel_word(pres, np.random.default_rng(3), 25):
         val = rho_tau_eval(pres, rep, one, [w])[0]
         assert np.max(np.abs(val - np.eye(rep.degree))) < 1e-8
 
@@ -191,13 +184,12 @@ def test_universal_point_kills_kernel(setting4):
 def test_h_action(setting4):
     m, t, rep, g, pres = setting4
     nrng = np.random.default_rng(4)
-    rng = random.Random(4)
+    rng = np.random.default_rng(104)
     tau = random_moduli_point(g, rep, nrng)
     alpha = random_h_point(g, rep, nrng)
     moved = h_action(g, rep, tau, alpha)
     moved.check(rep)
-    for _ in range(25):
-        w = random_word(pres, rng, 7)
+    for w in random_word(pres, rng, 7, 25):
         a = rho_tau_eval(pres, rep, tau, [w])[0]
         b = rho_tau_eval(pres, rep, moved, [w])[0]
         assert np.max(np.abs(a - b)) < 1e-7
@@ -258,9 +250,8 @@ def test_word_differential_trivial_cases(setting4):
 
 def test_word_differential_random_paths(setting4):
     m, t, rep, g, pres = setting4
-    rng = random.Random(9)
-    for i in range(10):
-        legs = random_closed_path(g, rng)
+    paths = random_closed_path(g, np.random.default_rng(9), 10)
+    for i, legs in enumerate(paths):
         f, fd, err = word_differential_check(pres, rep, legs, seed=i)
         assert err <= 1e-6 * (1 + np.max(np.abs(f)))
 
@@ -269,9 +260,7 @@ def test_word_differential_commutator_vanishes(setting4):
     # the commutator of two kernel words has zero differential; check via
     # the concatenated path of w v w^-1 v^-1
     m, t, rep, g, pres = setting4
-    rng = random.Random(10)
-    legs1 = random_closed_path(g, rng)
-    legs2 = random_closed_path(g, rng)
+    legs1, legs2 = random_closed_path(g, np.random.default_rng(10), 2)
 
     def invert(legs):
         model = pres.model
@@ -303,10 +292,22 @@ def test_realize_rejects_class_data_model():
 
 
 def test_rho_tau_unknown_symbol(setting4):
+    # a word is a sequence of symbol rows: a symbol tuple, a row outside
+    # the table and a symbol the graph lacks are all rejected
     m, t, rep, g, pres = setting4
     one = identity_moduli_point(g, rep.degree)
+    n_rows = 2 * len(g.word_symbols[1])
     with pytest.raises(ValueError):
         rho_tau_eval(pres, rep, one, [(("y", 0, 1),)])
+    for bad in (n_rows, -1):
+        with pytest.raises(ValueError):
+            rho_tau_eval(pres, rep, one, [(0, bad)])
+    assert rho_tau_eval(pres, rep, one, [(0, n_rows - 1)]).shape == \
+        (1, rep.degree, rep.degree)
+    with pytest.raises(ValueError):
+        pres.x(len(g.edges))
+    with pytest.raises(ValueError):
+        pres.v(g.root, (0, 0, 0, 0))
 
 
 def test_realize_psl2_19_capability():
@@ -398,9 +399,10 @@ def test_monomial_images_match_dense(q):
 def _reference_eval(rep, tau, word):
     """The word's value at tau with every symbol image built afresh."""
     graph = tau.graph
+    symbol = {row: sym for sym, row in graph.word_symbols[0].items()}
     tau_v = [tau.tau_vertex(v) for v in range(len(graph.vertices))]
     acc = np.eye(rep.degree, dtype=np.complex128)
-    for sym in word:
+    for sym in map(symbol.get, np.asarray(word).tolist()):
         if sym[0] == "x":
             _, ei, exp = sym
             e = graph.edges[ei]
@@ -423,12 +425,11 @@ def setting11(rho11):
 def test_cached_word_values_are_bit_identical(setting11):
     m, t, rep, g, pres = setting11
     nrng = np.random.default_rng(11)
-    rng = random.Random(11)
+    rng = np.random.default_rng(111)
     tau = random_moduli_point(g, rep, nrng)
     moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
     for point in (tau, moved):
-        for _ in range(40):
-            w = random_word(pres, rng, 8)
+        for w in random_word(pres, rng, 8, 40):
             ref = _reference_eval(rep, point, w)
             assert np.array_equal(rho_tau_eval(pres, rep, point, [w])[0], ref)
             # a second evaluation reads every image from the cache
@@ -445,14 +446,60 @@ def test_symbol_images_are_kept_per_rep(setting11):
         (r1.degree, r1.degree)))[0]
     r1 = UnitaryRep(m, _Dense(r1.formula, lambda els, s: u @ s @ u.T))
     tau = random_moduli_point(g, r0, np.random.default_rng(12))
-    rng = random.Random(12)
-    for _ in range(10):
-        w = random_word(pres, rng, 6)
+    for w in random_word(pres, np.random.default_rng(112), 6, 10):
         v0 = rho_tau_eval(pres, r0, tau, [w])[0]
         v1 = rho_tau_eval(pres, r1, tau, [w])[0]
         assert np.array_equal(v0, _reference_eval(r0, tau, w))
         assert np.array_equal(v1, _reference_eval(r1, tau, w))
     assert not np.allclose(v0, v1)
+
+
+def test_stacked_tau_v_equals_each_draw(setting11):
+    # tau_v of a point whose matrices are (draws, d, d) stacks, as
+    # gauge_defect builds them, is every draw's tau_v bit for bit, and the
+    # identity stack at the root
+    m, t, rep, g, pres = setting11
+    nrng = np.random.default_rng(17)
+    draws = [random_moduli_point(g, rep, nrng) for _ in range(3)]
+    stacked = ModuliPoint(g, {e: np.stack([p.mats[e] for p in draws])
+                              for e in draws[0].mats})
+    d = rep.degree
+    assert max(map(len, g.tree_paths)) > 1
+    for v, tv in enumerate(stacked.tau_v):
+        assert tv.shape == (3, d, d)
+        for i, p in enumerate(draws):
+            assert np.array_equal(tv[i], p.tau_vertex(v))
+    assert np.array_equal(stacked.tau_v[g.root],
+                          np.broadcast_to(np.eye(d), (3, d, d)))
+
+
+@pytest.mark.parametrize("budget", [None, 64 * 5 * 5 * 5 * 2])
+def test_gauge_defect_evaluates_draws_together(setting11, monkeypatch,
+                                               budget):
+    # the draws' words at tau and at tau . alpha run in one rho_tau_eval
+    # call or, patched, two draws a call; each value is bit for bit the
+    # word-by-word product at its draw, and the defect their worst
+    import repmoduli.numerics as num
+    m, t, rep, g, pres = setting11
+    if budget is not None:
+        monkeypatch.setattr(num, "_CHUNK_BYTES", budget)
+    calls = []
+    real = num.rho_tau_eval
+    monkeypatch.setattr(num, "rho_tau_eval", lambda *a: calls.append(
+        (a, real(*a))) or calls[-1][1])
+    words = random_word(pres, np.random.default_rng(118), 6, (4, 5))
+    worst = num.gauge_defect(pres, rep, np.random.default_rng(18), words)
+    assert len(calls) == (1 if budget is None else 2)
+    defects, points = [], set()
+    for (_, _, at, batch), values in calls:
+        assert len(batch) == 2 * 5 * (4 // len(calls))
+        for p, w, value in zip(at, batch, values):
+            assert np.array_equal(value, _reference_eval(rep, p, w))
+        half = len(batch) // 2
+        defects.append(np.max(np.abs(values[:half] - values[half:])))
+        points |= {id(p) for p in at}
+    assert len(points) == 8
+    assert worst == max(defects) and 0 < worst < 1e-12
 
 
 def test_expm_rotation_inverse_and_rejection():
@@ -506,12 +553,12 @@ def test_batched_words_equal_reference(setting11):
     # equals the word-by-word product bit for bit
     m, t, rep, g, pres = setting11
     nrng = np.random.default_rng(13)
-    rng = random.Random(13)
+    rng = np.random.default_rng(113)
     tau = random_moduli_point(g, rep, nrng)
     moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
     one = identity_moduli_point(g, rep.degree)
-    words = [random_word(pres, rng, 6) for _ in range(30)]
-    kernel = [random_kernel_word(pres, rng) for _ in range(20)]
+    words = random_word(pres, rng, 6, 30)
+    kernel = random_kernel_word(pres, rng, 20)
     assert len({len(w) for w in kernel}) > 1
     for point, batch in ((tau, words), (moved, words), (one, words),
                          (one, kernel), (tau, kernel)):
@@ -529,30 +576,31 @@ def test_mixed_points_and_lengths_equal_reference(setting11, monkeypatch,
     # words of 1 to 116 symbols at three points in one call, in chunks of
     # about 1 MB or, patched, of 8 matrices (many chunks, the longest word
     # alone in one): every value equals the word-by-word product bit for
-    # bit
+    # bit, with one batched image build per chunk for all points
     import repmoduli.numerics as num
     m, t, rep, g, pres = setting11
     if budget is not None:
         monkeypatch.setattr(num, "_CHUNK_BYTES", budget)
-    built = []                  # a point's images, once per chunk
+    built = []                  # the draws of each image build
     real = num.ModuliPoint.symbol_images
     monkeypatch.setattr(num.ModuliPoint, "symbol_images",
-                        lambda *a: built.append(a[0]) or real(*a))
+                        lambda *a: built.append(set(a[2].tolist())) or
+                        real(*a))
     nrng = np.random.default_rng(16)
-    rng = random.Random(16)
+    rng = np.random.default_rng(116)
     tau = random_moduli_point(g, rep, nrng)
     moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
     points = [tau, moved, identity_moduli_point(g, rep.degree)]
     words = [random_word(pres, rng, n) for n in
              (1, 116, 2, 3, 1, 7, 40, 5, 13, 89, 1, 21, 60, 4)]
-    words += [random_kernel_word(pres, rng) for _ in range(10)]
+    words += random_kernel_word(pres, rng, 10)
     at = [points[i % 3] for i in range(len(words))]
     values = rho_tau_eval(pres, rep, at, words)
     assert values.shape == (len(words), rep.degree, rep.degree)
     for w, point, value in zip(words, at, values):
         assert np.array_equal(value, _reference_eval(rep, point, w))
-    if budget is None:          # one chunk
-        assert sorted(map(id, built)) == sorted(map(id, points))
+    if budget is None:          # one chunk, one build for the three points
+        assert built == [{0, 1, 2}]
     else:
         assert len(built) > 10
 

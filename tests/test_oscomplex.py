@@ -1,6 +1,7 @@
-import random
-
+import numpy as np
 import pytest
+
+import repmoduli.oscomplex as osc
 
 from repmoduli.chars import (
     gram, rho0_character, table_psl2_even, table_psl2_odd,
@@ -184,42 +185,52 @@ def test_closed_paths_produce_kernel_words():
     m = psl2_model(4)
     g = build_orbit_graph("psl2_even", 4, k=1, model=m)
     pres = brown_presentation(g, m)
-    rng = random.Random(11)
-    for _ in range(10):
-        legs = random_closed_path(g, rng)
+    rng = np.random.default_rng(11)
+    for legs in random_closed_path(g, rng, 10):
         word = path_to_word(pres, legs)
         assert pres.phi(word) == IDENTITY
-    for _ in range(10):
-        w = random_kernel_word(pres, rng)
+    for w in random_kernel_word(pres, rng, 10):
         assert pres.phi(w) == IDENTITY
     w = random_word(pres, rng, 6)
-    assert pres.phi(w + word_inverse(w)) == IDENTITY
+    assert w.shape == (6,)
+    assert pres.phi(np.concatenate([w, word_inverse(pres, w)])) == IDENTITY
 
 
-def _closed_path_reference(graph, rng, min_len=4, max_len=14):
-    """random_closed_path with the edge options listed afresh at each step."""
+def _closed_path_reference(graph, rng, n, min_len=4, max_len=14):
+    """random_closed_path walked one walk at a time, with the edge options
+    listed afresh at each step, on the same draws: rounds of _WALK_BATCH
+    walks per path still missing, walk k reading column k of a
+    (max_len, walks) array of uniforms."""
     model = graph.model
     root_set = set(graph.vertices[graph.root].sub.elements)
-    while True:
-        c, vidx = IDENTITY, graph.root
-        legs = []
-        for _ in range(max_len):
-            c = model.mul(c, rng.choice(graph.vertices[vidx].sub.elements))
-            options = [(i, +1) for i, e in enumerate(graph.edges)
-                       if e.s == vidx]
-            options += [(i, -1) for i, e in enumerate(graph.edges)
-                        if e.w == vidx]
-            ei, eps = rng.choice(options)
-            e = graph.edges[ei]
-            if eps == 1:
-                legs.append((c, ei, 1))
-                c, vidx = model.mul(c, e.g), e.w
-            else:
-                a = model.mul(c, model.inv(e.g))
-                legs.append((a, ei, -1))
-                c, vidx = a, e.s
-            if vidx == graph.root and len(legs) >= min_len and c in root_set:
-                return legs
+    paths = []
+    while len(paths) < n:
+        u = rng.random((max_len, osc._WALK_BATCH * (n - len(paths))))
+        for column in u.T.tolist():
+            c, vidx = IDENTITY, graph.root
+            legs = []
+            for x in column:
+                twists = graph.vertices[vidx].sub.elements
+                options = [(i, +1) for i, e in enumerate(graph.edges)
+                           if e.s == vidx]
+                options += [(i, -1) for i, e in enumerate(graph.edges)
+                            if e.w == vidx]
+                k = int(x * (len(twists) * len(options)))
+                c = model.mul(c, twists[k // len(options)])
+                ei, eps = options[k % len(options)]
+                e = graph.edges[ei]
+                if eps == 1:
+                    legs.append((c, ei, 1))
+                    c, vidx = model.mul(c, e.g), e.w
+                else:
+                    a = model.mul(c, model.inv(e.g))
+                    legs.append((a, ei, -1))
+                    c, vidx = a, e.s
+                if vidx == graph.root and len(legs) >= min_len and \
+                        c in root_set:
+                    paths.append(legs)
+                    break
+    return paths[:n]
 
 
 @pytest.mark.parametrize("fam,q,k", [
@@ -227,24 +238,29 @@ def _closed_path_reference(graph, rng, min_len=4, max_len=14):
                                ("psl2_odd", 11), ("psl2_odd", 19)]
     for k in (0, 1)])
 def test_closed_paths_match_reference(fam, q, k):
-    # the same paths from the same draws, and the generator left in the
-    # same state
+    # the lockstep walks give the paths of a walk-by-walk reference on the
+    # same draws, and leave the generator in the same state
     g = build_orbit_graph(fam, q, k=k, model=psl2_model(q))
     for seed in (0, 1, 2, 3, 4, 7):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        for _ in range(4):
-            assert random_closed_path(g, rng) == \
-                _closed_path_reference(g, ref_rng)
-        assert rng.getstate() == ref_rng.getstate()
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 4, 10):
+            assert random_closed_path(g, rng, n) == \
+                _closed_path_reference(g, ref_rng, n)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_closed_walk_guards_the_root_group():
     # the walk closes on the bottom row of its prefix, which is right for
-    # the Borel root group only; with another root group the guard raises
-    g = build_orbit_graph("psl2_odd", 11, model=psl2_model(11))
+    # the Borel root group only; with another root group the guard raises,
+    # for closed paths and for kernel words alike
+    m = psl2_model(11)
+    g = build_orbit_graph("psl2_odd", 11, model=m)
+    pres = brown_presentation(g, m)
     g.vertex_sets[g.root] = frozenset([IDENTITY])
     with pytest.raises(InvalidGraph):
-        random_closed_path(g, random.Random(0))
+        random_closed_path(g, np.random.default_rng(0), 1)
+    with pytest.raises(InvalidGraph):
+        random_kernel_word(pres, np.random.default_rng(0), 1)
 
 
 def test_euler_identity_wider_spot():
