@@ -5,8 +5,10 @@ All values are elements of cyclotomic fields, all inner products exact
 rationals.  Every inner product, orthogonality check and centralizer
 dimension is an entry of one exact Gram kernel, `gram`, over the packed
 integer form in which tables store their values, so whole tables are
-handled at once without ever leaving exact arithmetic.  Canonical
-`Cyclotomic` values are built from the packed form only on demand.
+handled at once without ever leaving exact arithmetic.  The kernel's
+reduction on the CRT grid is the program's one cyclotomic reduction: it
+also gives a stored value's canonical form (`canonical`), which export,
+degrees and single-value comparisons read.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
-from .cyclo import Cyclotomic, factorize, legendre
+from .cyclo import factorize, legendre
 from .groups import (
     ID, ClassData, ClassLabel, SubgroupSpec, class_data_model, first,
     stored_fusion, symbolic_subgroup,
@@ -53,15 +55,6 @@ def pack_terms(order, terms):
             sum(map(abs, nums)))
 
 
-def _cyclotomic(value):
-    """A stored value as a canonical Cyclotomic."""
-    if value is None:
-        return Cyclotomic.zero()
-    order, exps, nums, den, _ = value
-    return Cyclotomic(order, tuple(
-        (k, Fraction(n, den)) for k, n in zip(exps, nums)))
-
-
 def _rat(c):
     return pack_terms(1, ((0, c),))
 
@@ -80,8 +73,7 @@ def _roots(n, exps, c):
 
 class Character:
     """A class function with exact cyclotomic values, one per class, stored
-    only in the packed form `gram` reads; the canonical Cyclotomic of a value
-    is built on demand, for display, comparison and numerics."""
+    only in the packed form `gram` reads."""
 
     __slots__ = ("name", "table", "packed")
 
@@ -91,24 +83,17 @@ class Character:
         self.packed = tuple(packed)
 
     @property
-    def values(self):
-        return tuple(map(_cyclotomic, self.packed))
-
-    @property
     def degree(self):
-        """The value at the identity, which must be a positive integer; it
-        is canonicalized only when not stored over Q (order 1)."""
-        p = self.packed[0]
-        if p is not None and p[0] != 1:
-            c = _cyclotomic(p)
-            p = _rat(c.to_rational()) if c.order == 1 else None
-        if p is None or p[3] != 1 or p[2][0] < 1:
+        """The value at the identity, which must be a positive integer."""
+        order, coeffs = canonical(self.packed[0])
+        d = coeffs[0][1] if order == 1 and coeffs else 0
+        if d.denominator != 1 or d.numerator < 1:
             raise NonIntegralDimension(
-                f"{self.name} has degree {_cyclotomic(self.packed[0])}")
-        return p[2][0]
+                f"{self.name} has degree {value_text(self.packed[0])}")
+        return d.numerator
 
     def value_at(self, label):
-        return _cyclotomic(self.packed[self.table.index[label]])
+        return self.packed[self.table.index[label]]
 
     def __repr__(self):
         return f"<character {self.name} of degree {self.degree}>"
@@ -141,7 +126,7 @@ class CharacterTable:
             "classes": [{"label": str(lab), "size": size}
                         for lab, size in zip(self.labels, self.sizes)],
             "characters": [{"name": c.name, "degree": c.degree,
-                            "values": [v.to_text() for v in c.values]}
+                            "values": list(map(value_text, c.packed))}
                            for c in self.chars],
         }
 
@@ -151,7 +136,7 @@ class CharacterTable:
         lines.append("size\t" + "\t".join(str(s) for s in self.sizes))
         for c in self.chars:
             lines.append(c.name + "\t" +
-                         "\t".join(v.to_text() for v in c.values))
+                         "\t".join(map(value_text, c.packed)))
         return "\n".join(lines)
 
 
@@ -338,6 +323,42 @@ def _dense_data(order):
     return shape, fs, np.ravel_multi_index(tuple(coords) or (ks,), shape)
 
 
+def canonical(value):
+    """The canonical form (order, ((k, Fraction), ...)) of a stored value:
+    its terms reduced on the CRT grid of `gram` to the tensor basis of the
+    power bases {zeta_{p^v}^j : j < phi(p^v)} of the prime-power factors
+    of its order (L. C. Washington, GTM 83, ch. 2), read back by exponent,
+    with the order deflated by the gcd of the support.  The form is
+    unique: two values are equal iff their forms are; zero is (1, ())."""
+    if value is None:
+        return 1, ()
+    order, exps, nums, den, l1 = value
+    if order == 1:      # stored over Q, so already (0, c): see `pack_terms`
+        return 1, ((0, Fraction(nums[0], den)),)
+    shape, fs, perm = _dense_data(order)
+    # an entry at most doubles per fold axis, as in `gram`
+    acc = np.zeros((1, order), dtype=np.int64 if l1 << len(fs) < 1 << 62
+                   else object)
+    acc[0, perm[list(exps)]] = nums
+    _fan_reduce(acc, shape, fs)
+    coeffs = acc[0, perm]
+    ks = np.flatnonzero(coeffs).tolist()
+    if not ks:
+        return 1, ()
+    g = gcd(order, *ks)
+    return order // g, tuple((k // g, Fraction(int(coeffs[k]), den))
+                             for k in ks)
+
+
+def value_text(value):
+    """A stored value as "c0 + c1*z^k + ... (mod N)", in canonical form."""
+    order, coeffs = canonical(value)
+    if not coeffs:
+        return "0 (mod 1)"
+    return " + ".join(str(c) if k == 0 else f"{c}*z^{k}"
+                      for k, c in coeffs) + f" (mod {order})"
+
+
 def inner_product(chi: Character, psi: Character) -> Fraction:
     """(1/|G|) sum over G of chi * conj(psi), exact."""
     t = chi.table
@@ -502,7 +523,8 @@ def table_psl2_odd(q) -> CharacterTable:
             for lab in model.class_labels]
     chars = []
     for c in sl2.chars:
-        if c.value_at(ClassLabel("z")) == c.value_at(ClassLabel("id")):
+        if canonical(c.value_at(ClassLabel("z"))) == \
+                canonical(c.value_at(ClassLabel("id"))):
             chars.append((c.name, [c.packed[j] for j in cols]))
     return CharacterTable("psl2_odd", q, model, chars)
 

@@ -48,7 +48,11 @@ class Tolerances:
 
 TOL = Tolerances()
 
-_CHUNK_BYTES = 1 << 20      # about 1 MB of matrices per batched operation
+# about 1 MB of matrices per batched operation; in `rho_tau_eval` this
+# counts a chunk's images and accumulators only, and the temporaries of
+# `ModuliPoint.symbol_images` take the peak to about 2.5 times it
+# (tracemalloc: 2.64 MB at q = 19)
+_CHUNK_BYTES = 1 << 20
 _FD_STEP = 1e-5             # central finite-difference step of word maps
 
 
@@ -205,7 +209,17 @@ class UnitaryRep:
         traces = np.trace(self.stack_of(
             [self.model.class_reps[lab] for lab in labels]), axis1=1, axis2=2)
         return _mnorm(traces - np.array(
-            [complex(target.value_at(lab).to_complex()) for lab in labels]))
+            [_complex_value(target.value_at(lab)) for lab in labels]))
+
+
+def _complex_value(value):
+    """A stored exact value as a complex number, sum n/den e^(2 pi i k/order)
+    over its terms (k, n); None is zero."""
+    if value is None:
+        return 0j
+    order, exps, nums, den, _ = value
+    return complex(np.exp(2j * np.pi / order * np.array(exps)) @
+                   np.array(nums, dtype=float)) / den
 
 
 # -- closed-form models of rho0 ------------------------------------------------
@@ -599,8 +613,10 @@ def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep, tau, words):
     word.  The distinct points run as one stacked point.  The words run in
     chunks whose distinct images, one per point and symbol, and
     accumulators fit in _CHUNK_BYTES; a chunk builds all its images in one
-    symbol_images call.  It multiplies its words longest first, position j
-    over the words longer than j, left to right as word by word."""
+    symbol_images call, whose temporaries are not budgeted (a chunk peaks
+    near 2.5 times _CHUNK_BYTES).  It multiplies its words longest first,
+    position j over the words longer than j, left to right as word by
+    word."""
     graph = pres.graph
     points = [tau] * len(words) if isinstance(tau, ModuliPoint) else tau
     n_rows = 2 * len(graph.word_symbols[1])

@@ -6,7 +6,7 @@ import pytest
 import repmoduli.chars as chars
 from repmoduli.chars import (
     CharacterTable, NonIntegralDimension, Restriction, TableMismatch,
-    c2_restriction, centralizer_dim,
+    c2_restriction, canonical, centralizer_dim,
     check_column_orthogonality, check_row_orthogonality, d_theta,
     dihedral_theta_restrictions, fusion_for, gram, inner_product,
     pack_terms, restricted_inner_product,
@@ -15,10 +15,20 @@ from repmoduli.chars import (
     table_psl2_even, table_psl2_odd, table_sl2_odd, table_suzuki,
     theta_balance,
 )
-from repmoduli.cyclo import Cyclotomic
 from repmoduli.groups import (
     ClassLabel, build_subgroup, closure, psl2_model, symbolic_subgroup,
 )
+
+from cyclotomic_ref import Cyclotomic
+
+
+def ref(chi, label):
+    """chi's stored value at `label` as a reference Cyclotomic."""
+    return Cyclotomic.from_packed(chi.value_at(label))
+
+
+def ref_values(chi):
+    return tuple(map(Cyclotomic.from_packed, chi.packed))
 
 
 def restriction_from_enumeration(table, model, sub):
@@ -65,18 +75,18 @@ def test_theta1_values_q4():
     t = table_psl2_even(4)
     th = t.by_name["theta_1"]
     assert th.degree == 3
-    assert th.value_at(ClassLabel("c")).to_rational() == -1
-    assert th.value_at(ClassLabel("a", 1)).is_zero()
+    assert ref(th, ClassLabel("c")).to_rational() == -1
+    assert ref(th, ClassLabel("a", 1)).is_zero()
 
 
 def test_eta1_values_q11():
     t = table_psl2_odd(11)
     e = t.by_name["eta_1"]
     assert e.degree == 5
-    assert e.value_at(ClassLabel("b", 1)).to_rational() == 1
-    assert e.value_at(ClassLabel("b", 2)).to_rational() == -1
+    assert ref(e, ClassLabel("b", 1)).to_rational() == 1
+    assert ref(e, ClassLabel("b", 2)).to_rational() == -1
     # (-1 + sqrt(-11)) / 2 at the transvection class: |value|^2 = 3
-    v = e.value_at(ClassLabel("c"))
+    v = ref(e, ClassLabel("c"))
     assert (v * v.conj()).to_rational() == 3
 
 
@@ -84,8 +94,8 @@ def test_w1_values_sz8():
     t = table_suzuki(8)
     w = t.by_name["W_1"]
     assert w.degree == 14
-    assert w.value_at(ClassLabel("sigma")).to_rational() == -2
-    v = w.value_at(ClassLabel("rho"))
+    assert ref(w, ClassLabel("sigma")).to_rational() == -2
+    v = ref(w, ClassLabel("rho"))
     assert v == Cyclotomic.root(4) * 2
 
 
@@ -141,16 +151,17 @@ def _gram_cases():
         # weights past the int64 bound: the Python-int path
         (t11.chars, t11.chars, [(s << 64) + 1 for s in t11.sizes]),
         # such weights only where psi vanishes: the int64 path again
-        (t11.chars, [psi], [1 << 70 if psi.value_at(lab).is_zero() else s
+        (t11.chars, [psi], [1 << 70 if ref(psi, lab).is_zero() else s
                             for lab, s in zip(t11.labels, t11.sizes)]),
     ]
     out = []
     for a, b, weights in cases:
         packed_a = [c.packed for c in a]
-        out.append(([c.values for c in a], [c.values for c in b], weights,
-                    packed_a, packed_a if b is a else [c.packed for c in b]))
+        out.append((list(map(ref_values, a)), list(map(ref_values, b)),
+                    weights, packed_a,
+                    packed_a if b is a else [c.packed for c in b]))
     ts = table_suzuki(8)
-    cols = list(zip(*(c.values for c in ts.chars)))
+    cols = list(zip(*map(ref_values, ts.chars)))
     packed_cols = list(zip(*(c.packed for c in ts.chars)))
     out.append((cols, cols, [1] * len(ts.chars), packed_cols, packed_cols))
     return out
@@ -330,7 +341,7 @@ def test_frobenius_reciprocity_spot():
             acc = Cyclotomic.zero()
             for lab, size in zip(t.labels, t.sizes):
                 alpha = Fraction(fus[lab] * t.order, sub_order * size)
-                acc = acc + chi.value_at(lab) * psi.value_at(lab).conj() * \
+                acc = acc + ref(chi, lab) * ref(psi, lab).conj() * \
                     (alpha * Fraction(size, t.order))
             assert acc.to_rational() == lhs
 
@@ -454,10 +465,28 @@ def test_permutation_character_reciprocity():
             for chi in t.chars:
                 acc = Cyclotomic.zero()
                 for lab, size in zip(t.labels, t.sizes):
-                    acc = acc + chi.value_at(lab).conj() * (size * pi[lab])
+                    acc = acc + ref(chi, lab).conj() * (size * pi[lab])
                 lhs = (acc * Fraction(1, t.order)).to_rational()
                 rhs = restricted_inner_product(chi, one, fus)
                 assert lhs == rhs, (q, tag, chi.name)
+
+
+def test_canonical_matches_reference_on_every_stored_value():
+    # the program's one reduction (on the CRT grid of the Gram kernel)
+    # against the reference's term-by-term reduction, on every distinct
+    # value stored by 156 tables
+    odd = [11, 19, 27, 43, 59, 67, 83, 107, 131, 139, 163, 179, 211, 227,
+           243, 251]                            # prime powers = 3 mod 8
+    tables = [table_psl2_even(1 << n) for n in range(2, 9)]
+    tables += [b(q) for q in odd for b in (table_sl2_odd, table_psl2_odd)]
+    tables += [table_suzuki(q) for q in (8, 32, 128, 512)]
+    tables += [table_dihedral_odd(2 * n) for n in range(3, 100, 2)]
+    tables += [table_cyclic(n) for n in range(1, 65)]
+    values = {v for t in tables for c in t.chars for v in c.packed}
+    assert len(values) > 4000
+    for v in values:
+        r = Cyclotomic.from_packed(v)
+        assert canonical(v) == (r.order, r.coeffs), v
 
 
 # sha256 of json.dumps(table.to_json()), pinned from the tables as built by

@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repmoduli.cyclo import Cyclotomic, NotRational, factorize, legendre
+from repmoduli.chars import canonical, pack_terms, value_text
+from repmoduli.cyclo import factorize, legendre
+
+from cyclotomic_ref import Cyclotomic, NotRational
 
 
 def quadratic_gauss_sum(p):
@@ -159,3 +162,49 @@ def test_conjugation_matches_complex_conjugation():
         lhs = v.conj().to_complex()
         rhs = v.to_complex().conjugate()
         assert abs(lhs - rhs) < 1e-9
+
+
+_coeffs = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(-(1 << 70), 1 << 70))      # past int64 once folded
+
+
+@st.composite
+def _terms(draw):
+    """(order, terms): exponents out of range and repeated, plus full fans
+    sum_i c zeta_p^i zeta^t over a prime p of the order, which cancel."""
+    order = draw(st.one_of(
+        st.sampled_from([1, 2, 4, 8, 9, 16, 25, 27, 49, 72, 360, 210]),
+        st.integers(1, 400)))
+    terms = draw(st.lists(st.tuples(st.integers(-3 * order, 3 * order),
+                                    _coeffs), max_size=6))
+    terms += [draw(st.sampled_from(terms))] if terms else []
+    primes = [p for p, _ in factorize(order)]
+    fans = draw(st.lists(st.sampled_from(primes), max_size=3)) if primes \
+        else []
+    for p in fans:
+        t, c = draw(st.integers(0, order - 1)), draw(_coeffs)
+        terms += [(t + i * (order // p), c) for i in range(p)]
+    return order, draw(st.permutations(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms())
+def test_canonical_matches_reference(case):
+    order, terms = case
+    ref = Cyclotomic.from_terms(order, terms)
+    value = pack_terms(order, terms)
+    assert canonical(value) == (ref.order, ref.coeffs)
+    assert value_text(value) == ref.to_text()
+    if ref.is_zero():
+        assert value_text(value) == "0 (mod 1)"
+
+
+def test_full_fans_cancel_to_zero():
+    for order in (8, 9, 27, 72, 360):
+        for p, _ in factorize(order):
+            fan = [(3 + i * (order // p), Fraction(2, 3)) for i in range(p)]
+            value = pack_terms(order, fan)
+            assert value is not None
+            assert canonical(value) == (1, ())
+            assert value_text(value) == "0 (mod 1)"

@@ -10,12 +10,14 @@ from repmoduli.numerics import (
     HPoint, Images, KirillovModel, ModuliPoint, UnitaryRep, WeilModel,
     commutant_rank, expm, h_action, identity_moduli_point, random_h_point,
     random_moduli_point, realize_irreducible, rho_tau_eval, spectral_split,
-    word_differential_check,
+    word_differential_check, _complex_value,
 )
 from repmoduli.oscomplex import (
     brown_presentation, build_orbit_graph, random_closed_path,
     random_kernel_word, random_word,
 )
+
+from cyclotomic_ref import Cyclotomic
 
 
 def _dense_images(stack):
@@ -360,7 +362,13 @@ def test_explicit_model_reference(q):
     assert rep.degree == target.degree
     traces = np.trace(rep.stack_of([m.class_reps[lab] for lab in t.labels]),
                       axis1=1, axis2=2)
-    exact = [complex(target.value_at(lab).to_complex()) for lab in t.labels]
+    # the complex values character_defect reads, straight from the stored
+    # terms, against the reference's canonical form
+    exact = np.array([_complex_value(target.value_at(lab))
+                      for lab in t.labels])
+    reference = [Cyclotomic.from_packed(target.value_at(lab)).to_complex()
+                 for lab in t.labels]
+    assert np.max(np.abs(exact - reference)) < 1e-12
     assert np.max(np.abs(traces - exact)) < 1e-12
     f = m.spec
     gens = [m.canonical(g) for i in range(f.n) for g in (
