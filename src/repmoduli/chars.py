@@ -96,7 +96,8 @@ class Character:
         return self.packed[self.table.index[label]]
 
     def __repr__(self):
-        return f"<character {self.name} of degree {self.degree}>"
+        return (f"<character {self.name} of degree "
+                f"{value_text(self.packed[0])}>")
 
 
 class CharacterTable:
@@ -150,7 +151,9 @@ def _flatten(rows, cols):
     denominator: (den, conductor per column, largest l1 norm of a value per
     column, (row, column, order, exponent, numerator) arrays).  Each
     distinct stored value object is unpacked once and the cells index it,
-    so a value that a table builder shares between cells is unpacked once."""
+    so a value that a table builder shares between cells is unpacked once.
+    Norms and numerators are int64 unless a scaled l1 norm reaches 2^62,
+    and Python ints then."""
     cells = [row[x] for row in rows for x in cols]
     ids = list(map(id, cells))
     values = dict(zip(ids, cells))
@@ -165,14 +168,13 @@ def _flatten(rows, cols):
         norms.append(l1 * f)
         exps += ks
         nums += ns if f == 1 else [n * f for n in ns]
+    dtype = np.int64 if max(norms, default=0) < 1 << 62 else object
     v = np.array(list(map(where.__getitem__, ids)), dtype=np.int64)
     order = np.array(orders, dtype=np.int64)[v]
-    col = np.tile(np.arange(len(cols)), len(rows))
-    cond = [1] * len(cols)
-    for c, o in set(zip(col.tolist(), order.tolist())):
-        cond[c] = lcm(cond[c], o)
-    norm = np.array(norms, dtype=object)[v].reshape(
-        len(rows), len(cols)).max(axis=0, initial=0).tolist()
+    shape = len(rows), len(cols)
+    cond = np.lcm.reduce(order.reshape(shape), axis=0, initial=1)
+    norm = np.array(norms, dtype=dtype)[v].reshape(shape).max(
+        axis=0, initial=0)
     counts = np.array(counts, dtype=np.int64)
     t = counts[v]
     ends = np.cumsum(t)
@@ -180,9 +182,9 @@ def _flatten(rows, cols):
         np.arange(int(ends[-1]) if len(ends) else 0)
     return den, cond, norm, (
         np.repeat(np.arange(len(rows)), len(cols)).repeat(t),
-        col.repeat(t), order.repeat(t),
+        np.tile(np.arange(len(cols)), len(rows)).repeat(t), order.repeat(t),
         np.array(exps, dtype=np.int64)[idx],
-        np.array(nums, dtype=object)[idx])
+        np.array(nums, dtype=dtype)[idx])
 
 
 def _fan_reduce(acc, shape, fs):
@@ -204,15 +206,19 @@ def gram(rows_a, rows_b, weights):
 
     `weights` are rationals, one per column.  Columns where the weight or
     either side is zero are skipped, the rest grouped by the conductor m of
-    their values.  For rows of (virtual) characters and weights constant on
+    their values; when the two sides are different lists, a column where
+    every a-value is the stored zero is dropped before either side is
+    unpacked.  For rows of (virtual) characters and weights constant on
     Galois orbits of columns, each group is Galois-stable and its partial
     sum rational, so it is accumulated in Z[Z/m] with integer numpy,
     reduced on the CRT grid of Z/m and read off at exponent 0.  A partial
-    that is not rational raises TableMismatch naming the entry.  A group is
-    computed in int64 when sum_x |w_x| |a(x)|_1 |b(x)|_1, doubled per fold
-    axis, stays below 2^62, and in Python ints otherwise.  When `rows_b is
-    rows_a` only the entries j >= i are computed and the rest mirrored:
-    G[j][i] = conj(G[i][j]), and a rational partial is its own conjugate.
+    that is not rational raises TableMismatch naming the entry.  The
+    unpacked terms are int64 arrays unless some scaled l1 norm of a value
+    reaches 2^62.  A group is computed in int64 when
+    sum_x |w_x| |a(x)|_1 |b(x)|_1, doubled per fold axis, stays below 2^62,
+    and in Python ints otherwise.  When `rows_b is rows_a` only the entries
+    j >= i are computed and the rest mirrored: G[j][i] = conj(G[i][j]),
+    and a rational partial is its own conjugate.
     Returns a list of rows of Fractions.
     """
     total, den = _gram(rows_a, rows_b, weights)
@@ -224,20 +230,20 @@ def _gram(rows_a, rows_b, weights):
     """`gram` as (integer object array, common denominator)."""
     wden = lcm(*(w.denominator for w in weights))
     cols = [x for x, w in enumerate(weights) if w]
+    upper = rows_b is rows_a
+    if not upper:       # a column where every a-value is zero adds nothing
+        cols = [x for x in cols if any(row[x] is not None for row in rows_a)]
     w = np.array([int(weights[x] * wden) for x in cols], dtype=object)
     flat_a = _flatten(rows_a, cols)
-    flat_b = flat_a if rows_b is rows_a else _flatten(rows_b, cols)
-    upper = flat_b is flat_a
-    bounds = abs(w) * np.array(flat_a[2], dtype=object) * \
-        np.array(flat_b[2], dtype=object)
-    cond = np.array([lcm(p, q) for p, q in zip(flat_a[1], flat_b[1])],
-                    dtype=np.int64) * (bounds != 0)
+    flat_b = flat_a if upper else _flatten(rows_b, cols)
+    bounds = abs(w) * flat_a[2].astype(object) * flat_b[2].astype(object)
+    cond = np.lcm(flat_a[1], flat_b[1]) * (bounds != 0)
     total = np.zeros((len(rows_a), len(rows_b)), dtype=object)
     for m in sorted(set(cond.tolist()) - {0}):
         in_group = cond == m
         small = bounds[in_group].sum() << len(factorize(m)) < 1 << 62
         a = _group_terms(flat_a[3], in_group, m)
-        b = a if flat_b is flat_a else _group_terms(flat_b[3], in_group, m)
+        b = a if upper else _group_terms(flat_b[3], in_group, m)
         _add_group(total, a, b, np.where(in_group, w, 0).astype(
             np.int64 if small else object), m, upper)
     if upper:
@@ -368,12 +374,20 @@ def inner_product(chi: Character, psi: Character) -> Fraction:
 
 
 def restricted_inner_product(chi, psi, fusion) -> Fraction:
-    """Inner product of the restrictions to a subgroup, via fusion counts."""
+    """Inner product of the restrictions to a subgroup, via fusion counts.
+    The result is reused by value: a later call with equal packed rows and
+    fusion weights reads it from a bounded cache, which never holds a
+    failure, so a Gram that raises raises for every call that asks for it."""
     t = chi.table
     if psi.table is not t:
         raise TableMismatch("characters live in different tables")
-    weights = [fusion.get(lab, 0) for lab in t.labels]
-    return gram([chi.packed], [psi.packed], weights)[0][0] / sum(weights)
+    return _restricted_gram(chi.packed, psi.packed,
+                            tuple(fusion.get(lab, 0) for lab in t.labels))
+
+
+@lru_cache(maxsize=1024)
+def _restricted_gram(a, b, weights):
+    return gram([a], [b], weights)[0][0] / sum(weights)
 
 
 def centralizer_dim(chi, fusion=None) -> int:
@@ -653,11 +667,13 @@ class Restriction:
         g, den = _gram([[chi.packed[x] for x in cols] for chi in chis],
                        [lam.packed for lam in lams], self.table.sizes)
         den *= self.table.order
-        bad = next((v for v in g.flat if v % den or v < 0), None)
+        bad = next((ij for ij, v in np.ndenumerate(g) if v % den or v < 0),
+                   None)
         if bad is not None:
+            i, j = bad
             raise NonIntegralDimension(
-                f"multiplicity {Fraction(bad, den)} is not a nonnegative "
-                f"integer")
+                f"<Res {chis[i].name}, {lams[j].name}> = "
+                f"{Fraction(g[bad], den)} is not a nonnegative integer")
         return (g // den).tolist()
 
 

@@ -143,6 +143,10 @@ def _gram_cases():
     t11 = table_psl2_odd(11)
     a4 = fusion_for(t11, symbolic_subgroup("psl2_odd", 11, "a4"))
     psi = t11.by_name["psi"]
+    k = (1 << 62) + 1
+    huge = [chars.Character(c.name, t11, [
+        p and (*p[:2], tuple(n * k for n in p[2]), p[3], p[4] * k)
+        for p in c.packed]) for c in t11.chars]
     cases = [(t.chars, t.chars, t.sizes) for t in (
         table_psl2_even(8), t11, table_sl2_odd(11), table_suzuki(8),
         table_dihedral_odd(18), table_cyclic(12))]
@@ -153,6 +157,12 @@ def _gram_cases():
         # such weights only where psi vanishes: the int64 path again
         (t11.chars, [psi], [1 << 70 if ref(psi, lab).is_zero() else s
                             for lab, s in zip(t11.labels, t11.sizes)]),
+        # psi is zero on columns where other characters are not: those
+        # columns are pruned before either side is unpacked
+        ([psi], t11.chars, t11.sizes),
+        # numerators past 2^62: the Python-int terms of `_flatten`
+        (huge, huge, t11.sizes),
+        (huge, t11.chars, t11.sizes),
     ]
     out = []
     for a, b, weights in cases:
@@ -193,6 +203,19 @@ def test_gram_across_chunk_boundaries(monkeypatch, chunk):
         for check in (check_row_orthogonality, check_column_orthogonality):
             with pytest.raises(TableMismatch, match="not rational"):
                 check(bad)
+
+
+def test_zero_columns_of_the_a_side_are_never_unpacked(monkeypatch):
+    # W_1 of Sz(8) vanishes off the identity on the split torus C_7, so the
+    # spectrum Gram unpacks one column of each side, not the C_7 table
+    seen = []
+    real = chars._flatten
+    monkeypatch.setattr(chars, "_flatten", lambda rows, cols: seen.append(
+        (len(rows), len(cols))) or real(rows, cols))
+    ts = table_suzuki(8)
+    r = split_torus_restriction(ts)
+    assert r.multiplicities([ts.by_name["W_1"]], r.table.chars) == [[2] * 7]
+    assert seen == [(1, 1), (7, 1)]
 
 
 def _copy_with_value(table, name, label, value):
@@ -255,7 +278,11 @@ def test_multiplicity_examples():
     # -theta_1 has negative multiplicities, which are no dimensions
     minus = chars.Character("-theta_1", t4, [
         p and p[:2] + (tuple(-n for n in p[2]),) + p[3:] for p in th.packed])
-    with pytest.raises(NonIntegralDimension, match="-1 is not"):
+    # a virtual character prints its stored degree, whatever it is
+    assert repr(minus) == "<character -theta_1 of degree -3 (mod 1)>"
+    # the error names the pair of the first bad entry (psi_1 gives 0)
+    with pytest.raises(NonIntegralDimension,
+                       match=r"<Res -theta_1, psi_2> = -1 is not"):
         d6.multiplicities([minus], d6.table.chars)
     borel_f = fusion_for(t4, symbolic_subgroup("psl2_even", 4, "borel"))
     assert restricted_inner_product(th, th, borel_f) == 1

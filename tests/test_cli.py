@@ -11,7 +11,7 @@ import repmoduli
 import repmoduli.cli as cli
 import repmoduli.oscomplex as osc
 from repmoduli.chars import (
-    pack_terms, table_dihedral_odd, table_psl2_even,
+    pack_terms, table_dihedral_odd, table_psl2_even, table_suzuki,
 )
 from repmoduli.cli import (
     UsageError, VerificationConfig, classify_q, main, parse_config, run,
@@ -412,6 +412,50 @@ def test_altered_dihedral_value_fails_theta_balance(
     assert rc == 1
     rec = _records(out)[failure]
     assert rec["pass"] is False and computed in rec["computed"]
+
+
+def test_reused_inner_products_do_not_hide_a_fault(monkeypatch, tmp_path):
+    # restricted inner products are reused by value within a process, so a
+    # moved fusion count or a changed stored value is a new key: each
+    # mutated Sz(8) run fails exactly the records that a cold run fails
+    import repmoduli.chars as chars
+    cache = chars._restricted_gram
+    real = chars.stored_fusion
+
+    def moved(family, q, tag, param, labels):
+        # the involution of C_2 counted as a second identity
+        counts = real(family, q, tag, param, labels)
+        if (family, tag, param) == ("sz", "cyclic", 2):
+            counts[ClassLabel("sigma")] -= 1
+            counts[ClassLabel("id")] += 1
+        return counts
+
+    def failing(name, cold=False):
+        if cold:
+            cache.cache_clear()
+        out = tmp_path / f"{name}.json"
+        rc = main(["--family", "sz", "--q", "8", "--out", str(out)])
+        return rc, {n: r["computed"] for n, r in _records(out).items()
+                    if not r["pass"]}
+
+    assert failing("clean") == (0, {})
+    assert cache.cache_info().currsize > 0
+    table = table_suzuki(8)
+    w1 = table.by_name["W_1"]
+    packed = list(w1.packed)
+    packed[table.index[ClassLabel("sigma")]] = pack_terms(1, ((0, 1),))
+    for mutate, expect in (
+            (lambda m: [m.setattr(mod, "stored_fusion", moved)
+                        for mod in (chars, cli)],
+             "centralizers/sz-q8/involution-dim"),
+            (lambda m: m.setattr(w1, "packed", tuple(packed)),
+             "tables/rows/sz-q8")):
+        with monkeypatch.context() as m:
+            mutate(m)
+            rc, warm = failing("warm")
+            assert rc == 1 and expect in warm
+            assert (rc, warm) == failing("cold", cold=True)
+    assert failing("clean-again") == (0, {})
 
 
 def misdirect_closing_edge(graph):
