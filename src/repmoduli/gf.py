@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
+
 from .cyclo import factorize
 
 
@@ -107,29 +109,60 @@ def _is_prime(p):
 _TABLE_LIMIT = 256        # largest field; its dense q x q tables stay small
 
 
+def _read_only(table):
+    out = np.array(table, dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
 class FieldSpec:
     """GF(p^n) with modulus, generator, and dense arithmetic tables; q is
-    at most _TABLE_LIMIT."""
+    at most _TABLE_LIMIT.
+
+    This is the one place that builds field tables, each once per field as
+    a read-only np.intp array: add[a, b], mul[a, b], neg[a], inv[a] (0 at
+    0) and the absolute trace[a] into the prime field (encoded 0..p-1).
+    The scalar lookups of the group layer read the tuple views add_table,
+    mul_table, neg_table and inv_table: a tuple lookup is several times
+    faster than an array lookup."""
 
     def __init__(self, p, n):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         if n < 1:
             raise FieldError("n must be a positive integer")
-        self.p = p
-        self.n = n
-        self.q = p ** n
-        if self.q > _TABLE_LIMIT:
-            raise FieldError(f"field size {self.q} above supported bound")
+        self.p, self.n = p, n
+        self.q = q = p ** n
+        if q > _TABLE_LIMIT:
+            raise FieldError(f"field size {q} above supported bound")
         self.modulus = _find_modulus(p, n)
         self.generator = self._find_generator()
-        self._build_log_tables()
-        # element arithmetic by lookup: add_table[a][b], mul_table[a][b] and
-        # neg_table[a]
-        els = range(self.q)
-        self.add_table = [[self._add_slow(a, b) for b in els] for a in els]
-        self.mul_table = [[self._mul_log(a, b) for b in els] for a in els]
-        self.neg_table = [self._neg_slow(a) for a in els]
+        exp = [1]
+        for _ in range(q - 2):
+            exp.append(self._mul_slow(exp[-1], self.generator))
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp, self._log = tuple(exp), tuple(log)
+        log, exp, unit = np.array(log), np.array(exp), np.arange(q) > 0
+
+        def power(e):       # x^e for every x, 0 at 0
+            return np.where(unit, exp[log * e % (q - 1)], 0)
+
+        self.add = _read_only([[self._add_slow(a, b) for b in range(q)]
+                               for a in range(q)])
+        self.neg = _read_only([self._neg_slow(a) for a in range(q)])
+        self.mul = _read_only(np.where(unit[:, None] & unit, exp[
+            (log[:, None] + log) % (q - 1)], 0))
+        self.inv = _read_only(power(-1))
+        trace = 0
+        for i in range(n):
+            trace = self.add[trace, power(p ** i)]
+        self.trace = _read_only(trace)
+        self.add_table, self.mul_table = (tuple(map(tuple, t.tolist()))
+                                          for t in (self.add, self.mul))
+        self.neg_table, self.inv_table = (tuple(t.tolist())
+                                          for t in (self.neg, self.inv))
 
     # -- encoding ------------------------------------------------------------
 
@@ -171,11 +204,6 @@ class FieldSpec:
             mult *= self.p
         return out
 
-    def _mul_log(self, a, b):
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
     def _mul_slow(self, a, b):
         prod = _pol_mul(self._int_to_pol(a), self._int_to_pol(b), self.p)
         return self._pol_to_int(_pol_mod(prod, self.modulus, self.p))
@@ -199,34 +227,6 @@ class FieldSpec:
             base = self._mul_slow(base, base)
             e >>= 1
         return acc
-
-    def _build_log_tables(self):
-        exp = [1] * (self.q - 1)
-        cur = 1
-        for i in range(1, self.q - 1):
-            cur = self._mul_slow(cur, self.generator)
-            exp[i] = cur
-        log = [0] * self.q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = exp
-        self._log = log
-
-    # -- public int-level ops (hot path for group element products) ----------
-
-    def add(self, a, b):
-        return self.add_table[a][b]
-
-    def neg(self, a):
-        return self.neg_table[a]
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def pow(self, a, e):
         if a == 0:

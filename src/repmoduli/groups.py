@@ -32,6 +32,8 @@ from math import gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
+import numpy as np
+
 from .cyclo import factorize
 from .gf import FieldSpec, gf_make
 
@@ -112,10 +114,9 @@ class GroupModel:
         self._fold = self.family == "psl2_odd"     # PSL2 = SL2 / {+-1}
         self._subgroups = {}
         q = spec.q
-        # the field's lookup tables, read by the element operations
-        self._add, self._mul, self._neg = \
-            spec.add_table, spec.mul_table, spec.neg_table
-        self._inv = [0] + [spec.inv(x) for x in range(1, q)]
+        # the field's scalar lookup tables, read by the element operations
+        self._add, self._mul, self._neg, self._inv = (
+            spec.add_table, spec.mul_table, spec.neg_table, spec.inv_table)
         # the nonzero leading entries of the elements, in sorted order
         self._lead = [x for x in range(1, q)
                       if not self._fold or x < self._neg[x]]
@@ -173,6 +174,24 @@ class GroupModel:
                add[rc[e]][rd[h]], add[rc[g]][rd[i]])
         return self.canonical(out)
 
+    def mul_many(self, x, y):
+        """The products x[i] y[i] of two (n, 4) arrays of elements, row by
+        row, in canonical form: in PSL2 the smaller of x and -x, which
+        differ first at a, or at b when a = 0.  It reads the field's arrays,
+        which pays off for many rows; mul is for one product."""
+        q, add, mul = self.q, self.spec.add.ravel(), self.spec.mul.ravel()
+        a, b, c, d = np.asarray(x).T * q
+        e, g, h, i = np.asarray(y).T
+        out = np.stack([add[mul[a + e] * q + mul[b + h]],
+                        add[mul[a + g] * q + mul[b + i]],
+                        add[mul[c + e] * q + mul[d + h]],
+                        add[mul[c + g] * q + mul[d + i]]], axis=1)
+        if self._fold:
+            neg = self.spec.neg
+            lead = np.where(out[:, 0], out[:, 0], out[:, 1])
+            out = np.where((neg[lead] < lead)[:, None], neg[out], out)
+        return out
+
     def inv(self, x):
         # determinant is 1 throughout
         neg = self._neg
@@ -202,6 +221,9 @@ class GroupModel:
         return n
 
     def power(self, g, e):
+        """g^e for any integer e, taken modulo the order of g, which
+        element_order reads off the class."""
+        e %= self.element_order(g)
         acc = IDENTITY
         base = g
         while e:
@@ -218,7 +240,7 @@ def _torus_generator(model):
     """diag(nu, 1/nu): it generates the split torus of the field generator."""
     f = model.spec
     nu = f.generator
-    return model.canonical((nu, 0, 0, f.inv(nu)))
+    return model.canonical((nu, 0, 0, f.inv_table[nu]))
 
 
 def _label_classes(model):
@@ -239,18 +261,19 @@ def _label_classes(model):
     # the nonsplit torus generator: the first element of its order
     n_nonsplit = (q + 1) // 2 if model._fold else q + 1
     b = first(model.scan(), lambda g: model.order_of(g) == n_nonsplit)
-    z = model.canonical((f.neg(1), 0, 0, f.neg(1)))
+    add, neg = f.add_table, f.neg_table
+    z = model.canonical((neg[1], 0, 0, neg[1]))
     c = model.canonical((1, 0, 1, 1))
     d = model.canonical((1, 0, f.generator, 1))
+    # 1, g, g^2, ... of the torus generators (power needs class_of)
+    powers = {"a": closure(model, (a,)), "b": closure(model, (b,))}
     fixed = {"id": IDENTITY, "z": z, "c": c, "d": d,
              "zc": model.mul(z, c), "zd": model.mul(z, d),
-             "bq": model.power(b, (q + 1) // 4)}
-    semisimple = {"a": a, "b": b}
-    reps = {lab: model.power(semisimple[lab.kind], lab.index)
-            if lab.kind in semisimple else fixed[lab.kind]
+             "bq": powers["b"][(q + 1) // 4]}
+    reps = {lab: powers[lab.kind][lab.index]
+            if lab.kind in powers else fixed[lab.kind]
             for lab in model.class_labels}
 
-    add, neg = f.add_table, f.neg_table
     by_trace = {}
     for lab, rep in reps.items():
         if lab.kind in ("a", "b", "bq"):
@@ -262,7 +285,7 @@ def _label_classes(model):
                                    f"are conjugate")
     model._by_trace = by_trace
     model._named = {str(lab): lab for lab in reps}
-    model._squares = {f.mul(x, x) for x in range(1, q)}
+    model._squares = {f.mul_table[x][x] for x in range(1, q)}
     for lab, rep in reps.items():
         if model.class_of(rep) != lab:
             raise NotFound(f"the representative of {lab} is labelled "
@@ -318,20 +341,20 @@ def closure(model, gens):
 def _of_traces(model, traces):
     """The elements with a trace in `traces`, in index order: (0, b, -1/b, t)
     first, then (a, b, c, t - a) with bc = a(t - a) - 1."""
-    f, q = model.spec, model.q
+    add, mul, neg, inv = model._add, model._mul, model._neg, model._inv
     for b in model._lead:
         for t in sorted(traces):
-            yield (0, b, f.neg(f.inv(b)), t)
+            yield (0, b, neg[inv[b]], t)
     for a in model._lead:
-        for b in range(q):
+        for b in range(model.q):
             row = []
             for t in traces:
-                d = f.add(t, f.neg(a))
-                r = f.add(f.mul(a, d), f.neg(1))
+                d = add[t][neg[a]]
+                r = add[mul[a][d]][neg[1]]
                 if b:
-                    row.append((f.mul(r, f.inv(b)), d))
+                    row.append((mul[r][inv[b]], d))
                 elif r == 0:
-                    row += [(c, d) for c in range(q)]
+                    row += [(c, d) for c in range(model.q)]
             for c, d in sorted(row):
                 yield (a, b, c, d)
 
@@ -352,7 +375,7 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
     q = model.q
     fam = model.family
     t = _torus_generator(model)
-    w = model.canonical((0, 1, model.spec.neg(1), 0))
+    w = model.canonical((0, 1, model._neg[1], 0))
     if tag == "borel":
         gens = None     # c = 0: every q-th element after those with a = 0
         els = tuple(map(model.element,
@@ -373,7 +396,7 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
         v4set = set(v4.elements)
         # in odd characteristic the elements of order 3 have trace +-1
         gens = v4.gens + (first(
-            _of_traces(model, {1, model.spec.neg(1)}),
+            _of_traces(model, {1, model._neg[1]}),
             lambda g: model.element_order(g) == 3 and all(
                 model.conjugate(x, g) in v4set for x in v4.gens)),)
     elif tag == "cyclic" and param == ((q - 1) // 2 if fam == "psl2_odd"

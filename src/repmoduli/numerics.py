@@ -224,20 +224,6 @@ def _complex_value(value):
 
 # -- closed-form models of rho0 ------------------------------------------------
 
-def _field_arrays(spec):
-    """(add, mul, neg, inv, tr) of a field as numpy arrays: its dense
-    tables, its inverses (0 at 0) and its absolute trace into the prime
-    field."""
-    q, p = spec.q, spec.p
-    add, mul, neg = (np.array(t, dtype=np.intp) for t in
-                     (spec.add_table, spec.mul_table, spec.neg_table))
-    inv = np.array([0] + [spec.inv(x) for x in range(1, q)], dtype=np.intp)
-    tr = np.zeros(q, dtype=np.intp)
-    for i in range(spec.n):
-        tr = add[tr, [spec.pow(x, p ** i) for x in range(q)]]
-    return add, mul, neg, inv, tr
-
-
 def _scale_from_relations(w, n):
     """The scalar kappa with (kappa w)^2 = 1 and (kappa w n)^3 = 1, for the
     images w and n of w = [[0, 1], [-1, 0]] and n(1) = [[1, 1], [0, 1]] up
@@ -285,7 +271,8 @@ class WeilModel(_Model):
     def __init__(self, model: GroupModel):
         spec = model.spec
         q = spec.q
-        self.add, self.mul, self.neg, self.inv, tr = _field_arrays(spec)
+        self.add, self.mul, self.neg, self.inv = (spec.add, spec.mul,
+                                                  spec.neg, spec.inv)
         self.chi = -np.ones(q)          # the quadratic character off 0
         self.chi[self.mul[np.arange(q), np.arange(q)]] = 1
         half = np.array([y for y in range(1, q) if y < self.neg[y]])
@@ -298,7 +285,8 @@ class WeilModel(_Model):
         self.two_yz = self.mul[self.add[1, 1],
                                self.mul[half[:, None], half[None, :]]]
         scale = _weil_psi_scale(spec.p, spec.n)
-        self.psi = np.exp(2j * np.pi * (scale * tr % spec.p) / spec.p)
+        self.psi = np.exp(2j * np.pi * (scale * spec.trace % spec.p) /
+                          spec.p)
         self.kernel = self.psi / np.sqrt(q)
         self._fix_scale(self.neg[1])
 
@@ -338,10 +326,10 @@ class KirillovModel(_Model):
     class representative; `_nu_exponent` sets k."""
 
     def __init__(self, model: GroupModel):
-        q = model.q
-        self.add, self.mul, _, self.inv, tr = _field_arrays(model.spec)
+        q, spec = model.q, model.spec
+        self.add, self.mul, self.inv = spec.add, spec.mul, spec.inv
         add, mul = self.add, self.mul
-        self.sgn = (-1.0) ** tr
+        self.sgn = (-1.0) ** spec.trace
         self.degree = q - 1
         self.x = np.arange(1, q)
         self.xy = mul[self.x[:, None], self.x[None, :]]

@@ -104,30 +104,26 @@ class OrbitGraph:
 
     @cached_property
     def walk_steps(self):
-        """The moves of the closed walks, as arrays (first, count, moves,
-        add, mul).  The moves from vertex v are the columns first[v] +
-        range(count[v]) of `moves`, one for each twist t in G_v (major) and
-        edge option: along the edges leaving v, then against those entering
-        it.  A column holds the word rows of i_v(t) and of x_e^eps, the
-        next vertex, and the entries (a, b, c, d) of t g_e^eps.  add and
-        mul are the field's tables, flat: x + y at add[x q + y].  Built on
-        first use."""
+        """The moves of the closed walks, as arrays (first, count, moves).
+        The moves from vertex v are the columns first[v] + range(count[v])
+        of `moves`, one for each twist t in G_v (major) and edge option:
+        along the edges leaving v, then against those entering it.  A
+        column holds the word rows of i_v(t) and of x_e^eps, the next
+        vertex, and the entries (a, b, c, d) of t g_e^eps, all products
+        from one mul_many call.  Built on first use."""
         model, rows = self.model, self.word_symbols[0]
         edges, moves, first = list(enumerate(self.edges)), [], []
         for v, vertex in enumerate(self.vertices):
             options = [(i, 1, e.g, e.w) for i, e in edges if e.s == v] + \
                 [(i, -1, model.inv(e.g), e.s) for i, e in edges if e.w == v]
             first.append(len(moves))
-            moves += [(rows["v", v, t, 1], rows["x", i, eps], nxt,
-                       *model.mul(t, f))
+            moves += [(rows["v", v, t, 1], rows["x", i, eps], nxt, *t, *f)
                       for t in vertex.sub.elements
                       for i, eps, f, nxt in options]
         first = np.array(first + [len(moves)], dtype=np.intp)
-        spec = model.spec
-        return (first[:-1], np.diff(first),
-                np.array(moves, dtype=np.intp).T.copy(),
-                np.array(spec.add_table, dtype=np.intp).ravel(),
-                np.array(spec.mul_table, dtype=np.intp).ravel())
+        moves = np.array(moves, dtype=np.intp)
+        return (first[:-1], np.diff(first), np.vstack(
+            [moves[:, :3].T, model.mul_many(moves[:, 3:7], moves[:, 7:]).T]))
 
 
 def _stabilizer_plan(family, q):
@@ -231,8 +227,7 @@ def validate_graph(graph: OrbitGraph):
         if e.in_tree and e.g != IDENTITY:
             raise InvalidGraph(f"{e.name}: tree edge with g != 1")
         gi = model.inv(e.g)
-        if any(model.mul(model.mul(gi, x), e.g) not in wv
-               for x in e.sub.elements):
+        if any(model.conjugate(x, gi) not in wv for x in e.sub.elements):
             raise InvalidGraph(f"{e.name}: conjugated stabilizer leaves target")
     return True
 
@@ -354,9 +349,9 @@ class BrownPresentation:
         for ei, e in enumerate(self.graph.edges):
             if e.in_tree:
                 rels.append(((self.x(ei),), ()))
+            gi = self.model.inv(e.g)
             for g in e.sub.elements:
-                conj = self.model.mul(
-                    self.model.mul(self.model.inv(e.g), g), e.g)
+                conj = self.model.conjugate(g, gi)
                 lhs = (self.x(ei, -1), self.v(e.s, g), self.x(ei))
                 rhs = (self.v(e.w, conj),)
                 rels.append((lhs, rhs))
@@ -396,37 +391,31 @@ def _closed_walks(graph: OrbitGraph, rng, n):
     4th on that ends at the root vertex with the prefix in the root group;
     a walk with no such step is dropped.  The first n walks to close, in
     order, have the law of a walk drawn again until it closes within 14
-    steps.  The root group is the Borel subgroup, which holds the prefix c
-    exactly when the bottom row (r, s) of c has r = 0; InvalidGraph if a
-    closing prefix is not in it."""
-    first, count, moves, add, mul = graph.walk_steps
-    root, model, q = graph.root, graph.model, graph.q
-
-    def dot(x, y, z, w):        # x y + z w in the field
-        return add[mul[x * q + y] * q + mul[z * q + w]]
-
+    steps.  The prefixes of a round are one (walks, 4) array of elements,
+    stepped by one mul_many call per step.  The root group is the Borel
+    subgroup, which holds the prefix c exactly when the bottom row (r, s)
+    of c has r = 0; InvalidGraph if a closing prefix is not in it."""
+    first, count, moves = graph.walk_steps
+    root, model = graph.root, graph.model
     walks, ends = [], []
     while len(walks) < n:
         u = rng.random((_WALK_STEPS, _WALK_BATCH * (n - len(walks))))
         at = np.full(u.shape[1], root)
-        pre = np.zeros((4, u.shape[1]), dtype=np.intp)    # prefix (a, b, c, d)
-        pre[0] = pre[3] = 1
+        pre = np.tile(IDENTITY, (u.shape[1], 1))          # the prefixes
         taken = np.empty(u.shape, dtype=np.intp)
         length = np.zeros(u.shape[1], dtype=np.intp)    # 0 while open
         closing = np.empty_like(pre)
         for j, uj in enumerate(u):
             taken[j] = step = first[at] + (uj * count[at]).astype(np.intp)
-            at, e, f, g, h = moves.take(step, axis=1)[2:]
-            a, b, c, d = pre
-            pre = np.array([dot(a, e, b, g), dot(a, f, b, h), dot(c, e, d, g),
-                            dot(c, f, d, h)])
+            at = moves[2, step]
+            pre = model.mul_many(pre, moves[3:, step].T)
             if j >= 3:          # from the 4th step on
-                now = (length == 0) & (at == root) & (pre[2] == 0)
+                now = (length == 0) & (at == root) & (pre[:, 2] == 0)
                 length[now] = j + 1
-                closing[:, now] = pre[:, now]
+                closing[now] = pre[now]
         for k in np.flatnonzero(length)[:n - len(walks)]:
             walks.append(taken[:length[k], k])
-            ends.append(model.canonical(tuple(closing[:, k].tolist())))
+            ends.append(tuple(closing[k].tolist()))
     if not graph.vertex_sets[root].issuperset(ends):
         raise InvalidGraph("closed walk leaves the root group")
     return walks, ends

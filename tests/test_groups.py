@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from functools import cache
 
+import numpy as np
 import pytest
 
 from repmoduli.chars import table_suzuki
@@ -225,6 +226,22 @@ def test_label_orders_match_enumeration():
                                  for cid, lab in label_of.items()}
 
 
+@pytest.mark.parametrize("q", [8, 11])
+def test_power_takes_any_integer_exponent(q):
+    # negative exponents return (they looped forever), and an exponent is
+    # taken modulo the element's order, against the scalar product
+    m = psl2_model(q)
+    for g in m.scan():
+        n = m.element_order(g)
+        assert m.power(g, -1) == m.inv(g)
+        acc = IDENTITY
+        for e in range(-2, 4):
+            assert m.power(g, e + n) == m.power(g, e)
+            if e >= 0:
+                assert m.power(g, e) == acc
+                acc = m.mul(acc, g)
+
+
 @pytest.mark.parametrize("q", [4, 8, 11, 16, 19, 27, 32, 43, 59, 64, 67,
                                83])
 def test_indexed_elements_and_class_sizes(q):
@@ -236,14 +253,14 @@ def test_indexed_elements_and_class_sizes(q):
     f = m.spec
     els = [m.element(i) for i in range(m.order)]
     assert all(x < y for x, y in zip(els, els[1:]))
-    assert all(f.add(f.mul(a, d), f.neg(f.mul(b, c))) == 1
+    assert all(f.add[f.mul[a, d], f.neg[f.mul[b, c]]] == 1
                for a, b, c, d in els)
     assert all(m.canonical(x) == x for x in els)
     assert Counter(map(m.class_of, els)) == m.class_sizes
     if m.family == "psl2_odd":
-        traces = {1, f.neg(1)}
+        traces = {1, f.neg[1]}
         assert list(_of_traces(m, traces)) == [
-            x for x in els if f.add(x[0], x[3]) in traces]
+            x for x in els if f.add[x[0], x[3]] in traces]
 
 
 def test_suzuki_label_orders():
@@ -355,14 +372,23 @@ def _reference_ops(model):
     return mul, inv, canonical, f
 
 
+def _assert_mul_many_matches(m, pairs):
+    """mul_many on the pairs, stacked, equals the scalar mul row by row."""
+    x, y = np.array(pairs).transpose(1, 0, 2)
+    assert m.mul_many(x, y).tolist() == [list(m.mul(g, h)) for g, h in pairs]
+
+
 @pytest.mark.parametrize("q", [4, 8])
 def test_table_group_ops_match_reference_all_pairs(q):
     m = psl2_model(q)
     mul, inv, _, _ = _reference_ops(m)
+    pairs = []
     for x in m.scan():
         assert m.inv(x) == inv(x)
         for y in m.scan():
             assert m.mul(x, y) == mul(x, y)
+            pairs.append((x, y))
+    _assert_mul_many_matches(m, pairs)
 
 
 @pytest.mark.parametrize("q", [11, 27])
@@ -371,10 +397,13 @@ def test_table_group_ops_match_reference_random_pairs(q):
     m = psl2_model(q)
     mul, inv, canonical, f = _reference_ops(m)
     rng = random.Random(q)
+    pairs = []
     for _ in range(10000):
         x = m.element(rng.randrange(m.order))
         y = m.element(rng.randrange(m.order))
         assert m.mul(x, y) == mul(x, y)
+        pairs.append((x, y))
         assert m.inv(x) == inv(x)
         neg_x = tuple(f.neg(v) for v in x)
         assert m.canonical(x) == m.canonical(neg_x) == canonical(neg_x) == x
+    _assert_mul_many_matches(m, pairs)
