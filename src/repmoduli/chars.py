@@ -64,10 +64,10 @@ def _pair(n, a, c=1):
     return _roots(n, (a % n, -a % n), c)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _roots(n, exps, c):
     """c times the sum of zeta_n^k over k in exps, stored; one shared value
-    per key, since stored values are immutable."""
+    per key while cached, since stored values are immutable."""
     return pack_terms(n, [(k, c) for k in exps])
 
 
@@ -144,6 +144,7 @@ class CharacterTable:
 # -- exact Gram kernel --------------------------------------------------------
 
 _CHUNK = 1 << 14        # entries per temporary array in `gram`
+_PROBE_TERMS = 4        # most terms of a probe cell in `_fold_orbits`
 
 
 def _flatten(rows, cols):
@@ -211,10 +212,14 @@ def gram(rows_a, rows_b, weights):
     unpacked.  For rows of (virtual) characters and weights constant on
     Galois orbits of columns, each group is Galois-stable and its partial
     sum rational, so it is accumulated in Z[Z/m] with integer numpy,
-    reduced on the CRT grid of Z/m and read off at exponent 0.  A partial
-    that is not rational raises TableMismatch naming the entry.  The
-    unpacked terms are int64 arrays unless some scaled l1 norm of a value
-    reaches 2^62.  A group is computed in int64 when
+    reduced on the CRT grid of Z/m and read off at exponent 0.  Where such
+    a group has more than _CHUNK term pairs, each full Galois orbit of its
+    columns that `_fold_orbits` finds by exact comparison of stored terms
+    adds its rational share as a field trace, from one column's pairs, and
+    the rest goes through Z[Z/m].  A partial of the rest that is not
+    rational (so neither is the group's) raises TableMismatch naming the
+    entry.  The unpacked terms are int64 arrays unless some scaled l1 norm
+    of a value reaches 2^62.  A group is computed in int64 when
     sum_x |w_x| |a(x)|_1 |b(x)|_1, doubled per fold axis, stays below 2^62,
     and in Python ints otherwise.  When `rows_b is rows_a` only the entries
     j >= i are computed and the rest mirrored: G[j][i] = conj(G[i][j]),
@@ -244,6 +249,14 @@ def _gram(rows_a, rows_b, weights):
         small = bounds[in_group].sum() << len(factorize(m)) < 1 << 62
         a = _group_terms(flat_a[3], in_group, m)
         b = a if upper else _group_terms(flat_b[3], in_group, m)
+        if m >= 3 and a[3].dtype != object and b[3].dtype != object and \
+                np.bincount(a[1], minlength=len(w)) @ \
+                np.bincount(b[1], minlength=len(w)) > _CHUNK:
+            rest = ~_fold_orbits(total, a, b, w, bounds, m, upper)
+            a = tuple(t[rest[a[1]]] for t in a)
+            b = a if upper else tuple(t[rest[b[1]]] for t in b)
+            if not len(a[0]):
+                continue
         _add_group(total, a, b, np.where(in_group, w, 0).astype(
             np.int64 if small else object), m, upper)
     if upper:
@@ -258,6 +271,100 @@ def _group_terms(terms, in_group, m):
     sel = in_group[terms[1]]
     r, c, o, k, n = (t[sel] for t in terms)
     return r, c, k * (m // o), n
+
+
+def _by_column(terms, m, n_cols):
+    """One side's terms by column, then row and exponent: (row * m +
+    exponent, numerator, column, first term per column, terms per column)."""
+    r, c, e, n = terms
+    order = np.argsort(c, kind="stable")    # terms come in row order
+    count = np.bincount(c, minlength=n_cols)
+    return (r * m + e)[order], n[order], c[order], np.cumsum(count) - count, \
+        count
+
+
+def _fold_orbits(total, a, b, w, bounds, m, upper):
+    """Add to `total` the partial Gram of each Galois orbit of columns of a
+    conductor-m group that folds, and return the folded mask.  Column x
+    joins x0 under a unit t mod m when, on both sides and in every row, its
+    terms are x0's with the exponents times t, at equal weight; the t's come
+    from a probe cell of x0 with a unit exponent and at most _PROBE_TERMS
+    terms.  An orbit of 3 or more columns whose t's hit each coset of H =
+    {t fixing x0's terms} once adds Tr(P) / |H|, P = w a_i(x0) conj(b_j(x0)),
+    a rational, while x0's bound times phi(m) is below 2^62."""
+    sides = [_by_column(t, m, len(w)) for t in ((a,) if upper else (a, b))]
+    key, _, col, start, count = sides[0]
+    rows, unit = key // m, (np.gcd(np.arange(m), m) == 1)[key % m]
+    cell = col * len(total) + rows
+    score = np.where(unit, np.bincount(cell)[cell], _PROBE_TERMS + 1)
+    phi = int(_ramanujan(m)[0])
+    done, seen = np.zeros(len(w), dtype=bool), np.zeros(len(w), dtype=bool)
+    for x0 in (x for x in np.flatnonzero(count).tolist() if not seen[x]):
+        probe = start[x0] + np.argmin(score[start[x0]:start[x0] + count[x0]])
+        if score[probe] > _PROBE_TERMS:
+            break
+        fits = np.logical_and.reduce([w == w[x0]] + [
+            s[4] == s[4][x0] for s in sides])   # weight and term counts
+        pick = (rows == rows[probe]) & unit & fits[col]
+        cand = col[pick]
+        ts = key[pick] % m * pow(int(key[probe] % m), -1, m) % m
+        hit, own = np.ones(len(cand), dtype=bool), []
+        for s_key, s_num, _, s_start, s_count in sides:
+            k = int(s_count[x0])
+            own.append((s_key[s_start[x0]:][:k], s_num[s_start[x0]:][:k]))
+            r0, e0, n0 = own[-1][0] // m * m, own[-1][0] % m, own[-1][1]
+            # candidates per chunk: its eight (step, k) temporaries hold
+            # about _CHUNK entries in all
+            step = max(1, _CHUNK // (8 * k))
+            for lo in range(0, len(cand), step):
+                img = r0 + e0 * ts[lo:lo + step, None] % m
+                order = np.argsort(img, axis=1)
+                idx = s_start[cand[lo:lo + step], None] + np.arange(k)
+                hit[lo:lo + step] &= (np.take_along_axis(
+                    img, order, axis=1) == s_key[idx]).all(axis=1) & \
+                    (n0[order] == s_num[idx]).all(axis=1)
+        orbit, first = np.unique(cand[hit], return_index=True)
+        t, h = ts[hit][first], ts[hit][cand[hit] == x0]
+        seen[orbit] = True
+        if len(orbit) >= 3 and len(t) * len(h) == phi and \
+                bounds[x0] * phi < 1 << 62 and \
+                len(set((t[:, None] * h % m).min(axis=1).tolist())) == len(t):
+            _add_trace(total, own[0], own[-1], len(h), int(w[x0]), m, upper)
+            done[orbit] = True
+    return done
+
+
+def _add_trace(total, a0, b0, h, w, m, upper):
+    """Add w Tr(a_i conj(b_j)) / h to each entry (i, j), j >= i if `upper`,
+    for one column's terms (row * m + exponent, numerator) per side: a term
+    pair adds n_a n_b c_m(e_a - e_b), in int64 chunks of about _CHUNK pairs.
+    ArithmeticError unless h divides every sum, as it does for any orbit."""
+    (ka, na), (kb, nb) = a0, b0
+    rb, eb, c = kb // m, kb % m, _ramanujan(m)
+    acc = np.zeros(total.size, dtype=np.int64)
+    step = max(1, _CHUNK // len(kb))
+    for lo in range(0, len(ka), step):
+        ra, ea = ka[lo:lo + step, None] // m, ka[lo:lo + step, None] % m
+        pair = (rb >= ra) | (not upper)
+        np.add.at(acc, (ra * total.shape[1] + rb)[pair],
+                  (na[lo:lo + step, None] * nb * c[(ea - eb) % m])[pair])
+    if (acc % h).any():
+        raise ArithmeticError(
+            f"an orbit trace over conductor {m} is not divisible by {h}")
+    total += (acc // h * w).astype(object).reshape(total.shape)
+
+
+@lru_cache(maxsize=64)
+def _ramanujan(m):
+    """c_m(k) = Tr(zeta_m^k) over Q for k = 0..m-1, read-only: the sum of
+    mu(m/d) d over the divisors d of gcd(k, m); c_m(0) = phi(m)."""
+    c = np.zeros(m, dtype=np.int64)
+    ps = [p for p, _ in factorize(m)]
+    for s in range(1 << len(ps)):
+        d = m // prod(p for i, p in enumerate(ps) if s >> i & 1)
+        c[::d] += (-1) ** bin(s).count("1") * d
+    c.flags.writeable = False
+    return c
 
 
 def _add_group(total, a, b, w, m, upper):
@@ -443,13 +550,15 @@ def check_column_orthogonality(table):
 
 
 # -- table builders --------------------------------------------------------------
+# Each builder keeps the tables of its last 4 arguments, not every table of a
+# batch: the checks of one q ask a builder for at most two.
 
 def _require(cond, msg):
     if not cond:
         raise ValueError(msg)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def table_psl2_even(q) -> CharacterTable:
     n = q.bit_length() - 1
     _require(q == 1 << n and n >= 2, f"q={q} must be 2^n with n >= 2")
@@ -472,7 +581,7 @@ def table_psl2_even(q) -> CharacterTable:
     return CharacterTable("psl2_even", q, model, chars)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def table_sl2_odd(q) -> CharacterTable:
     from .groups import _prime_power
     p, n = _prime_power(q)
@@ -526,7 +635,7 @@ def table_sl2_odd(q) -> CharacterTable:
     return CharacterTable("sl2_odd", q, model, chars)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def table_psl2_odd(q) -> CharacterTable:
     """Fold the SL2(q) table through the central quotient, q = 3 mod 4."""
     _require(q % 4 == 3, "the folded table needs q = 3 mod 4")
@@ -543,7 +652,7 @@ def table_psl2_odd(q) -> CharacterTable:
     return CharacterTable("psl2_odd", q, model, chars)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def table_suzuki(q) -> CharacterTable:
     model = class_data_model("sz", q)   # rejects q outside Sz's range first
     r = isqrt(2 * q)
@@ -588,7 +697,7 @@ def table_suzuki(q) -> CharacterTable:
     return CharacterTable("sz", q, model, chars)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def table_dihedral_odd(two_n) -> CharacterTable:
     n = two_n // 2
     _require(two_n == 2 * n and n % 2 == 1 and n >= 3,
@@ -604,7 +713,7 @@ def table_dihedral_odd(two_n) -> CharacterTable:
     return CharacterTable("dihedral", two_n, model, chars)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def table_cyclic(n) -> CharacterTable:
     _require(n >= 1, "n must be positive")
     model = class_data_model("cyclic", n)

@@ -176,21 +176,28 @@ class GroupModel:
 
     def mul_many(self, x, y):
         """The products x[i] y[i] of two (n, 4) arrays of elements, row by
-        row, in canonical form: in PSL2 the smaller of x and -x, which
-        differ first at a, or at b when a = 0.  It reads the field's arrays,
-        which pays off for many rows; mul is for one product."""
+        row, in canonical form; mul is for one product."""
+        return self.canonical_many(self.mul_rows(x, y))
+
+    def mul_rows(self, x, y):
+        """mul_many before the fold: in PSL2 a row is either sign of its
+        product.  It reads the field's arrays, which pays off for many rows."""
         q, add, mul = self.q, self.spec.add.ravel(), self.spec.mul.ravel()
         a, b, c, d = np.asarray(x).T * q
         e, g, h, i = np.asarray(y).T
-        out = np.stack([add[mul[a + e] * q + mul[b + h]],
-                        add[mul[a + g] * q + mul[b + i]],
-                        add[mul[c + e] * q + mul[d + h]],
-                        add[mul[c + g] * q + mul[d + i]]], axis=1)
-        if self._fold:
-            neg = self.spec.neg
-            lead = np.where(out[:, 0], out[:, 0], out[:, 1])
-            out = np.where((neg[lead] < lead)[:, None], neg[out], out)
-        return out
+        return np.stack([add[mul[a + e] * q + mul[b + h]],
+                         add[mul[a + g] * q + mul[b + i]],
+                         add[mul[c + e] * q + mul[d + h]],
+                         add[mul[c + g] * q + mul[d + i]]], axis=1)
+
+    def canonical_many(self, x):
+        """`canonical` of every row of an (n, 4) array: in PSL2 the smaller
+        of x and -x, which differ first at a, or at b when a = 0."""
+        if not self._fold:
+            return x
+        neg = self.spec.neg
+        lead = np.where(x[:, 0], x[:, 0], x[:, 1])
+        return np.where((neg[lead] < lead)[:, None], neg[x], x)
 
     def inv(self, x):
         # determinant is 1 throughout

@@ -391,8 +391,9 @@ def _closed_walks(graph: OrbitGraph, rng, n):
     4th on that ends at the root vertex with the prefix in the root group;
     a walk with no such step is dropped.  The first n walks to close, in
     order, have the law of a walk drawn again until it closes within 14
-    steps.  The prefixes of a round are one (walks, 4) array of elements,
-    stepped by one mul_many call per step.  The root group is the Borel
+    steps.  The prefixes of a round are one (walks, 4) array of matrices,
+    stepped by one mul_rows call per step; in PSL2 only the closing
+    prefixes are folded to canonical form.  The root group is the Borel
     subgroup, which holds the prefix c exactly when the bottom row (r, s)
     of c has r = 0; InvalidGraph if a closing prefix is not in it."""
     first, count, moves = graph.walk_steps
@@ -408,14 +409,14 @@ def _closed_walks(graph: OrbitGraph, rng, n):
         for j, uj in enumerate(u):
             taken[j] = step = first[at] + (uj * count[at]).astype(np.intp)
             at = moves[2, step]
-            pre = model.mul_many(pre, moves[3:, step].T)
-            if j >= 3:          # from the 4th step on
+            pre = model.mul_rows(pre, moves[3:, step].T)
+            if j >= 3:          # from the 4th step on; c = 0 for either sign
                 now = (length == 0) & (at == root) & (pre[:, 2] == 0)
                 length[now] = j + 1
                 closing[now] = pre[now]
-        for k in np.flatnonzero(length)[:n - len(walks)]:
-            walks.append(taken[:length[k], k])
-            ends.append(tuple(closing[k].tolist()))
+        done = np.flatnonzero(length)[:n - len(walks)]
+        walks += [taken[:length[k], k] for k in done]
+        ends += map(tuple, model.canonical_many(closing[done]).tolist())
     if not graph.vertex_sets[root].issuperset(ends):
         raise InvalidGraph("closed walk leaves the root group")
     return walks, ends

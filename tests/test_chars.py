@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 
 import repmoduli.chars as chars
@@ -216,6 +218,48 @@ def test_zero_columns_of_the_a_side_are_never_unpacked(monkeypatch):
     r = split_torus_restriction(ts)
     assert r.multiplicities([ts.by_name["W_1"]], r.table.chars) == [[2] * 7]
     assert seen == [(1, 1), (7, 1)]
+
+
+def test_ramanujan_sums_are_traces():
+    # Tr(zeta_m^k) is the sum of cos(2 pi u k / m) over the units u mod m,
+    # an integer that a float sum gives to well within 1/2
+    for m in range(1, 80):
+        units = np.array([u for u in range(m) if gcd(u, m) == 1])
+        k = np.arange(m)[:, None]
+        want = np.cos(2 * np.pi * (units * k % m) / m).sum(axis=1)
+        assert np.abs(chars._ramanujan(m) - want).max() < 1e-9
+
+
+def test_orbit_trace_raises_unless_h_divides():
+    # one column of one row holding zeta_5: Tr(zeta_5 conj(zeta_5)) = 4,
+    # which no transversal of a subgroup of order 3 can give
+    term = (np.array([1]), np.array([1]))
+    total = np.zeros((1, 1), dtype=object)
+    chars._add_trace(total, term, term, 2, 1, 5, True)
+    assert total.tolist() == [[2]]
+    with pytest.raises(ArithmeticError, match="not divisible by 3"):
+        chars._add_trace(total, term, term, 3, 1, 5, True)
+
+
+def test_numerators_past_2_62_are_never_folded(monkeypatch):
+    # PSL2(8) folds its torus orbits; scaled past 2^62 its terms are Python
+    # ints and every column takes the group-ring path
+    monkeypatch.setattr(chars, "_CHUNK", 1)
+    traces = []
+    real = chars._add_trace
+    monkeypatch.setattr(chars, "_add_trace",
+                        lambda *args: traces.append(args) or real(*args))
+    t = table_psl2_even(8)
+    rows = [c.packed for c in t.chars]
+    k = (1 << 62) + 1
+    huge = [[p and (*p[:2], tuple(n * k for n in p[2]), p[3], p[4] * k)
+             for p in row] for row in rows]
+    plain = gram(rows, rows, t.sizes)
+    assert traces
+    traces.clear()
+    assert gram(huge, huge, t.sizes) == \
+        [[v * k * k for v in row] for row in plain]
+    assert not traces
 
 
 def _copy_with_value(table, name, label, value):

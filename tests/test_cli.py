@@ -5,6 +5,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repmoduli
@@ -456,6 +457,89 @@ def test_reused_inner_products_do_not_hide_a_fault(monkeypatch, tmp_path):
             assert rc == 1 and expect in warm
             assert (rc, warm) == failing("cold", cold=True)
     assert failing("clean-again") == (0, {})
+
+
+def _no_fold(total, a, b, w, bounds, m, upper):
+    """chars._fold_orbits with no orbit folded: every column takes the
+    group-ring path."""
+    return np.zeros(len(w), dtype=bool)
+
+
+_DIHEDRAL_SWEEP = ",".join(str(n) for n in range(3, 100, 2))
+
+
+@pytest.mark.parametrize("family, qs, checks, folds", [
+    ("sz", "8,32,128", "tables,centralizers,moduli-dim,euler", True),
+    ("psl2", "4,8,11,19", "tables,centralizers,moduli-dim,euler", False),
+    ("dihedral", _DIHEDRAL_SWEEP, "tables,centralizers", True),
+    ("psl2", "27,43,59,67,83", "tables,centralizers,moduli-dim,euler", True),
+    ("psl2", "131,251,256", "tables,centralizers,euler", True),
+], ids=["sz-exact", "psl2-enum", "dihedral-sweep", "psl2-27-83",
+        "psl2-131-256"])
+def test_folded_grams_equal_unfolded(monkeypatch, tmp_path, family, qs,
+                                     checks, folds):
+    # every Gram of the batch, with its Galois orbits of columns folded to
+    # traces, equals the same Gram with every column on the group-ring path
+    import repmoduli.chars as chars
+    real, trace = chars._gram, chars._add_trace
+    traces = []
+    monkeypatch.setattr(chars, "_add_trace",
+                        lambda *args: traces.append(args[3]) or trace(*args))
+
+    def both(rows_a, rows_b, weights):
+        total, den = real(rows_a, rows_b, weights)
+        with monkeypatch.context() as m:
+            m.setattr(chars, "_fold_orbits", _no_fold)
+            plain, plain_den = real(rows_a, rows_b, weights)
+        assert den == plain_den and total.dtype == plain.dtype
+        assert (total == plain).all()
+        return total, den
+
+    monkeypatch.setattr(chars, "_gram", both)
+    chars._restricted_gram.cache_clear()
+    assert main(["--family", family, "--q", qs, "--checks", checks,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert bool(traces) == folds
+
+
+def _failing_with_and_without_folds(monkeypatch, tmp_path, argv):
+    import repmoduli.chars as chars
+    out = []
+    for fold in (True, False):
+        with monkeypatch.context() as m:
+            if not fold:
+                m.setattr(chars, "_fold_orbits", _no_fold)
+            chars._restricted_gram.cache_clear()
+            path = tmp_path / f"{fold}.json"
+            rc = main(argv + ["--out", str(path)])
+            out.append((rc, {n: r["computed"] for n, r in
+                             _records(path).items() if not r["pass"]}))
+    return out
+
+
+@pytest.mark.parametrize("family, q, table, name, label, value, argv", [
+    # chi_1 of D_198 at r^5 set to its value at r^7, inside the one folded
+    # orbit of the 30 columns r^k of conductor 99
+    ("dihedral", 99, lambda: table_dihedral_odd(198), "chi_1",
+     ClassLabel("r", 5), lambda t: t.by_name["chi_1"].value_at(
+         ClassLabel("r", 7)), ["--checks", "tables,centralizers"]),
+    # X_1 of Sz(128) at pi0^3 set to its value at pi0^2, inside the one
+    # folded orbit of the 63 columns pi0^a of conductor 127
+    ("sz", 128, lambda: table_suzuki(128), "X_1", ClassLabel("pi0", 3),
+     lambda t: t.by_name["X_1"].value_at(ClassLabel("pi0", 2)),
+     ["--checks", "tables,centralizers,euler"]),
+])
+def test_changed_value_in_a_folded_orbit_fails_alike(
+        monkeypatch, tmp_path, family, q, table, name, label, value, argv):
+    t = table()
+    chi = t.by_name[name]
+    packed = list(chi.packed)
+    packed[t.index[label]] = value(t)
+    monkeypatch.setattr(chi, "packed", tuple(packed))
+    folded, plain = _failing_with_and_without_folds(
+        monkeypatch, tmp_path, ["--family", family, "--q", str(q)] + argv)
+    assert folded[0] == 1 and folded[1]
+    assert folded == plain
 
 
 def misdirect_closing_edge(graph):

@@ -200,7 +200,8 @@ def _closed_path_reference(graph, rng, n, min_len=4, max_len=14):
     """random_closed_path walked one walk at a time, with the edge options
     listed afresh at each step, on the same draws: rounds of _WALK_BATCH
     walks per path still missing, walk k reading column k of a
-    (max_len, walks) array of uniforms."""
+    (max_len, walks) array of uniforms.  Returns the paths and the closing
+    prefix of each, as products of canonical elements."""
     model = graph.model
     root_set = set(graph.vertices[graph.root].sub.elements)
     paths = []
@@ -228,9 +229,9 @@ def _closed_path_reference(graph, rng, n, min_len=4, max_len=14):
                     c, vidx = a, e.s
                 if vidx == graph.root and len(legs) >= min_len and \
                         c in root_set:
-                    paths.append(legs)
+                    paths.append((legs, c))
                     break
-    return paths[:n]
+    return [p for p, _ in paths[:n]], [c for _, c in paths[:n]]
 
 
 @pytest.mark.parametrize("fam,q,k", [
@@ -238,14 +239,17 @@ def _closed_path_reference(graph, rng, n, min_len=4, max_len=14):
                                ("psl2_odd", 11), ("psl2_odd", 19)]
     for k in (0, 1)])
 def test_closed_paths_match_reference(fam, q, k):
-    # the lockstep walks give the paths of a walk-by-walk reference on the
-    # same draws, and leave the generator in the same state
+    # the lockstep walks give the paths and closing prefixes of a
+    # walk-by-walk reference on the same draws, and leave the generator in
+    # the same state
     g = build_orbit_graph(fam, q, k=k, model=psl2_model(q))
     for seed in (0, 1, 2, 3, 4, 7):
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, ref_rng, walk_rng = (np.random.default_rng(seed)
+                                  for _ in range(3))
         for n in (1, 4, 10):
-            assert random_closed_path(g, rng, n) == \
-                _closed_path_reference(g, ref_rng, n)
+            paths, ends = _closed_path_reference(g, ref_rng, n)
+            assert random_closed_path(g, rng, n) == paths
+            assert osc._closed_walks(g, walk_rng, n)[1] == ends
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
