@@ -2,9 +2,14 @@
 dimensions for PSL2(q), SL2(q), Sz(q), dihedral and cyclic groups.
 
 All values are elements of cyclotomic fields, all inner products exact
-rationals.  Every inner product, orthogonality check and centralizer
-dimension is an entry of one exact Gram kernel, `gram`, over the packed
-integer form in which tables store their values, so whole tables are
+rationals.  A table stores its distinct values once, in a packed integer
+form, and an index grid (characters x classes) into them: the builders
+fill the grid by index arithmetic, since a value such as
+zeta_n^(kl) + zeta_n^(-kl) depends only on k l mod n.  Every inner
+product, orthogonality check and centralizer dimension is an entry of one
+exact Gram kernel, `_gram`, which reads a (values, grid) pair per side
+(rows, the transposed grid for columns, or a row and column selection for
+a restriction) and unpacks each value it uses once, so whole tables are
 handled at once without ever leaving exact arithmetic.  The kernel's
 reduction on the CRT grid is the program's one cyclotomic reduction: it
 also gives a stored value's canonical form (`canonical`), which export,
@@ -59,49 +64,65 @@ def _rat(c):
     return pack_terms(1, ((0, c),))
 
 
-def _pair(n, a, c=1):
-    """c (zeta_n^a + zeta_n^-a), stored."""
-    return _roots(n, (a % n, -a % n), c)
-
-
-@lru_cache(maxsize=4096)
-def _roots(n, exps, c):
-    """c times the sum of zeta_n^k over k in exps, stored; one shared value
-    per key while cached, since stored values are immutable."""
-    return pack_terms(n, [(k, c) for k in exps])
+def _orbits(values, n, ks, xs, c=1, units=(1, -1)):
+    """Append to `values` the stored sums c * sum_u zeta_n^(a u) over the
+    `units`, a subgroup of (Z/n)^*, one per orbit of Z/n under them, at its
+    least element a; return the index grid into `values` of the cells
+    (k, x), k in ks (rows) and x in xs (columns), whose value is the sum at
+    k x: it depends only on the orbit of k x mod n."""
+    x = np.arange(n)
+    least = np.minimum.reduce([x * u % n for u in units])
+    at = np.cumsum(least == x) - 1 + len(values)
+    values += [pack_terms(n, [(a * u, c) for u in units])
+               for a in np.flatnonzero(least == x).tolist()]
+    return at[least[np.outer(ks, xs) % n]]
 
 
 class Character:
-    """A class function with exact cyclotomic values, one per class, stored
-    only in the packed form `gram` reads."""
+    """A class function with exact cyclotomic values, one per class: row
+    `row` of its table's value grid."""
 
-    __slots__ = ("name", "table", "packed")
+    __slots__ = ("name", "table", "row")
 
-    def __init__(self, name, table, packed):
+    def __init__(self, name, table, row):
         self.name = name
         self.table = table
-        self.packed = tuple(packed)
+        self.row = row
+
+    @property
+    def packed(self):
+        """The stored values, one per class, read through the grid row."""
+        values = self.table.values
+        return tuple(values[k] for k in self.table.grid[self.row].tolist())
 
     @property
     def degree(self):
-        """The value at the identity, which must be a positive integer."""
-        order, coeffs = canonical(self.packed[0])
+        """The value at the identity (column 0), which must be a positive
+        integer; no other cell is read."""
+        order, coeffs = canonical(self._at(0))
         d = coeffs[0][1] if order == 1 and coeffs else 0
         if d.denominator != 1 or d.numerator < 1:
             raise NonIntegralDimension(
-                f"{self.name} has degree {value_text(self.packed[0])}")
+                f"{self.name} has degree {value_text(self._at(0))}")
         return d.numerator
 
     def value_at(self, label):
-        return self.packed[self.table.index[label]]
+        return self._at(self.table.index[label])
+
+    def _at(self, x):
+        return self.table.values[self.table.grid[self.row, x]]
 
     def __repr__(self):
         return (f"<character {self.name} of degree "
-                f"{value_text(self.packed[0])}>")
+                f"{value_text(self._at(0))}>")
 
 
 class CharacterTable:
-    def __init__(self, family, q, model: ClassData, chars):
+    """A table stored as `values`, a tuple of distinct stored values, and
+    `grid`, a read-only np.intp array (characters x classes) of indices
+    into it; the characters are named by `names`, in grid-row order."""
+
+    def __init__(self, family, q, model: ClassData, names, values, grid):
         self.family = family
         self.q = q
         self.model = model
@@ -109,11 +130,16 @@ class CharacterTable:
         self.labels = model.class_labels
         self.sizes = [model.class_sizes[lab] for lab in self.labels]
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        self.chars = [Character(name, self, row) for name, row in chars]
+        self.values = tuple(values)
+        self.grid = np.asarray(grid, dtype=np.intp)
+        self.grid.flags.writeable = False
+        self.chars = [Character(name, self, i) for i, name in enumerate(names)]
         self.by_name = {c.name: c for c in self.chars}
-        if len(self.chars) != len(self.labels):
+        if self.grid.shape != (len(self.chars), len(self.labels)) or \
+                len(self.chars) != len(self.labels):
             raise TableMismatch(
-                f"{len(self.chars)} irreducibles vs {len(self.labels)} classes")
+                f"{len(self.chars)} irreducibles vs {len(self.labels)} "
+                f"classes, grid {self.grid.shape}")
 
     def __repr__(self):
         return (f"<character table {self.family} q={self.q}: "
@@ -147,21 +173,19 @@ _CHUNK = 1 << 14        # entries per temporary array in `gram`
 _PROBE_TERMS = 4        # most terms of a probe cell in `_fold_orbits`
 
 
-def _flatten(rows, cols):
-    """The terms of packed rows on the given columns, over one common
-    denominator: (den, conductor per column, largest l1 norm of a value per
-    column, (row, column, order, exponent, numerator) arrays).  Each
-    distinct stored value object is unpacked once and the cells index it,
-    so a value that a table builder shares between cells is unpacked once.
-    Norms and numerators are int64 unless a scaled l1 norm reaches 2^62,
-    and Python ints then."""
-    cells = [row[x] for row in rows for x in cols]
-    ids = list(map(id, cells))
-    values = dict(zip(ids, cells))
-    where = {k: i for i, k in enumerate(values)}
-    den = lcm(*{p[3] for p in values.values() if p is not None})
+def _flatten(values, grid):
+    """The terms of the cells of an index grid into stored values, over one
+    common denominator: (den, conductor per column, largest l1 norm of a
+    value per column, (row, column, order, exponent, numerator) arrays).
+    Each value that some cell uses is unpacked once, and the cells gather
+    its terms by index.  Norms and numerators are int64 unless a scaled l1
+    norm reaches 2^62, and Python ints then."""
+    used = np.zeros(len(values), dtype=bool)
+    used[grid] = True
+    live = [values[k] for k in np.flatnonzero(used).tolist()]
+    den = lcm(*{p[3] for p in live if p is not None})
     orders, counts, norms, exps, nums = [], [], [], [], []
-    for p in values.values():
+    for p in live:
         order, ks, ns, d, l1 = p or (1, (), (), den, 0)    # None: no terms
         f = den // d
         orders.append(order)
@@ -170,20 +194,20 @@ def _flatten(rows, cols):
         exps += ks
         nums += ns if f == 1 else [n * f for n in ns]
     dtype = np.int64 if max(norms, default=0) < 1 << 62 else object
-    v = np.array(list(map(where.__getitem__, ids)), dtype=np.int64)
+    v = (np.cumsum(used) - 1)[grid]         # cell -> index into `live`
     order = np.array(orders, dtype=np.int64)[v]
-    shape = len(rows), len(cols)
-    cond = np.lcm.reduce(order.reshape(shape), axis=0, initial=1)
-    norm = np.array(norms, dtype=dtype)[v].reshape(shape).max(
-        axis=0, initial=0)
+    cond = np.lcm.reduce(order, axis=0, initial=1)
+    norm = np.array(norms, dtype=dtype)[v].max(axis=0, initial=0)
     counts = np.array(counts, dtype=np.int64)
+    v = v.ravel()
     t = counts[v]
     ends = np.cumsum(t)
     idx = np.repeat((np.cumsum(counts) - counts)[v] - ends + t, t) + \
         np.arange(int(ends[-1]) if len(ends) else 0)
+    n_rows, n_cols = grid.shape
     return den, cond, norm, (
-        np.repeat(np.arange(len(rows)), len(cols)).repeat(t),
-        np.tile(np.arange(len(cols)), len(rows)).repeat(t), order.repeat(t),
+        np.repeat(np.arange(n_rows), n_cols).repeat(t),
+        np.tile(np.arange(n_cols), n_rows).repeat(t), order.ravel().repeat(t),
         np.array(exps, dtype=np.int64)[idx],
         np.array(nums, dtype=dtype)[idx])
 
@@ -203,7 +227,8 @@ def _fan_reduce(acc, shape, fs):
 
 
 def gram(rows_a, rows_b, weights):
-    """G[i][j] = sum_x w_x a_i(x) conj(b_j(x)) over packed rows, exact.
+    """G[i][j] = sum_x w_x a_i(x) conj(b_j(x)) over lists of packed rows,
+    exact: `_gram` on the (values, grid) side of each list.
 
     `weights` are rationals, one per column.  Columns where the weight or
     either side is zero are skipped, the rest grouped by the conductor m of
@@ -226,24 +251,41 @@ def gram(rows_a, rows_b, weights):
     and a rational partial is its own conjugate.
     Returns a list of rows of Fractions.
     """
-    total, den = _gram(rows_a, rows_b, weights)
+    a = _as_side(rows_a)
+    total, den = _gram(a, a if rows_b is rows_a else _as_side(rows_b),
+                       weights)
     values = {v: Fraction(v, den) for v in set(total.flat)}
     return [[values[v] for v in row] for row in total.tolist()]
 
 
-def _gram(rows_a, rows_b, weights):
-    """`gram` as (integer object array, common denominator)."""
+def _as_side(rows):
+    """Packed rows as a (values, grid) side: each distinct stored value
+    object once, and the index of every cell's value."""
+    cells = [p for row in rows for p in row]
+    _, first, at = np.unique(np.array(list(map(id, cells)), dtype=np.int64),
+                             return_index=True, return_inverse=True)
+    return [cells[i] for i in first.tolist()], \
+        at.reshape(len(rows), len(rows[0]) if rows else 0)
+
+
+def _gram(side_a, side_b, weights):
+    """`gram` on two sides (values, grid), a grid being an index array
+    (rows x columns) into its values, as (integer object array, common
+    denominator); `side_b is side_a` is the Hermitian case."""
+    (values_a, grid_a), (values_b, grid_b) = side_a, side_b
     wden = lcm(*(w.denominator for w in weights))
-    cols = [x for x, w in enumerate(weights) if w]
-    upper = rows_b is rows_a
+    cols = np.array([x for x, w in enumerate(weights) if w], dtype=np.intp)
+    upper = side_b is side_a
     if not upper:       # a column where every a-value is zero adds nothing
-        cols = [x for x in cols if any(row[x] is not None for row in rows_a)]
-    w = np.array([int(weights[x] * wden) for x in cols], dtype=object)
-    flat_a = _flatten(rows_a, cols)
-    flat_b = flat_a if upper else _flatten(rows_b, cols)
+        zero = np.array([p is None for p in values_a], dtype=bool)
+        cols = cols[~zero[grid_a[:, cols]].all(axis=0)]
+    w = np.array([int(weights[x] * wden) for x in cols.tolist()],
+                 dtype=object)
+    flat_a = _flatten(values_a, grid_a[:, cols])
+    flat_b = flat_a if upper else _flatten(values_b, grid_b[:, cols])
     bounds = abs(w) * flat_a[2].astype(object) * flat_b[2].astype(object)
     cond = np.lcm(flat_a[1], flat_b[1]) * (bounds != 0)
-    total = np.zeros((len(rows_a), len(rows_b)), dtype=object)
+    total = np.zeros((len(grid_a), len(grid_b)), dtype=object)
     for m in sorted(set(cond.tolist()) - {0}):
         in_group = cond == m
         small = bounds[in_group].sum() << len(factorize(m)) < 1 << 62
@@ -260,7 +302,7 @@ def _gram(rows_a, rows_b, weights):
         _add_group(total, a, b, np.where(in_group, w, 0).astype(
             np.int64 if small else object), m, upper)
     if upper:
-        i, j = np.tril_indices(len(rows_a), -1)
+        i, j = np.tril_indices(len(total), -1)
         total[i, j] = total[j, i]
     return total, flat_a[0] * flat_b[0] * wden
 
@@ -477,7 +519,9 @@ def inner_product(chi: Character, psi: Character) -> Fraction:
     t = chi.table
     if psi.table is not t:
         raise TableMismatch("characters live in different tables")
-    return gram([chi.packed], [psi.packed], t.sizes)[0][0] / t.order
+    g, den = _gram((t.values, t.grid[[chi.row]]),
+                   (t.values, t.grid[[psi.row]]), t.sizes)
+    return Fraction(g[0, 0], den * t.order)
 
 
 def restricted_inner_product(chi, psi, fusion) -> Fraction:
@@ -518,8 +562,8 @@ def fusion_for(table: CharacterTable, sub: SubgroupSpec):
 
 def check_row_orthogonality(table):
     """<chi_i, chi_j> = delta_ij for all pairs; raises on the first failure."""
-    rows = [c.packed for c in table.chars]
-    g, den = _gram(rows, rows, table.sizes)
+    side = table.values, table.grid
+    g, den = _gram(side, side, table.sizes)
     expect = np.zeros(g.shape, dtype=object)
     np.fill_diagonal(expect, table.order * den)
     bad = np.argwhere(g != expect)
@@ -533,8 +577,8 @@ def check_row_orthogonality(table):
 
 def check_column_orthogonality(table):
     """sum_chi chi(x) conj(chi(y)) = delta_xy |C(x)| for all class pairs."""
-    cols = list(zip(*(c.packed for c in table.chars)))
-    g, den = _gram(cols, cols, [1] * len(table.chars))
+    side = table.values, table.grid.T
+    g, den = _gram(side, side, [1] * len(table.chars))
     # |x| G[x][y] against delta_xy |G| den, all in integers
     sized = g * np.array(table.sizes, dtype=object)[:, None]
     expect = np.zeros(g.shape, dtype=object)
@@ -563,22 +607,20 @@ def table_psl2_even(q) -> CharacterTable:
     n = q.bit_length() - 1
     _require(q == 1 << n and n >= 2, f"q={q} must be 2^n with n >= 2")
     model = class_data_model("psl2_even", q)
-    one = _rat(1)
-    ls = range(1, (q - 2) // 2 + 1)
-    ms = range(1, q // 2 + 1)
-    chars = [("1", [one] * len(model.class_labels))]
-    chars.append(("psi", [_rat(q), None] + [one] * len(ls) +
-                  [_rat(-1)] * len(ms)))
-    for i in ls:
-        chars.append((f"chi_{i}",
-                      [_rat(q + 1), one] +
-                      [_pair(q - 1, i * l) for l in ls] +
-                      [None] * len(ms)))
-    for j in ms:
-        chars.append((f"theta_{j}",
-                      [_rat(q - 1), _rat(-1)] + [None] * len(ls) +
-                      [_pair(q + 1, j * m, -1) for m in ms]))
-    return CharacterTable("psl2_even", q, model, chars)
+    ls, ms = np.arange(1, q // 2), np.arange(1, q // 2 + 1)
+    # values 0..5: 1, 0, q, -1, q + 1, q - 1; then the torus sums.  Columns
+    # 1, c, a^l..., b^m...; rows 1, psi, chi_i..., theta_j...
+    values = [_rat(v) for v in (1, 0, q, -1, q + 1, q - 1)]
+    A, B = slice(2, q // 2 + 1), slice(q // 2 + 1, None)
+    grid = np.zeros((q + 1, q + 1), dtype=np.intp)
+    grid[1, :2], grid[1, B] = (2, 1), 3
+    grid[A, :2], grid[A, B] = (4, 0), 1
+    grid[B, :2], grid[B, A] = (5, 3), 1
+    grid[A, A] = _orbits(values, q - 1, ls, ls)
+    grid[B, B] = _orbits(values, q + 1, ms, ms, -1)
+    names = ["1", "psi"] + [f"chi_{i}" for i in ls.tolist()] + \
+        [f"theta_{j}" for j in ms.tolist()]
+    return CharacterTable("psl2_even", q, model, names, values, grid)
 
 
 @lru_cache(maxsize=4)
@@ -591,65 +633,62 @@ def table_sl2_odd(q) -> CharacterTable:
     eps = 1 if (q - 1) // 2 % 2 == 0 else -1
     # sqrt(eps q) = p^((n-1)/2) times the quadratic Gauss sum over Z/p
     gauss = [(k, p ** ((n - 1) // 2) * legendre(k, p)) for k in range(1, p)]
-    ls = range(1, (q - 3) // 2 + 1)
-    ms = range(1, (q - 1) // 2 + 1)
-    one, minus = _rat(1), _rat(-1)
+    ls, ms = np.arange(1, (q - 1) // 2), np.arange(1, (q + 1) // 2)
 
     def half(c0, pm, f=1):
         """f (c0 + pm sqrt(eps q)) / 2, stored."""
         return pack_terms(p, [(0, Fraction(f * c0, 2))] +
                           [(k, Fraction(f * pm * c, 2)) for k, c in gauss])
 
-    def row(deg, at_z, at_c, at_d, at_a, at_b):
-        # column order: 1, z, c, d, zc, zd, a^l..., b^m...; at_c and at_d
-        # take the scalar f by which the central z acts, at_z / deg, and
-        # give f chi(c) and f chi(d)
-        f = Fraction(at_z) / deg
-        return ([_rat(deg), _rat(at_z), at_c(1), at_d(1), at_c(f), at_d(f)] +
-                [at_a(l) for l in ls] + [at_b(m) for m in ms])
-
-    chars = [("1", row(1, 1, _rat, _rat, lambda l: one, lambda m: one))]
-    chars.append(("psi", row(q, q, lambda f: None, lambda f: None,
-                             lambda l: one, lambda m: minus)))
-    for i in ls:
-        sign = 1 if i % 2 == 0 else -1
-        chars.append((f"chi_{i}", row(
-            q + 1, sign * (q + 1), _rat, _rat,
-            lambda l, i=i: _pair(q - 1, i * l), lambda m: None)))
-    for j in ms:
-        sign = 1 if j % 2 == 0 else -1
-        chars.append((f"theta_{j}", row(
-            q - 1, sign * (q - 1), lambda f: _rat(-f), lambda f: _rat(-f),
-            lambda l: None, lambda m, j=j: _pair(q + 1, j * m, -1))))
-    for name, pm in (("xi_1", 1), ("xi_2", -1)):
-        chars.append((name, row(
-            (q + 1) // 2, Fraction(eps * (q + 1), 2),
-            lambda f, pm=pm: half(1, pm, f), lambda f, pm=pm: half(1, -pm, f),
-            lambda l: _rat((-1) ** l), lambda m: None)))
-    for name, pm in (("eta_1", 1), ("eta_2", -1)):
-        chars.append((name, row(
-            (q - 1) // 2, Fraction(-eps * (q - 1), 2),
-            lambda f, pm=pm: half(-1, pm, f),
-            lambda f, pm=pm: half(-1, -pm, f),
-            lambda l: None, lambda m: _rat((-1) ** (m + 1)))))
-    return CharacterTable("sl2_odd", q, model, chars)
+    # values 0..7: 1, -1, q, q + 1, -q - 1, q - 1, 1 - q, 0.  Columns 1, z,
+    # c, d, zc, zd, a^l..., b^m...; rows 1, psi, chi_i..., theta_j..., then
+    # xi_1, xi_2, eta_1, eta_2, whose first six values come after the torus
+    # sums
+    values = [_rat(v) for v in (1, -1, q, q + 1, -q - 1, q - 1, 1 - q, 0)]
+    A, B = slice(6, 6 + len(ls)), slice(6 + len(ls), None)
+    chi, theta = slice(2, 2 + len(ls)), slice(2 + len(ls), q)
+    grid = np.zeros((q + 4, q + 4), dtype=np.intp)
+    grid[1, :6], grid[1, B] = (2, 2, 7, 7, 7, 7), 1
+    # on z, zc and zd, chi_i and theta_j take the sign (-1)^i or (-1)^j
+    # by which z acts
+    grid[chi, :6] = np.array([(3, 3, 0, 0, 0, 0), (3, 4, 0, 0, 1, 1)])[ls % 2]
+    grid[theta, :6] = np.array([(5, 5, 1, 1, 1, 1),
+                                (5, 6, 1, 1, 0, 0)])[ms % 2]
+    grid[chi, B] = grid[theta, A] = 7
+    grid[chi, A] = _orbits(values, q - 1, ls, ls)
+    grid[theta, B] = _orbits(values, q + 1, ms, ms, -1)
+    grid[q:q + 2, A], grid[q:q + 2, B] = ls % 2, 7          # xi: (-1)^l
+    grid[q + 2:, A], grid[q + 2:, B] = 7, 1 - ms % 2        # eta: (-1)^(m+1)
+    for row, (c0, pm) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1)), q):
+        f = c0 * eps        # the scalar by which z acts
+        grid[row, :6] = range(len(values), len(values) + 6)
+        values += [_rat((q + c0) // 2), _rat(Fraction(f * (q + c0), 2)),
+                   half(c0, pm), half(c0, -pm), half(c0, pm, f),
+                   half(c0, -pm, f)]
+    return CharacterTable(
+        "sl2_odd", q, model, ["1", "psi"] +
+        [f"chi_{i}" for i in ls.tolist()] +
+        [f"theta_{j}" for j in ms.tolist()] +
+        ["xi_1", "xi_2", "eta_1", "eta_2"], values, grid)
 
 
 @lru_cache(maxsize=4)
 def table_psl2_odd(q) -> CharacterTable:
-    """Fold the SL2(q) table through the central quotient, q = 3 mod 4."""
+    """Fold the SL2(q) table through the central quotient, q = 3 mod 4: the
+    rows of the characters trivial on z and the columns of the classes of
+    PSL2(q) of its grid, over the same values."""
     _require(q % 4 == 3, "the folded table needs q = 3 mod 4")
     sl2 = table_sl2_odd(q)
     model = class_data_model("psl2_odd", q)
     bq = ClassLabel("b", (q + 1) // 4)      # the class of the involutions
     cols = [sl2.index[bq if lab.kind == "bq" else lab]
             for lab in model.class_labels]
-    chars = []
-    for c in sl2.chars:
-        if canonical(c.value_at(ClassLabel("z"))) == \
-                canonical(c.value_at(ClassLabel("id"))):
-            chars.append((c.name, [c.packed[j] for j in cols]))
-    return CharacterTable("psl2_odd", q, model, chars)
+    z = ClassLabel("z")
+    rows = [c.row for c in sl2.chars
+            if canonical(c.value_at(z)) == canonical(c.value_at(ID))]
+    return CharacterTable("psl2_odd", q, model,
+                          [sl2.chars[i].name for i in rows], sl2.values,
+                          sl2.grid[np.ix_(rows, cols)])
 
 
 @lru_cache(maxsize=4)
@@ -657,44 +696,36 @@ def table_suzuki(q) -> CharacterTable:
     model = class_data_model("sz", q)   # rejects q outside Sz's range first
     r = isqrt(2 * q)
     # the torus classes and their characters share the index sets
-    As, Bs, Cs = ([lab.index for lab in model.class_labels if lab.kind == k]
+    As, Bs, Cs = (np.array([lab.index for lab in model.class_labels
+                            if lab.kind == k], dtype=np.intp)
                   for k in ("pi0", "pi1", "pi2"))
-
-    def row(deg, at_sigma, at_rho, at_rho_inv, at_pi0, at_pi1, at_pi2):
-        return ([_rat(deg), at_sigma, at_rho, at_rho_inv] +
-                [at_pi0(a) for a in As] + [at_pi1(b) for b in Bs] +
-                [at_pi2(c) for c in Cs])
-
-    def orbit(n, x):
-        """-(zeta_n^x + zeta_n^xq + zeta_n^-x + zeta_n^-xq), stored."""
-        return _roots(n, tuple(x * u % n for u in (1, q, -1, -q)), -1)
-
-    one, minus = _rat(1), _rat(-1)
-    z0 = lambda a: None
-    chars = [("1", row(1, one, one, one, lambda a: one, lambda b: one,
-                       lambda c: one))]
-    chars.append(("X", row(q * q, None, None, None, lambda a: one,
-                           lambda b: minus, lambda c: minus)))
-    for i in As:
-        chars.append((f"X_{i}", row(
-            q * q + 1, one, one, one,
-            lambda a, i=i: _pair(q - 1, i * a), z0, z0)))
-    for j in Bs:
-        chars.append((f"Y_{j}", row(
-            (q - 1) * (q - r + 1), _rat(r - 1), minus, minus, z0,
-            lambda b, j=j: orbit(q + r + 1, j * b), z0)))
-    for k in Cs:
-        chars.append((f"Z_{k}", row(
-            (q - 1) * (q + r + 1), _rat(-r - 1), minus, minus, z0, z0,
-            lambda c, k=k: orbit(q - r + 1, k * c))))
+    a, b = len(As), len(As) + len(Bs)
     half_r = Fraction(r, 2)
-    for name, pm in (("W_1", 1), ("W_2", -1)):
-        chars.append((name, row(
-            r * (q - 1) // 2, _rat(-half_r),
-            pack_terms(4, ((1, pm * half_r),)),
-            pack_terms(4, ((1, -pm * half_r),)), z0, lambda b: one,
-            lambda c: minus)))
-    return CharacterTable("sz", q, model, chars)
+    # values 0..12: 1, -1, 0, then the degrees and the values at sigma and
+    # rho of the rows X..W_2.  Columns 1, sigma, rho, rho_inv, pi0^a...,
+    # pi1^b..., pi2^c...; rows 1, X, X_a..., Y_b..., Z_c..., W_1, W_2
+    values = [_rat(v) for v in (
+        1, -1, 0, q * q, q * q + 1, (q - 1) * (q - r + 1), r - 1,
+        (q - 1) * (q + r + 1), -r - 1, r * (q - 1) // 2, -half_r)] + [
+        pack_terms(4, ((1, half_r),)), pack_terms(4, ((1, -half_r),))]
+    A, B, C = slice(4, 4 + a), slice(4 + a, 4 + b), slice(4 + b, None)
+    X, Y, Z = slice(2, 2 + a), slice(2 + a, 2 + b), slice(2 + b, -2)
+    grid = np.zeros((q + 3,) * 2, dtype=np.intp)
+    grid[1, :4], grid[1, B], grid[1, C] = (3, 2, 2, 2), 1, 1
+    grid[X, 0], grid[X, B], grid[X, C] = 4, 2, 2
+    grid[Y, :4], grid[Y, A], grid[Y, C] = (5, 6, 1, 1), 2, 2
+    grid[Z, :4], grid[Z, A], grid[Z, B] = (7, 8, 1, 1), 2, 2
+    grid[-2:, :4] = (9, 10, 11, 12), (9, 10, 12, 11)
+    grid[-2:, A], grid[-2:, C] = 2, 1
+    grid[X, A] = _orbits(values, q - 1, As, As)
+    # -(zeta_n^x + zeta_n^xq + zeta_n^-x + zeta_n^-xq): q^2 = -1 mod n
+    units = (1, q, -1, -q)
+    grid[Y, B] = _orbits(values, q + r + 1, Bs, Bs, -1, units)
+    grid[Z, C] = _orbits(values, q - r + 1, Cs, Cs, -1, units)
+    return CharacterTable(
+        "sz", q, model, ["1", "X"] + [f"X_{i}" for i in As.tolist()] +
+        [f"Y_{j}" for j in Bs.tolist()] + [f"Z_{k}" for k in Cs.tolist()] +
+        ["W_1", "W_2"], values, grid)
 
 
 @lru_cache(maxsize=4)
@@ -703,24 +734,26 @@ def table_dihedral_odd(two_n) -> CharacterTable:
     _require(two_n == 2 * n and n % 2 == 1 and n >= 3,
              "dihedral table needs order 2n with odd n >= 3")
     model = class_data_model("dihedral", two_n)
-    one = _rat(1)
-    ks = range(1, (n - 1) // 2 + 1)
-    chars = [("psi_1", [one] * len(model.class_labels)),
-             ("psi_2", [one] + [one] * len(ks) + [_rat(-1)])]
-    for i in ks:
-        chars.append((f"chi_{i}",
-                      [_rat(2)] + [_pair(n, i * k) for k in ks] + [None]))
-    return CharacterTable("dihedral", two_n, model, chars)
+    ks = np.arange(1, (n + 1) // 2)
+    # values 0..3: 1, -1, 2, 0.  Columns 1, r^k..., s; rows psi_1, psi_2,
+    # chi_k...
+    values = [_rat(v) for v in (1, -1, 2, 0)]
+    grid = np.zeros((len(ks) + 2,) * 2, dtype=np.intp)
+    grid[1, -1] = 1
+    grid[2:, 0], grid[2:, -1] = 2, 3
+    grid[2:, 1:-1] = _orbits(values, n, ks, ks)
+    return CharacterTable("dihedral", two_n, model, ["psi_1", "psi_2"] +
+                          [f"chi_{i}" for i in ks.tolist()], values, grid)
 
 
 @lru_cache(maxsize=4)
 def table_cyclic(n) -> CharacterTable:
     _require(n >= 1, "n must be positive")
     model = class_data_model("cyclic", n)
-    roots = [pack_terms(n, ((k, 1),)) for k in range(n)]
-    chars = [(f"mu_{k}", [roots[k * j % n] for j in range(n)])
-             for k in range(n)]
-    return CharacterTable("cyclic", n, model, chars)
+    ks = np.arange(n)
+    return CharacterTable("cyclic", n, model, [f"mu_{k}" for k in range(n)],
+                          [pack_terms(n, ((k, 1),)) for k in range(n)],
+                          np.outer(ks, ks) % n)
 
 
 def rho0_character(table: CharacterTable) -> Character:
@@ -773,16 +806,17 @@ class Restriction:
                 any(lam.table is not self.table for lam in lams):
             raise TableMismatch("character/table mismatch in restriction")
         cols = [self.ambient.index[lab] for lab in self.images]
-        g, den = _gram([[chi.packed[x] for x in cols] for chi in chis],
-                       [lam.packed for lam in lams], self.table.sizes)
-        den *= self.table.order
-        bad = next((ij for ij, v in np.ndenumerate(g) if v % den or v < 0),
-                   None)
-        if bad is not None:
-            i, j = bad
+        amb, sub = self.ambient, self.table
+        g, den = _gram(
+            (amb.values, amb.grid[np.ix_([c.row for c in chis], cols)]),
+            (sub.values, sub.grid[[lam.row for lam in lams]]), sub.sizes)
+        den *= sub.order
+        bad = np.argwhere((g % den != 0) | (g < 0))
+        if len(bad):
+            i, j = bad[0].tolist()
             raise NonIntegralDimension(
                 f"<Res {chis[i].name}, {lams[j].name}> = "
-                f"{Fraction(g[bad], den)} is not a nonnegative integer")
+                f"{Fraction(g[i, j], den)} is not a nonnegative integer")
         return (g // den).tolist()
 
 
@@ -793,10 +827,12 @@ def d_theta(restriction: Restriction, chis, thetas) -> list:
     in `thetas` (columns), from one Gram over the union of the sets."""
     lams = list(dict.fromkeys(lam for theta in thetas for lam in theta))
     at = {lam: i for i, lam in enumerate(lams)}
-    cols = [[at[lam] for lam in theta] for theta in thetas]
-    degrees = [lam.degree for lam in lams]
-    return [[sum(row[i] * degrees[i] for i in c) for c in cols]
-            for row in restriction.multiplicities(chis, lams)]
+    degrees = np.zeros((len(lams), len(thetas)), dtype=object)
+    for j, theta in enumerate(thetas):
+        for lam in theta:
+            degrees[at[lam], j] += lam.degree
+    return (np.array(restriction.multiplicities(chis, lams), dtype=object)
+            @ degrees).tolist()
 
 
 def _normalizer_restriction(table: CharacterTable, tag, param=None):

@@ -334,7 +334,8 @@ class KirillovModel(_Model):
         self.x = np.arange(1, q)
         self.xy = mul[self.x[:, None], self.x[None, :]]
         r = np.arange(q)
-        self.alpha = int(np.setdiff1d(r, add[mul[r, r], r])[0])
+        # the least value not taken by s^2 + s
+        self.alpha = int(np.bincount(add[mul[r, r], r], minlength=q).argmin())
         a, _, _, d = model.class_reps[ClassLabel("b", 1)]
         t = add[a, d]
         beta = q * t + first(r, lambda x: self._norm(x, t) == 1)
@@ -540,12 +541,13 @@ class ModuliPoint:
         direct, back = np.unique(at * half + rows % half, return_inverse=True)
         which, (vertex, i) = direct // half, places[direct % half].T
         out = np.empty((len(direct),) + into.shape[1:], dtype=np.complex128)
-        for ei in np.unique(i[vertex < 0]):
+        # return_index: a plain np.unique imports numpy.ma
+        for ei in np.unique(i[vertex < 0], return_index=True)[0]:
             ks = np.flatnonzero((vertex < 0) & (i == ei))
             e, p = graph.edges[ei], which[ks]
             out[ks] = _h(tau_v[e.s])[p] @ _h(self.mats[ei])[p] @ \
                 rho0.mat(e.g) @ tau_v[e.w][p]
-        for vi in np.unique(vertex[vertex >= 0]):
+        for vi in np.unique(vertex[vertex >= 0], return_index=True)[0]:
             ks = np.flatnonzero(vertex == vi)
             out[ks] = rho0.kept(graph.vertices[vi].sub.elements).stack(i[ks])
             if vi != graph.root:        # tau is the identity at the root

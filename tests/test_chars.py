@@ -13,7 +13,7 @@ from repmoduli.chars import (
     dihedral_theta_restrictions, fusion_for, gram, inner_product,
     pack_terms, restricted_inner_product,
     rho0_character, split_dihedral_restriction,
-    split_torus_restriction, table_cyclic, table_dihedral_odd,
+    split_torus_restriction, table_cyclic, table_dihedral_odd, table_for,
     table_psl2_even, table_psl2_odd, table_sl2_odd, table_suzuki,
     theta_balance,
 )
@@ -22,6 +22,7 @@ from repmoduli.groups import (
 )
 
 from cyclotomic_ref import Cyclotomic
+from table_edits import repoint
 
 
 def ref(chi, label):
@@ -29,8 +30,8 @@ def ref(chi, label):
     return Cyclotomic.from_packed(chi.value_at(label))
 
 
-def ref_values(chi):
-    return tuple(map(Cyclotomic.from_packed, chi.packed))
+def ref_values(row):
+    return tuple(map(Cyclotomic.from_packed, row))
 
 
 def restriction_from_enumeration(table, model, sub):
@@ -138,45 +139,42 @@ def _reference_gram(rows_a, rows_b, weights):
     return out
 
 
+def _rows(table):
+    return [c.packed for c in table.chars]
+
+
 def _gram_cases():
     """(rows_a, rows_b, weights) as canonical values, for gram's
     reference, and as the packed rows gram reads; where both sides are one
     table, the packed sides are one list, which gram reads as Hermitian."""
     t11 = table_psl2_odd(11)
     a4 = fusion_for(t11, symbolic_subgroup("psl2_odd", 11, "a4"))
-    psi = t11.by_name["psi"]
+    rows11, psi = _rows(t11), t11.by_name["psi"]
     k = (1 << 62) + 1
-    huge = [chars.Character(c.name, t11, [
-        p and (*p[:2], tuple(n * k for n in p[2]), p[3], p[4] * k)
-        for p in c.packed]) for c in t11.chars]
-    cases = [(t.chars, t.chars, t.sizes) for t in (
-        table_psl2_even(8), t11, table_sl2_odd(11), table_suzuki(8),
-        table_dihedral_odd(18), table_cyclic(12))]
+    huge = [[p and (*p[:2], tuple(n * k for n in p[2]), p[3], p[4] * k)
+             for p in row] for row in rows11]
+    cases = [(rows, rows, t.sizes) for t, rows in (
+        (t, _rows(t)) for t in (
+            table_psl2_even(8), t11, table_sl2_odd(11), table_suzuki(8),
+            table_dihedral_odd(18), table_cyclic(12)))]
     cases += [
-        (t11.chars, t11.chars, [a4.get(lab, 0) for lab in t11.labels]),
+        (rows11, rows11, [a4.get(lab, 0) for lab in t11.labels]),
         # weights past the int64 bound: the Python-int path
-        (t11.chars, t11.chars, [(s << 64) + 1 for s in t11.sizes]),
+        (rows11, rows11, [(s << 64) + 1 for s in t11.sizes]),
         # such weights only where psi vanishes: the int64 path again
-        (t11.chars, [psi], [1 << 70 if ref(psi, lab).is_zero() else s
-                            for lab, s in zip(t11.labels, t11.sizes)]),
+        (rows11, [psi.packed], [1 << 70 if ref(psi, lab).is_zero() else s
+                                for lab, s in zip(t11.labels, t11.sizes)]),
         # psi is zero on columns where other characters are not: those
         # columns are pruned before either side is unpacked
-        ([psi], t11.chars, t11.sizes),
+        ([psi.packed], rows11, t11.sizes),
         # numerators past 2^62: the Python-int terms of `_flatten`
         (huge, huge, t11.sizes),
-        (huge, t11.chars, t11.sizes),
+        (huge, rows11, t11.sizes),
     ]
-    out = []
-    for a, b, weights in cases:
-        packed_a = [c.packed for c in a]
-        out.append((list(map(ref_values, a)), list(map(ref_values, b)),
-                    weights, packed_a,
-                    packed_a if b is a else [c.packed for c in b]))
-    ts = table_suzuki(8)
-    cols = list(zip(*map(ref_values, ts.chars)))
-    packed_cols = list(zip(*(c.packed for c in ts.chars)))
-    out.append((cols, cols, [1] * len(ts.chars), packed_cols, packed_cols))
-    return out
+    cols = list(zip(*_rows(table_suzuki(8))))
+    cases.append((cols, cols, [1] * len(cols)))
+    return [(list(map(ref_values, a)), list(map(ref_values, b)), weights,
+             a, b) for a, b, weights in cases]
 
 
 def _check_gram_cases():
@@ -201,10 +199,62 @@ def test_gram_across_chunk_boundaries(monkeypatch, chunk):
     # irrational cell must fail them in the first row and the last alike
     t = table_psl2_even(4)
     for name in ("1", "theta_1", "theta_2"):
-        bad = _copy_with_value(t, name, ClassLabel("c"), Cyclotomic.root(5))
+        bad = _copy_with_value(t, name, ClassLabel("c"), _stored(5))
         for check in (check_row_orthogonality, check_column_orthogonality):
             with pytest.raises(TableMismatch, match="not rational"):
                 check(bad)
+
+
+def _fractions(total, den):
+    return [[Fraction(v, den) for v in row] for row in total.tolist()]
+
+
+@pytest.mark.parametrize("family, qs", [
+    ("sz", (8, 32, 128)),
+    ("psl2_even", (4, 8)),
+    ("sl2_odd", (11, 19, 27, 43, 59, 67, 83)),
+    ("psl2_odd", (11, 19, 27, 43, 59, 67, 83)),
+    ("dihedral", tuple(range(6, 200, 4))),
+], ids=["sz", "psl2_even", "sl2_odd", "psl2_odd", "dihedral"])
+def test_grid_grams_equal_grams_of_materialized_rows(family, qs):
+    # every table of the sz 8,32,128, psl2 4,8,11,19, dihedral 3..99 and
+    # psl2 27,43,59,67,83 batches: its row and column Grams and the
+    # multiplicities of every restriction its checks take, read through
+    # the grid, equal `gram` over the rows of stored values
+    for q in qs:
+        t = table_for(family, q)
+        rows = _rows(t)
+        cols = list(zip(*rows))
+        side = t.values, t.grid
+        assert _fractions(*chars._gram(side, side, t.sizes)) == \
+            gram(rows, rows, t.sizes)
+        side = t.values, t.grid.T
+        assert _fractions(*chars._gram(side, side, [1] * len(rows))) == \
+            gram(cols, cols, [1] * len(rows))
+        if family == "dihedral":
+            restrictions = dihedral_theta_restrictions(t)
+        elif family == "sl2_odd":
+            restrictions = ()
+        else:
+            restrictions = [f(t) for f in (
+                split_torus_restriction, c2_restriction,
+                split_dihedral_restriction)]
+        for r in restrictions:
+            at = [t.index[lab] for lab in r.images]
+            want = gram([[row[x] for x in at] for row in rows],
+                        _rows(r.table), r.table.sizes)
+            assert r.multiplicities(t.chars, r.table.chars) == \
+                [[v / r.table.order for v in row] for row in want]
+
+
+def test_cached_tables_are_read_only():
+    for t in (table_psl2_even(8), table_sl2_odd(11), table_psl2_odd(11),
+              table_suzuki(8), table_dihedral_odd(14), table_cyclic(12)):
+        assert isinstance(t.values, tuple)
+        with pytest.raises(ValueError, match="read-only"):
+            t.grid[0, 0] = 1
+        with pytest.raises(AttributeError):
+            t.chars[1].packed = t.chars[0].packed
 
 
 def test_zero_columns_of_the_a_side_are_never_unpacked(monkeypatch):
@@ -212,8 +262,8 @@ def test_zero_columns_of_the_a_side_are_never_unpacked(monkeypatch):
     # spectrum Gram unpacks one column of each side, not the C_7 table
     seen = []
     real = chars._flatten
-    monkeypatch.setattr(chars, "_flatten", lambda rows, cols: seen.append(
-        (len(rows), len(cols))) or real(rows, cols))
+    monkeypatch.setattr(chars, "_flatten", lambda values, grid: seen.append(
+        grid.shape) or real(values, grid))
     ts = table_suzuki(8)
     r = split_torus_restriction(ts)
     assert r.multiplicities([ts.by_name["W_1"]], r.table.chars) == [[2] * 7]
@@ -262,21 +312,28 @@ def test_numerators_past_2_62_are_never_folded(monkeypatch):
     assert not traces
 
 
+def _stored(root_order):
+    """The stored zeta_root_order (1 for root order 1)."""
+    return pack_terms(root_order, ((1, 1),))
+
+
 def _copy_with_value(table, name, label, value):
-    chars = [(c.name, list(c.packed)) for c in table.chars]
-    chars[table.chars.index(table.by_name[name])][1][table.index[label]] = \
-        pack_terms(value.order, value.coeffs)
-    return CharacterTable(table.family, table.q, table.model, chars)
+    """A new table equal to `table` but for one stored value."""
+    copy = CharacterTable(table.family, table.q, table.model,
+                          [c.name for c in table.chars], table.values,
+                          table.grid)
+    repoint(copy, name, label, value)
+    return copy
 
 
 def test_row_orthogonality_catches_one_flipped_value():
     t = table_psl2_even(4)
     # theta_1 is -1 at the involution class; flip it to +1
-    bad = _copy_with_value(t, "theta_1", ClassLabel("c"), Cyclotomic.one())
+    bad = _copy_with_value(t, "theta_1", ClassLabel("c"), _stored(1))
     with pytest.raises(TableMismatch, match=r"<1,theta_1>"):
         check_row_orthogonality(bad)
     # an irrational value leaves a partial sum that is not rational
-    bad = _copy_with_value(t, "theta_1", ClassLabel("c"), Cyclotomic.root(5))
+    bad = _copy_with_value(t, "theta_1", ClassLabel("c"), _stored(5))
     with pytest.raises(TableMismatch, match="not rational"):
         check_row_orthogonality(bad)
     assert check_row_orthogonality(t)
@@ -319,12 +376,20 @@ def test_multiplicity_examples():
     th = t4.by_name["theta_1"]
     d6 = split_dihedral_restriction(t4)
     assert d6.multiplicities([th], [d6.table.by_name["psi_1"]]) == [[0]]
-    # -theta_1 has negative multiplicities, which are no dimensions
-    minus = chars.Character("-theta_1", t4, [
-        p and p[:2] + (tuple(-n for n in p[2]),) + p[3:] for p in th.packed])
+    # -theta_1 has negative multiplicities, which are no dimensions: a copy
+    # of the table whose theta_1 row points at the negated values
+    grid = t4.grid.copy()
+    grid[th.row] = len(t4.values) + np.arange(len(t4.labels))
+    t4_minus = CharacterTable(
+        t4.family, t4.q, t4.model,
+        ["-" * (c is th) + c.name for c in t4.chars], t4.values + tuple(
+            p and p[:2] + (tuple(-n for n in p[2]),) + p[3:]
+            for p in th.packed), grid)
+    minus = t4_minus.by_name["-theta_1"]
     # a virtual character prints its stored degree, whatever it is
     assert repr(minus) == "<character -theta_1 of degree -3 (mod 1)>"
     # the error names the pair of the first bad entry (psi_1 gives 0)
+    d6 = split_dihedral_restriction(t4_minus)
     with pytest.raises(NonIntegralDimension,
                        match=r"<Res -theta_1, psi_2> = -1 is not"):
         d6.multiplicities([minus], d6.table.chars)
@@ -462,16 +527,16 @@ def test_batched_multiplicities_match_one_by_one(build, q):
 
 def test_degree_must_be_a_positive_integer():
     t = table_psl2_even(4)
-    rest = list(t.chars[0].packed[1:])
     for bad in (Cyclotomic.rational(Fraction(3, 2)), Cyclotomic.zero(),
                 Cyclotomic.rational(-2), Cyclotomic.root(5)):
-        chi = chars.Character("bad", t, [pack_terms(bad.order, bad.coeffs)]
-                              + rest)
+        chi = _copy_with_value(t, "1", ClassLabel("id"), pack_terms(
+            bad.order, bad.coeffs)).by_name["1"]
         with pytest.raises(NonIntegralDimension):
             chi.degree
     # stored over Q(zeta_3), canonically the rational 1
     one = pack_terms(3, ((1, -1), (2, -1)))
-    assert chars.Character("one", t, [one] + rest).degree == 1
+    assert _copy_with_value(t, "1", ClassLabel("id"), one).by_name[
+        "1"].degree == 1
 
 
 @pytest.mark.parametrize("q", [8, 32, 128])
