@@ -541,12 +541,9 @@ def _restricted_gram(a, b, weights):
     return gram([a], [b], weights)[0][0] / sum(weights)
 
 
-def centralizer_dim(chi, fusion=None) -> int:
-    """dim of the unitary commutant of the (restricted) representation."""
-    if fusion is None:
-        r = inner_product(chi, chi)
-    else:
-        r = restricted_inner_product(chi, chi, fusion)
+def centralizer_dim(chi, fusion) -> int:
+    """dim of the unitary commutant of the restricted representation."""
+    r = restricted_inner_product(chi, chi, fusion)
     if r.denominator != 1 or r < 0:
         raise NonIntegralDimension(f"<chi,chi> = {r} is not a dimension")
     return int(r)

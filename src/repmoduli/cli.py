@@ -41,6 +41,7 @@ ENV_PREFIX = "REPMODULI_"
 ALL_CHECKS = ("tables", "fusion", "centralizers", "moduli-dim", "euler",
               "brown", "numerics")
 NUMERICS_BOUND = 83     # the largest q whose numerics run
+Q_BOUND = 4096          # the largest q (n for dihedral, cyclic) accepted
 
 
 class UsageError(ValueError):
@@ -103,6 +104,8 @@ class VerificationReport:
 
 def classify_q(family, q):
     """Map (family, q) to the internal table family; UsageError if invalid."""
+    if q > Q_BOUND:
+        raise UsageError(f"q={q} is above the supported bound {Q_BOUND}")
     if family in ("psl2", "sz"):
         try:
             p, n = _prime_power(q)

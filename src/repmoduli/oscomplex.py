@@ -248,14 +248,6 @@ class ModuliDimensionReport:
     dim_target: int
     equal: bool
 
-    def to_json(self):
-        return {"family": self.family, "q": self.q, "k": self.k,
-                "degree": self.degree, "edge_dims": self.edge_dims,
-                "vertex_dims": self.vertex_dims,
-                "dim_moduli": self.dim_moduli, "dim_gauge": self.dim_gauge,
-                "dim_quotient": self.dim_quotient,
-                "dim_target": self.dim_target, "equal": self.equal}
-
 
 def moduli_dimension_report(graph: OrbitGraph,
                             table: CharacterTable) -> ModuliDimensionReport:

@@ -357,8 +357,9 @@ def test_centralizer_dims():
     t11 = table_psl2_odd(11)
     f = fusion_for(t11, symbolic_subgroup("psl2_odd", 11, "a4"))
     assert centralizer_dim(t11.by_name["eta_1"], f) == 3
+    whole = dict(zip(t11.labels, t11.sizes))    # the group itself
     for c in t11.chars:
-        assert centralizer_dim(c) == 1  # Schur
+        assert centralizer_dim(c, whole) == 1  # Schur
 
 
 def test_non_integral_dimension_raises():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,23 @@ def test_classify_q():
                    ("sz", 4), ("sz", 64), ("dihedral", 8), ("cyclic", 0)]:
         with pytest.raises(UsageError):
             classify_q(fam, q)
+
+
+def test_q_above_bound_exits_2_before_any_work():
+    # a q above the bound is refused before it is factorized or any table
+    # is built; unbounded, the first would factorize a 61-bit prime by
+    # trial division and the second build a table for D_100000001
+    for family, q in (("psl2", "2305843009213693951"),
+                      ("dihedral", "100000001")):
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as e:
+            main(["--family", family, "--q", q, "--checks", "tables"])
+        assert e.value.code == 2 and time.perf_counter() - t0 < 2, family
+    for family in ("psl2", "sz", "dihedral", "cyclic"):
+        with pytest.raises(UsageError, match="bound 4096"):
+            classify_q(family, 4097)
+    assert classify_q("psl2", 4096) == "psl2_even"
+    assert classify_q("dihedral", 4095) == "dihedral"
 
 
 def test_usage_error_exit_code(monkeypatch):

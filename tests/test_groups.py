@@ -15,6 +15,8 @@ from repmoduli.groups import (
     suzuki_class_labels, symbolic_subgroup,
 )
 
+from gf_ref import ref_field
+
 
 def mat_mul(f, x, y):
     """The 2x2 product over any field object with `add` and `mul`; the
@@ -34,7 +36,7 @@ def transvection_generators(f):
     generator below the degree: together they generate SL2(q)."""
     gens = []
     for i in range(f.n):
-        lam = f.pow(f.generator, i)
+        lam = ref_field(f.p, f.n).pow(f.generator, i)
         gens += [(1, 0, lam, 1), (1, lam, 0, 1)]
     return gens
 
@@ -344,12 +346,14 @@ def test_corrupted_class_size_raises():
 
 
 class _SlowField:
-    """A field's operations from its slow reference code, memoized."""
+    """A field's operations from the scalar reference, memoized."""
 
     def __init__(self, spec):
-        self.add = cache(spec._add_slow)
-        self.mul = cache(spec._mul_slow)
-        self.neg = cache(spec._neg_slow)
+        ref = ref_field(spec.p, spec.n)
+        assert ref.modulus == spec.modulus
+        self.add = cache(ref.add)
+        self.mul = cache(ref.mul)
+        self.neg = cache(ref.neg)
 
 
 def _reference_ops(model):

@@ -18,6 +18,7 @@ from repmoduli.oscomplex import (
 )
 
 from cyclotomic_ref import Cyclotomic
+from gf_ref import ref_field
 
 
 def _dense_images(stack):
@@ -371,8 +372,9 @@ def test_explicit_model_reference(q):
     assert np.max(np.abs(exact - reference)) < 1e-12
     assert np.max(np.abs(traces - exact)) < 1e-12
     f = m.spec
-    gens = [m.canonical(g) for i in range(f.n) for g in (
-        (1, 0, f.pow(f.generator, i), 1), (1, f.pow(f.generator, i), 0, 1))]
+    powers = [ref_field(f.p, f.n).pow(f.generator, i) for i in range(f.n)]
+    gens = [m.canonical(g) for lam in powers
+            for g in ((1, 0, lam, 1), (1, lam, 0, 1))]
     pairs = [(g, h) for g in gens for h in gens]
     lhs = rep.stack_of([g for g, _ in pairs]) @ rep.stack_of(
         [h for _, h in pairs])
