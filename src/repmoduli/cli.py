@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -306,6 +307,12 @@ def check_brown(fam, q, cfg):
                      f"{expected} relations verified", run)]
 
 
+def record_seeds(seed):
+    """The gauge-word, kernel-word and closed-path seeds: strings, whose
+    SHA-512 seeds random.Random apart from Random(seed) and each other."""
+    return [f"{seed}/{name}" for name in ("gauge", "kernel", "path")]
+
+
 def check_numerics(fam, q, cfg):
     base = f"numerics/{fam}-q{q}"
     if fam == "sz":
@@ -333,6 +340,9 @@ def check_numerics(fam, q, cfg):
     target = rho0_character(table)
     model = psl2_model(q)
     tol = cfg.tol
+
+    def within(value, bound, what="defect"):
+        return "within tolerance" if value <= bound else f"{what} {value:.2e}"
 
     def record(part, anchor, expected, compute):
         records.append(_guarded(f"{base}/{part}", f"{base}/{anchor}", inputs,
@@ -389,37 +399,31 @@ def check_numerics(fam, q, cfg):
         expected_ranks = str(e)
     record("commutant-ranks", "commutant-ranks", expected_ranks, ranks)
 
-    nrng = np.random.default_rng(seed)
+    nrng = random.Random(seed)
     # one word generator per record, apart from the moduli points of nrng
-    gauge_rng, kernel_rng, path_rng = map(
-        np.random.default_rng, np.random.SeedSequence(seed).spawn(3))
+    gauge_rng, kernel_rng, path_rng = map(random.Random, record_seeds(seed))
 
     def gauge_invariance():
         rep, (graph, pres) = realized(), setting()
         words = random_word(pres, gauge_rng, 6, (20, 50))
-        worst = gauge_defect(pres, rep, nrng, words, tol)
-        return "within tolerance" if worst <= tol.moduli_word \
-            else f"defect {worst:.2e}"
+        return within(gauge_defect(pres, rep, nrng, words, tol),
+                      tol.moduli_word)
 
     def universal_point():
         rep, (graph, pres) = realized(), setting()
         one = identity_moduli_point(graph, rep.degree)
         words = random_kernel_word(pres, kernel_rng, 100)
-        universal = np.max(np.abs(rho_tau_eval(pres, rep, one, words) -
-                                  np.eye(rep.degree)))
-        return "within tolerance" if universal <= tol.universal \
-            else f"defect {universal:.2e}"
+        return within(np.max(np.abs(rho_tau_eval(pres, rep, one, words) -
+                                    np.eye(rep.degree))), tol.universal)
 
     def differential():
         rep, (graph, pres) = realized(), setting()
         paths = random_closed_path(graph, path_rng, 10)
-        worst_rel = 0.0
-        for f, _, err in word_differential_checks(
-                pres, rep, paths, range(seed, seed + 10), tol=tol):
-            worst_rel = np.maximum(worst_rel,
-                                   err / (1 + float(np.max(np.abs(f)))))
-        return "within tolerance" if worst_rel <= tol.jacobian_rel \
-            else f"relative error {worst_rel:.2e}"
+        checks = word_differential_checks(pres, rep, paths,
+                                          range(seed, seed + 10), tol=tol)
+        # np.max, unlike max, keeps a NaN
+        rel = [err / (1 + np.max(np.abs(f))) for f, _, err in checks]
+        return within(np.max(rel), tol.jacobian_rel, "relative error")
 
     record("gauge-invariance", "gauge-invariance", "within tolerance",
            gauge_invariance)
@@ -534,6 +538,8 @@ def parse_config(argv=None) -> VerificationConfig:
             tol = replace(tol, **{name: v})
         if args.k < 0:
             raise UsageError("k must be >= 0")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         if args.jobs != 1:
             raise UsageError("--jobs must be 1: the checks run on one thread")
         cfg = VerificationConfig(args.family, qs, args.k, checks, args.seed,

@@ -218,14 +218,14 @@ class GroupModel:
         return self.mul(self.mul(by, g), self.inv(by))
 
     def order_of(self, g):
-        """The order of g by walking its powers; element_order reads it off
-        the class without the walk."""
-        n = 1
+        """The order of g from at most |G| of its powers (Lagrange), else
+        ArithmeticError; element_order reads it off the class."""
         acc = g
-        while acc != IDENTITY:
+        for n in range(1, self.order + 1):
+            if acc == IDENTITY:
+                return n
             acc = self.mul(acc, g)
-            n += 1
-        return n
+        raise ArithmeticError(f"no power of {g} up to |G| is 1")
 
     def power(self, g, e):
         """g^e for any integer e, taken modulo the order of g, which

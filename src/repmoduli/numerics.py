@@ -5,8 +5,8 @@ even q.  Group averages, commutant dimensions, spectral splits and
 stabilizer checks over subgroups; word evaluation at many moduli points,
 one batched product per word position; the gauge action, its draws
 stacked; finite-difference checks of the word-differential formula.
-Everything random is driven by an explicit seed; exact data comes from the
-character layer.
+Everything random is drawn from a random.Random of an explicit seed;
+exact data comes from the character layer.
 
 References: A. Weil, "Sur certains groupes d'opérateurs unitaires", Acta
 Math. 111 (1964); D. Bump, Automorphic Forms and Representations (CUP
@@ -15,12 +15,14 @@ Math. 111 (1964); D. Bump, Automorphic Forms and Representations (CUP
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .chars import Character, CharacterTable, rho0_character
+from .draws import integers, normal
 from .groups import ClassLabel, GroupModel, closure, first
 from .oscomplex import BrownPresentation, OrbitGraph, path_to_word
 
@@ -181,11 +183,10 @@ class UnitaryRep:
         images are kept, for every x of a stack xs."""
         return self.kept(elements).sandwich_sum(xs) / len(elements)
 
-    def homomorphism_defect(self, rng=None, samples=300):
-        """max |rho(g) rho(h) - rho(gh)| over seeded random pairs."""
+    def homomorphism_defect(self, rng, samples=300):
+        """max |rho(g) rho(h) - rho(gh)| over random pairs drawn from rng."""
         element, mul = self.model.element, self.model.mul
-        rng = np.random.default_rng(0) if rng is None else rng
-        pairs = rng.integers(self.model.order, size=(samples, 2)).tolist()
+        pairs = integers(rng, 0, self.model.order, (samples, 2)).tolist()
         out = []
         for sl in _chunk_slices(samples, 48 * self.degree ** 2):
             g = [element(i) for i, _ in pairs[sl]]
@@ -414,7 +415,7 @@ def realize_irreducible(model: GroupModel, table: CharacterTable,
     ud = rep.unitarity_defect()
     if _above(ud, tol.unitary):
         raise ToleranceExceeded(f"unitarity {ud:.2e}")
-    if _above(rep.homomorphism_defect(np.random.default_rng(seed)),
+    if _above(rep.homomorphism_defect(random.Random(seed)),
               tol.homomorphism):
         raise ToleranceExceeded("homomorphism defect above tolerance")
     cd = rep.character_defect(target)
@@ -461,9 +462,8 @@ def commutant_rank(rep: UnitaryRep, elements, seed=0, tol: Tolerances = TOL):
     number sum m_i^2, the dimension.  Eigenvalues closer than
     tol.commutant_svd (relative) are one eigenspace, and smaller entries of
     b count as zero."""
-    rng = np.random.default_rng(seed)
-    d = rep.degree
-    x = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    rng, d = random.Random(seed), rep.degree
+    x = normal(rng, (2, d, d)) + 1j * normal(rng, (2, d, d))
     a, b = rep.average(elements, x + _h(x))
     w, u = np.linalg.eigh(a)
     starts = np.concatenate(([0], np.flatnonzero(
@@ -480,7 +480,7 @@ def _commutant_skews(rho0: UnitaryRep, subs, rngs):
     normal x for each subgroup, real then imaginary part, and averages its
     skew part over the subgroup."""
     d = rho0.degree
-    z = np.array([rng.standard_normal((len(subs), 2, d, d)) for rng in rngs])
+    z = np.array([normal(rng, (len(subs), 2, d, d)) for rng in rngs])
     x = z[:, :, 0] + 1j * z[:, :, 1]
     return np.array([rho0.average(sub.elements, (y - _h(y)) / 2)
                      for sub, y in zip(subs, x.swapaxes(0, 1))])
@@ -716,7 +716,7 @@ def word_differential_checks(pres: BrownPresentation, rho0: UnitaryRep,
     graph, n = pres.graph, len(paths)
     words = [path_to_word(pres, legs) for legs in paths]
     tangents = _commutant_skews(rho0, [e.sub for e in graph.edges],
-                                [np.random.default_rng(s) for s in seeds])
+                                [random.Random(s) for s in seeds])
     ends = [ModuliPoint(graph, dict(enumerate(m))) for m in
             expm(np.array([_FD_STEP * tangents, -_FD_STEP * tangents]),
                  tol)]

@@ -20,6 +20,7 @@ import numpy as np
 from .chars import (
     CharacterTable, centralizer_dim, fusion_for, rho0_character,
 )
+from .draws import choice, integers, uniform
 from .groups import (
     IDENTITY, GroupModel, NotFound, SubgroupSpec, build_subgroup, first,
     symbolic_subgroup,
@@ -392,7 +393,7 @@ def _closed_walks(graph: OrbitGraph, rng, n):
     root, model = graph.root, graph.model
     walks, ends = [], []
     while len(walks) < n:
-        u = rng.random((_WALK_STEPS, _WALK_BATCH * (n - len(walks))))
+        u = uniform(rng, (_WALK_STEPS, _WALK_BATCH * (n - len(walks))))
         at = np.full(u.shape[1], root)
         pre = np.tile(IDENTITY, (u.shape[1], 1))          # the prefixes
         taken = np.empty(u.shape, dtype=np.intp)
@@ -486,8 +487,7 @@ def random_word(pres: BrownPresentation, rng, length, size=()):
     order = np.array([len(v.sub.elements) for v in graph.vertices])
     weight = np.where(vertex < 0, 1 / len(graph.edges),
                       1 / (len(graph.vertices) * order[vertex])) / 4
-    return rng.choice(2 * len(vertex), np.atleast_1d(size).tolist() + [length],
-                      p=np.tile(weight, 2))
+    return choice(rng, np.tile(weight, 2), (*np.atleast_1d(size), length))
 
 
 def random_kernel_word(pres: BrownPresentation, rng, n):
@@ -498,14 +498,14 @@ def random_kernel_word(pres: BrownPresentation, rng, n):
     would recover from the legs, then i_root(c)^-1 for the closing prefix
     c; InvalidGraph unless phi maps it to 1."""
     graph = pres.graph
-    styles = rng.integers(3, size=n).tolist()
+    styles = integers(rng, 0, 3, n).tolist()
     moves = graph.walk_steps[2]
     paths = iter([_in_kernel(pres, np.append(
         moves[:2, walk].T.ravel(), pres.v(graph.root, c, -1)))
         for walk, c in zip(*_closed_walks(
             graph, rng, n + styles.count(2)))])
     conj = iter(zip(random_word(pres, rng, 4, styles.count(1)),
-                    rng.integers(1, 5, size=styles.count(1)).tolist()))
+                    integers(rng, 1, 5, styles.count(1)).tolist()))
     out = []
     for style in styles:
         w = next(paths)

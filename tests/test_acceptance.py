@@ -5,6 +5,7 @@ lines and timings.  All exact checks are bit-exact (no tolerance); the
 numerical criteria pin the stated tolerances.
 """
 
+import random
 import time
 
 import numpy as np
@@ -193,7 +194,7 @@ def test_criterion_8_numerical_realization(realized):
         target = rho0_character(table)
         assert rep.degree == expected_degree
         assert rep.character_defect(target) <= 1e-6
-        assert rep.homomorphism_defect(np.random.default_rng(0)) <= 1e-8
+        assert rep.homomorphism_defect(random.Random(0)) <= 1e-8
         ghat1 = next(g for g in graph.edges[1].sub.elements
                      if model.element_order(g) == 2)
         _, mults = spectral_split(rep, ghat1)
@@ -217,8 +218,8 @@ def test_criterion_9_moduli_mechanics(realized):
     worst_univ = 0.0
     for q in (4, 11):
         model, table, rep, graph, pres = realized[q]
-        rng = np.random.default_rng(109)
-        nrng = np.random.default_rng(9)
+        rng = random.Random(109)
+        nrng = random.Random(9)
         for _ in range(20):
             tau = random_moduli_point(graph, rep, nrng)
             alpha = random_h_point(graph, rep, nrng)
@@ -245,7 +246,7 @@ def test_criterion_10_word_differential(realized):
     t0 = time.monotonic()
     model, table, rep, graph, pres = realized[4]
     worst = 0.0
-    paths = random_closed_path(graph, np.random.default_rng(1), 10)
+    paths = random_closed_path(graph, random.Random(1), 10)
     for i, legs in enumerate(paths):
         f, fd, err = word_differential_check(pres, rep, legs, seed=i)
         rel = err / (1 + float(np.max(np.abs(f))))

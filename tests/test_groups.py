@@ -411,3 +411,25 @@ def test_table_group_ops_match_reference_random_pairs(q):
         neg_x = tuple(f.neg(v) for v in x)
         assert m.canonical(x) == m.canonical(neg_x) == canonical(neg_x) == x
     _assert_mul_many_matches(m, pairs)
+
+
+def test_order_of_stops_at_the_group_order(monkeypatch):
+    # a product that never reaches the identity, as from a field table with
+    # zero divisors, raises after |G| powers instead of walking on
+    import re
+    import signal
+    m = psl2_model(4)
+    g = m.element(7)
+    monkeypatch.setattr(m, "mul", lambda x, y: g)
+
+    def timeout(*_):
+        raise TimeoutError("order_of still walking after 1 s")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(1)
+    try:
+        with pytest.raises(ArithmeticError, match=re.escape(str(g))):
+            m.order_of(g)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

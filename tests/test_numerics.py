@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from repmoduli.chars import (
     centralizer_dim, fusion_for, rho0_character, table_psl2_even,
     table_psl2_odd,
 )
+from repmoduli.draws import integers, normal
 from repmoduli.groups import IDENTITY, build_subgroup, psl2_model
 from repmoduli.numerics import (
     HPoint, Images, KirillovModel, ModuliPoint, UnitaryRep, WeilModel,
@@ -86,7 +89,7 @@ def test_realize_psl2_11(rho11):
     m, t, rep = rho11
     assert rep.degree == 5
     assert rep.character_defect(rho0_character(t)) < 1e-6
-    assert rep.homomorphism_defect(np.random.default_rng(3)) < 1e-8
+    assert rep.homomorphism_defect(random.Random(3)) < 1e-8
 
 
 def test_realize_trivial_character():
@@ -148,7 +151,7 @@ def test_direct_sum_commutant_dimension(rho4):
 def test_rho_tau_at_identity_point(setting4):
     m, t, rep, g, pres = setting4
     one = identity_moduli_point(g, rep.degree)
-    rng = np.random.default_rng(1)
+    rng = random.Random(1)
     for w in random_word(pres, rng, 6, 20):
         lhs = rho_tau_eval(pres, rep, one, [w])[0]
         assert np.max(np.abs(lhs - rep.mat(pres.phi(w)))) < 1e-8
@@ -161,8 +164,8 @@ def test_rho_tau_at_identity_point(setting4):
 
 def test_rho_tau_multiplicative_and_relations(setting4):
     m, t, rep, g, pres = setting4
-    nrng = np.random.default_rng(2)
-    rng = np.random.default_rng(102)
+    nrng = random.Random(2)
+    rng = random.Random(102)
     tau = random_moduli_point(g, rep, nrng)
     for w1, w2 in random_word(pres, rng, 5, (10, 2)):
         lhs = rho_tau_eval(pres, rep, tau, [np.concatenate([w1, w2])])[0]
@@ -179,15 +182,15 @@ def test_rho_tau_multiplicative_and_relations(setting4):
 def test_universal_point_kills_kernel(setting4):
     m, t, rep, g, pres = setting4
     one = identity_moduli_point(g, rep.degree)
-    for w in random_kernel_word(pres, np.random.default_rng(3), 25):
+    for w in random_kernel_word(pres, random.Random(3), 25):
         val = rho_tau_eval(pres, rep, one, [w])[0]
         assert np.max(np.abs(val - np.eye(rep.degree))) < 1e-8
 
 
 def test_h_action(setting4):
     m, t, rep, g, pres = setting4
-    nrng = np.random.default_rng(4)
-    rng = np.random.default_rng(104)
+    nrng = random.Random(4)
+    rng = random.Random(104)
     tau = random_moduli_point(g, rep, nrng)
     alpha = random_h_point(g, rep, nrng)
     moved = h_action(g, rep, tau, alpha)
@@ -206,7 +209,7 @@ def test_h_action(setting4):
 
 def test_h_action_is_right_action(setting4):
     m, t, rep, g, pres = setting4
-    nrng = np.random.default_rng(5)
+    nrng = random.Random(5)
     tau = random_moduli_point(g, rep, nrng)
     alpha = random_h_point(g, rep, nrng)
     beta = random_h_point(g, rep, nrng)
@@ -221,7 +224,7 @@ def test_h_action_freeness_probe(setting4):
     # recovering alpha along the tree: if tau.alpha = tau on tree edges
     # then alpha_v = 1 for all v
     m, t, rep, g, pres = setting4
-    nrng = np.random.default_rng(6)
+    nrng = random.Random(6)
     tau = random_moduli_point(g, rep, nrng)
     alpha = random_h_point(g, rep, nrng)
     moved = h_action(g, rep, tau, alpha)
@@ -253,7 +256,7 @@ def test_word_differential_trivial_cases(setting4):
 
 def test_word_differential_random_paths(setting4):
     m, t, rep, g, pres = setting4
-    paths = random_closed_path(g, np.random.default_rng(9), 10)
+    paths = random_closed_path(g, random.Random(9), 10)
     for i, legs in enumerate(paths):
         f, fd, err = word_differential_check(pres, rep, legs, seed=i)
         assert err <= 1e-6 * (1 + np.max(np.abs(f)))
@@ -263,7 +266,7 @@ def test_word_differential_commutator_vanishes(setting4):
     # the commutator of two kernel words has zero differential; check via
     # the concatenated path of w v w^-1 v^-1
     m, t, rep, g, pres = setting4
-    legs1, legs2 = random_closed_path(g, np.random.default_rng(10), 2)
+    legs1, legs2 = random_closed_path(g, random.Random(10), 2)
 
     def invert(legs):
         model = pres.model
@@ -324,11 +327,11 @@ def test_realize_psl2_19_capability():
 
 def test_h_action_rejects_bad_alpha(setting4):
     m, t, rep, g, pres = setting4
-    nrng = np.random.default_rng(8)
+    nrng = random.Random(8)
     tau = random_moduli_point(g, rep, nrng)
     bad = HPoint(g, {v: np.eye(rep.degree, dtype=complex)
                      for v in range(len(g.vertices))})
-    x = nrng.standard_normal((rep.degree, rep.degree))
+    x = normal(nrng, (rep.degree, rep.degree))
     bad.mats[1] = np.linalg.qr(x)[0]  # unitary but not in the commutant
     with pytest.raises(Exception):
         h_action(g, rep, tau, bad)
@@ -338,7 +341,7 @@ def test_moduli_and_gauge_checks_read_action_tolerance(setting4):
     from dataclasses import replace
     from repmoduli.numerics import TOL, ToleranceExceeded
     m, t, rep, g, pres = setting4
-    nrng = np.random.default_rng(8)
+    nrng = random.Random(8)
     tau = random_moduli_point(g, rep, nrng)
     alpha = random_h_point(g, rep, nrng)
     h_action(g, rep, tau, alpha, TOL)
@@ -380,7 +383,7 @@ def test_explicit_model_reference(q):
         [h for _, h in pairs])
     assert np.max(np.abs(lhs - rep.stack_of(
         [m.mul(g, h) for g, h in pairs]))) < 1e-12
-    assert rep.homomorphism_defect(np.random.default_rng(q), 200) < 1e-12
+    assert rep.homomorphism_defect(random.Random(q), 200) < 1e-12
     assert rep.unitarity_defect(gens) < 1e-12
 
 
@@ -395,9 +398,9 @@ def test_monomial_images_match_dense(q):
     images = rep.kept(borel)
     assert images.mono.all()
     dense = _dense_images(images.stack())
-    rng = np.random.default_rng(q)
+    rng = random.Random(q)
     d = rep.degree
-    xs = rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d))
+    xs = normal(rng, (2, d, d)) + 1j * normal(rng, (2, d, d))
     assert np.allclose(images.sandwich_sum(xs), dense.sandwich_sum(xs),
                        atol=1e-12)
     for t in (xs[0], np.eye(d), rep.mat(borel[1])):
@@ -434,8 +437,8 @@ def setting11(rho11):
 
 def test_cached_word_values_are_bit_identical(setting11):
     m, t, rep, g, pres = setting11
-    nrng = np.random.default_rng(11)
-    rng = np.random.default_rng(111)
+    nrng = random.Random(11)
+    rng = random.Random(111)
     tau = random_moduli_point(g, rep, nrng)
     moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
     for point in (tau, moved):
@@ -452,11 +455,10 @@ def test_symbol_images_are_kept_per_rep(setting11):
     m, t, rep, g, pres = setting11
     r0 = realize_irreducible(m, t, rho0_character(t), seed=0)
     r1 = realize_irreducible(m, t, rho0_character(t), seed=1)
-    u = np.linalg.qr(np.random.default_rng(5).standard_normal(
-        (r1.degree, r1.degree)))[0]
+    u = np.linalg.qr(normal(random.Random(5), (r1.degree, r1.degree)))[0]
     r1 = UnitaryRep(m, _Dense(r1.formula, lambda els, s: u @ s @ u.T))
-    tau = random_moduli_point(g, r0, np.random.default_rng(12))
-    for w in random_word(pres, np.random.default_rng(112), 6, 10):
+    tau = random_moduli_point(g, r0, random.Random(12))
+    for w in random_word(pres, random.Random(112), 6, 10):
         v0 = rho_tau_eval(pres, r0, tau, [w])[0]
         v1 = rho_tau_eval(pres, r1, tau, [w])[0]
         assert np.array_equal(v0, _reference_eval(r0, tau, w))
@@ -469,7 +471,7 @@ def test_stacked_tau_v_equals_each_draw(setting11):
     # gauge_defect builds them, is every draw's tau_v bit for bit, and the
     # identity stack at the root
     m, t, rep, g, pres = setting11
-    nrng = np.random.default_rng(17)
+    nrng = random.Random(17)
     draws = [random_moduli_point(g, rep, nrng) for _ in range(3)]
     stacked = ModuliPoint(g, {e: np.stack([p.mats[e] for p in draws])
                               for e in draws[0].mats})
@@ -497,8 +499,8 @@ def test_gauge_defect_evaluates_draws_together(setting11, monkeypatch,
     real = num.rho_tau_eval
     monkeypatch.setattr(num, "rho_tau_eval", lambda *a: calls.append(
         (a, real(*a))) or calls[-1][1])
-    words = random_word(pres, np.random.default_rng(118), 6, (4, 5))
-    worst = num.gauge_defect(pres, rep, np.random.default_rng(18), words)
+    words = random_word(pres, random.Random(118), 6, (4, 5))
+    worst = num.gauge_defect(pres, rep, random.Random(18), words)
     assert len(calls) == (1 if budget is None else 2)
     defects, points = [], set()
     for (_, _, at, batch), values in calls:
@@ -517,9 +519,9 @@ def test_expm_rotation_inverse_and_rejection():
     rot = expm(np.array([[0, -theta], [theta, 0]], dtype=complex))
     assert np.allclose(rot, [[np.cos(theta), -np.sin(theta)],
                              [np.sin(theta), np.cos(theta)]], atol=1e-14)
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for d in (3, 9, 41):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        x = normal(rng, (d, d)) + 1j * normal(rng, (d, d))
         a = (x - x.conj().T) / 2
         assert np.max(np.abs(expm(a) @ expm(-a) - np.eye(d))) < 1e-12
         with pytest.raises(ValueError):
@@ -540,7 +542,7 @@ def test_defects_propagate_nan(rho4):
     bad = UnitaryRep(m, _Dense(rep.formula, nan_where_c))
     assert np.isnan(bad.unitarity_defect())
     assert np.isnan(bad.character_defect(rho0_character(t)))
-    assert np.isnan(bad.homomorphism_defect())
+    assert np.isnan(bad.homomorphism_defect(random.Random(0)))
 
 
 def test_nan_matrix_fails_realization(monkeypatch):
@@ -562,8 +564,8 @@ def test_batched_words_equal_reference(setting11):
     # one batch per point, with words of different lengths: every value
     # equals the word-by-word product bit for bit
     m, t, rep, g, pres = setting11
-    nrng = np.random.default_rng(13)
-    rng = np.random.default_rng(113)
+    nrng = random.Random(13)
+    rng = random.Random(113)
     tau = random_moduli_point(g, rep, nrng)
     moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
     one = identity_moduli_point(g, rep.degree)
@@ -596,8 +598,8 @@ def test_mixed_points_and_lengths_equal_reference(setting11, monkeypatch,
     monkeypatch.setattr(num.ModuliPoint, "symbol_images",
                         lambda *a: built.append(set(a[2].tolist())) or
                         real(*a))
-    nrng = np.random.default_rng(16)
-    rng = np.random.default_rng(116)
+    nrng = random.Random(16)
+    rng = random.Random(116)
     tau = random_moduli_point(g, rep, nrng)
     moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
     points = [tau, moved, identity_moduli_point(g, rep.degree)]
@@ -639,10 +641,10 @@ def _with_one_element(rep, g, value):
 def test_one_bad_stabilizer_element_fails_point_checks(setting11, bad):
     from repmoduli.numerics import ToleranceExceeded
     m, t, rep, g, pres = setting11
-    nrng = np.random.default_rng(14)
+    nrng = random.Random(14)
     tau = random_moduli_point(g, rep, nrng)
     alpha = random_h_point(g, rep, nrng)
-    u = np.linalg.qr(nrng.standard_normal((rep.degree, rep.degree)))[0]
+    u = np.linalg.qr(normal(nrng, (rep.degree, rep.degree)))[0]
     alter = {"conjugated": lambda a: u @ a @ u.T,
              "nan": lambda a: np.full_like(a, np.nan)}[bad]
     edge_sub = g.edges[0].sub
@@ -672,12 +674,12 @@ def test_homomorphism_defect_draws_pairs_in_order(rho4):
     # pairs drawn one scalar at a time, g then h, and leaves the generator
     # in the same state
     m, t, rep = rho4
-    rng, ref = np.random.default_rng(15), np.random.default_rng(15)
+    rng, ref = random.Random(15), random.Random(15)
     worst = 0.0
     for _ in range(300):
-        g = m.element(ref.integers(m.order))
-        h = m.element(ref.integers(m.order))
+        g = m.element(int(integers(ref, 0, m.order, ())))
+        h = m.element(int(integers(ref, 0, m.order, ())))
         worst = max(worst, np.max(np.abs(rep.mat(g) @ rep.mat(h) -
                                          rep.mat(m.mul(g, h)))))
     assert rep.homomorphism_defect(rng) == worst
-    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.getstate() == ref.getstate()
