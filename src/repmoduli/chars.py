@@ -3,19 +3,15 @@ dimensions for PSL2(q), SL2(q), Sz(q), dihedral and cyclic groups.
 
 All values are elements of cyclotomic fields, all inner products exact
 rationals.  A table stores its distinct values once, in a packed integer
-form, and an index grid (characters x classes) into them: the builders
-fill the grid by index arithmetic, since a value such as
-zeta_n^(kl) + zeta_n^(-kl) depends only on k l mod n.  Every inner
-product, orthogonality check and centralizer dimension is an entry of one
-exact Gram kernel, `_gram`, which reads a (values, grid) pair per side
-(rows, the transposed grid for columns, or a row and column selection for
-a restriction) and unpacks each value it uses once, so whole tables are
-handled at once without ever leaving exact arithmetic.  The kernel's
-reduction on the CRT grid is the program's one cyclotomic reduction: it
-also gives a stored value's canonical form (`canonical`), which export,
-degrees and single-value comparisons read.
+form, and an index grid (characters x classes) into them, filled by index
+arithmetic: zeta_n^(kl) + zeta_n^(-kl) depends only on k l mod n.  Every
+inner product, orthogonality check and centralizer dimension is an entry
+of one exact Gram kernel, `_gram`, on a (values, grid) pair per side: it
+certifies by integer comparison on the grids that each sigma_t: zeta ->
+zeta^t permutes the weighted columns and sums one rational trace per
+column orbit, or else sums in Z[Z/m], reduced on the CRT grid of Z/m (the
+one cyclotomic reduction, which also gives a value's canonical form).
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -64,18 +60,25 @@ def _rat(c):
     return pack_terms(1, ((0, c),))
 
 
+def _store(values, new):
+    """The indices of `new` in the distinct `values`, appending the rest."""
+    index = {v: i for i, v in enumerate(values)}
+    at = [index.setdefault(v, len(index)) for v in new]
+    values += list(index)[len(values):]
+    return at
+
+
 def _orbits(values, n, ks, xs, c=1, units=(1, -1)):
-    """Append to `values` the stored sums c * sum_u zeta_n^(a u) over the
-    `units`, a subgroup of (Z/n)^*, one per orbit of Z/n under them, at its
-    least element a; return the index grid into `values` of the cells
-    (k, x), k in ks (rows) and x in xs (columns), whose value is the sum at
-    k x: it depends only on the orbit of k x mod n."""
+    """The index grid into `values` of the cells (k, x), k in ks (rows) and
+    x in xs (columns), whose value is c * sum_u zeta_n^(a u) over the
+    `units`, a subgroup of (Z/n)^*, a the least of k x mod n times a unit:
+    each such sum that a cell reaches is appended unless already there."""
     x = np.arange(n)
-    least = np.minimum.reduce([x * u % n for u in units])
-    at = np.cumsum(least == x) - 1 + len(values)
-    values += [pack_terms(n, [(a * u, c) for u in units])
-               for a in np.flatnonzero(least == x).tolist()]
-    return at[least[np.outer(ks, xs) % n]]
+    least = np.minimum.reduce([x * u % n for u in units])[np.outer(ks, xs) % n]
+    reps, cell = np.unique(least, return_inverse=True)
+    return np.array(_store(values, [
+        pack_terms(n, [(a * u, c) for u in units]) for a in reps.tolist()]),
+        dtype=np.intp)[cell].reshape(least.shape)
 
 
 class Character:
@@ -170,7 +173,6 @@ class CharacterTable:
 # -- exact Gram kernel --------------------------------------------------------
 
 _CHUNK = 1 << 14        # entries per temporary array in `gram`
-_PROBE_TERMS = 4        # most terms of a probe cell in `_fold_orbits`
 
 
 def _flatten(values, grid):
@@ -228,28 +230,17 @@ def _fan_reduce(acc, shape, fs):
 
 def gram(rows_a, rows_b, weights):
     """G[i][j] = sum_x w_x a_i(x) conj(b_j(x)) over lists of packed rows,
-    exact: `_gram` on the (values, grid) side of each list.
-
-    `weights` are rationals, one per column.  Columns where the weight or
-    either side is zero are skipped, the rest grouped by the conductor m of
-    their values; when the two sides are different lists, a column where
-    every a-value is the stored zero is dropped before either side is
-    unpacked.  For rows of (virtual) characters and weights constant on
-    Galois orbits of columns, each group is Galois-stable and its partial
-    sum rational, so it is accumulated in Z[Z/m] with integer numpy,
-    reduced on the CRT grid of Z/m and read off at exponent 0.  Where such
-    a group has more than _CHUNK term pairs, each full Galois orbit of its
-    columns that `_fold_orbits` finds by exact comparison of stored terms
-    adds its rational share as a field trace, from one column's pairs, and
-    the rest goes through Z[Z/m].  A partial of the rest that is not
-    rational (so neither is the group's) raises TableMismatch naming the
-    entry.  The unpacked terms are int64 arrays unless some scaled l1 norm
-    of a value reaches 2^62.  A group is computed in int64 when
-    sum_x |w_x| |a(x)|_1 |b(x)|_1, doubled per fold axis, stays below 2^62,
-    and in Python ints otherwise.  When `rows_b is rows_a` only the entries
-    j >= i are computed and the rest mirrored: G[j][i] = conj(G[i][j]),
-    and a rational partial is its own conjugate.
-    Returns a list of rows of Fractions.
+    exact, as a list of rows of Fractions: `_gram` on the (values, grid)
+    side of each list.  Columns of weight zero are skipped, and so, when
+    the two sides are different lists, is a column of stored zeros on the
+    a-side.  A Gram of more than one a-row that `_certify` proves
+    Galois-stable is summed by `_trace_gram`.  Any other takes the
+    group-ring path: columns grouped by the conductor m of their values,
+    each group summed in Z[Z/m] (int64 while sum_x |w_x| |a(x)|_1 |b(x)|_1,
+    doubled per fold axis, is below 2^62), reduced on the CRT grid of Z/m
+    and read at exponent 0; a group partial that is not rational raises
+    TableMismatch naming the entry.  When `rows_b is rows_a` only the
+    entries j >= i are computed, and mirrored: G[j][i] = conj(G[i][j]).
     """
     a = _as_side(rows_a)
     total, den = _gram(a, a if rows_b is rows_a else _as_side(rows_b),
@@ -260,12 +251,11 @@ def gram(rows_a, rows_b, weights):
 
 def _as_side(rows):
     """Packed rows as a (values, grid) side: each distinct stored value
-    object once, and the index of every cell's value."""
-    cells = [p for row in rows for p in row]
-    _, first, at = np.unique(np.array(list(map(id, cells)), dtype=np.int64),
-                             return_index=True, return_inverse=True)
-    return [cells[i] for i in first.tolist()], \
-        at.reshape(len(rows), len(rows[0]) if rows else 0)
+    once, and the index of every cell's value."""
+    index = {}
+    grid = [[index.setdefault(p, len(index)) for p in row] for row in rows]
+    return tuple(index), np.array(grid, dtype=np.intp).reshape(
+        len(rows), len(rows[0]) if rows else 0)
 
 
 def _gram(side_a, side_b, weights):
@@ -281,6 +271,10 @@ def _gram(side_a, side_b, weights):
         cols = cols[~zero[grid_a[:, cols]].all(axis=0)]
     w = np.array([int(weights[x] * wden) for x in cols.tolist()],
                  dtype=object)
+    # one a-row is summed faster on the group-ring path than certified
+    traced = len(grid_a) > 1 and _trace_gram(side_a, side_b, cols, w, upper)
+    if traced:
+        return traced[0], traced[1] * wden
     flat_a = _flatten(values_a, grid_a[:, cols])
     flat_b = flat_a if upper else _flatten(values_b, grid_b[:, cols])
     bounds = abs(w) * flat_a[2].astype(object) * flat_b[2].astype(object)
@@ -291,14 +285,6 @@ def _gram(side_a, side_b, weights):
         small = bounds[in_group].sum() << len(factorize(m)) < 1 << 62
         a = _group_terms(flat_a[3], in_group, m)
         b = a if upper else _group_terms(flat_b[3], in_group, m)
-        if m >= 3 and a[3].dtype != object and b[3].dtype != object and \
-                np.bincount(a[1], minlength=len(w)) @ \
-                np.bincount(b[1], minlength=len(w)) > _CHUNK:
-            rest = ~_fold_orbits(total, a, b, w, bounds, m, upper)
-            a = tuple(t[rest[a[1]]] for t in a)
-            b = a if upper else tuple(t[rest[b[1]]] for t in b)
-            if not len(a[0]):
-                continue
         _add_group(total, a, b, np.where(in_group, w, 0).astype(
             np.int64 if small else object), m, upper)
     if upper:
@@ -313,100 +299,6 @@ def _group_terms(terms, in_group, m):
     sel = in_group[terms[1]]
     r, c, o, k, n = (t[sel] for t in terms)
     return r, c, k * (m // o), n
-
-
-def _by_column(terms, m, n_cols):
-    """One side's terms by column, then row and exponent: (row * m +
-    exponent, numerator, column, first term per column, terms per column)."""
-    r, c, e, n = terms
-    order = np.argsort(c, kind="stable")    # terms come in row order
-    count = np.bincount(c, minlength=n_cols)
-    return (r * m + e)[order], n[order], c[order], np.cumsum(count) - count, \
-        count
-
-
-def _fold_orbits(total, a, b, w, bounds, m, upper):
-    """Add to `total` the partial Gram of each Galois orbit of columns of a
-    conductor-m group that folds, and return the folded mask.  Column x
-    joins x0 under a unit t mod m when, on both sides and in every row, its
-    terms are x0's with the exponents times t, at equal weight; the t's come
-    from a probe cell of x0 with a unit exponent and at most _PROBE_TERMS
-    terms.  An orbit of 3 or more columns whose t's hit each coset of H =
-    {t fixing x0's terms} once adds Tr(P) / |H|, P = w a_i(x0) conj(b_j(x0)),
-    a rational, while x0's bound times phi(m) is below 2^62."""
-    sides = [_by_column(t, m, len(w)) for t in ((a,) if upper else (a, b))]
-    key, _, col, start, count = sides[0]
-    rows, unit = key // m, (np.gcd(np.arange(m), m) == 1)[key % m]
-    cell = col * len(total) + rows
-    score = np.where(unit, np.bincount(cell)[cell], _PROBE_TERMS + 1)
-    phi = int(_ramanujan(m)[0])
-    done, seen = np.zeros(len(w), dtype=bool), np.zeros(len(w), dtype=bool)
-    for x0 in (x for x in np.flatnonzero(count).tolist() if not seen[x]):
-        probe = start[x0] + np.argmin(score[start[x0]:start[x0] + count[x0]])
-        if score[probe] > _PROBE_TERMS:
-            break
-        fits = np.logical_and.reduce([w == w[x0]] + [
-            s[4] == s[4][x0] for s in sides])   # weight and term counts
-        pick = (rows == rows[probe]) & unit & fits[col]
-        cand = col[pick]
-        ts = key[pick] % m * pow(int(key[probe] % m), -1, m) % m
-        hit, own = np.ones(len(cand), dtype=bool), []
-        for s_key, s_num, _, s_start, s_count in sides:
-            k = int(s_count[x0])
-            own.append((s_key[s_start[x0]:][:k], s_num[s_start[x0]:][:k]))
-            r0, e0, n0 = own[-1][0] // m * m, own[-1][0] % m, own[-1][1]
-            # candidates per chunk: its eight (step, k) temporaries hold
-            # about _CHUNK entries in all
-            step = max(1, _CHUNK // (8 * k))
-            for lo in range(0, len(cand), step):
-                img = r0 + e0 * ts[lo:lo + step, None] % m
-                order = np.argsort(img, axis=1)
-                idx = s_start[cand[lo:lo + step], None] + np.arange(k)
-                hit[lo:lo + step] &= (np.take_along_axis(
-                    img, order, axis=1) == s_key[idx]).all(axis=1) & \
-                    (n0[order] == s_num[idx]).all(axis=1)
-        orbit, first = np.unique(cand[hit], return_index=True)
-        t, h = ts[hit][first], ts[hit][cand[hit] == x0]
-        seen[orbit] = True
-        if len(orbit) >= 3 and len(t) * len(h) == phi and \
-                bounds[x0] * phi < 1 << 62 and \
-                len(set((t[:, None] * h % m).min(axis=1).tolist())) == len(t):
-            _add_trace(total, own[0], own[-1], len(h), int(w[x0]), m, upper)
-            done[orbit] = True
-    return done
-
-
-def _add_trace(total, a0, b0, h, w, m, upper):
-    """Add w Tr(a_i conj(b_j)) / h to each entry (i, j), j >= i if `upper`,
-    for one column's terms (row * m + exponent, numerator) per side: a term
-    pair adds n_a n_b c_m(e_a - e_b), in int64 chunks of about _CHUNK pairs.
-    ArithmeticError unless h divides every sum, as it does for any orbit."""
-    (ka, na), (kb, nb) = a0, b0
-    rb, eb, c = kb // m, kb % m, _ramanujan(m)
-    acc = np.zeros(total.size, dtype=np.int64)
-    step = max(1, _CHUNK // len(kb))
-    for lo in range(0, len(ka), step):
-        ra, ea = ka[lo:lo + step, None] // m, ka[lo:lo + step, None] % m
-        pair = (rb >= ra) | (not upper)
-        np.add.at(acc, (ra * total.shape[1] + rb)[pair],
-                  (na[lo:lo + step, None] * nb * c[(ea - eb) % m])[pair])
-    if (acc % h).any():
-        raise ArithmeticError(
-            f"an orbit trace over conductor {m} is not divisible by {h}")
-    total += (acc // h * w).astype(object).reshape(total.shape)
-
-
-@lru_cache(maxsize=64)
-def _ramanujan(m):
-    """c_m(k) = Tr(zeta_m^k) over Q for k = 0..m-1, read-only: the sum of
-    mu(m/d) d over the divisors d of gcd(k, m); c_m(0) = phi(m)."""
-    c = np.zeros(m, dtype=np.int64)
-    ps = [p for p, _ in factorize(m)]
-    for s in range(1 << len(ps)):
-        d = m // prod(p for i, p in enumerate(ps) if s >> i & 1)
-        c[::d] += (-1) ** bin(s).count("1") * d
-    c.flags.writeable = False
-    return c
 
 
 def _add_group(total, a, b, w, m, upper):
@@ -476,6 +368,153 @@ def _dense_data(order):
     coords = [ks * pow(order // p ** e, -1, p ** e) % p ** e for p, e in fs]
     shape = tuple(p ** e for p, e in fs) or (1,)
     return shape, fs, np.ravel_multi_index(tuple(coords) or (ks,), shape)
+
+
+# -- Galois-certified Grams ---------------------------------------------------
+
+@lru_cache(maxsize=64)
+def _unit_generators(m):
+    """Generators of (Z/m)^*: a primitive root per odd prime-power factor,
+    -1 for 4, -1 and 5 for 2^e with e >= 3, each lifted by CRT."""
+    gens = []
+    for p, e in factorize(m):
+        pe, rest, ph = p ** e, m // p ** e, p ** e - p ** (e - 1)
+        local = (-1, 5)[:e - 1] if p == 2 else [first(range(2, pe), lambda g:
+            g % p and all(pow(g, ph // r, pe) > 1 for r, _ in factorize(ph)))]
+        gens += [(1 + (g - 1) * rest * pow(rest, -1, pe)) % m for g in local]
+    return tuple(gens)
+
+
+@lru_cache(maxsize=16)
+def _sigma_maps(values, m):
+    """Per generator t of (Z/m)^*, the index in `values` of sigma_t(v) for
+    each v whose order divides m: of an equal stored tuple, else of an
+    equal canonical form (the rho values of Sz need it), else -1."""
+    index = {v: i for i, v in enumerate(values)}
+
+    def find(v):
+        return index[v] if v in index else next(
+            (i for i, u in enumerate(values) if u and u[0] == v[0] and
+             canonical(u) == canonical(v)), -1)
+
+    def sigma(v, t):
+        return v[0], *zip(*sorted(zip([k * t % v[0] for k in v[1]], v[2]))), \
+            *v[3:]
+
+    return [np.array([-1 if v and m % v[0] else find(v and sigma(v, t))
+                      for v in values]) for t in _unit_generators(m)]
+
+
+def _certify(sides, w, m):
+    """The Galois orbits of a Gram's columns as (representatives, sizes),
+    or None.  For each generator t of (Z/m)^*, m a multiple of every order
+    read, the permutation pi_t with grid[:, pi_t(x)] = sigma_t(grid[:, x])
+    on each (values, grid) side and w[pi_t(x)] = w[x] is proposed by a sort
+    of column hashes and accepted only by exact comparison."""
+    grid = np.vstack([g for _, g in sides] +
+                     [np.unique(w, return_inverse=True)[1]])
+    mix = np.cumprod(np.full(len(grid), 0x9E3779B97F4A7C15, np.uint64))
+    by, pis = np.argsort(mix @ grid.astype(np.uint64)), []
+    for maps in zip(*(_sigma_maps(values, m) for values, _ in sides)):
+        image = np.vstack([sig[g] for sig, (_, g) in zip(maps, sides)] +
+                          [grid[-1]])
+        pis.append(np.empty_like(by))
+        pis[-1][np.argsort(mix @ image.astype(np.uint64))] = by
+        if not (grid[:, pis[-1]] == image).all():
+            return None
+    label, old = np.arange(grid.shape[1]), None
+    while old is None or (label != old).any():  # the least of each orbit
+        old, label = label, np.minimum.reduce([label] + [
+            label[pi] for pi in pis])
+        label = label[label]
+    reps = np.flatnonzero(label == np.arange(len(label)))
+    return reps, np.bincount(label)[reps]
+
+
+@lru_cache(maxsize=256)
+def _norm_table(n):
+    """(r N(zeta_n^e) for e < n, r = prod (p - 1) over the primes p of n):
+    the normalized trace mu(d) / phi(d), d = n / gcd(e, n), is a product of
+    1, -1 / (p - 1) or 0 per prime p of n, as d's power of p is 1, p or
+    more."""
+    e, out, r = np.arange(n), np.ones(n, dtype=np.int64), 1
+    for p, k in factorize(n):
+        g = np.gcd(e, p ** k)
+        out *= np.where(g == p ** k, p - 1, -1 * (g == p ** (k - 1)))
+        r *= p - 1
+    return out, r
+
+
+def _trace_gram(side_a, side_b, cols, w, upper):
+    """`_gram` over the kept columns `cols`, integer weights `w`, as (total,
+    den / weight denominator) if `_certify` proves the columns Galois-stable
+    and the bound holds; else None.  As the sigma_t generate the Galois
+    group, column orbit O holds sigma(x0's column) for sigma running evenly
+    over it (I. M. Isaacs, Character Theory of Finite Groups, ch. 9), so
+    entry (i, j) is sum_O |O| w_x0 N(a_i(x0) conj(b_j(x0))), N the
+    normalized trace, computed once per value pair that meets in a column
+    x0, from its term pairs.  All is int64, scaled by S = lcm of N's
+    denominators, while sum_O |O| |w_x0| |a(x0)|_1 |b(x0)|_1 S < 2^62, in
+    chunks of about _CHUNK term pairs or Gram cells; the totals are divided
+    by S exactly, and a remainder raises ArithmeticError."""
+    sides = [(values, grid[:, cols]) for values, grid in
+             ((side_a,) if upper else (side_a, side_b))]
+    used = [np.bincount(g.ravel(), minlength=len(values)) > 0
+            for values, g in sides]
+    m = lcm(*{values[k][0] for (values, _), u in zip(sides, used)
+              for k in np.flatnonzero(u).tolist() if values[k]})
+    orbits = all(g.size for _, g in sides) and _certify(sides, w, m)
+    if not orbits:
+        return None
+    # each used value's terms, as the cells of a one-row grid
+    flat = [_flatten(values, np.flatnonzero(u)[None])
+            for (values, _), u in zip(sides, used)]
+    if flat[0][3][4].dtype == object or flat[-1][3][4].dtype == object:
+        return None
+    reps, sizes = orbits
+    per_side = []   # cells, column norms, which values a column holds, terms
+    for (_, g), u, (_, order, norm, (_, col, _, exps, nums)) in zip(
+            sides, used, flat):
+        at = (np.cumsum(u) - 1)[g[:, reps]]     # cell -> used value
+        per_side.append((at, norm[at].max(axis=0).astype(object), np.zeros(
+            (len(order), len(reps))), order, np.searchsorted(
+            col, np.arange(len(order) + 1)), exps, nums))
+    (a, na, in_a, oa, sa, ea, va), (b, nb, in_b, ob, sb, eb, vb) = \
+        per_side[0], per_side[-1]
+    in_a[a, np.arange(len(reps))] = in_b[b, np.arange(len(reps))] = 1
+    weight = sizes * w[reps]
+    # the value pairs that meet; a Hermitian Gram reads (u, v) as (v, u)
+    meet = in_a @ in_b.T
+    pu, pv = np.nonzero(np.triu(meet) if upper else meet)
+    cb = np.diff(sb)[pv]
+    n_terms = np.diff(sa)[pu] * cb
+    Ls, li = np.unique(np.lcm(oa[pu], ob[pv]), return_inverse=True)
+    tables = [_norm_table(n) for n in Ls.tolist()]
+    S = lcm(*{tables[i][1] for i in set(li.tolist())})
+    if int((abs(weight) * na * nb).sum()) * S >= 1 << 62:
+        return None
+    norm = np.concatenate([t * (S // r) for t, r in tables])
+    off, fa, fb = (np.cumsum(Ls) - Ls)[li], Ls[li] // oa[pu], Ls[li] // ob[pv]
+    trace, ends = np.zeros(len(pu), dtype=np.int64), np.cumsum(n_terms)
+    for lo in range(0, int(n_terms.sum()), _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, int(ends[-1])))
+        p = np.searchsorted(ends, k, side="right")
+        i, j = np.divmod(k + n_terms[p] - ends[p], cb[p])
+        ia, ib = sa[pu[p]] + i, sb[pv[p]] + j
+        e = (ea[ia] * fa[p] - eb[ib] * fb[p]) % Ls[li[p]]
+        np.add.at(trace, p, va[ia] * vb[ib] * norm[off[p] + e])
+    table = np.zeros(meet.shape, dtype=np.int64)
+    table[pu, pv] = trace
+    if upper:
+        table[pv, pu] = trace
+    c = np.where(na * nb != 0, weight, 0).astype(np.int64)
+    total = np.zeros((len(a), len(b)), dtype=np.int64)
+    step = max(1, _CHUNK // (len(b) * len(reps)))
+    for i in range(0, len(a), step):
+        total[i:i + step] = (table[a[i:i + step, None], b] * c).sum(axis=2)
+    if (total % S).any():
+        raise ArithmeticError(f"a certified Gram is not divisible by {S}")
+    return (total // S).astype(object), flat[0][0] * flat[-1][0]
 
 
 def canonical(value):
@@ -639,8 +678,8 @@ def table_sl2_odd(q) -> CharacterTable:
 
     # values 0..7: 1, -1, q, q + 1, -q - 1, q - 1, 1 - q, 0.  Columns 1, z,
     # c, d, zc, zd, a^l..., b^m...; rows 1, psi, chi_i..., theta_j..., then
-    # xi_1, xi_2, eta_1, eta_2, whose first six values come after the torus
-    # sums
+    # xi_1, xi_2, eta_1, eta_2, whose first six values are stored after the
+    # torus sums, each once
     values = [_rat(v) for v in (1, -1, q, q + 1, -q - 1, q - 1, 1 - q, 0)]
     A, B = slice(6, 6 + len(ls)), slice(6 + len(ls), None)
     chi, theta = slice(2, 2 + len(ls)), slice(2 + len(ls), q)
@@ -658,10 +697,9 @@ def table_sl2_odd(q) -> CharacterTable:
     grid[q + 2:, A], grid[q + 2:, B] = 7, 1 - ms % 2        # eta: (-1)^(m+1)
     for row, (c0, pm) in enumerate(((1, 1), (1, -1), (-1, 1), (-1, -1)), q):
         f = c0 * eps        # the scalar by which z acts
-        grid[row, :6] = range(len(values), len(values) + 6)
-        values += [_rat((q + c0) // 2), _rat(Fraction(f * (q + c0), 2)),
-                   half(c0, pm), half(c0, -pm), half(c0, pm, f),
-                   half(c0, -pm, f)]
+        grid[row, :6] = _store(values, [
+            _rat((q + c0) // 2), _rat(Fraction(f * (q + c0), 2)),
+            half(c0, pm), half(c0, -pm), half(c0, pm, f), half(c0, -pm, f)])
     return CharacterTable(
         "sl2_odd", q, model, ["1", "psi"] +
         [f"chi_{i}" for i in ls.tolist()] +
@@ -748,8 +786,10 @@ def table_cyclic(n) -> CharacterTable:
     _require(n >= 1, "n must be positive")
     model = class_data_model("cyclic", n)
     ks = np.arange(n)
+    # zeta_n^k in stored form: order n / g, exponent k / g, g = gcd(n, k)
     return CharacterTable("cyclic", n, model, [f"mu_{k}" for k in range(n)],
-                          [pack_terms(n, ((k, 1),)) for k in range(n)],
+                          [(n // gcd(n, k), (k // gcd(n, k),), (1,), 1, 1)
+                           for k in range(n)],
                           np.outer(ks, ks) % n)
 
 

@@ -270,46 +270,75 @@ def test_zero_columns_of_the_a_side_are_never_unpacked(monkeypatch):
     assert seen == [(1, 1), (7, 1)]
 
 
-def test_ramanujan_sums_are_traces():
-    # Tr(zeta_m^k) is the sum of cos(2 pi u k / m) over the units u mod m,
-    # an integer that a float sum gives to well within 1/2
-    for m in range(1, 80):
-        units = np.array([u for u in range(m) if gcd(u, m) == 1])
-        k = np.arange(m)[:, None]
-        want = np.cos(2 * np.pi * (units * k % m) / m).sum(axis=1)
-        assert np.abs(chars._ramanujan(m) - want).max() < 1e-9
+def test_unit_generators_generate_the_units():
+    # the closure of the generators of (Z/m)^* under multiplication has
+    # phi(m) elements
+    for m in range(1, 1001):
+        gens, seen = chars._unit_generators(m), {1 % m}
+        todo = list(seen)
+        while todo:
+            x = todo.pop()
+            for y in {x * g % m for g in gens} - seen:
+                seen.add(y)
+                todo.append(y)
+        assert len(seen) == sum(gcd(u, m) == 1 for u in range(m)), m
 
 
-def test_orbit_trace_raises_unless_h_divides():
-    # one column of one row holding zeta_5: Tr(zeta_5 conj(zeta_5)) = 4,
-    # which no transversal of a subgroup of order 3 can give
-    term = (np.array([1]), np.array([1]))
-    total = np.zeros((1, 1), dtype=object)
-    chars._add_trace(total, term, term, 2, 1, 5, True)
-    assert total.tolist() == [[2]]
-    with pytest.raises(ArithmeticError, match="not divisible by 3"):
-        chars._add_trace(total, term, term, 3, 1, 5, True)
+def test_normalized_traces_match_the_references(monkeypatch):
+    # row k of zeta_d^(k t) over the columns t of the units mod d, against
+    # a row of ones: one certified column orbit, whose entry is
+    # phi(d) N(zeta_d^k), the sum of the zeta_d^(k t)
+    traced = []
+    real = chars._trace_gram
+    monkeypatch.setattr(chars, "_trace_gram", lambda *args: traced.append(
+        real(*args)) or traced[-1])
+    one = (pack_terms(1, ((0, 1),)),)
+    for d in range(2, 201):
+        units = np.array([t for t in range(d) if gcd(t, d) == 1])
+        zeta = tuple(pack_terms(d, ((k, 1),)) for k in range(d))
+        total, den = chars._gram(
+            (zeta, np.outer(np.arange(d), units) % d),
+            (one, np.zeros((1, len(units)), dtype=np.intp)), [1] * len(units))
+        assert traced.pop() is not None
+        got = [Fraction(v, den * len(units)) for v in total[:, 0].tolist()]
+        mean = np.cos(2 * np.pi * np.outer(np.arange(d), units) / d).mean(
+            axis=1)
+        assert np.abs(np.array(got, dtype=float) - mean).max() < 1e-9, d
+        if d <= 40:
+            assert got == [sum((Cyclotomic.root(d, k * t) for t in units),
+                               Cyclotomic.zero()).to_rational() / len(units)
+                           for k in range(d)], d
+
+
+def test_a_wrong_trace_scale_raises(monkeypatch):
+    # the certified totals are divided by their scale exactly: traces over
+    # a wrong denominator leave remainders, which raise
+    real = chars._norm_table
+    monkeypatch.setattr(chars, "_norm_table",
+                        lambda n: (real(n)[0], real(n)[1] + 1))
+    for t in (table_psl2_even(8), table_suzuki(8), table_dihedral_odd(14)):
+        with pytest.raises(ArithmeticError, match="not divisible"):
+            check_row_orthogonality(t)
 
 
 def test_numerators_past_2_62_are_never_folded(monkeypatch):
-    # PSL2(8) folds its torus orbits; scaled past 2^62 its terms are Python
-    # ints and every column takes the group-ring path
-    monkeypatch.setattr(chars, "_CHUNK", 1)
-    traces = []
-    real = chars._add_trace
-    monkeypatch.setattr(chars, "_add_trace",
-                        lambda *args: traces.append(args) or real(*args))
+    # PSL2(8)'s row Gram is certified; scaled past 2^62 its terms are
+    # Python ints and it takes the group-ring path
+    traced = []
+    real = chars._trace_gram
+    monkeypatch.setattr(chars, "_trace_gram", lambda *args: traced.append(
+        real(*args)) or traced[-1])
     t = table_psl2_even(8)
     rows = [c.packed for c in t.chars]
     k = (1 << 62) + 1
     huge = [[p and (*p[:2], tuple(n * k for n in p[2]), p[3], p[4] * k)
              for p in row] for row in rows]
     plain = gram(rows, rows, t.sizes)
-    assert traces
-    traces.clear()
+    assert traced and all(r is not None for r in traced)
+    traced.clear()
     assert gram(huge, huge, t.sizes) == \
         [[v * k * k for v in row] for row in plain]
-    assert not traces
+    assert traced and all(r is None for r in traced)
 
 
 def _stored(root_order):
@@ -662,6 +691,12 @@ _EXPORT_SHA256 = {
     ("cyclic", 11): "ea99d529c7a0544db0c83fc4de1815d1f415eb9c1ec77d268ea57f00a6d68ec3",
     ("cyclic", 12): "8383b2b2c61b7c054469f722a6df379e9d52ffd4a7aa3c287f59babececb1d1d",
 }
+
+
+def test_cyclic_values_equal_their_packed_terms():
+    for n in range(1, 129):
+        assert table_cyclic(n).values == \
+            tuple(pack_terms(n, ((k, 1),)) for k in range(n)), n
 
 
 def test_table_export_is_pinned():

@@ -491,58 +491,93 @@ def test_reused_inner_products_do_not_hide_a_fault(monkeypatch, tmp_path):
     assert failing("clean-again") == (0, {})
 
 
-def _no_fold(total, a, b, w, bounds, m, upper):
-    """chars._fold_orbits with no orbit folded: every column takes the
-    group-ring path."""
-    return np.zeros(len(w), dtype=bool)
+def _no_certificate(side_a, side_b, cols, w, upper):
+    """chars._trace_gram refusing every Gram: each takes the group-ring
+    path."""
+    return None
 
 
 _DIHEDRAL_SWEEP = ",".join(str(n) for n in range(3, 100, 2))
+_BATCHES = [
+    ("sz", "8,32,128", "tables,centralizers,moduli-dim,euler"),
+    ("psl2", "4,8,11,19", "tables,centralizers,moduli-dim,euler"),
+    ("dihedral", _DIHEDRAL_SWEEP, "tables,centralizers"),
+    ("psl2", "27,43,59,67,83", "tables,centralizers,moduli-dim,euler"),
+    ("psl2", "131,251,256", "tables,centralizers,euler"),
+]
 
 
-@pytest.mark.parametrize("family, qs, checks, folds", [
-    ("sz", "8,32,128", "tables,centralizers,moduli-dim,euler", True),
-    ("psl2", "4,8,11,19", "tables,centralizers,moduli-dim,euler", False),
-    ("dihedral", _DIHEDRAL_SWEEP, "tables,centralizers", True),
-    ("psl2", "27,43,59,67,83", "tables,centralizers,moduli-dim,euler", True),
-    ("psl2", "131,251,256", "tables,centralizers,euler", True),
-], ids=["sz-exact", "psl2-enum", "dihedral-sweep", "psl2-27-83",
-        "psl2-131-256"])
+@pytest.mark.parametrize("family, qs, checks", _BATCHES, ids=[
+    "sz-exact", "psl2-enum", "dihedral-sweep", "psl2-27-83", "psl2-131-256"])
 def test_folded_grams_equal_unfolded(monkeypatch, tmp_path, family, qs,
-                                     checks, folds):
-    # every Gram of the batch, with its Galois orbits of columns folded to
-    # traces, equals the same Gram with every column on the group-ring path
+                                     checks):
+    # every Gram of the batch is Galois-certified, and its sum by column
+    # orbits equals the same Gram on the group-ring path
     import repmoduli.chars as chars
-    real, trace = chars._gram, chars._add_trace
-    traces = []
-    monkeypatch.setattr(chars, "_add_trace",
-                        lambda *args: traces.append(args[3]) or trace(*args))
+    real, traced = chars._gram, chars._trace_gram
+    certified = []
+    monkeypatch.setattr(chars, "_trace_gram", lambda *args: certified.append(
+        traced(*args)) or certified[-1])
 
-    def both(rows_a, rows_b, weights):
-        total, den = real(rows_a, rows_b, weights)
+    def both(side_a, side_b, weights):
+        total, den = real(side_a, side_b, weights)
         with monkeypatch.context() as m:
-            m.setattr(chars, "_fold_orbits", _no_fold)
-            plain, plain_den = real(rows_a, rows_b, weights)
+            m.setattr(chars, "_trace_gram", _no_certificate)
+            plain, plain_den = real(side_a, side_b, weights)
         assert den == plain_den and total.dtype == plain.dtype
         assert (total == plain).all()
+        certified[-1] = certified[-1] is not None
         return total, den
 
     monkeypatch.setattr(chars, "_gram", both)
     chars._restricted_gram.cache_clear()
     assert main(["--family", family, "--q", qs, "--checks", checks,
                  "--out", str(tmp_path / "r.json")]) == 0
-    assert bool(traces) == folds
+    assert certified and all(certified), (certified.count(False),
+                                          len(certified))
 
 
-def _failing_with_and_without_folds(monkeypatch, tmp_path, argv):
+def test_stored_values_are_distinct_and_read(monkeypatch, tmp_path):
+    # every table that the batches build stores each value once, and its
+    # grid reads every one of them but for psl2_odd's, which share the
+    # values of the sl2_odd table they fold
+    import repmoduli.chars as chars
+    built = []
+
+    class Recorded(chars.CharacterTable):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(chars, "CharacterTable", Recorded)
+    for build in (chars.table_psl2_even, chars.table_sl2_odd,
+                  chars.table_psl2_odd, chars.table_suzuki,
+                  chars.table_dihedral_odd, chars.table_cyclic):
+        build.cache_clear()
+    for family, qs, checks in _BATCHES:
+        assert main(["--family", family, "--q", qs, "--checks", checks,
+                     "--out", str(tmp_path / "r.json")]) == 0
+    assert {t.family for t in built} == {
+        "sz", "psl2_even", "sl2_odd", "psl2_odd", "dihedral", "cyclic"}
+    for t in built:
+        assert len(set(t.values)) == len(t.values), t
+        if t.family != "psl2_odd":
+            assert set(t.grid.ravel().tolist()) == set(range(len(t.values))), t
+    for build in (chars.table_psl2_even, chars.table_sl2_odd,
+                  chars.table_psl2_odd, chars.table_suzuki,
+                  chars.table_dihedral_odd, chars.table_cyclic):
+        build.cache_clear()
+
+
+def _failing_with_and_without_certificates(monkeypatch, tmp_path, argv):
     import repmoduli.chars as chars
     out = []
-    for fold in (True, False):
+    for certify in (True, False):
         with monkeypatch.context() as m:
-            if not fold:
-                m.setattr(chars, "_fold_orbits", _no_fold)
+            if not certify:
+                m.setattr(chars, "_trace_gram", _no_certificate)
             chars._restricted_gram.cache_clear()
-            path = tmp_path / f"{fold}.json"
+            path = tmp_path / f"{certify}.json"
             rc = main(argv + ["--out", str(path)])
             out.append((rc, {n: r["computed"] for n, r in
                              _records(path).items() if not r["pass"]}))
@@ -550,25 +585,33 @@ def _failing_with_and_without_folds(monkeypatch, tmp_path, argv):
 
 
 @pytest.mark.parametrize("family, q, table, name, label, value, argv", [
-    # chi_1 of D_198 at r^5 set to its value at r^7, inside the one folded
-    # orbit of the 30 columns r^k of conductor 99
+    # chi_1 of D_198 at r^5 set to its value at r^7, inside the orbit of
+    # the 30 columns r^k of conductor 99
     ("dihedral", 99, lambda: table_dihedral_odd(198), "chi_1",
      ClassLabel("r", 5), lambda t: t.by_name["chi_1"].value_at(
          ClassLabel("r", 7)), ["--checks", "tables,centralizers"]),
-    # X_1 of Sz(128) at pi0^3 set to its value at pi0^2, inside the one
-    # folded orbit of the 63 columns pi0^a of conductor 127
+    # X_1 of Sz(128) at pi0^3 set to its value at pi0^2, inside the orbit
+    # of the 63 columns pi0^a of conductor 127
     ("sz", 128, lambda: table_suzuki(128), "X_1", ClassLabel("pi0", 3),
      lambda t: t.by_name["X_1"].value_at(ClassLabel("pi0", 2)),
      ["--checks", "tables,centralizers,euler"]),
 ])
 def test_changed_value_in_a_folded_orbit_fails_alike(
         monkeypatch, tmp_path, family, q, table, name, label, value, argv):
+    import repmoduli.chars as chars
     t = table()
+    side = t.values, t.grid
+    cols = np.arange(len(t.labels))
+    w = np.array(t.sizes, dtype=object)
+    assert chars._trace_gram(side, side, cols, w, True) is not None
     repoint(t, name, label, value(t), monkeypatch.setattr)
-    folded, plain = _failing_with_and_without_folds(
+    # the certificate refuses the edited table's row Gram
+    side = t.values, t.grid
+    assert chars._trace_gram(side, side, cols, w, True) is None
+    certified, plain = _failing_with_and_without_certificates(
         monkeypatch, tmp_path, ["--family", family, "--q", str(q)] + argv)
-    assert folded[0] == 1 and folded[1]
-    assert folded == plain
+    assert certified[0] == 1 and certified[1]
+    assert certified == plain
 
 
 def misdirect_closing_edge(graph):
