@@ -8,9 +8,10 @@ arithmetic: zeta_n^(kl) + zeta_n^(-kl) depends only on k l mod n.  Every
 inner product, orthogonality check and centralizer dimension is an entry
 of one exact Gram kernel, `_gram`, on a (values, grid) pair per side: it
 certifies by integer comparison on the grids that each sigma_t: zeta ->
-zeta^t permutes the weighted columns and sums one rational trace per
-column orbit, or else sums in Z[Z/m], reduced on the CRT grid of Z/m (the
-one cyclotomic reduction, which also gives a value's canonical form).
+zeta^t permutes the weighted columns, and sums one rational trace per
+column orbit.  A Gram it refuses is a table or fusion fault.  A value's
+canonical form comes from the one cyclotomic reduction, on the CRT grid of
+Z/m.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ def pack_terms(order, terms):
     (order, exponents, integer numerators, denominator, l1 norm of the
     numerators), with the order deflated by the gcd of the support; None is
     the stored zero.  Equal terms are merged but nothing is canonicalized:
-    `gram` reduces any representation itself."""
+    `_gram` reads any representation."""
     acc = {}
     for k, c in terms:
         k %= order
@@ -72,13 +73,21 @@ def _orbits(values, n, ks, xs, c=1, units=(1, -1)):
     """The index grid into `values` of the cells (k, x), k in ks (rows) and
     x in xs (columns), whose value is c * sum_u zeta_n^(a u) over the
     `units`, a subgroup of (Z/n)^*, a the least of k x mod n times a unit:
-    each such sum that a cell reaches is appended unless already there."""
+    each such sum that a cell reaches is appended unless already there.  A
+    rational sum is stored as its rational, zero as None: a sum over at
+    most 4 units, of odd order when 4, is rational only at an order of at
+    most 6, where `canonical` tells."""
     x = np.arange(n)
     least = np.minimum.reduce([x * u % n for u in units])[np.outer(ks, xs) % n]
     reps, cell = np.unique(least, return_inverse=True)
+
+    def stored(s):
+        form = s and s[0] <= 6 and canonical(s)
+        return _rat(sum(v for _, v in form[1])) if form and form[0] == 1 else s
+
     return np.array(_store(values, [
-        pack_terms(n, [(a * u, c) for u in units]) for a in reps.tolist()]),
-        dtype=np.intp)[cell].reshape(least.shape)
+        stored(pack_terms(n, [(a * u, c) for u in units]))
+        for a in reps.tolist()]), dtype=np.intp)[cell].reshape(least.shape)
 
 
 class Character:
@@ -172,21 +181,18 @@ class CharacterTable:
 
 # -- exact Gram kernel --------------------------------------------------------
 
-_CHUNK = 1 << 14        # entries per temporary array in `gram`
+_CHUNK = 1 << 14        # entries per temporary array in `_gram`
 
 
-def _flatten(values, grid):
-    """The terms of the cells of an index grid into stored values, over one
-    common denominator: (den, conductor per column, largest l1 norm of a
-    value per column, (row, column, order, exponent, numerator) arrays).
-    Each value that some cell uses is unpacked once, and the cells gather
-    its terms by index.  Norms and numerators are int64 unless a scaled l1
-    norm reaches 2^62, and Python ints then."""
-    used = np.zeros(len(values), dtype=bool)
-    used[grid] = True
-    live = [values[k] for k in np.flatnonzero(used).tolist()]
+def _flatten(values, used):
+    """The terms of the stored values at the indices `used`, over one
+    common denominator: (den, order and l1 norm per value, offset of each
+    value's first term and one past its last, exponents, numerators).
+    Norms and numerators are int64 unless a scaled l1 norm reaches 2^62,
+    and Python ints then."""
+    live = [values[k] for k in used]
     den = lcm(*{p[3] for p in live if p is not None})
-    orders, counts, norms, exps, nums = [], [], [], [], []
+    orders, counts, norms, exps, nums = [], [0], [], [], []
     for p in live:
         order, ks, ns, d, l1 = p or (1, (), (), den, 0)    # None: no terms
         f = den // d
@@ -196,181 +202,99 @@ def _flatten(values, grid):
         exps += ks
         nums += ns if f == 1 else [n * f for n in ns]
     dtype = np.int64 if max(norms, default=0) < 1 << 62 else object
-    v = (np.cumsum(used) - 1)[grid]         # cell -> index into `live`
-    order = np.array(orders, dtype=np.int64)[v]
-    cond = np.lcm.reduce(order, axis=0, initial=1)
-    norm = np.array(norms, dtype=dtype)[v].max(axis=0, initial=0)
-    counts = np.array(counts, dtype=np.int64)
-    v = v.ravel()
-    t = counts[v]
-    ends = np.cumsum(t)
-    idx = np.repeat((np.cumsum(counts) - counts)[v] - ends + t, t) + \
-        np.arange(int(ends[-1]) if len(ends) else 0)
-    n_rows, n_cols = grid.shape
-    return den, cond, norm, (
-        np.repeat(np.arange(n_rows), n_cols).repeat(t),
-        np.tile(np.arange(n_cols), n_rows).repeat(t), order.ravel().repeat(t),
-        np.array(exps, dtype=np.int64)[idx],
-        np.array(nums, dtype=dtype)[idx])
-
-
-def _fan_reduce(acc, shape, fs):
-    """Reduce every row of `acc` (exponents laid out on the CRT grid of
-    Z/m) modulo the fan relations sum_c zeta_p^(t + c p^(e-1)) = 0, in
-    place; a row then represents a rational number iff only entry 0 is
-    nonzero."""
-    arr = acc.reshape((len(acc),) + shape)
-    for axis, (p, e) in enumerate(fs):
-        step = p ** (e - 1)
-        pre = len(acc) * prod(shape[:axis])
-        view = arr.reshape(pre, p, step, prod(shape[axis + 1:]))
-        view[:, :p - 1] -= view[:, p - 1:p]
-        view[:, p - 1] = 0
-
-
-def gram(rows_a, rows_b, weights):
-    """G[i][j] = sum_x w_x a_i(x) conj(b_j(x)) over lists of packed rows,
-    exact, as a list of rows of Fractions: `_gram` on the (values, grid)
-    side of each list.  Columns of weight zero are skipped, and so, when
-    the two sides are different lists, is a column of stored zeros on the
-    a-side.  A Gram of more than one a-row that `_certify` proves
-    Galois-stable is summed by `_trace_gram`.  Any other takes the
-    group-ring path: columns grouped by the conductor m of their values,
-    each group summed in Z[Z/m] (int64 while sum_x |w_x| |a(x)|_1 |b(x)|_1,
-    doubled per fold axis, is below 2^62), reduced on the CRT grid of Z/m
-    and read at exponent 0; a group partial that is not rational raises
-    TableMismatch naming the entry.  When `rows_b is rows_a` only the
-    entries j >= i are computed, and mirrored: G[j][i] = conj(G[i][j]).
-    """
-    a = _as_side(rows_a)
-    total, den = _gram(a, a if rows_b is rows_a else _as_side(rows_b),
-                       weights)
-    values = {v: Fraction(v, den) for v in set(total.flat)}
-    return [[values[v] for v in row] for row in total.tolist()]
-
-
-def _as_side(rows):
-    """Packed rows as a (values, grid) side: each distinct stored value
-    once, and the index of every cell's value."""
-    index = {}
-    grid = [[index.setdefault(p, len(index)) for p in row] for row in rows]
-    return tuple(index), np.array(grid, dtype=np.intp).reshape(
-        len(rows), len(rows[0]) if rows else 0)
+    return (den, np.array(orders, dtype=np.int64),
+            np.array(norms, dtype=dtype), np.cumsum(counts),
+            np.array(exps, dtype=np.int64), np.array(nums, dtype=dtype))
 
 
 def _gram(side_a, side_b, weights):
-    """`gram` on two sides (values, grid), a grid being an index array
-    (rows x columns) into its values, as (integer object array, common
-    denominator); `side_b is side_a` is the Hermitian case."""
-    (values_a, grid_a), (values_b, grid_b) = side_a, side_b
-    wden = lcm(*(w.denominator for w in weights))
-    cols = np.array([x for x, w in enumerate(weights) if w], dtype=np.intp)
+    """G[i][j] = sum_x w_x a_i(x) conj(b_j(x)), exact, on two sides (values,
+    grid), a grid being an index array (rows x columns) into its values, as
+    (integer object array, common denominator); `side_b is side_a` is the
+    Hermitian case, whose pair table is summed for pairs j >= i and
+    mirrored.
+
+    Columns of weight zero are skipped, and so is a column of stored zeros
+    on the a-side.  `_certify` proves the kept columns Galois-stable, or
+    raises TableMismatch.  As the sigma_t generate the Galois group,
+    column orbit O holds sigma(x0's column) for sigma running evenly over
+    it (I. M. Isaacs, Character Theory of Finite Groups, ch. 9), so entry
+    (i, j) is sum_O |O| w_x0 N(a_i(x0) conj(b_j(x0))), N the normalized
+    trace, computed once per value pair that meets in a column x0, from
+    its term pairs.  All is int64, scaled by S = lcm of N's denominators,
+    while the terms are and sum_O |O| |w_x0| |a(x0)|_1 |b(x0)|_1 S < 2^62,
+    and Python ints in object arrays otherwise; temporaries hold about
+    _CHUNK term pairs or Gram cells.  The totals are divided by S exactly,
+    and a remainder raises ArithmeticError."""
     upper = side_b is side_a
-    if not upper:       # a column where every a-value is zero adds nothing
-        zero = np.array([p is None for p in values_a], dtype=bool)
-        cols = cols[~zero[grid_a[:, cols]].all(axis=0)]
+    values_a, grid_a = side_a
+    cols = np.array([x for x, w in enumerate(weights) if w], dtype=np.intp)
+    wden = lcm(*{weights[x].denominator for x in cols.tolist()})
+    zero = np.array([p is None for p in values_a], dtype=bool)
+    cols = cols[~zero[grid_a[:, cols]].all(axis=0)]
+    sides = [(values, grid[:, cols]) for values, grid in
+             ((side_a,) if upper else (side_a, side_b))]
+    if not all(g.size for _, g in sides):
+        return np.zeros((len(grid_a), len(side_b[1])), dtype=object), wden
     w = np.array([int(weights[x] * wden) for x in cols.tolist()],
                  dtype=object)
-    # one a-row is summed faster on the group-ring path than certified
-    traced = len(grid_a) > 1 and _trace_gram(side_a, side_b, cols, w, upper)
-    if traced:
-        return traced[0], traced[1] * wden
-    flat_a = _flatten(values_a, grid_a[:, cols])
-    flat_b = flat_a if upper else _flatten(values_b, grid_b[:, cols])
-    bounds = abs(w) * flat_a[2].astype(object) * flat_b[2].astype(object)
-    cond = np.lcm(flat_a[1], flat_b[1]) * (bounds != 0)
-    total = np.zeros((len(grid_a), len(grid_b)), dtype=object)
-    for m in sorted(set(cond.tolist()) - {0}):
-        in_group = cond == m
-        small = bounds[in_group].sum() << len(factorize(m)) < 1 << 62
-        a = _group_terms(flat_a[3], in_group, m)
-        b = a if upper else _group_terms(flat_b[3], in_group, m)
-        _add_group(total, a, b, np.where(in_group, w, 0).astype(
-            np.int64 if small else object), m, upper)
+    used = [np.bincount(g.ravel(), minlength=len(values)) > 0
+            for values, g in sides]
+    m = lcm(*{values[k][0] for (values, _), u in zip(sides, used)
+              for k in np.flatnonzero(u).tolist() if values[k]})
+    reps, sizes = _certify(sides, w, m, cols)
+    flat = [_flatten(values, np.flatnonzero(u).tolist())
+            for (values, _), u in zip(sides, used)]
+    per_side = []   # cells, column norms, which values a column holds, terms
+    for (_, g), u, (_, order, norm, starts, exps, nums) in zip(
+            sides, used, flat):
+        at = (np.cumsum(u) - 1)[g[:, reps]]     # cell -> used value
+        in_col = np.zeros((len(order), len(reps)))
+        in_col[at, np.arange(len(reps))] = 1
+        per_side.append((at, norm[at].max(axis=0).astype(object), in_col,
+                         order, starts, exps, nums))
+    (a, na, in_a, oa, sa, ea, va), (b, nb, in_b, ob, sb, eb, vb) = \
+        per_side[0], per_side[-1]
+    weight = sizes * w[reps]
+    # the value pairs that meet; a Hermitian Gram reads (u, v) as (v, u)
+    pu, pv = np.nonzero(in_a @ in_b.T)
     if upper:
-        i, j = np.tril_indices(len(total), -1)
-        total[i, j] = total[j, i]
-    return total, flat_a[0] * flat_b[0] * wden
-
-
-def _group_terms(terms, in_group, m):
-    """(row, column, exponent mod m, numerator) of the terms on the columns
-    of one conductor-m group."""
-    sel = in_group[terms[1]]
-    r, c, o, k, n = (t[sel] for t in terms)
-    return r, c, k * (m // o), n
-
-
-def _add_group(total, a, b, w, m, upper):
-    """Add to `total` the partial Gram over one conductor-m group of terms,
-    weighted by the column weights `w`, in chunks of rows of the Gram that
-    keep temporaries near _CHUNK.
-
-    The partners of an a-term in row i and column x are the b-terms of
-    column x: all of them, or with `upper` those in rows >= i.  The b-side
-    is sorted by (column, row) once, so the partners are one contiguous run
-    of it.  Every per-term array is prepared once, and a chunk's pairs are
-    np.repeat expansions of its contiguous slice of a-terms plus one gather
-    from the b-side."""
-    ra, ca, ea, na = a
-    rb, cb, eb, nb = b
-    n_a, n_b = total.shape
-    shape, fs, perm = _dense_data(m)
-    perm = np.concatenate((perm, perm))     # read at ea - eb + m in [1, 2m)
-    by_col = np.argsort(cb, kind="stable")  # terms come in row order
-    rb, cb, eb, nb = rb[by_col], cb[by_col], eb[by_col], nb[by_col]
-    count_b = np.bincount(cb, minlength=len(w))
-    end = np.cumsum(count_b)[ca]
-    start = end - count_b[ca]
+        pu, pv = pu[pu <= pv], pv[pu <= pv]
+    cb = np.diff(sb)[pv]
+    n_terms = np.diff(sa)[pu] * cb
+    L = np.lcm(oa[pu], ob[pv])
+    Ls = np.array(sorted(set(L.tolist())))
+    li = np.searchsorted(Ls, L)
+    tables = [_norm_table(n) for n in Ls.tolist()]
+    S = lcm(*(r for _, r in tables))
+    dtype = np.int64 if va.dtype == vb.dtype == np.int64 and \
+        int((abs(weight) * na * nb).sum()) * S < 1 << 62 else object
+    norm = np.concatenate([t.astype(dtype) * (S // r) for t, r in tables])
+    va, vb = va.astype(dtype), vb.astype(dtype)
+    off, fa, fb = (np.cumsum(Ls) - Ls)[li], Ls[li] // oa[pu], Ls[li] // ob[pv]
+    trace, ends = np.zeros(len(pu), dtype=dtype), np.cumsum(n_terms)
+    for lo in range(0, int(n_terms.sum()), _CHUNK):
+        k = np.arange(lo, min(lo + _CHUNK, int(ends[-1])))
+        p = np.searchsorted(ends, k, side="right")
+        i, j = np.divmod(k + n_terms[p] - ends[p], cb[p])
+        ia, ib = sa[pu[p]] + i, sb[pv[p]] + j
+        e = (ea[ia] * fa[p] - eb[ib] * fb[p]) % Ls[li[p]]
+        np.add.at(trace, p, va[ia] * vb[ib] * norm[off[p] + e])
+    table = np.zeros((len(oa), len(ob)), dtype=dtype)
+    table[pu, pv] = trace
     if upper:
-        start = np.searchsorted(cb * n_a + rb, ca * n_a + ra)
-    partners = end - start
-    first = np.concatenate(([0], np.cumsum(partners)))  # first pair per term
-    # b-side index of a pair = offset[a-term] + pair number
-    offset = start - first[:-1]
-    wa, nb = na.astype(w.dtype) * w[ca], nb.astype(w.dtype)
-    per_row = np.bincount(ra, weights=partners, minlength=n_a)
-    step = max(1, _CHUNK // max(n_b * m, int(per_row.max())))
-    ea = ea + m
-    bounds = np.searchsorted(ra, range(0, n_a + step, step)).tolist()
-    for i0, lo, hi in zip(range(0, n_a, step), bounds, bounds[1:]):
-        p0, p1 = first[lo], first[hi]
-        if p0 == p1:
-            continue
-        reps = partners[lo:hi]
-        ib = np.repeat(offset[lo:hi], reps) + np.arange(p0, p1)
-        n_rows = min(step, n_a - i0)
-        j0 = i0 if upper else 0     # the chunk's first Gram column
-        width = n_b - j0
-        slot = np.repeat((ra[lo:hi] - i0) * (width * m), reps) + \
-            (rb[ib] - j0) * m
-        slot += perm[np.repeat(ea[lo:hi], reps) - eb[ib]]
-        acc = np.zeros(n_rows * width * m, dtype=w.dtype)
-        np.add.at(acc, slot, np.repeat(wa[lo:hi], reps) * nb[ib])
-        acc = acc.reshape(n_rows * width, m)
-        _fan_reduce(acc, shape, fs)
-        if acc[:, 1:].any():
-            i, j = divmod(int(np.flatnonzero(acc[:, 1:].any(axis=1))[0]),
-                          width)
-            raise TableMismatch(
-                f"Gram entry ({i0 + i},{j0 + j}) is not rational: its part "
-                f"over the columns of conductor {m} is irrational")
-        total[i0:i0 + n_rows, j0:] += \
-            acc[:, 0].astype(object).reshape(n_rows, width)
+        table[pv, pu] = trace
+    c = np.where(na * nb != 0, weight, 0).astype(dtype)
+    total = np.zeros((len(a), len(b)), dtype=dtype)
+    step = max(1, _CHUNK // (len(b) * len(reps)))
+    for i in range(0, len(a), step):
+        total[i:i + step] = (table[a[i:i + step, None], b] * c).sum(axis=2)
+    if (total % S).any():
+        raise ArithmeticError(f"a certified Gram is not divisible by {S}")
+    return (total // S).astype(object), flat[0][0] * flat[-1][0] * wden
 
 
-@lru_cache(maxsize=64)
-def _dense_data(order):
-    """CRT layout of Z/order for vectorized canonical reduction: the grid
-    shape over prime-power axes and the exponent -> grid position map."""
-    fs = factorize(order)
-    ks = np.arange(order, dtype=np.int64)
-    coords = [ks * pow(order // p ** e, -1, p ** e) % p ** e for p, e in fs]
-    shape = tuple(p ** e for p, e in fs) or (1,)
-    return shape, fs, np.ravel_multi_index(tuple(coords) or (ks,), shape)
-
-
-# -- Galois-certified Grams ---------------------------------------------------
+# -- Galois certificates ----------------------------------------------------
 
 @lru_cache(maxsize=64)
 def _unit_generators(m):
@@ -387,10 +311,14 @@ def _unit_generators(m):
 
 @lru_cache(maxsize=16)
 def _sigma_maps(values, m):
-    """Per generator t of (Z/m)^*, the index in `values` of sigma_t(v) for
-    each v whose order divides m: of an equal stored tuple, else of an
-    equal canonical form (the rho values of Sz need it), else -1."""
-    index = {v: i for i, v in enumerate(values)}
+    """Row t = 1 maps each stored value to the first index of its tuple in
+    `values`; the row of each generator t of (Z/m)^* maps each value v
+    whose order divides m to the first index of sigma_t(v): of the first
+    equal stored tuple, else of the first equal canonical form (the rho
+    values of Sz need it), else -1.  Grids are compared through row t = 1,
+    so a value that sigma_t fixes maps to itself and a tuple stored twice
+    reads as one."""
+    index = {v: i for i, v in reversed(list(enumerate(values)))}
 
     def find(v):
         return index[v] if v in index else next(
@@ -401,27 +329,56 @@ def _sigma_maps(values, m):
         return v[0], *zip(*sorted(zip([k * t % v[0] for k in v[1]], v[2]))), \
             *v[3:]
 
-    return [np.array([-1 if v and m % v[0] else find(v and sigma(v, t))
-                      for v in values]) for t in _unit_generators(m)]
+    return np.array([[index[v] for v in values]] + [
+        [-1 if v and m % v[0] else find(v and sigma(v, t)) for v in values]
+        for t in _unit_generators(m)])
 
 
-def _certify(sides, w, m):
-    """The Galois orbits of a Gram's columns as (representatives, sizes),
-    or None.  For each generator t of (Z/m)^*, m a multiple of every order
-    read, the permutation pi_t with grid[:, pi_t(x)] = sigma_t(grid[:, x])
-    on each (values, grid) side and w[pi_t(x)] = w[x] is proposed by a sort
-    of column hashes and accepted only by exact comparison."""
-    grid = np.vstack([g for _, g in sides] +
-                     [np.unique(w, return_inverse=True)[1]])
+def _certify(sides, w, m, cols):
+    """The Galois orbits of a Gram's columns as (representatives, sizes).
+    For each generator t of (Z/m)^*, m a multiple of every order read, the
+    permutation pi_t with grid[:, pi_t(x)] = sigma_t(grid[:, x]) on each
+    (values, grid) side and w[pi_t(x)] = w[x] is proposed by a sort of
+    column hashes and accepted only by exact comparison, through the first
+    index of each stored tuple.  The columns of a correct table and fusion
+    are Galois-stable, so a refused t raises TableMismatch naming the first
+    cell that differs, in table columns `cols`."""
+    if m <= 2:      # every value read is rational: each column is an orbit
+        return np.arange(len(w)), np.ones(len(w), dtype=np.int64)
+    maps = [_sigma_maps(values, m) for values, _ in sides]
+    ids = {}    # weights by equality
+    grid = np.vstack([sig[0][g] for sig, (_, g) in zip(maps, sides)] +
+                     [[ids.setdefault(v, len(ids)) for v in w.tolist()]])
     mix = np.cumprod(np.full(len(grid), 0x9E3779B97F4A7C15, np.uint64))
     by, pis = np.argsort(mix @ grid.astype(np.uint64)), []
-    for maps in zip(*(_sigma_maps(values, m) for values, _ in sides)):
-        image = np.vstack([sig[g] for sig, (_, g) in zip(maps, sides)] +
+    for k, t in enumerate(_unit_generators(m), 1):
+        image = np.vstack([sig[k][g] for sig, (_, g) in zip(maps, sides)] +
                           [grid[-1]])
-        pis.append(np.empty_like(by))
-        pis[-1][np.argsort(mix @ image.astype(np.uint64))] = by
-        if not (grid[:, pis[-1]] == image).all():
-            return None
+        pi = np.empty_like(by)
+        pi[np.argsort(mix @ image.astype(np.uint64))] = by
+        pis.append(pi)
+        if (grid[:, pi] != image).any():
+            # the first refused cell: in the first column that is no
+            # column's image, where it first differs from the image it
+            # agrees with most; if every column is an image (at the wrong
+            # multiplicity), in the first column that pi pairs wrongly
+            have = {c.tobytes() for c in image.T}
+            lost = [x for x, c in enumerate(grid.T)
+                    if c.tobytes() not in have]
+            if lost:
+                x = lost[0]
+                y = np.argmax((image == grid[:, [x]]).sum(0))
+            else:
+                y = np.argmax((grid[:, pi] != image).any(0))
+                x = pi[y]
+            r = int(np.argmax(grid[:, x] != image[:, y]))
+            n_a = len(sides[0][1])
+            where = f"the weight of column {cols[x]}" if r == len(grid) - 1 \
+                else f"cell ({r},{cols[x]}) of the a-side" if r < n_a \
+                else f"cell ({r - n_a},{cols[x]}) of the b-side"
+            raise TableMismatch(
+                f"Gram refused at {where}: sigma_t, t = {t} mod {m}, does "
+                f"not permute the columns")
     label, old = np.arange(grid.shape[1]), None
     while old is None or (label != old).any():  # the least of each orbit
         old, label = label, np.minimum.reduce([label] + [
@@ -445,81 +402,36 @@ def _norm_table(n):
     return out, r
 
 
-def _trace_gram(side_a, side_b, cols, w, upper):
-    """`_gram` over the kept columns `cols`, integer weights `w`, as (total,
-    den / weight denominator) if `_certify` proves the columns Galois-stable
-    and the bound holds; else None.  As the sigma_t generate the Galois
-    group, column orbit O holds sigma(x0's column) for sigma running evenly
-    over it (I. M. Isaacs, Character Theory of Finite Groups, ch. 9), so
-    entry (i, j) is sum_O |O| w_x0 N(a_i(x0) conj(b_j(x0))), N the
-    normalized trace, computed once per value pair that meets in a column
-    x0, from its term pairs.  All is int64, scaled by S = lcm of N's
-    denominators, while sum_O |O| |w_x0| |a(x0)|_1 |b(x0)|_1 S < 2^62, in
-    chunks of about _CHUNK term pairs or Gram cells; the totals are divided
-    by S exactly, and a remainder raises ArithmeticError."""
-    sides = [(values, grid[:, cols]) for values, grid in
-             ((side_a,) if upper else (side_a, side_b))]
-    used = [np.bincount(g.ravel(), minlength=len(values)) > 0
-            for values, g in sides]
-    m = lcm(*{values[k][0] for (values, _), u in zip(sides, used)
-              for k in np.flatnonzero(u).tolist() if values[k]})
-    orbits = all(g.size for _, g in sides) and _certify(sides, w, m)
-    if not orbits:
-        return None
-    # each used value's terms, as the cells of a one-row grid
-    flat = [_flatten(values, np.flatnonzero(u)[None])
-            for (values, _), u in zip(sides, used)]
-    if flat[0][3][4].dtype == object or flat[-1][3][4].dtype == object:
-        return None
-    reps, sizes = orbits
-    per_side = []   # cells, column norms, which values a column holds, terms
-    for (_, g), u, (_, order, norm, (_, col, _, exps, nums)) in zip(
-            sides, used, flat):
-        at = (np.cumsum(u) - 1)[g[:, reps]]     # cell -> used value
-        per_side.append((at, norm[at].max(axis=0).astype(object), np.zeros(
-            (len(order), len(reps))), order, np.searchsorted(
-            col, np.arange(len(order) + 1)), exps, nums))
-    (a, na, in_a, oa, sa, ea, va), (b, nb, in_b, ob, sb, eb, vb) = \
-        per_side[0], per_side[-1]
-    in_a[a, np.arange(len(reps))] = in_b[b, np.arange(len(reps))] = 1
-    weight = sizes * w[reps]
-    # the value pairs that meet; a Hermitian Gram reads (u, v) as (v, u)
-    meet = in_a @ in_b.T
-    pu, pv = np.nonzero(np.triu(meet) if upper else meet)
-    cb = np.diff(sb)[pv]
-    n_terms = np.diff(sa)[pu] * cb
-    Ls, li = np.unique(np.lcm(oa[pu], ob[pv]), return_inverse=True)
-    tables = [_norm_table(n) for n in Ls.tolist()]
-    S = lcm(*{tables[i][1] for i in set(li.tolist())})
-    if int((abs(weight) * na * nb).sum()) * S >= 1 << 62:
-        return None
-    norm = np.concatenate([t * (S // r) for t, r in tables])
-    off, fa, fb = (np.cumsum(Ls) - Ls)[li], Ls[li] // oa[pu], Ls[li] // ob[pv]
-    trace, ends = np.zeros(len(pu), dtype=np.int64), np.cumsum(n_terms)
-    for lo in range(0, int(n_terms.sum()), _CHUNK):
-        k = np.arange(lo, min(lo + _CHUNK, int(ends[-1])))
-        p = np.searchsorted(ends, k, side="right")
-        i, j = np.divmod(k + n_terms[p] - ends[p], cb[p])
-        ia, ib = sa[pu[p]] + i, sb[pv[p]] + j
-        e = (ea[ia] * fa[p] - eb[ib] * fb[p]) % Ls[li[p]]
-        np.add.at(trace, p, va[ia] * vb[ib] * norm[off[p] + e])
-    table = np.zeros(meet.shape, dtype=np.int64)
-    table[pu, pv] = trace
-    if upper:
-        table[pv, pu] = trace
-    c = np.where(na * nb != 0, weight, 0).astype(np.int64)
-    total = np.zeros((len(a), len(b)), dtype=np.int64)
-    step = max(1, _CHUNK // (len(b) * len(reps)))
-    for i in range(0, len(a), step):
-        total[i:i + step] = (table[a[i:i + step, None], b] * c).sum(axis=2)
-    if (total % S).any():
-        raise ArithmeticError(f"a certified Gram is not divisible by {S}")
-    return (total // S).astype(object), flat[0][0] * flat[-1][0]
+# -- canonical forms ---------------------------------------------------------
+
+def _fan_reduce(acc, shape, fs):
+    """Reduce every row of `acc` (exponents laid out on the CRT grid of
+    Z/m) modulo the fan relations sum_c zeta_p^(t + c p^(e-1)) = 0, in
+    place; a row then represents a rational number iff only entry 0 is
+    nonzero."""
+    arr = acc.reshape((len(acc),) + shape)
+    for axis, (p, e) in enumerate(fs):
+        step = p ** (e - 1)
+        pre = len(acc) * prod(shape[:axis])
+        view = arr.reshape(pre, p, step, prod(shape[axis + 1:]))
+        view[:, :p - 1] -= view[:, p - 1:p]
+        view[:, p - 1] = 0
+
+
+@lru_cache(maxsize=64)
+def _dense_data(order):
+    """CRT layout of Z/order for vectorized canonical reduction: the grid
+    shape over prime-power axes and the exponent -> grid position map."""
+    fs = factorize(order)
+    ks = np.arange(order, dtype=np.int64)
+    coords = [ks * pow(order // p ** e, -1, p ** e) % p ** e for p, e in fs]
+    shape = tuple(p ** e for p, e in fs) or (1,)
+    return shape, fs, np.ravel_multi_index(tuple(coords) or (ks,), shape)
 
 
 def canonical(value):
     """The canonical form (order, ((k, Fraction), ...)) of a stored value:
-    its terms reduced on the CRT grid of `gram` to the tensor basis of the
+    its terms reduced on the CRT grid of Z/order to the tensor basis of the
     power bases {zeta_{p^v}^j : j < phi(p^v)} of the prime-power factors
     of its order (L. C. Washington, GTM 83, ch. 2), read back by exponent,
     with the order deflated by the gcd of the support.  The form is
@@ -530,7 +442,7 @@ def canonical(value):
     if order == 1:      # stored over Q, so already (0, c): see `pack_terms`
         return 1, ((0, Fraction(nums[0], den)),)
     shape, fs, perm = _dense_data(order)
-    # an entry at most doubles per fold axis, as in `gram`
+    # an entry at most doubles per fold axis
     acc = np.zeros((1, order), dtype=np.int64 if l1 << len(fs) < 1 << 62
                    else object)
     acc[0, perm[list(exps)]] = nums
@@ -553,31 +465,40 @@ def value_text(value):
                       for k, c in coeffs) + f" (mod {order})"
 
 
-def inner_product(chi: Character, psi: Character) -> Fraction:
-    """(1/|G|) sum over G of chi * conj(psi), exact."""
+def _sides(chi, psi):
+    """The (values, grid) sides of the rows of two characters of one table:
+    one side when psi is chi, which `_gram` reads as Hermitian."""
     t = chi.table
     if psi.table is not t:
         raise TableMismatch("characters live in different tables")
-    g, den = _gram((t.values, t.grid[[chi.row]]),
-                   (t.values, t.grid[[psi.row]]), t.sizes)
-    return Fraction(g[0, 0], den * t.order)
+    a = t.values, t.grid[[chi.row]]
+    return a, a if psi is chi else (t.values, t.grid[[psi.row]])
+
+
+def inner_product(chi: Character, psi: Character) -> Fraction:
+    """(1/|G|) sum over G of chi * conj(psi), exact."""
+    g, den = _gram(*_sides(chi, psi), chi.table.sizes)
+    return Fraction(g[0, 0], den * chi.table.order)
+
+
+_REUSED = {}    # restricted inner products by (rows, weights), at most 1,024
 
 
 def restricted_inner_product(chi, psi, fusion) -> Fraction:
     """Inner product of the restrictions to a subgroup, via fusion counts.
     The result is reused by value: a later call with equal packed rows and
-    fusion weights reads it from a bounded cache, which never holds a
-    failure, so a Gram that raises raises for every call that asks for it."""
-    t = chi.table
-    if psi.table is not t:
-        raise TableMismatch("characters live in different tables")
-    return _restricted_gram(chi.packed, psi.packed,
-                            tuple(fusion.get(lab, 0) for lab in t.labels))
-
-
-@lru_cache(maxsize=1024)
-def _restricted_gram(a, b, weights):
-    return gram([a], [b], weights)[0][0] / sum(weights)
+    fusion weights reads it from a bounded cache (the oldest entry goes
+    first), which never holds a failure, so a Gram that raises raises for
+    every call that asks for it."""
+    sides = _sides(chi, psi)
+    weights = tuple(fusion.get(lab, 0) for lab in chi.table.labels)
+    key = chi.packed, psi.packed, weights
+    if key not in _REUSED:
+        g, den = _gram(*sides, weights)
+        if len(_REUSED) >= 1024:
+            del _REUSED[next(iter(_REUSED))]
+        _REUSED[key] = Fraction(g[0, 0], den) / sum(weights)
+    return _REUSED[key]
 
 
 def centralizer_dim(chi, fusion) -> int:

@@ -13,7 +13,7 @@ import pytest
 
 from repmoduli.chars import (
     check_column_orthogonality, check_row_orthogonality, centralizer_dim,
-    fusion_for, centralizer_checks, gram, rho0_character, table_cyclic,
+    fusion_for, centralizer_checks, rho0_character, table_cyclic,
     table_dihedral_odd, table_psl2_even, table_psl2_odd, table_sl2_odd,
     table_suzuki, theta_balance,
 )
@@ -29,6 +29,8 @@ from repmoduli.oscomplex import (
     brown_presentation, build_orbit_graph, moduli_dimension_report,
     euler_identity, random_closed_path, random_kernel_word, random_word,
 )
+
+from gram_ref import gram
 
 EVEN_QS = [4, 8, 16, 32]
 ODD_QS = [11, 19, 27, 43, 59, 67, 83]

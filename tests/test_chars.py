@@ -10,7 +10,7 @@ from repmoduli.chars import (
     CharacterTable, NonIntegralDimension, Restriction, TableMismatch,
     c2_restriction, canonical, centralizer_dim,
     check_column_orthogonality, check_row_orthogonality, d_theta,
-    dihedral_theta_restrictions, fusion_for, gram, inner_product,
+    dihedral_theta_restrictions, fusion_for, inner_product,
     pack_terms, restricted_inner_product,
     rho0_character, split_dihedral_restriction,
     split_torus_restriction, table_cyclic, table_dihedral_odd, table_for,
@@ -22,6 +22,7 @@ from repmoduli.groups import (
 )
 
 from cyclotomic_ref import Cyclotomic
+from gram_ref import as_side, gram, group_ring_gram
 from table_edits import repoint
 
 
@@ -167,7 +168,7 @@ def _gram_cases():
         # psi is zero on columns where other characters are not: those
         # columns are pruned before either side is unpacked
         ([psi.packed], rows11, t11.sizes),
-        # numerators past 2^62: the Python-int terms of `_flatten`
+        # numerators past 2^62: Python-int terms, summed in object arrays
         (huge, huge, t11.sizes),
         (huge, rows11, t11.sizes),
     ]
@@ -181,9 +182,12 @@ def _check_gram_cases():
     for a, b, weights, packed_a, packed_b in _gram_cases():
         want = _reference_gram(a, b, weights)
         # one list on both sides takes the Hermitian path (pairs j >= i,
-        # mirrored), a copy of it the path that expands every pair
-        assert gram(packed_a, packed_b, weights) == want, weights
-        assert gram(packed_a, list(packed_b), weights) == want, weights
+        # mirrored), a copy of it the path that expands every pair; the
+        # group-ring reference sums the same Gram without certificates
+        for kernel in (None, group_ring_gram):
+            assert gram(packed_a, packed_b, weights, kernel) == want, weights
+            assert gram(packed_a, list(packed_b), weights, kernel) == want, \
+                weights
 
 
 def test_gram_matches_cyclotomic_reference():
@@ -196,12 +200,13 @@ def test_gram_across_chunk_boundaries(monkeypatch, chunk):
     monkeypatch.setattr(chars, "_CHUNK", chunk)
     _check_gram_cases()
     # the Hermitian checks pair a row only with the rows from it on, so an
-    # irrational cell must fail them in the first row and the last alike
+    # irrational cell must fail them in the first row and the last alike:
+    # its column has no Galois image, and the certificate refuses the Gram
     t = table_psl2_even(4)
     for name in ("1", "theta_1", "theta_2"):
         bad = _copy_with_value(t, name, ClassLabel("c"), _stored(5))
         for check in (check_row_orthogonality, check_column_orthogonality):
-            with pytest.raises(TableMismatch, match="not rational"):
+            with pytest.raises(TableMismatch, match="Gram refused at cell"):
                 check(bad)
 
 
@@ -259,15 +264,17 @@ def test_cached_tables_are_read_only():
 
 def test_zero_columns_of_the_a_side_are_never_unpacked(monkeypatch):
     # W_1 of Sz(8) vanishes off the identity on the split torus C_7, so the
-    # spectrum Gram unpacks one column of each side, not the C_7 table
+    # spectrum Gram unpacks the values of one column of each side, W_1(1)
+    # and the degree 1 of every mu_k, not the 7 roots of the C_7 table
     seen = []
     real = chars._flatten
-    monkeypatch.setattr(chars, "_flatten", lambda values, grid: seen.append(
-        grid.shape) or real(values, grid))
+    monkeypatch.setattr(chars, "_flatten", lambda values, used: seen.append(
+        [values[k] for k in used]) or real(values, used))
     ts = table_suzuki(8)
     r = split_torus_restriction(ts)
     assert r.multiplicities([ts.by_name["W_1"]], r.table.chars) == [[2] * 7]
-    assert seen == [(1, 1), (7, 1)]
+    assert seen == [[ts.by_name["W_1"].value_at(ClassLabel("id"))],
+                    [pack_terms(1, ((0, 1),))]]
 
 
 def test_unit_generators_generate_the_units():
@@ -284,14 +291,10 @@ def test_unit_generators_generate_the_units():
         assert len(seen) == sum(gcd(u, m) == 1 for u in range(m)), m
 
 
-def test_normalized_traces_match_the_references(monkeypatch):
+def test_normalized_traces_match_the_references():
     # row k of zeta_d^(k t) over the columns t of the units mod d, against
     # a row of ones: one certified column orbit, whose entry is
     # phi(d) N(zeta_d^k), the sum of the zeta_d^(k t)
-    traced = []
-    real = chars._trace_gram
-    monkeypatch.setattr(chars, "_trace_gram", lambda *args: traced.append(
-        real(*args)) or traced[-1])
     one = (pack_terms(1, ((0, 1),)),)
     for d in range(2, 201):
         units = np.array([t for t in range(d) if gcd(t, d) == 1])
@@ -299,7 +302,6 @@ def test_normalized_traces_match_the_references(monkeypatch):
         total, den = chars._gram(
             (zeta, np.outer(np.arange(d), units) % d),
             (one, np.zeros((1, len(units)), dtype=np.intp)), [1] * len(units))
-        assert traced.pop() is not None
         got = [Fraction(v, den * len(units)) for v in total[:, 0].tolist()]
         mean = np.cos(2 * np.pi * np.outer(np.arange(d), units) / d).mean(
             axis=1)
@@ -321,24 +323,26 @@ def test_a_wrong_trace_scale_raises(monkeypatch):
             check_row_orthogonality(t)
 
 
-def test_numerators_past_2_62_are_never_folded(monkeypatch):
-    # PSL2(8)'s row Gram is certified; scaled past 2^62 its terms are
-    # Python ints and it takes the group-ring path
-    traced = []
-    real = chars._trace_gram
-    monkeypatch.setattr(chars, "_trace_gram", lambda *args: traced.append(
-        real(*args)) or traced[-1])
+def test_numerators_past_2_62_are_summed_as_python_ints(monkeypatch):
+    # PSL2(8)'s row Gram with every numerator scaled past 2^62: its terms
+    # are Python ints, and the certified Gram sums them exactly in object
+    # arrays, equal to the group-ring reference
+    dtypes = []
+    real = chars._flatten
+    monkeypatch.setattr(chars, "_flatten", lambda *args: dtypes.append(
+        real(*args)) or dtypes[-1])
     t = table_psl2_even(8)
     rows = [c.packed for c in t.chars]
     k = (1 << 62) + 1
     huge = [[p and (*p[:2], tuple(n * k for n in p[2]), p[3], p[4] * k)
              for p in row] for row in rows]
     plain = gram(rows, rows, t.sizes)
-    assert traced and all(r is not None for r in traced)
-    traced.clear()
-    assert gram(huge, huge, t.sizes) == \
-        [[v * k * k for v in row] for row in plain]
-    assert traced and all(r is None for r in traced)
+    assert dtypes and all(f[5].dtype == np.int64 for f in dtypes)
+    dtypes.clear()
+    want = [[v * k * k for v in row] for row in plain]
+    assert gram(huge, huge, t.sizes) == want
+    assert dtypes and all(f[5].dtype == object for f in dtypes)
+    assert gram(huge, huge, t.sizes, group_ring_gram) == want
 
 
 def _stored(root_order):
@@ -361,11 +365,69 @@ def test_row_orthogonality_catches_one_flipped_value():
     bad = _copy_with_value(t, "theta_1", ClassLabel("c"), _stored(1))
     with pytest.raises(TableMismatch, match=r"<1,theta_1>"):
         check_row_orthogonality(bad)
-    # an irrational value leaves a partial sum that is not rational
+    # an irrational value has no Galois image among the columns
     bad = _copy_with_value(t, "theta_1", ClassLabel("c"), _stored(5))
-    with pytest.raises(TableMismatch, match="not rational"):
+    with pytest.raises(TableMismatch, match="Gram refused"):
         check_row_orthogonality(bad)
     assert check_row_orthogonality(t)
+
+
+def test_refused_grams_name_the_cell_and_the_unit():
+    # chi_1 of D_14 at r^1 set to its value at r^2, zeta_7^2 + zeta_7^-2:
+    # the edited r^1 column is then the sigma_3 image of no column (3
+    # generates (Z/7)^*), so the row Gram, the column Gram and the C_7
+    # restriction Gram of the theta balance are each refused, naming the
+    # edited cell
+    t = _copy_with_value(table_dihedral_odd(14), "chi_1", ClassLabel("r", 1),
+                         pack_terms(7, ((2, 1), (-2, 1))))
+    refused = "Gram refused at cell ({},{}) of the {}-side: sigma_t, t = 3 " \
+        "mod 7, does not permute the columns"
+    with pytest.raises(TableMismatch) as row:
+        check_row_orthogonality(t)
+    with pytest.raises(TableMismatch) as col:
+        check_column_orthogonality(t)
+    h1 = split_torus_restriction(t)
+    with pytest.raises(TableMismatch) as res:
+        h1.multiplicities(t.chars, h1.table.chars)
+    assert [str(e.value) for e in (row, col, res)] == [
+        refused.format(2, 1, "a"), refused.format(1, 2, "a"),
+        refused.format(2, 1, "a")]
+    # a one-row restricted Gram: theta_1 of PSL2(8) at b^1 (column 5) set
+    # to its value at b^2, against itself over the classes of the nonsplit
+    # dihedral subgroup
+    t8 = table_psl2_even(8)
+    t8 = _copy_with_value(t8, "theta_1", ClassLabel("b", 1),
+                          t8.by_name["theta_1"].value_at(ClassLabel("b", 2)))
+    theta = t8.by_name["theta_1"]
+    with pytest.raises(TableMismatch) as one:
+        restricted_inner_product(theta, theta, fusion_for(
+            t8, symbolic_subgroup("psl2_even", 8, "dihedral_nonsplit")))
+    assert str(one.value) == "Gram refused at cell (0,5) of the a-side: " \
+        "sigma_t, t = 2 mod 9, does not permute the columns"
+    # a row (zeta_3, zeta_3, zeta_3^2): each column's image is a column,
+    # but at the wrong multiplicity
+    zeta = (pack_terms(3, ((1, 1),)), pack_terms(3, ((2, 1),)))
+    side = zeta, np.array([[0, 0, 1]])
+    with pytest.raises(TableMismatch, match=r"Gram refused at cell \(0,[01]\)"
+                       r" of the a-side: sigma_t, t = 2 mod 3"):
+        chars._gram(side, side, [1, 1, 1])
+
+
+def test_a_tuple_stored_twice_certifies():
+    # chi_1 of D_14 at r^1 repointed to a second copy of its own stored
+    # tuple: the table is unchanged in value, and its grids are compared
+    # through the first index of each equal tuple, so every Gram certifies
+    t = table_dihedral_odd(14)
+    copy = _copy_with_value(t, "chi_1", ClassLabel("r", 1),
+                            t.by_name["chi_1"].value_at(ClassLabel("r", 1)))
+    assert len(set(copy.values)) < len(copy.values)
+    assert check_row_orthogonality(copy) and \
+        check_column_orthogonality(copy)
+    assert theta_balance(7) == (True, True)
+    (h1, h2), (c1, c2) = map(dihedral_theta_restrictions, (t, copy))
+    for h, c in ((h1, c1), (h2, c2)):
+        assert c.multiplicities(copy.chars, c.table.chars) == \
+            h.multiplicities(t.chars, h.table.chars)
 
 
 def test_restricted_inner_product_examples():

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import repmoduli
+import repmoduli.chars as chars
 import repmoduli.cli as cli
 import repmoduli.oscomplex as osc
 from repmoduli.chars import (
-    pack_terms, table_dihedral_odd, table_psl2_even, table_suzuki,
+    canonical, pack_terms, table_dihedral_odd, table_psl2_even, table_suzuki,
 )
 from repmoduli.cli import (
     UsageError, VerificationConfig, classify_q, main, parse_config,
@@ -21,6 +22,7 @@ from repmoduli.cli import (
 )
 from repmoduli.groups import ClassData, ClassLabel, IDENTITY, psl2_model
 
+from gram_ref import group_ring_gram
 from table_edits import repoint
 
 
@@ -430,10 +432,12 @@ def test_flipped_stored_value_fails_tables(monkeypatch, tmp_path):
     # d(psi_2, Theta1) = d(psi_2, Theta2)
     ("psi_2", ClassLabel("s"), pack_terms(1, ((0, 1),)),
      "centralizers/theta-balance-n7", "(False, True)"),
-    # chi_1 at r_1 alone: the restricted row is no longer Galois-stable, so
-    # the check raises and its error is the record
+    # chi_1 at r_1 alone: the restricted rows are no longer Galois-stable,
+    # so the certificate refuses their Gram at that cell, and its error is
+    # the record
     ("chi_1", ClassLabel("r", 1), pack_terms(7, ((2, 1), (-2, 1))),
-     "centralizers/theta-balance-n7", "not rational"),
+     "centralizers/theta-balance-n7",
+     "TableMismatch: Gram refused at cell (2,1) of the a-side"),
     # chi_1 at s: <Res_C2 chi_1, mu_0> = (2 + 1) / 2 is rational but not an
     # integer, so the check raises NonIntegralDimension
     ("chi_1", ClassLabel("s"), pack_terms(1, ((0, 1),)),
@@ -454,8 +458,7 @@ def test_reused_inner_products_do_not_hide_a_fault(monkeypatch, tmp_path):
     # restricted inner products are reused by value within a process, so a
     # moved fusion count or a changed stored value is a new key: each
     # mutated Sz(8) run fails exactly the records that a cold run fails
-    import repmoduli.chars as chars
-    cache = chars._restricted_gram
+    cache = chars._REUSED
     real = chars.stored_fusion
 
     def moved(family, q, tag, param, labels):
@@ -468,14 +471,14 @@ def test_reused_inner_products_do_not_hide_a_fault(monkeypatch, tmp_path):
 
     def failing(name, cold=False):
         if cold:
-            cache.cache_clear()
+            cache.clear()
         out = tmp_path / f"{name}.json"
         rc = main(["--family", "sz", "--q", "8", "--out", str(out)])
         return rc, {n: r["computed"] for n, r in _records(out).items()
                     if not r["pass"]}
 
     assert failing("clean") == (0, {})
-    assert cache.cache_info().currsize > 0
+    assert cache
     for mutate, expect in (
             (lambda m: [m.setattr(mod, "stored_fusion", moved)
                         for mod in (chars, cli)],
@@ -491,12 +494,6 @@ def test_reused_inner_products_do_not_hide_a_fault(monkeypatch, tmp_path):
     assert failing("clean-again") == (0, {})
 
 
-def _no_certificate(side_a, side_b, cols, w, upper):
-    """chars._trace_gram refusing every Gram: each takes the group-ring
-    path."""
-    return None
-
-
 _DIHEDRAL_SWEEP = ",".join(str(n) for n in range(3, 100, 2))
 _BATCHES = [
     ("sz", "8,32,128", "tables,centralizers,moduli-dim,euler"),
@@ -504,44 +501,38 @@ _BATCHES = [
     ("dihedral", _DIHEDRAL_SWEEP, "tables,centralizers"),
     ("psl2", "27,43,59,67,83", "tables,centralizers,moduli-dim,euler"),
     ("psl2", "131,251,256", "tables,centralizers,euler"),
+    ("cyclic", "1,2,12,64,99", "tables,centralizers"),
 ]
 
 
 @pytest.mark.parametrize("family, qs, checks", _BATCHES, ids=[
-    "sz-exact", "psl2-enum", "dihedral-sweep", "psl2-27-83", "psl2-131-256"])
+    "sz-exact", "psl2-enum", "dihedral-sweep", "psl2-27-83", "psl2-131-256",
+    "cyclic"])
 def test_folded_grams_equal_unfolded(monkeypatch, tmp_path, family, qs,
                                      checks):
-    # every Gram of the batch is Galois-certified, and its sum by column
-    # orbits equals the same Gram on the group-ring path
-    import repmoduli.chars as chars
-    real, traced = chars._gram, chars._trace_gram
-    certified = []
-    monkeypatch.setattr(chars, "_trace_gram", lambda *args: certified.append(
-        traced(*args)) or certified[-1])
+    # every Gram of the batch is Galois-certified (a refusal would fail a
+    # record), and its sum by column orbits equals the group-ring reference
+    real, grams = chars._gram, []
 
     def both(side_a, side_b, weights):
         total, den = real(side_a, side_b, weights)
-        with monkeypatch.context() as m:
-            m.setattr(chars, "_trace_gram", _no_certificate)
-            plain, plain_den = real(side_a, side_b, weights)
+        plain, plain_den = group_ring_gram(side_a, side_b, weights)
         assert den == plain_den and total.dtype == plain.dtype
         assert (total == plain).all()
-        certified[-1] = certified[-1] is not None
+        grams.append(total.shape)
         return total, den
 
     monkeypatch.setattr(chars, "_gram", both)
-    chars._restricted_gram.cache_clear()
+    chars._REUSED.clear()
     assert main(["--family", family, "--q", qs, "--checks", checks,
                  "--out", str(tmp_path / "r.json")]) == 0
-    assert certified and all(certified), (certified.count(False),
-                                          len(certified))
+    assert grams
 
 
 def test_stored_values_are_distinct_and_read(monkeypatch, tmp_path):
-    # every table that the batches build stores each value once, and its
-    # grid reads every one of them but for psl2_odd's, which share the
-    # values of the sl2_odd table they fold
-    import repmoduli.chars as chars
+    # every table that the batches build stores each value once, in one
+    # canonical form, and its grid reads every one of them but for
+    # psl2_odd's, which share the values of the sl2_odd table they fold
     built = []
 
     class Recorded(chars.CharacterTable):
@@ -560,7 +551,7 @@ def test_stored_values_are_distinct_and_read(monkeypatch, tmp_path):
     assert {t.family for t in built} == {
         "sz", "psl2_even", "sl2_odd", "psl2_odd", "dihedral", "cyclic"}
     for t in built:
-        assert len(set(t.values)) == len(t.values), t
+        assert len(set(map(canonical, t.values))) == len(t.values), t
         if t.family != "psl2_odd":
             assert set(t.grid.ravel().tolist()) == set(range(len(t.values))), t
     for build in (chars.table_psl2_even, chars.table_sl2_odd,
@@ -569,18 +560,19 @@ def test_stored_values_are_distinct_and_read(monkeypatch, tmp_path):
         build.cache_clear()
 
 
-def _failing_with_and_without_certificates(monkeypatch, tmp_path, argv):
-    import repmoduli.chars as chars
+def _failing_with_kernel_and_reference(monkeypatch, tmp_path, argv):
+    """(exit code, failing records' texts) of a run with chars._gram and of
+    one with the group-ring reference in its place."""
     out = []
-    for certify in (True, False):
+    for kernel in (chars._gram, group_ring_gram):
         with monkeypatch.context() as m:
-            if not certify:
-                m.setattr(chars, "_trace_gram", _no_certificate)
-            chars._restricted_gram.cache_clear()
-            path = tmp_path / f"{certify}.json"
+            m.setattr(chars, "_gram", kernel)
+            chars._REUSED.clear()
+            path = tmp_path / f"{kernel.__name__}.json"
             rc = main(argv + ["--out", str(path)])
             out.append((rc, {n: r["computed"] for n, r in
                              _records(path).items() if not r["pass"]}))
+    chars._REUSED.clear()
     return out
 
 
@@ -598,20 +590,23 @@ def _failing_with_and_without_certificates(monkeypatch, tmp_path, argv):
 ])
 def test_changed_value_in_a_folded_orbit_fails_alike(
         monkeypatch, tmp_path, family, q, table, name, label, value, argv):
-    import repmoduli.chars as chars
     t = table()
     side = t.values, t.grid
-    cols = np.arange(len(t.labels))
-    w = np.array(t.sizes, dtype=object)
-    assert chars._trace_gram(side, side, cols, w, True) is not None
+    chars._gram(side, side, t.sizes)    # the clean table's row Gram certifies
     repoint(t, name, label, value(t), monkeypatch.setattr)
-    # the certificate refuses the edited table's row Gram
+    # the certificate refuses the edited table's row Gram; the reference
+    # sums it and finds it is not rational
     side = t.values, t.grid
-    assert chars._trace_gram(side, side, cols, w, True) is None
-    certified, plain = _failing_with_and_without_certificates(
+    with pytest.raises(chars.TableMismatch, match="Gram refused at cell"):
+        chars._gram(side, side, t.sizes)
+    with pytest.raises(chars.TableMismatch, match="not rational"):
+        group_ring_gram(side, side, t.sizes)
+    # the same records fail, each with the refusal on the one kernel
+    kernel, reference = _failing_with_kernel_and_reference(
         monkeypatch, tmp_path, ["--family", family, "--q", str(q)] + argv)
-    assert certified[0] == 1 and certified[1]
-    assert certified == plain
+    assert kernel[0] == reference[0] == 1 and kernel[1]
+    assert kernel[1].keys() == reference[1].keys()
+    assert all("Gram refused at cell" in text for text in kernel[1].values())
 
 
 def misdirect_closing_edge(graph):

@@ -6,7 +6,7 @@ import pytest
 import repmoduli.oscomplex as osc
 
 from repmoduli.chars import (
-    gram, rho0_character, table_psl2_even, table_psl2_odd,
+    rho0_character, table_psl2_even, table_psl2_odd,
     table_suzuki,
 )
 from repmoduli.draws import uniform
@@ -19,6 +19,8 @@ from repmoduli.oscomplex import (
     random_closed_path, random_kernel_word, random_word, validate_graph,
     word_inverse,
 )
+
+from gram_ref import gram
 
 
 def test_build_graph_psl2_4():
