@@ -28,6 +28,7 @@ from .chars import (  # noqa: E402
     TableMismatch, check_column_orthogonality, check_row_orthogonality,
     centralizer_checks, rho0_character, table_for, theta_balance,
 )
+from .gf import _TABLE_LIMIT  # noqa: E402
 from .groups import (  # noqa: E402
     _prime_power, build_subgroup, first, psl2_model, stored_fusion,
     fusion_table,
@@ -181,9 +182,11 @@ def _skip(name, anchor, inputs, reason):
 
 def _skip_matrix_check(name, fam, q):
     """The skip record of a check that needs the matrix group and its orbit
-    graph, for a family other than PSL2."""
-    return [_skip(name, name, f"q={q}", "skipped: class-data model"
-                  if fam == "sz" else "skipped: no orbit graph for this family")]
+    graph, for a family other than PSL2 or a q above the field bound."""
+    return [_skip(name, name, f"q={q}", "skipped: " + (
+        "class-data model" if fam == "sz" else
+        f"beyond field bound q <= {_TABLE_LIMIT}" if fam.startswith("psl2")
+        else "no orbit graph for this family"))]
 
 
 def _table_stack(fam, q):
@@ -214,7 +217,7 @@ def check_tables(fam, q, cfg):
 
 def check_fusion(fam, q, cfg):
     name = f"fusion/{fam}-q{q}"
-    if fam not in ("psl2_even", "psl2_odd"):
+    if fam not in ("psl2_even", "psl2_odd") or q > _TABLE_LIMIT:
         return _skip_matrix_check(name, fam, q)
     # a row per distinct stabilizer of the orbit graph
     graph = build_orbit_graph(fam, q)
@@ -289,7 +292,7 @@ def check_euler(fam, q, cfg):
 
 def check_brown(fam, q, cfg):
     name = f"brown/{fam}-q{q}"
-    if fam not in ("psl2_even", "psl2_odd"):
+    if fam not in ("psl2_even", "psl2_odd") or q > _TABLE_LIMIT:
         return _skip_matrix_check(name, fam, q)
     # a type (i) relation per tree edge, |G_e| of type (ii) per edge
     expected = sum(e.in_tree + e.sub.order

@@ -487,13 +487,13 @@ def _commutant_skews(rho0: UnitaryRep, subs, rngs):
 
 
 def _check_gauge(t, rho0: UnitaryRep, sub, tol, name, where):
-    """Raise unless t, a matrix or stack, is unitary and commutes with rho0
-    on every element of the subgroup, within tol; a NaN fails.  The
+    """Raise unless every draw of the stack t is unitary and commutes with
+    rho0 on every element of the subgroup, within tol; a NaN fails.  The
     identity, as alpha is at the root, commutes and is not multiplied out."""
     eye = np.eye(t.shape[-1])
     if _above(_mnorm(t @ _h(t) - eye), tol):
         raise ToleranceExceeded(f"{name} not unitary")
-    if not np.array_equal(t, eye) and \
+    if not (t == eye).all() and \
             _above(rho0.kept(sub.elements).commutator_defect(t), tol):
         raise ToleranceExceeded(f"{name} leaves the {where} commutant")
 
@@ -502,13 +502,13 @@ def _check_gauge(t, rho0: UnitaryRep, sub, tol, name, where):
 
 @dataclass
 class ModuliPoint:
+    """A stack of draws of a moduli point; a single point is one draw."""
     graph: OrbitGraph
-    mats: dict                  # edge index -> unitary matrix, or a stack
+    mats: dict                  # edge index -> (draws, d, d) unitaries
 
     def tau_vertex(self, v):
         """tau_v = tau_{e_s} ... tau_{e_1} along the tree path e_1 ... e_s
-        from the root to v: a matrix, or for a point whose matrices are
-        stacks, the stack of every draw's tau_v."""
+        from the root to v, for every draw."""
         some = next(iter(self.mats.values()))
         out = np.broadcast_to(np.eye(some.shape[-1], dtype=np.complex128),
                               some.shape)
@@ -521,14 +521,10 @@ class ModuliPoint:
         """tau_vertex(v) for every vertex, in vertex order."""
         return [self.tau_vertex(v) for v in range(len(self.graph.vertices))]
 
-    def draw(self, i):
-        """The i-th point of a point whose matrices are stacks."""
-        return ModuliPoint(self.graph, {e: m[i] for e, m in self.mats.items()})
-
     def symbol_images(self, rho0: UnitaryRep, at, rows, into):
         """Write into the (len(rows), d, d) stack `into` the images under
         rho0 of the word symbols at `rows` of graph.word_symbols, the k-th
-        at draw at[k] of this point, whose matrices are stacks:
+        at draw at[k] of this point:
         tau_s^H tau_e^H rho0(g_e) tau_w for x_e, tau_v^H rho0(g) tau_v for g
         in G_v, and conjugate transposes for exponent -1.  Each edge and
         each vertex is one batched product over all draws, its taus
@@ -565,7 +561,7 @@ class ModuliPoint:
 @dataclass
 class HPoint:
     graph: OrbitGraph
-    mats: dict                  # vertex index -> unitary, root -> identity
+    mats: dict                  # vertex index -> (draws, d, d), root -> 1
 
     def check(self, rho0: UnitaryRep, tol: Tolerances = TOL):
         if _above(_mnorm(self.mats[self.graph.root] - np.eye(rho0.degree)),
@@ -577,13 +573,13 @@ class HPoint:
 
 
 def identity_moduli_point(graph, degree):
-    eye = np.eye(degree, dtype=np.complex128)
-    return ModuliPoint(graph, {i: eye.copy() for i in range(len(graph.edges))})
+    return ModuliPoint(graph, {i: np.eye(degree, dtype=np.complex128)[None]
+                               for i in range(len(graph.edges))})
 
 
 def random_moduli_point(graph, rho0: UnitaryRep, rng, tol: Tolerances = TOL):
     point = ModuliPoint(graph, dict(enumerate(expm(_commutant_skews(
-        rho0, [e.sub for e in graph.edges], [rng])[:, 0], tol))))
+        rho0, [e.sub for e in graph.edges], [rng]), tol))))
     point.check(rho0, tol)
     return point
 
@@ -591,25 +587,25 @@ def random_moduli_point(graph, rho0: UnitaryRep, rng, tol: Tolerances = TOL):
 def random_h_point(graph, rho0: UnitaryRep, rng):
     others = [i for i in range(len(graph.vertices)) if i != graph.root]
     mats = expm(_commutant_skews(
-        rho0, [graph.vertices[i].sub for i in others], [rng])[:, 0])
-    return HPoint(graph, {graph.root: np.eye(rho0.degree, dtype=np.complex128),
+        rho0, [graph.vertices[i].sub for i in others], [rng]))
+    return HPoint(graph, {graph.root: np.eye(rho0.degree,
+                                             dtype=np.complex128)[None],
                           **dict(zip(others, mats))})
 
 
-def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep, tau, words):
+def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
+                 tau: ModuliPoint, words, draws=0):
     """The induced representation on a sequence of words, each a sequence
     of rows of graph.word_symbols (the identity on an empty one), as an
-    (n, d, d) array: at the moduli point `tau`, or at tau[i] for the i-th
-    word.  The distinct points run as one stacked point.  The words run in
-    chunks whose distinct images, one per point and symbol, and
-    accumulators fit in _CHUNK_BYTES; a chunk builds all its images in one
+    (n, d, d) array: the i-th word at draw draws[i] of the moduli point
+    `tau`, or at draw `draws` for every word.  The words run in chunks
+    whose distinct images, one per draw and symbol, and accumulators fit
+    in _CHUNK_BYTES; a chunk builds all its images in one
     symbol_images call, whose temporaries are not budgeted (a chunk peaks
     near 2.5 times _CHUNK_BYTES).  It multiplies its words longest first,
     position j over the words longer than j, left to right as word by
     word."""
-    graph = pres.graph
-    points = [tau] * len(words) if isinstance(tau, ModuliPoint) else tau
-    n_rows = 2 * len(graph.word_symbols[1])
+    n_rows = 2 * len(pres.graph.word_symbols[1])
     lengths = np.array([len(w) for w in words], dtype=np.intp)
     try:
         rows = np.concatenate([np.empty(0, dtype=np.intp), *words]).astype(
@@ -618,17 +614,19 @@ def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep, tau, words):
         raise ValueError("a word is a sequence of symbol rows") from None
     if rows.size and not 0 <= rows.min() <= rows.max() < n_rows:
         raise ValueError(f"word symbol rows lie in [0, {n_rows})")
+    at = np.full(len(words), draws, dtype=np.intp) if np.ndim(draws) == 0 \
+        else np.asarray(draws, dtype=np.intp)
+    n_draws = len(next(iter(tau.mats.values())))
+    if at.shape != (len(words),) or \
+            at.size and not 0 <= at.min() <= at.max() < n_draws:
+        raise ValueError(f"draws holds one index in [0, {n_draws}) per word")
     d = rho0.degree
     out = np.repeat(np.eye(d, dtype=np.complex128)[None], len(words), axis=0)
     if not len(words):
         return out
-    distinct = list({id(p): p for p in points}.values())
-    slot = {id(p): i for i, p in enumerate(distinct)}
-    stacked = ModuliPoint(graph, {e: np.stack([p.mats[e] for p in distinct])
-                                  for e in range(len(graph.edges))})
     ends = np.cumsum(lengths)
-    # every symbol of every word as one key: its point's index, then row
-    keys = np.repeat([slot[id(p)] for p in points], lengths) * n_rows + rows
+    # every symbol of every word as one key: its draw, then row
+    keys = np.repeat(at, lengths) * n_rows + rows
     room = _CHUNK_BYTES // (16 * d * d)     # matrices per chunk
     start = 0
     while start < len(words):
@@ -642,7 +640,7 @@ def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep, tau, words):
         stop = start + max(1, int(np.searchsorted(need, room, "right")))
         uniq, inv = np.unique(keys[first:ends[stop - 1]], return_inverse=True)
         images = np.empty((len(uniq), d, d), dtype=np.complex128)
-        stacked.symbol_images(rho0, uniq // n_rows, uniq % n_rows, images)
+        tau.symbol_images(rho0, uniq // n_rows, uniq % n_rows, images)
         size = lengths[start:stop]
         order = np.argsort(-size, kind="stable")
         heads = (np.cumsum(size) - size)[order]     # each word's first key
@@ -659,12 +657,9 @@ def h_action(graph, rho0: UnitaryRep, tau: ModuliPoint,
              alpha: HPoint, tol: Tolerances = TOL) -> ModuliPoint:
     """(tau . alpha)_e = rho0(g_e) alpha_w^-1 rho0(g_e)^-1 tau_e alpha_s."""
     alpha.check(rho0, tol)
-    mats = {}
-    for i, e in enumerate(graph.edges):
-        ge = rho0.mat(e.g)
-        mats[i] = ge @ _h(alpha.mats[e.w]) @ _h(ge) @ tau.mats[i] @ \
-            alpha.mats[e.s]
-    return ModuliPoint(graph, mats)
+    return ModuliPoint(graph, {
+        i: rho0.mat(e.g) @ _h(alpha.mats[e.w]) @ _h(rho0.mat(e.g)) @
+        tau.mats[i] @ alpha.mats[e.s] for i, e in enumerate(graph.edges)})
 
 
 def gauge_defect(pres: BrownPresentation, rho0: UnitaryRep, rng, words,
@@ -673,27 +668,29 @@ def gauge_defect(pres: BrownPresentation, rho0: UnitaryRep, rng, words,
     per sequence of `words`, drawn as random_moduli_point then
     random_h_point would draw them.  The draws run stacked: one group
     average per subgroup, one eigh, the checks (ToleranceExceeded) over
-    all, and one word evaluation, at tau and at tau . alpha, for as many
-    draws' words as keep their values and differences within
-    _CHUNK_BYTES (all 20 draws of 50 words while d <= 4)."""
-    graph, n_edges = pres.graph, len(pres.graph.edges)
+    all, and one word evaluation, at tau and tau . alpha as draws i and n + i
+    of one point, for as many draws' words as keep their values and
+    differences within _CHUNK_BYTES (all 20 draws of 50 words at d <= 4)."""
+    graph, n_edges, n = pres.graph, len(pres.graph.edges), len(words)
     others = [i for i in range(len(graph.vertices)) if i != graph.root]
     subs = [c.sub for c in graph.edges + [graph.vertices[i] for i in others]]
-    mats = expm(_commutant_skews(rho0, subs, [rng] * len(words)), tol)
+    mats = expm(_commutant_skews(rho0, subs, [rng] * n), tol)
     tau = ModuliPoint(graph, dict(enumerate(mats[:n_edges])))
     tau.check(rho0, tol)
     moved = h_action(graph, rho0, tau, HPoint(graph, {
-        graph.root: np.eye(rho0.degree, dtype=np.complex128),
+        graph.root: np.eye(rho0.degree, dtype=np.complex128)[None],
         **dict(zip(others, mats[n_edges:]))}), tol)
+    both = ModuliPoint(graph, {e: np.concatenate([m, moved.mats[e]])
+                               for e, m in tau.mats.items()})
     # a word's values at two points and their difference: 64 d^2 bytes
     per_draw = 64 * rho0.degree ** 2 * max(map(len, words), default=0)
     worst = 0.0
-    for sl in _chunk_slices(len(words), per_draw):
-        group = range(len(words))[sl]
+    for sl in _chunk_slices(n, per_draw):
+        group = np.arange(n)[sl]
         batch = [w for i in group for w in words[i]]
-        at = [p for point in (tau, moved) for i in group
-              for p in [point.draw(i)] * len(words[i])]
-        values = rho_tau_eval(pres, rho0, at, batch + batch)
+        at = np.repeat(group, [len(words[i]) for i in group])
+        values = rho_tau_eval(pres, rho0, both, batch + batch,
+                              np.concatenate([at, at + n]))
         worst = np.maximum(worst, _mnorm(values[:len(batch)] -
                                          values[len(batch):]))
     return worst
@@ -712,16 +709,14 @@ def word_differential_checks(pres: BrownPresentation, rho0: UnitaryRep,
     formula of each path against central finite differences of step
     _FD_STEP, as (formula, finite_difference, max_error) per path.  The
     paths run stacked: one group average per edge, one eigh, one word
-    evaluation."""
+    evaluation, path i at the draws i (+) and n + i (-) of one point."""
     graph, n = pres.graph, len(paths)
     words = [path_to_word(pres, legs) for legs in paths]
     tangents = _commutant_skews(rho0, [e.sub for e in graph.edges],
                                 [random.Random(s) for s in seeds])
-    ends = [ModuliPoint(graph, dict(enumerate(m))) for m in
-            expm(np.array([_FD_STEP * tangents, -_FD_STEP * tangents]),
-                 tol)]
-    values = rho_tau_eval(pres, rho0, [p.draw(i) for p in ends
-                                       for i in range(n)], words + words)
+    ends = ModuliPoint(graph, dict(enumerate(expm(np.concatenate(
+        [_FD_STEP * tangents, -_FD_STEP * tangents], axis=1), tol))))
+    values = rho_tau_eval(pres, rho0, ends, words + words, np.arange(2 * n))
     out = []
     for i, legs in enumerate(paths):
         ra = rho0.stack_of([a for a, _, _ in legs])

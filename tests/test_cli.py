@@ -137,6 +137,7 @@ def test_sz_numerics_skip_recorded():
     ("dihedral", 5, "no orbit graph for this family"),
     ("cyclic", 6, "no orbit graph for this family"),
     ("sz", 8, "class-data model"),
+    ("psl2", 512, "beyond field bound q <= 256"),
 ])
 @pytest.mark.parametrize("check", ["fusion", "brown"])
 def test_matrix_checks_skip_with_the_family_reason(family, q, reason, check):

@@ -200,7 +200,7 @@ def test_h_action(setting4):
         b = rho_tau_eval(pres, rep, moved, [w])[0]
         assert np.max(np.abs(a - b)) < 1e-7
     # identity alpha acts trivially
-    ident = HPoint(g, {v: np.eye(rep.degree, dtype=complex)
+    ident = HPoint(g, {v: np.eye(rep.degree, dtype=complex)[None]
                        for v in range(len(g.vertices))})
     fixed = h_action(g, rep, tau, ident)
     for i in tau.mats:
@@ -310,6 +310,12 @@ def test_rho_tau_unknown_symbol(setting4):
             rho_tau_eval(pres, rep, one, [(0, bad)])
     assert rho_tau_eval(pres, rep, one, [(0, n_rows - 1)]).shape == \
         (1, rep.degree, rep.degree)
+    # one draw index per word, each a draw of the point (which has one)
+    for draws in ([0], [0, 0, 0], [0, 1], [0, -1], 1, -1):
+        with pytest.raises(ValueError):
+            rho_tau_eval(pres, rep, one, [(0,), (1,)], draws)
+    assert rho_tau_eval(pres, rep, one, [(0,), (1,)], [0, 0]).shape == \
+        (2, rep.degree, rep.degree)
     with pytest.raises(ValueError):
         pres.x(len(g.edges))
     with pytest.raises(ValueError):
@@ -329,10 +335,10 @@ def test_h_action_rejects_bad_alpha(setting4):
     m, t, rep, g, pres = setting4
     nrng = random.Random(8)
     tau = random_moduli_point(g, rep, nrng)
-    bad = HPoint(g, {v: np.eye(rep.degree, dtype=complex)
+    bad = HPoint(g, {v: np.eye(rep.degree, dtype=complex)[None]
                      for v in range(len(g.vertices))})
     x = normal(nrng, (rep.degree, rep.degree))
-    bad.mats[1] = np.linalg.qr(x)[0]  # unitary but not in the commutant
+    bad.mats[1] = np.linalg.qr(x)[0][None]  # unitary, not in the commutant
     with pytest.raises(Exception):
         h_action(g, rep, tau, bad)
 
@@ -409,17 +415,39 @@ def test_monomial_images_match_dense(q):
     assert rep.kept(borel) is images
 
 
-def _reference_eval(rep, tau, word):
-    """The word's value at tau with every symbol image built afresh."""
+def _reference_tau_v(graph, mats):
+    """tau_v of every vertex from one draw's (d, d) edge matrices, a
+    product of single matrices along each tree path."""
+    d = next(iter(mats.values())).shape[-1]
+    out = []
+    for path in graph.tree_paths:
+        t = np.eye(d, dtype=np.complex128)
+        for e in path:
+            t = mats[e] @ t
+        out.append(t)
+    return out
+
+
+def _stacked(points):
+    """One point whose draws are the draws of `points`, in order."""
+    return ModuliPoint(points[0].graph, {
+        e: np.concatenate([p.mats[e] for p in points])
+        for e in points[0].mats})
+
+
+def _reference_eval(rep, tau, word, draw=0):
+    """The word's value at draw `draw` of tau, with every symbol image
+    built afresh from that draw's matrices."""
     graph = tau.graph
+    mats = {ei: m[draw] for ei, m in tau.mats.items()}
     symbol = {row: sym for sym, row in graph.word_symbols[0].items()}
-    tau_v = [tau.tau_vertex(v) for v in range(len(graph.vertices))]
+    tau_v = _reference_tau_v(graph, mats)
     acc = np.eye(rep.degree, dtype=np.complex128)
     for sym in map(symbol.get, np.asarray(word).tolist()):
         if sym[0] == "x":
             _, ei, exp = sym
             e = graph.edges[ei]
-            m = tau_v[e.s].conj().T @ tau.mats[ei].conj().T @ \
+            m = tau_v[e.s].conj().T @ mats[ei].conj().T @ \
                 rep.mat(e.g) @ tau_v[e.w]
         else:
             _, vi, g, exp = sym
@@ -467,20 +495,20 @@ def test_symbol_images_are_kept_per_rep(setting11):
 
 
 def test_stacked_tau_v_equals_each_draw(setting11):
-    # tau_v of a point whose matrices are (draws, d, d) stacks, as
-    # gauge_defect builds them, is every draw's tau_v bit for bit, and the
+    # tau_v of a point of three draws, as gauge_defect builds them, is
+    # every draw's tau_v from its own single matrices bit for bit, and the
     # identity stack at the root
     m, t, rep, g, pres = setting11
     nrng = random.Random(17)
     draws = [random_moduli_point(g, rep, nrng) for _ in range(3)]
-    stacked = ModuliPoint(g, {e: np.stack([p.mats[e] for p in draws])
-                              for e in draws[0].mats})
+    stacked = _stacked(draws)
     d = rep.degree
     assert max(map(len, g.tree_paths)) > 1
-    for v, tv in enumerate(stacked.tau_v):
-        assert tv.shape == (3, d, d)
-        for i, p in enumerate(draws):
-            assert np.array_equal(tv[i], p.tau_vertex(v))
+    for i, p in enumerate(draws):
+        ref = _reference_tau_v(g, {e: mat[0] for e, mat in p.mats.items()})
+        for v, tv in enumerate(stacked.tau_v):
+            assert tv.shape == (3, d, d)
+            assert np.array_equal(tv[i], ref[v])
     assert np.array_equal(stacked.tau_v[g.root],
                           np.broadcast_to(np.eye(d), (3, d, d)))
 
@@ -488,9 +516,10 @@ def test_stacked_tau_v_equals_each_draw(setting11):
 @pytest.mark.parametrize("budget", [None, 64 * 5 * 5 * 5 * 2])
 def test_gauge_defect_evaluates_draws_together(setting11, monkeypatch,
                                                budget):
-    # the draws' words at tau and at tau . alpha run in one rho_tau_eval
-    # call or, patched, two draws a call; each value is bit for bit the
-    # word-by-word product at its draw, and the defect their worst
+    # the draws' words at tau and at tau . alpha, draws i and 4 + i of one
+    # point, run in one rho_tau_eval call or, patched, two draws a call;
+    # each value is bit for bit the word-by-word product at its draw, and
+    # the defect their worst
     import repmoduli.numerics as num
     m, t, rep, g, pres = setting11
     if budget is not None:
@@ -502,15 +531,17 @@ def test_gauge_defect_evaluates_draws_together(setting11, monkeypatch,
     words = random_word(pres, random.Random(118), 6, (4, 5))
     worst = num.gauge_defect(pres, rep, random.Random(18), words)
     assert len(calls) == (1 if budget is None else 2)
-    defects, points = [], set()
-    for (_, _, at, batch), values in calls:
+    defects, points, draws = [], set(), set()
+    for (_, _, point, batch, at), values in calls:
         assert len(batch) == 2 * 5 * (4 // len(calls))
-        for p, w, value in zip(at, batch, values):
-            assert np.array_equal(value, _reference_eval(rep, p, w))
+        for i, w, value in zip(at, batch, values):
+            assert np.array_equal(value, _reference_eval(rep, point, w, i))
         half = len(batch) // 2
+        assert np.array_equal(at[half:], at[:half] + 4)
         defects.append(np.max(np.abs(values[:half] - values[half:])))
-        points |= {id(p) for p in at}
-    assert len(points) == 8
+        points.add(id(point))
+        draws |= set(at.tolist())
+    assert len(points) == 1 and draws == set(range(8))
     assert worst == max(defects) and 0 < worst < 1e-12
 
 
@@ -561,34 +592,42 @@ def test_nan_matrix_fails_realization(monkeypatch):
 
 
 def test_batched_words_equal_reference(setting11):
-    # one batch per point, with words of different lengths: every value
-    # equals the word-by-word product bit for bit
+    # one batch per draw of a three-draw point, and one at a one-draw
+    # point, with words of different lengths: every value equals the
+    # word-by-word product bit for bit
     m, t, rep, g, pres = setting11
     nrng = random.Random(13)
     rng = random.Random(113)
     tau = random_moduli_point(g, rep, nrng)
     moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
     one = identity_moduli_point(g, rep.degree)
+    three = _stacked([tau, moved, one])
     words = random_word(pres, rng, 6, 30)
     kernel = random_kernel_word(pres, rng, 20)
     assert len({len(w) for w in kernel}) > 1
-    for point, batch in ((tau, words), (moved, words), (one, words),
-                         (one, kernel), (tau, kernel)):
-        values = rho_tau_eval(pres, rep, point, batch)
+    for point, draw, batch in ((three, 0, words), (three, 1, words),
+                               (three, 2, words), (three, 2, kernel),
+                               (tau, 0, kernel)):
+        values = rho_tau_eval(pres, rep, point, batch, draw)
         assert values.shape == (len(batch), rep.degree, rep.degree)
         for w, value in zip(batch, values):
-            assert np.array_equal(value, _reference_eval(rep, point, w))
+            assert np.array_equal(value,
+                                  _reference_eval(rep, point, w, draw))
     assert rho_tau_eval(pres, rep, tau, []).shape == \
         (0, rep.degree, rep.degree)
 
 
-@pytest.mark.parametrize("budget", [None, 16 * 5 * 5 * 8])
+@pytest.mark.parametrize("budget, cycle", [
+    pytest.param(budget, cycle, id=f"{budget}{name}")
+    for name, cycle in (("", (0, 1, 2)), ("-reordered", (2, 2, 0, 2, 1, 1)))
+    for budget in (None, 16 * 5 * 5 * 8)])
 def test_mixed_points_and_lengths_equal_reference(setting11, monkeypatch,
-                                                 budget):
-    # words of 1 to 116 symbols at three points in one call, in chunks of
+                                                 budget, cycle):
+    # words of 1 to 116 symbols at the three draws of one point in one
+    # call, the draws in turn or repeated and out of order, in chunks of
     # about 1 MB or, patched, of 8 matrices (many chunks, the longest word
     # alone in one): every value equals the word-by-word product bit for
-    # bit, with one batched image build per chunk for all points
+    # bit, with one batched image build per chunk for all draws
     import repmoduli.numerics as num
     m, t, rep, g, pres = setting11
     if budget is not None:
@@ -602,16 +641,16 @@ def test_mixed_points_and_lengths_equal_reference(setting11, monkeypatch,
     rng = random.Random(116)
     tau = random_moduli_point(g, rep, nrng)
     moved = h_action(g, rep, tau, random_h_point(g, rep, nrng))
-    points = [tau, moved, identity_moduli_point(g, rep.degree)]
+    point = _stacked([tau, moved, identity_moduli_point(g, rep.degree)])
     words = [random_word(pres, rng, n) for n in
              (1, 116, 2, 3, 1, 7, 40, 5, 13, 89, 1, 21, 60, 4)]
     words += random_kernel_word(pres, rng, 10)
-    at = [points[i % 3] for i in range(len(words))]
-    values = rho_tau_eval(pres, rep, at, words)
+    at = [cycle[i % len(cycle)] for i in range(len(words))]
+    values = rho_tau_eval(pres, rep, point, words, at)
     assert values.shape == (len(words), rep.degree, rep.degree)
-    for w, point, value in zip(words, at, values):
-        assert np.array_equal(value, _reference_eval(rep, point, w))
-    if budget is None:          # one chunk, one build for the three points
+    for w, i, value in zip(words, at, values):
+        assert np.array_equal(value, _reference_eval(rep, point, w, i))
+    if budget is None:          # one chunk, one build for the three draws
         assert built == [{0, 1, 2}]
     else:
         assert len(built) > 10
