@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 
@@ -303,7 +304,7 @@ def check_brown(fam, q, cfg):
         # brown_presentation raises unless every conjugated edge stabilizer
         # lies in its target vertex group
         pres = brown_presentation(
-            build_orbit_graph(fam, q, k=cfg.k, model=model), model)
+            build_orbit_graph(fam, q, k=cfg.k, model=model))
         return f"{len(pres.relations())} relations verified"
 
     return [_guarded(name, name, f"q={q} k={cfg.k}",
@@ -354,11 +355,8 @@ def check_numerics(fam, q, cfg):
     realized = _prerequisite("realization", lambda: realize_irreducible(
         model, table, target, seed=seed, tol=tol))
 
-    def presentation():
-        graph = build_orbit_graph(fam, q, k=cfg.k, model=model)
-        return graph, brown_presentation(graph, model)
-
-    setting = _prerequisite("orbit graph", presentation)
+    setting = _prerequisite("orbit graph", lambda: brown_presentation(
+        build_orbit_graph(fam, q, k=cfg.k, model=model)))
 
     # realize_irreducible raises ToleranceExceeded on any defect above tol
     record("realization", "realization",
@@ -366,7 +364,7 @@ def check_numerics(fam, q, cfg):
            lambda: f"degree {realized().degree}, defects within tolerance")
 
     def spectral():
-        rep, (graph, _) = realized(), setting()
+        rep, graph = realized(), setting().graph
         ghat0 = first(graph.edges[0].sub.elements,
                       lambda g: model.element_order(g) ==
                       graph.edges[0].sub.order)
@@ -383,7 +381,7 @@ def check_numerics(fam, q, cfg):
     record("spectral", "spectral-multiplicities", expect, spectral)
 
     def stabilizers():
-        graph, _ = setting()
+        graph = setting().graph
         return [node.sub for node in list(graph.vertices) +
                 [e for e in graph.edges if not e.free]]
 
@@ -407,21 +405,21 @@ def check_numerics(fam, q, cfg):
     gauge_rng, kernel_rng, path_rng = map(random.Random, record_seeds(seed))
 
     def gauge_invariance():
-        rep, (graph, pres) = realized(), setting()
+        rep, pres = realized(), setting()
         words = random_word(pres, gauge_rng, 6, (20, 50))
         return within(gauge_defect(pres, rep, nrng, words, tol),
                       tol.moduli_word)
 
     def universal_point():
-        rep, (graph, pres) = realized(), setting()
-        one = identity_moduli_point(graph, rep.degree)
+        rep, pres = realized(), setting()
+        one = identity_moduli_point(pres.graph, rep.degree)
         words = random_kernel_word(pres, kernel_rng, 100)
         return within(np.max(np.abs(rho_tau_eval(pres, rep, one, words) -
                                     np.eye(rep.degree))), tol.universal)
 
     def differential():
-        rep, (graph, pres) = realized(), setting()
-        paths = random_closed_path(graph, path_rng, 10)
+        rep, pres = realized(), setting()
+        paths = random_closed_path(pres.graph, path_rng, 10)
         checks = word_differential_checks(pres, rep, paths,
                                           range(seed, seed + 10), tol=tol)
         # np.max, unlike max, keeps a NaN
@@ -518,12 +516,16 @@ def parse_config(argv=None) -> VerificationConfig:
         except ValueError:
             raise UsageError(f"q must be comma-separated integers, "
                              f"got {args.q!r}")
-        if not qs:
-            raise UsageError("no q values given")
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
         for c in checks:
             if c not in ALL_CHECKS:
                 raise UsageError(f"unknown check {c!r}")
+        for what, values in (("q", qs), ("check", checks)):
+            if not values:
+                raise UsageError(f"no {what} values given")
+            twice = [v for v, n in Counter(values).items() if n > 1]
+            if twice:
+                raise UsageError(f"{what} {twice[0]} given more than once")
         tol = Tolerances()
         env_tol = _env_default("TOL")
         tol_args = list(args.tol or ([env_tol] if env_tol else []))

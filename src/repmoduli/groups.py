@@ -26,7 +26,7 @@ tables rather than counts over elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, isqrt
 from types import MappingProxyType
@@ -78,13 +78,14 @@ IDENTITY = (1, 0, 0, 1)
 @dataclass(frozen=True)
 class SubgroupSpec:
     """A subgroup selection: tag, optional parameter, and (in a matrix
-    model) the explicit element tuple and the generators it was built
-    from."""
+    model) the explicit element tuple, the generators it was built from
+    and the read-only map `index` from each element to its place."""
     tag: str
     param: int = 0
     order: int = 0
     elements: Optional[tuple] = None
     gens: Optional[tuple] = None
+    index: Optional[Mapping] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -400,12 +401,11 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
         gens = (model.power(y, (q + 1) // 4), w)
     elif tag == "a4":
         v4 = build_subgroup(model, "klein4")
-        v4set = set(v4.elements)
         # in odd characteristic the elements of order 3 have trace +-1
         gens = v4.gens + (first(
             _of_traces(model, {1, model._neg[1]}),
             lambda g: model.element_order(g) == 3 and all(
-                model.conjugate(x, g) in v4set for x in v4.gens)),)
+                model.conjugate(x, g) in v4.index for x in v4.gens)),)
     elif tag == "cyclic" and param == ((q - 1) // 2 if fam == "psl2_odd"
                                        else q - 1):
         gens = (t,)
@@ -423,7 +423,8 @@ def build_subgroup(model: GroupModel, tag, param=0) -> SubgroupSpec:
     if expected and len(els) != expected:
         raise NotFound(f"{tag} subgroup has order {len(els)}, "
                        f"expected {expected}")
-    sub = SubgroupSpec(tag, param, len(els), els, gens)
+    index = MappingProxyType(dict(zip(els, range(len(els)))))
+    sub = SubgroupSpec(tag, param, len(els), els, gens, index)
     model._subgroups[key] = sub
     return sub
 

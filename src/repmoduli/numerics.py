@@ -531,7 +531,7 @@ class ModuliPoint:
         gathered from the stacked tau_v, and rho0's images of a vertex
         group are stacked in one call, from those that rho0 keeps."""
         graph, tau_v = self.graph, self.tau_v
-        places = graph.word_symbols[1]
+        places = graph.word_symbols
         half = len(places)              # rows from here on: exponent -1
         # one image per draw and symbol of exponent 1
         direct, back = np.unique(at * half + rows % half, return_inverse=True)
@@ -605,7 +605,7 @@ def rho_tau_eval(pres: BrownPresentation, rho0: UnitaryRep,
     near 2.5 times _CHUNK_BYTES).  It multiplies its words longest first,
     position j over the words longer than j, left to right as word by
     word."""
-    n_rows = 2 * len(pres.graph.word_symbols[1])
+    n_rows = 2 * len(pres.graph.word_symbols)
     lengths = np.array([len(w) for w in words], dtype=np.intp)
     try:
         rows = np.concatenate([np.empty(0, dtype=np.intp), *words]).astype(

@@ -10,9 +10,10 @@ deterministic scans, and support presentations and word evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -83,25 +84,21 @@ class OrbitGraph:
 
     @cached_property
     def word_symbols(self):
-        """(rows, places): the row of every word symbol, and the place of
-        every row.  First x_e for every edge e, at (-1, e); then (v, g) for
-        every vertex v and the i-th element g of G_v, at (v, i); then the
-        same symbols with exponent -1, their places those of the rows
-        len(places) before.  Built once per graph."""
-        places = [(-1, i) for i in range(len(self.edges))] + [
+        """The place of every word symbol row, as an (n, 2) array: first
+        x_e for every edge e, at (-1, e); then i_v(g) for every vertex v
+        and the i-th element g of G_v, at (v, i).  Rows n to 2n - 1 are the
+        same symbols with exponent -1, in the same order.  Built once per
+        graph."""
+        return np.array([(-1, i) for i in range(len(self.edges))] + [
             (vi, i) for vi, v in enumerate(self.vertices)
-            for i in range(len(v.sub.elements))]
-        symbols = [("x", i) if vi < 0 else
-                   ("v", vi, self.vertices[vi].sub.elements[i])
-                   for vi, i in places]
-        rows = {sym + (exp,): row + (exp < 0) * len(places)
-                for exp in (1, -1) for row, sym in enumerate(symbols)}
-        return rows, np.array(places, dtype=np.intp)
+            for i in range(len(v.sub.elements))], dtype=np.intp)
 
-    @cached_property
-    def vertex_sets(self):
-        """The element set of every vertex stabilizer, once per graph."""
-        return [frozenset(v.sub.elements) for v in self.vertices]
+    def vertex_row(self, v):
+        """The row of i_v(g) for the first element g of G_v; the element
+        at place i of G_v is i rows on.  vertex_row(len(vertices)) is the
+        number of rows at exponent 1."""
+        return len(self.edges) + sum(len(u.sub.elements)
+                                     for u in self.vertices[:v])
 
     @cached_property
     def walk_steps(self):
@@ -112,15 +109,18 @@ class OrbitGraph:
         column holds the word rows of i_v(t) and of x_e^eps, the next
         vertex, and the entries (a, b, c, d) of t g_e^eps, all products
         from one mul_many call.  Built on first use."""
-        model, rows = self.model, self.word_symbols[0]
+        model, half = self.model, len(self.word_symbols)
         edges, moves, first = list(enumerate(self.edges)), [], []
         for v, vertex in enumerate(self.vertices):
-            options = [(i, 1, e.g, e.w) for i, e in edges if e.s == v] + \
-                [(i, -1, model.inv(e.g), e.s) for i, e in edges if e.w == v]
+            # the rows of x_e and of x_e^-1, the next vertex, g_e^+-1
+            options = [(i, e.g, e.w) for i, e in edges if e.s == v] + \
+                [(i + half, model.inv(e.g), e.s) for i, e in edges
+                 if e.w == v]
             first.append(len(moves))
-            moves += [(rows["v", v, t, 1], rows["x", i, eps], nxt, *t, *f)
-                      for t in vertex.sub.elements
-                      for i, eps, f, nxt in options]
+            moves += [(row, x, nxt, *t, *f)
+                      for row, t in enumerate(vertex.sub.elements,
+                                              self.vertex_row(v))
+                      for x, f, nxt in options]
         first = np.array(first + [len(moves)], dtype=np.intp)
         moves = np.array(moves, dtype=np.intp)
         return (first[:-1], np.diff(first), np.vstack(
@@ -157,60 +157,48 @@ def _stabilizer_plan(family, q):
 
 
 def build_orbit_graph(family, q, k=0, model=None) -> OrbitGraph:
-    """The orbit graph with k extra free edge orbits attached at the root.
+    """The orbit graph of _stabilizer_plan with k extra free edge orbits
+    attached at the root.
 
-    With a matrix `model`, stabilizers and connecting elements are
-    concrete.
+    Without a matrix `model` the stabilizers are symbolic.  With one they
+    are those of build_subgroup, and every edge has its connecting element:
+    1 on a tree edge, on the closing edge the first element that conjugates
+    the edge group's generators into the target vertex group, and on the
+    free edges the first elements outside the root group, all in index
+    order.  A concrete graph is validated.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    vtags, especs = _stabilizer_plan(family, q)
-    if model is None:
-        vertices = [VertexOrbit(f"v{i}", symbolic_subgroup(family, q, t, p))
-                    for i, (t, p) in enumerate(vtags)]
-        edges = [EdgeOrbit(f"eta{i}", symbolic_subgroup(family, q, t, p),
-                           s, w, tree)
-                 for i, (t, p, s, w, tree) in enumerate(especs)]
-        for i in range(k):
-            edges.append(EdgeOrbit(f"eta'{i + 1}",
-                                   symbolic_subgroup(family, q, "trivial"),
-                                   0, 0, False, free=True))
-        return OrbitGraph(family, q, k, vertices, edges)
-    return _build_concrete(family, q, k, model)
-
-
-def _build_concrete(family, q, k, model):
-    """The graph of _stabilizer_plan with the stabilizers of build_subgroup;
-    the connecting element of a closing edge is the first that conjugates
-    the edge group's generators into the target vertex group."""
-    if model.family != family or model.q != q:
+    if model is not None and (model.family != family or model.q != q):
         raise ValueError("model does not match the requested family/q")
     vtags, especs = _stabilizer_plan(family, q)
-    vertices = [VertexOrbit(f"v{i}", build_subgroup(model, t, p))
+    subgroup = partial(symbolic_subgroup, family, q) if model is None \
+        else partial(build_subgroup, model)
+    vertices = [VertexOrbit(f"v{i}", subgroup(t, p))
                 for i, (t, p) in enumerate(vtags)]
     edges = []
     for i, (t, p, s, w, tree) in enumerate(especs):
-        sub = build_subgroup(model, t, p)
-        g = IDENTITY
-        if not tree:
-            target = set(vertices[w].sub.elements)
-            g = first(model.scan(), lambda h: all(
+        sub, g = subgroup(t, p), None
+        if model is not None:
+            target = vertices[w].sub.index
+            g = IDENTITY if tree else first(model.scan(), lambda h: all(
                 model.conjugate(x, model.inv(h)) in target
                 for x in sub.gens))
         edges.append(EdgeOrbit(f"eta{i}", sub, s, w, tree, g=g))
-    root = set(vertices[0].sub.elements)
-    free = (g for g in model.scan() if g not in root)
-    trivial = build_subgroup(model, "trivial")
+    root = vertices[0].sub.index
+    free = repeat(None) if model is None else \
+        (g for g in model.scan() if g not in root)
     for i in range(k):
-        edges.append(EdgeOrbit(f"eta'{i + 1}", trivial, 0, 0, False,
-                               free=True, g=next(free)))
+        edges.append(EdgeOrbit(f"eta'{i + 1}", subgroup("trivial"), 0, 0,
+                               False, free=True, g=next(free)))
     graph = OrbitGraph(family, q, k, vertices, edges, model)
-    validate_graph(graph)
+    if model is not None:
+        validate_graph(graph)
     return graph
 
 
 def validate_graph(graph: OrbitGraph):
-    """Edge-stabilizer containments and tree shape, on concrete graphs.
+    """Edge-stabilizer containments and tree shape of a concrete graph.
     Returns True or raises InvalidGraph (NotFound if the tree does not
     span)."""
     model = graph.model
@@ -219,16 +207,14 @@ def validate_graph(graph: OrbitGraph):
         raise InvalidGraph(f"{n_tree} tree edges for "
                            f"{len(graph.vertices)} vertices")
     graph.tree_paths            # raises if the tree does not span
-    if not graph.concrete:
-        return True
     for e in graph.edges:
-        sv, wv = graph.vertex_sets[e.s], graph.vertex_sets[e.w]
-        if not sv.issuperset(e.sub.elements):
+        source, target = (graph.vertices[i].sub.index for i in (e.s, e.w))
+        if any(x not in source for x in e.sub.elements):
             raise InvalidGraph(f"{e.name}: G_e not in source")
         if e.in_tree and e.g != IDENTITY:
             raise InvalidGraph(f"{e.name}: tree edge with g != 1")
         gi = model.inv(e.g)
-        if any(model.conjugate(x, gi) not in wv for x in e.sub.elements):
+        if any(model.conjugate(x, gi) not in target for x in e.sub.elements):
             raise InvalidGraph(f"{e.name}: conjugated stabilizer leaves target")
     return True
 
@@ -294,28 +280,35 @@ def euler_identity(graph: OrbitGraph, table: CharacterTable):
 @dataclass
 class BrownPresentation:
     graph: OrbitGraph
-    model: GroupModel
+    model: GroupModel = field(init=False, repr=False)     # the graph's
 
     def __post_init__(self):
         if not self.graph.concrete:
             raise ValueError("a presentation needs a concrete graph")
+        self.model = self.graph.model
 
-    # a word is a sequence of rows of graph.word_symbols, the symbols
-    # ('x', edge_index, +-1) and ('v', vertex_index, element, +-1)
+    # a word is a sequence of rows of graph.word_symbols
 
     def x(self, e, exp=1):
         """The row of x_e^exp."""
-        return self._row(("x", e, exp))
+        return self._row(("x", e, exp),
+                         e if e in range(len(self.graph.edges)) else None)
 
     def v(self, vidx, g, exp=1):
         """The row of i_v(g)^exp."""
-        return self._row(("v", vidx, g, exp))
+        graph, row = self.graph, None
+        if vidx in range(len(graph.vertices)):
+            i = graph.vertices[vidx].sub.index.get(g)
+            row = None if i is None else graph.vertex_row(vidx) + i
+        return self._row(("v", vidx, g, exp), row)
 
-    def _row(self, sym):
-        try:
-            return self.graph.word_symbols[0][sym]
-        except KeyError:
-            raise ValueError(f"unknown word symbol {sym!r}") from None
+    def _row(self, sym, row):
+        """The row of sym from the row of its symbol at exponent 1, which
+        is None for a symbol that the graph lacks."""
+        if row is None or sym[-1] not in (1, -1):
+            raise ValueError(f"unknown word symbol {sym!r}")
+        graph = self.graph
+        return row + (sym[-1] < 0) * graph.vertex_row(len(graph.vertices))
 
     @cached_property
     def elements(self):
@@ -324,7 +317,7 @@ class BrownPresentation:
         graph = self.graph
         direct = [graph.edges[i].g if vi < 0 else
                   graph.vertices[vi].sub.elements[i]
-                  for vi, i in graph.word_symbols[1].tolist()]
+                  for vi, i in graph.word_symbols.tolist()]
         return direct + [self.model.inv(g) for g in direct]
 
     def phi(self, word):
@@ -360,8 +353,8 @@ class BrownPresentation:
         return validate_graph(self.graph)
 
 
-def brown_presentation(graph: OrbitGraph, model: GroupModel) -> BrownPresentation:
-    pres = BrownPresentation(graph, model)
+def brown_presentation(graph: OrbitGraph) -> BrownPresentation:
+    pres = BrownPresentation(graph)
     if not pres.verify():
         raise NotFound("the presentation relations do not verify")
     return pres
@@ -410,7 +403,7 @@ def _closed_walks(graph: OrbitGraph, rng, n):
         done = np.flatnonzero(length)[:n - len(walks)]
         walks += [taken[:length[k], k] for k in done]
         ends += map(tuple, model.canonical_many(closing[done]).tolist())
-    if not graph.vertex_sets[root].issuperset(ends):
+    if any(c not in graph.vertices[root].sub.index for c in ends):
         raise InvalidGraph("closed walk leaves the root group")
     return walks, ends
 
@@ -420,7 +413,7 @@ def random_closed_path(graph: OrbitGraph, rng, n):
     root vertex, from the walks of _closed_walks.  A leg along e has
     a = c t, against e a = c t g_e^-1, for the prefix c before the step and
     its twist t."""
-    model, places = graph.model, graph.word_symbols[1].tolist()
+    model, places = graph.model, graph.word_symbols.tolist()
     moves, half = graph.walk_steps[2], len(places)
     paths = []
     for walk in _closed_walks(graph, rng, n)[0]:
@@ -453,12 +446,12 @@ def path_to_word(pres: BrownPresentation, legs):
             h = model.mul(model.mul(model.inv(prefix), a), e.g)
             vidx = e.w
             step = model.mul(h, model.inv(e.g))
-        if h not in graph.vertex_sets[vidx]:
+        if h not in graph.vertices[vidx].sub.index:
             raise InvalidGraph("path legs do not line up")
         word.append(pres.v(vidx, h))
         word.append(pres.x(ei, eps))
         prefix = model.mul(prefix, step)
-    if prefix not in graph.vertex_sets[graph.root]:
+    if prefix not in graph.vertices[graph.root].sub.index:
         raise InvalidGraph("closed path does not return to the root group")
     word.append(pres.v(graph.root, prefix, -1))
     return _in_kernel(pres, np.array(word, dtype=np.intp))
@@ -473,7 +466,7 @@ def _in_kernel(pres: BrownPresentation, word):
 def word_inverse(pres: BrownPresentation, word):
     """The inverse word: the rows reversed, each with its exponent
     flipped."""
-    half = len(pres.graph.word_symbols[1])
+    half = len(pres.graph.word_symbols)
     return (np.asarray(word, dtype=np.intp)[::-1] + half) % (2 * half)
 
 
@@ -483,7 +476,7 @@ def random_word(pres: BrownPresentation, rng, length, size=()):
     symbol is x_e for a uniform edge e or i_v(g) for a uniform vertex v
     and g in G_v, with equal odds, and either exponent with equal odds."""
     graph = pres.graph
-    vertex = graph.word_symbols[1][:, 0]
+    vertex = graph.word_symbols[:, 0]
     order = np.array([len(v.sub.elements) for v in graph.vertices])
     weight = np.where(vertex < 0, 1 / len(graph.edges),
                       1 / (len(graph.vertices) * order[vertex])) / 4

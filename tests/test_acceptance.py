@@ -52,7 +52,7 @@ def realized():
         table = builder(q)
         rep = realize_irreducible(model, table, rho0_character(table), seed=1)
         graph = build_orbit_graph(fam, q, k=1, model=model)
-        pres = brown_presentation(graph, model)
+        pres = brown_presentation(graph)
         out[q] = (model, table, rep, graph, pres)
     return out
 
@@ -178,7 +178,7 @@ def test_criterion_7_brown_presentation_soundness():
     for q, fam in [(4, "psl2_even"), (11, "psl2_odd")]:
         model = psl2_model(q)
         graph = build_orbit_graph(fam, q, model=model)
-        pres = brown_presentation(graph, model)
+        pres = brown_presentation(graph)
         assert pres.verify()
         counts.append(len(pres.relations()))
     elapsed = time.monotonic() - t0

@@ -80,6 +80,25 @@ def test_usage_error_exit_code(monkeypatch):
         assert e.value.code == 2, var
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--q", "4", "--checks", ","], "no check values given"),
+    (["--q", "4", "--checks", ""], "no check values given"),
+    (["--q", "8,8"], "q 8 given more than once"),
+    (["--q", "4,11,4"], "q 4 given more than once"),
+    (["--q", "4", "--checks", "tables,tables"],
+     "check tables given more than once"),
+    (["--q", "4", "--checks", "fusion, brown,fusion"],
+     "check fusion given more than once"),
+], ids=["comma", "empty", "q", "q-apart", "check", "check-apart"])
+def test_empty_or_repeated_list_is_a_usage_error(capsys, extra, message):
+    # no checks would write no records and pass; a repeat would write
+    # every record of that value twice under one name
+    with pytest.raises(SystemExit) as e:
+        main(["--family", "psl2", "--out", os.devnull] + extra)
+    assert e.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag,env", [(["--seed", "-3"], None),
                                       ([], "-3")], ids=["flag", "env"])
 def test_negative_seed_is_a_usage_error(monkeypatch, capsys, flag, env):
@@ -783,7 +802,7 @@ def _gauge_defect_per_draw(q, seed=0, draws=20, words=50):
     model, table = psl2_model(q), table_for(fam, q)
     rep = realize_irreducible(model, table, rho0_character(table), seed=seed)
     graph = osc.build_orbit_graph(fam, q, model=model)
-    pres = osc.brown_presentation(graph, model)
+    pres = osc.brown_presentation(graph)
     nrng = random.Random(seed)
     rng = random.Random(cli.record_seeds(seed)[0])
     worst = 0.0
@@ -868,8 +887,8 @@ def test_word_outside_kernel_fails_universal_record(monkeypatch, tmp_path):
 
 
 def test_symbol_rows_built_once_per_graph(monkeypatch):
-    # one orbit graph per q, and one symbol -> row map per graph, shared by
-    # every moduli point of that graph
+    # one orbit graph per q, and one table of symbol places per graph,
+    # shared by every moduli point of that graph
     from functools import cached_property
     graphs, builds = [], []
     real_graph, real_rows = cli.build_orbit_graph, osc.OrbitGraph.word_symbols
@@ -893,7 +912,7 @@ def test_symbol_rows_built_once_per_graph(monkeypatch):
     assert [id(g) for g in builds] == [id(g) for g in graphs]
 
 
-def test_numerics_skip_beyond_enumeration_bound():
+def test_numerics_skip_beyond_numerics_bound():
     report = run(parse_config(["--family", "psl2", "--q", "107",
                                "--checks", "numerics"]))
     assert report.ok

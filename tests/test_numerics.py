@@ -71,7 +71,7 @@ def rho11():
 def setting4(rho4):
     m, t, rep = rho4
     g = build_orbit_graph("psl2_even", 4, k=1, model=m)
-    return m, t, rep, g, brown_presentation(g, m)
+    return m, t, rep, g, brown_presentation(g)
 
 
 def test_realize_psl2_4(rho4):
@@ -302,7 +302,7 @@ def test_rho_tau_unknown_symbol(setting4):
     # the table and a symbol the graph lacks are all rejected
     m, t, rep, g, pres = setting4
     one = identity_moduli_point(g, rep.degree)
-    n_rows = 2 * len(g.word_symbols[1])
+    n_rows = 2 * len(g.word_symbols)
     with pytest.raises(ValueError):
         rho_tau_eval(pres, rep, one, [(("y", 0, 1),)])
     for bad in (n_rows, -1):
@@ -440,7 +440,11 @@ def _reference_eval(rep, tau, word, draw=0):
     built afresh from that draw's matrices."""
     graph = tau.graph
     mats = {ei: m[draw] for ei, m in tau.mats.items()}
-    symbol = {row: sym for sym, row in graph.word_symbols[0].items()}
+    places = graph.word_symbols.tolist()
+    symbol = {row + (exp < 0) * len(places):
+              ("x", i, exp) if vi < 0 else
+              ("v", vi, graph.vertices[vi].sub.elements[i], exp)
+              for exp in (1, -1) for row, (vi, i) in enumerate(places)}
     tau_v = _reference_tau_v(graph, mats)
     acc = np.eye(rep.degree, dtype=np.complex128)
     for sym in map(symbol.get, np.asarray(word).tolist()):
@@ -460,7 +464,7 @@ def _reference_eval(rep, tau, word, draw=0):
 def setting11(rho11):
     m, t, rep = rho11
     g = build_orbit_graph("psl2_odd", 11, k=1, model=m)
-    return m, t, rep, g, brown_presentation(g, m)
+    return m, t, rep, g, brown_presentation(g)
 
 
 def test_cached_word_values_are_bit_identical(setting11):

@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -155,7 +157,7 @@ def test_brown_presentation_sound():
         m = psl2_model(q)
         fam = "psl2_even" if q == 4 else "psl2_odd"
         g = build_orbit_graph(fam, q, k=1, model=m)
-        pres = brown_presentation(g, m)
+        pres = brown_presentation(g)
         assert pres.verify()
         for ei, e in enumerate(g.edges):
             if e.in_tree:
@@ -163,6 +165,47 @@ def test_brown_presentation_sound():
             if e.free:
                 # no conjugation relations beyond the trivial element
                 assert e.sub.order == 1
+
+
+@pytest.mark.parametrize("fam,q,k", [
+    (fam, q, k) for fam, q in [("psl2_even", 4), ("psl2_odd", 11)]
+    for k in (0, 1)])
+def test_word_symbol_rows_follow_the_layout(fam, q, k):
+    # x_e for every edge, then i_v(g) for every vertex and every g of G_v
+    # in tuple order, then all of them again with exponent -1: each
+    # symbol's row is its position in that enumeration
+    m = psl2_model(q)
+    g = build_orbit_graph(fam, q, k=k, model=m)
+    pres = brown_presentation(g)
+    symbols = [("x", ei) for ei in range(len(g.edges))] + [
+        ("v", vi, x) for vi, v in enumerate(g.vertices)
+        for x in v.sub.elements]
+    rows = [pres.x(*sym[1:], exp) if sym[0] == "x" else
+            pres.v(*sym[1:], exp) for exp in (1, -1) for sym in symbols]
+    assert rows == list(range(2 * len(symbols)))
+    assert g.word_symbols.tolist() == [
+        [-1, sym[1]] if sym[0] == "x" else
+        [sym[1], g.vertices[sym[1]].sub.elements.index(sym[2])]
+        for sym in symbols]
+    # each stabilizer's index is read-only and gives the tuple positions
+    for sub in [c.sub for c in g.vertices + g.edges]:
+        assert dict(sub.index) == {x: i for i, x in enumerate(sub.elements)}
+        with pytest.raises(TypeError):
+            sub.index[IDENTITY] = 0
+    # symbols that the graph lacks
+    for e in (len(g.edges), -1):
+        with pytest.raises(ValueError):
+            pres.x(e)
+    with pytest.raises(ValueError):
+        pres.x(0, 2)
+    for vi in (len(g.vertices), -1):
+        with pytest.raises(ValueError):
+            pres.v(vi, IDENTITY)
+    for vi, v in enumerate(g.vertices):
+        outside = next(x for x in m.scan() if x not in v.sub.elements)
+        for exp in (1, -1):
+            with pytest.raises(ValueError):
+                pres.v(vi, outside, exp)
 
 
 def test_ge_choice_does_not_matter():
@@ -179,8 +222,8 @@ def test_ge_choice_does_not_matter():
     next(valid)
     e.g = next(valid)
     assert g0.edges[3].g != g1.edges[3].g
-    assert brown_presentation(g0, m).verify()
-    assert brown_presentation(g1, m).verify()
+    assert brown_presentation(g0).verify()
+    assert brown_presentation(g1).verify()
     r0 = moduli_dimension_report(g0, t)
     r1 = moduli_dimension_report(g1, t)
     assert r0 == r1
@@ -189,7 +232,7 @@ def test_ge_choice_does_not_matter():
 def test_closed_paths_produce_kernel_words():
     m = psl2_model(4)
     g = build_orbit_graph("psl2_even", 4, k=1, model=m)
-    pres = brown_presentation(g, m)
+    pres = brown_presentation(g)
     rng = random.Random(11)
     for legs in random_closed_path(g, rng, 10):
         word = path_to_word(pres, legs)
@@ -264,8 +307,9 @@ def test_closed_walk_guards_the_root_group():
     # for closed paths and for kernel words alike
     m = psl2_model(11)
     g = build_orbit_graph("psl2_odd", 11, model=m)
-    pres = brown_presentation(g, m)
-    g.vertex_sets[g.root] = frozenset([IDENTITY])
+    pres = brown_presentation(g)
+    root = g.vertices[g.root]
+    root.sub = replace(root.sub, index=MappingProxyType({IDENTITY: 0}))
     with pytest.raises(InvalidGraph):
         random_closed_path(g, random.Random(0), 1)
     with pytest.raises(InvalidGraph):
